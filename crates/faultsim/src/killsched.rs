@@ -61,6 +61,39 @@ pub enum KillPoint {
 /// header, inside small payloads, and at awkward alignments.
 pub const MAX_TORN_BYTES: u32 = 48;
 
+/// Batch-boundary death uniform over `1..=max_batches`; unfireable for a
+/// degenerate reference run.
+fn draw_after_batches(rng: &mut StdRng, max_batches: u64) -> KillPoint {
+    KillPoint::AfterBatches(if max_batches == 0 {
+        u64::MAX
+    } else {
+        rng.random_range(1..=max_batches)
+    })
+}
+
+/// Torn-write death: an offset uniform over `0..max_wal_bytes` (unfireable
+/// when that is empty), then a torn length uniform over
+/// `0..=MAX_TORN_BYTES`.
+fn draw_at_wal_byte(rng: &mut StdRng, max_wal_bytes: u64) -> KillPoint {
+    let offset = if max_wal_bytes == 0 {
+        u64::MAX
+    } else {
+        rng.random_range(0..max_wal_bytes)
+    };
+    let torn = rng.random_range(0..=MAX_TORN_BYTES);
+    KillPoint::AtWalByte { offset, torn }
+}
+
+/// Record-count trigger uniform over `1..=max`; `u32::MAX` (never reached)
+/// when the reference run journals no such record.
+fn draw_nth(rng: &mut StdRng, max: u32) -> u32 {
+    if max == 0 {
+        u32::MAX
+    } else {
+        rng.random_range(1..=max)
+    }
+}
+
 /// Derive `n` kill points from `master_seed`, scattered over a run known
 /// (from an uninterrupted reference execution) to apply `max_batches`
 /// batches and append `max_wal_bytes` WAL bytes. Points alternate between
@@ -75,20 +108,9 @@ pub fn kill_points(master_seed: u64, n: usize, max_batches: u64, max_wal_bytes: 
     (0..n)
         .map(|i| {
             if i % 2 == 0 {
-                let after = if max_batches == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(1..=max_batches)
-                };
-                KillPoint::AfterBatches(after)
+                draw_after_batches(&mut rng, max_batches)
             } else {
-                let offset = if max_wal_bytes == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(0..max_wal_bytes)
-                };
-                let torn = rng.random_range(0..=MAX_TORN_BYTES);
-                KillPoint::AtWalByte { offset, torn }
+                draw_at_wal_byte(&mut rng, max_wal_bytes)
             }
         })
         .collect()
@@ -110,31 +132,9 @@ pub fn rollout_kill_points(
     let mut rng = StdRng::seed_from_u64(crate::subseed(master_seed, 7));
     (0..n)
         .map(|i| match i % 3 {
-            0 => {
-                let after = if max_batches == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(1..=max_batches)
-                };
-                KillPoint::AfterBatches(after)
-            }
-            1 => {
-                let offset = if max_wal_bytes == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(0..max_wal_bytes)
-                };
-                let torn = rng.random_range(0..=MAX_TORN_BYTES);
-                KillPoint::AtWalByte { offset, torn }
-            }
-            _ => {
-                let after = if max_events == 0 {
-                    u32::MAX
-                } else {
-                    rng.random_range(1..=max_events)
-                };
-                KillPoint::AfterRolloutEvents(after)
-            }
+            0 => draw_after_batches(&mut rng, max_batches),
+            1 => draw_at_wal_byte(&mut rng, max_wal_bytes),
+            _ => KillPoint::AfterRolloutEvents(draw_nth(&mut rng, max_events)),
         })
         .collect()
 }
@@ -156,31 +156,9 @@ pub fn command_kill_points(
     let mut rng = StdRng::seed_from_u64(crate::subseed(master_seed, 11));
     (0..n)
         .map(|i| match i % 3 {
-            0 => {
-                let after = if max_batches == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(1..=max_batches)
-                };
-                KillPoint::AfterBatches(after)
-            }
-            1 => {
-                let offset = if max_wal_bytes == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(0..max_wal_bytes)
-                };
-                let torn = rng.random_range(0..=MAX_TORN_BYTES);
-                KillPoint::AtWalByte { offset, torn }
-            }
-            _ => {
-                let after = if max_commands == 0 {
-                    u32::MAX
-                } else {
-                    rng.random_range(1..=max_commands)
-                };
-                KillPoint::AfterCommands(after)
-            }
+            0 => draw_after_batches(&mut rng, max_batches),
+            1 => draw_at_wal_byte(&mut rng, max_wal_bytes),
+            _ => KillPoint::AfterCommands(draw_nth(&mut rng, max_commands)),
         })
         .collect()
 }
@@ -241,23 +219,8 @@ pub fn cluster_kill_points(
                 };
                 ClusterKillPoint::Node { node, at_tick }
             }
-            1 => {
-                let after = if max_batches == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(1..=max_batches)
-                };
-                ClusterKillPoint::Process(KillPoint::AfterBatches(after))
-            }
-            _ => {
-                let offset = if max_wal_bytes == 0 {
-                    u64::MAX
-                } else {
-                    rng.random_range(0..max_wal_bytes)
-                };
-                let torn = rng.random_range(0..=MAX_TORN_BYTES);
-                ClusterKillPoint::Process(KillPoint::AtWalByte { offset, torn })
-            }
+            1 => ClusterKillPoint::Process(draw_after_batches(&mut rng, max_batches)),
+            _ => ClusterKillPoint::Process(draw_at_wal_byte(&mut rng, max_wal_bytes)),
         })
         .collect()
 }
@@ -384,6 +347,40 @@ mod tests {
                 assert_eq!(n, u32::MAX);
             }
         }
+    }
+
+    #[test]
+    fn first_points_of_every_generator_are_pinned() {
+        use KillPoint::{AfterBatches as B, AfterCommands as C, AfterRolloutEvents as R};
+        let w = |offset, torn| KillPoint::AtWalByte { offset, torn };
+        let p = ClusterKillPoint::Process;
+        let n = |node, at_tick| ClusterKillPoint::Node { node, at_tick };
+        // Recorded before the per-class draws were factored out of the
+        // four generators; any change to a subseed tag, class cycle or
+        // draw order shows up here.
+        assert_eq!(
+            kill_points(2024, 6, 500, 90_000),
+            [B(229), w(64538, 12), B(437), w(41944, 26), B(307), w(77532, 0)]
+        );
+        assert_eq!(
+            rollout_kill_points(2024, 6, 500, 90_000, 2),
+            [B(117), w(38201, 27), R(1), B(240), w(79169, 25), R(1)]
+        );
+        assert_eq!(
+            command_kill_points(2024, 6, 500, 90_000, 9),
+            [B(441), w(83235, 32), C(2), B(248), w(60781, 48), C(3)]
+        );
+        assert_eq!(
+            cluster_kill_points(2024, 6, 4, 500, 90_000, 700),
+            [
+                n(3, 330),
+                p(B(454)),
+                p(w(57730, 5)),
+                n(2, 447),
+                p(B(292)),
+                p(w(70944, 0)),
+            ]
+        );
     }
 
     #[test]

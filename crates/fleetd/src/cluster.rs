@@ -18,12 +18,13 @@
 //! * **Assignment** is consistent-hash ([`HashRing`]) over the original
 //!   membership, plus an explicit override table for hosts moved off dead
 //!   nodes. Every assignment change is one [`AssignEvent`] appended to a
-//!   dedicated journal (`cluster.wal`, `WLR1` discipline via
+//!   dedicated journal (`cluster.wal`, `WLR1` frames via
 //!   [`WalWriter::append_raw`]) *before* it takes effect in memory, and
 //!   periodically folded into a `CSN1` snapshot ([`ClusterSnapshot`],
-//!   atomic tmp+rename, newest-valid-wins). Recovery replays snapshot +
-//!   journal suffix; the epoch guard in [`AssignState::apply`] makes
-//!   replay idempotent. The journal is never truncated, so a damaged
+//!   kept by the daemon's snapshot store: atomic tmp+rename, keep-two,
+//!   newest-valid-wins). Recovery replays snapshot + journal suffix;
+//!   the epoch guard in [`AssignState::apply`] makes replay
+//!   idempotent. The journal is never truncated, so a damaged
 //!   newest snapshot falls back to an older one plus a longer replay.
 //! * **Failure detection** is missed-heartbeat timeout: nodes beacon
 //!   every `heartbeat_interval` ticks, and a node unheard-of for more
@@ -51,11 +52,12 @@ use std::path::{Path, PathBuf};
 use faultsim::{LinkFaults, LinkSim};
 use hids_metrics::Registry;
 
-use crate::codec::{crc32, put_u32, put_u64, CodecError, Reader, WindowBatch};
+use crate::codec::{put_u32, put_u64, CodecError, FrameDefect, Reader, WindowBatch};
 use crate::daemon::{Completion, Daemon, DaemonConfig, DaemonError, RecoveryReport};
 use crate::queue::Admit;
+use crate::snapshot::{self, decode_image, encode_image, Image};
 use crate::state::HostState;
-use crate::wal::{KillSwitch, TailDefect, WalWriter};
+use crate::wal::{KillSwitch, WalWriter};
 use crate::wire::{frame_msg, ClusterMsg, WireDecoder, WireStats};
 
 /// Magic for cluster assignment snapshots.
@@ -197,11 +199,12 @@ impl AssignEvent {
     }
 }
 
-/// A point-in-time copy of [`AssignState`], written with the same
-/// atomic-rename, keep-two, newest-valid-wins discipline as daemon
-/// snapshots. Unlike the daemon's WAL, the cluster journal is *not*
-/// truncated when a snapshot lands: a damaged newest snapshot falls back
-/// to an older one and replays a longer journal suffix instead.
+/// A point-in-time copy of [`AssignState`], kept by the same snapshot
+/// store as daemon snapshots (atomic rename, keep-two, newest-valid-wins)
+/// under the file prefix `cluster-snap`. Unlike the daemon's WAL, the
+/// cluster journal is *not* truncated when a snapshot lands: a damaged
+/// newest snapshot falls back to an older one and replays a longer
+/// journal suffix instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSnapshot {
     /// Monotone snapshot sequence number (also in the filename).
@@ -221,56 +224,44 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// Serialise: magic | payload len | payload CRC | payload.
+    /// Serialise to the framed on-disk byte form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        put_u64(&mut p, self.seq);
-        put_u32(&mut p, self.epoch);
-        put_u32(&mut p, self.n_nodes);
-        put_u32(&mut p, self.vnodes);
-        put_u32(&mut p, self.live.len() as u32);
-        for &n in &self.live {
-            put_u32(&mut p, n);
-        }
-        put_u32(&mut p, self.pending_dead.len() as u32);
-        for &n in &self.pending_dead {
-            put_u32(&mut p, n);
-        }
-        put_u32(&mut p, self.overrides.len() as u32);
-        for &(h, n, e) in &self.overrides {
-            put_u32(&mut p, h);
-            put_u32(&mut p, n);
-            put_u32(&mut p, e);
-        }
-        let mut out = Vec::with_capacity(12 + p.len());
-        out.extend_from_slice(&CLUSTER_SNAP_MAGIC);
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&p).to_le_bytes());
-        out.extend_from_slice(&p);
-        out
+        encode_image(self)
     }
 
     /// Decode and verify one snapshot file image.
-    pub fn decode(bytes: &[u8]) -> Result<Self, TailDefect> {
-        if bytes.len() < 12 {
-            return Err(TailDefect::ShortHeader);
+    pub fn decode(bytes: &[u8]) -> Result<Self, FrameDefect> {
+        decode_image(bytes)
+    }
+}
+
+impl Image for ClusterSnapshot {
+    const MAGIC: [u8; 4] = CLUSTER_SNAP_MAGIC;
+    const PREFIX: &'static str = "cluster-snap";
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn encode_payload(&self, p: &mut Vec<u8>) {
+        put_u64(p, self.seq);
+        put_u32(p, self.epoch);
+        put_u32(p, self.n_nodes);
+        put_u32(p, self.vnodes);
+        put_u32(p, self.live.len() as u32);
+        for &n in &self.live {
+            put_u32(p, n);
         }
-        if bytes[..4] != CLUSTER_SNAP_MAGIC {
-            return Err(TailDefect::BadMagic);
+        put_u32(p, self.pending_dead.len() as u32);
+        for &n in &self.pending_dead {
+            put_u32(p, n);
         }
-        let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if len > crate::snapshot::MAX_SNAP_PAYLOAD {
-            return Err(TailDefect::ImplausibleLength);
+        put_u32(p, self.overrides.len() as u32);
+        for &(h, n, e) in &self.overrides {
+            put_u32(p, h);
+            put_u32(p, n);
+            put_u32(p, e);
         }
-        let crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        let payload = &bytes[12..];
-        if payload.len() != len as usize {
-            return Err(TailDefect::ShortPayload);
-        }
-        if crc32(payload) != crc {
-            return Err(TailDefect::CrcMismatch);
-        }
-        Self::decode_payload(payload).map_err(TailDefect::Undecodable)
     }
 
     fn decode_payload(payload: &[u8]) -> Result<Self, CodecError> {
@@ -307,62 +298,6 @@ impl ClusterSnapshot {
             overrides,
         })
     }
-}
-
-/// Filename for cluster snapshot `seq` (sorts lexicographically).
-pub fn cluster_snapshot_filename(seq: u64) -> String {
-    format!("cluster-snap-{seq:012}.bin")
-}
-
-/// List `(seq, path)` of cluster snapshot files in `dir`, ascending.
-pub fn list_cluster_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(stem) = name
-            .strip_prefix("cluster-snap-")
-            .and_then(|s| s.strip_suffix(".bin"))
-        {
-            if let Ok(seq) = stem.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
-}
-
-/// Write `snap` atomically (tmp + rename) and prune to the newest two.
-pub fn write_cluster_snapshot(dir: &Path, snap: &ClusterSnapshot) -> std::io::Result<PathBuf> {
-    let tmp = dir.join(".cluster-snap.tmp");
-    fs::write(&tmp, snap.encode())?;
-    let path = dir.join(cluster_snapshot_filename(snap.seq));
-    fs::rename(&tmp, &path)?;
-    let all = list_cluster_snapshots(dir)?;
-    if all.len() > 2 {
-        for (_, old) in &all[..all.len() - 2] {
-            fs::remove_file(old)?;
-        }
-    }
-    Ok(path)
-}
-
-/// Load the newest decodable cluster snapshot, counting damaged newer
-/// ones that had to be skipped.
-pub fn load_latest_cluster_snapshot(
-    dir: &Path,
-) -> std::io::Result<(Option<ClusterSnapshot>, u32)> {
-    let mut discarded = 0u32;
-    for (_, path) in list_cluster_snapshots(dir)?.into_iter().rev() {
-        let bytes = fs::read(&path)?;
-        match ClusterSnapshot::decode(&bytes) {
-            Ok(s) => return Ok((Some(s), discarded)),
-            Err(_) => discarded += 1,
-        }
-    }
-    Ok((None, discarded))
 }
 
 /// The replicated assignment state machine: who owns which host, at
@@ -768,7 +703,7 @@ impl Cluster {
         fs::create_dir_all(dir)?;
 
         let mut recovery = ClusterRecovery::default();
-        let (snap, discarded) = load_latest_cluster_snapshot(dir)?;
+        let (snap, discarded) = snapshot::load_newest::<ClusterSnapshot>(dir)?;
         recovery.snapshots_discarded = discarded;
         let mut next_snap_seq = 1;
         let mut assign = match &snap {
@@ -785,16 +720,13 @@ impl Cluster {
             None => AssignState::new(cfg.n_nodes, cfg.vnodes),
         };
 
-        let (mut journal, replay) = WalWriter::open_raw(&dir.join("cluster.wal"))?;
+        // A CRC-valid but undecodable event is only possible with
+        // deliberate corruption; replay stops there and truncates it like
+        // a torn tail.
+        let (mut journal, replay) = WalWriter::open(&dir.join("cluster.wal"), AssignEvent::decode)?;
         recovery.journal_torn_bytes = replay.torn_bytes;
-        let fresh = snap.is_none() && replay.payloads.is_empty();
-        for payload in &replay.payloads {
-            // A CRC-valid but undecodable event is only possible with
-            // deliberate corruption; stop replaying there, like a torn
-            // tail.
-            let Ok(ev) = AssignEvent::decode(payload) else {
-                break;
-            };
+        let fresh = snap.is_none() && replay.records.is_empty();
+        for ev in replay.records {
             if let AssignEvent::Bootstrap { n_nodes, .. } = &ev {
                 if *n_nodes != cfg.n_nodes {
                     return Err(DaemonError::Config(
@@ -817,7 +749,7 @@ impl Cluster {
                 crate::wal::AppendOutcome::Appended => {}
                 crate::wal::AppendOutcome::Killed => return Err(DaemonError::Killed),
             }
-            write_cluster_snapshot(dir, &assign.to_snapshot(next_snap_seq))?;
+            snapshot::write_image(dir, &assign.to_snapshot(next_snap_seq))?;
             next_snap_seq += 1;
         }
 
@@ -994,7 +926,7 @@ impl Cluster {
         };
         self.append_event(&ev, kill)?;
         self.assign.apply(&ev);
-        write_cluster_snapshot(&self.dir, &self.assign.to_snapshot(self.next_snap_seq))?;
+        snapshot::write_image(&self.dir, &self.assign.to_snapshot(self.next_snap_seq))?;
         self.next_snap_seq += 1;
         self.stats.rebalances += 1;
         self.stats.hosts_moved += moved.len() as u64;
@@ -1523,6 +1455,44 @@ mod tests {
     }
 
     #[test]
+    fn stray_snapshot_names_are_not_listed_loaded_or_pruned() {
+        // Names whose seq is not exactly 12 ASCII digits are not
+        // snapshots, even when they hold a valid image with a higher seq:
+        // counting them toward keep-two would prune a real fallback.
+        let dir = tmpdir("stray");
+        fs::create_dir_all(&dir).expect("mkdir");
+        let image = |seq| ClusterSnapshot {
+            seq,
+            epoch: 0,
+            n_nodes: 2,
+            vnodes: 8,
+            live: vec![0, 1],
+            pending_dead: vec![],
+            overrides: vec![],
+        };
+        let strays = ["cluster-snap-9.bin", "cluster-snap-+9.bin"];
+        for name in strays {
+            fs::write(dir.join(name), image(9).encode()).expect("stray");
+        }
+        for seq in 1..=3 {
+            snapshot::write_image(&dir, &image(seq)).expect("write");
+        }
+        let listed: Vec<u64> = snapshot::list_images::<ClusterSnapshot>(&dir)
+            .expect("list")
+            .into_iter()
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(listed, vec![3, 2], "strays listed or a real image pruned");
+        let (loaded, discarded) = snapshot::load_newest::<ClusterSnapshot>(&dir).expect("load");
+        assert_eq!(loaded.map(|s| s.seq), Some(3));
+        assert_eq!(discarded, 0);
+        for name in strays {
+            assert!(dir.join(name).exists(), "{name} must not be deleted");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn apply_is_idempotent_under_replay() {
         let mut a = AssignState::new(4, 64);
         let dead = AssignEvent::NodeDead { epoch: 1, node: 1 };
@@ -1770,13 +1740,13 @@ mod tests {
 
         // Snapshots: seq 1 (pre-handoff) valid, seq 2 (post-handoff)
         // newest but corrupt.
-        write_cluster_snapshot(&dir, &pre.to_snapshot(1)).expect("snap 1");
+        snapshot::write_image(&dir, &pre.to_snapshot(1)).expect("snap 1");
         let mut post = pre.clone();
         post.apply(&reb);
         let mut snap2 = post.to_snapshot(2).encode();
         let mid = snap2.len() / 2;
         snap2[mid] ^= 0xFF;
-        fs::write(dir.join(cluster_snapshot_filename(2)), &snap2).expect("snap 2");
+        fs::write(dir.join("cluster-snap-000000000002.bin"), &snap2).expect("snap 2");
 
         let hosts: Vec<u32> = (0..64).collect();
         let mut kill = ClusterKillSwitch::none();

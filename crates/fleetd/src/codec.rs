@@ -1,12 +1,21 @@
 //! Deterministic binary codec for the daemon's durable artifacts.
 //!
-//! Both the write-ahead log and the snapshot files are built from the same
-//! primitives: little-endian fixed-width integers and an IEEE CRC-32 over
-//! the payload. Everything here is hand-rolled — no serializer dependency
-//! — because the framing must be byte-stable across versions of anything
-//! but this file, and because recovery needs precise control over how a
-//! torn or bit-rotted suffix decodes (it must fail loudly at the frame
-//! layer, never panic in the middle of a field read).
+//! Every byte fleetd persists or puts on the wire is built from the
+//! primitives here: little-endian fixed-width integers, an IEEE CRC-32,
+//! and one frame grammar shared by all four framed formats:
+//!
+//! ```text
+//! magic (4B) | payload_len u32 LE | crc32(payload) u32 LE | payload
+//! ```
+//!
+//! [`encode_frame`] is the only writer of that 12-byte header and
+//! [`check_frame`] the only reader; each format supplies its own magic and
+//! payload bound, and decides what an incomplete or damaged frame means
+//! for it (see DESIGN.md §9). Everything here is hand-rolled — no
+//! serializer dependency — because the framing must be byte-stable across
+//! versions of anything but this file, and because recovery needs precise
+//! control over how a torn or bit-rotted suffix decodes (it must fail
+//! loudly at the frame layer, never panic in the middle of a field read).
 
 use itconsole::Payload;
 use serde::Serialize;
@@ -214,6 +223,88 @@ impl WindowBatch {
     }
 }
 
+/// Fixed bytes before every frame payload: magic, length, CRC.
+pub const FRAME_HEADER_LEN: usize = 12;
+
+/// Why a frame, or the record inside it, was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameDefect {
+    /// Fewer than [`FRAME_HEADER_LEN`] bytes remained.
+    ShortHeader,
+    /// The magic was not the format's.
+    BadMagic,
+    /// The declared payload length exceeds the format's bound.
+    ImplausibleLength,
+    /// The payload extends past the end of the buffer.
+    ShortPayload,
+    /// CRC over the payload did not match the header.
+    CrcMismatch,
+    /// Bytes follow a frame that must fill its whole file.
+    TrailingBytes,
+    /// The payload passed CRC but failed structural decode (only possible
+    /// with deliberate corruption that preserves the CRC).
+    Undecodable(CodecError),
+}
+
+/// What [`check_frame`] found at the start of a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameCheck<'a> {
+    /// A whole frame whose CRC verifies.
+    Complete {
+        /// The verified payload.
+        payload: &'a [u8],
+        /// Header plus payload bytes: where the next frame starts.
+        len: usize,
+    },
+    /// The buffer ends inside the frame, either in the header
+    /// ([`FrameDefect::ShortHeader`]) or in a payload of plausible length
+    /// ([`FrameDefect::ShortPayload`]).
+    Incomplete(FrameDefect),
+    /// The frame is damaged: bad magic, implausible length or bad CRC.
+    Defect(FrameDefect),
+}
+
+/// Build one frame under `magic` whose payload is whatever `body` appends.
+/// The payload is written in place behind a reserved header, so framing
+/// never copies it.
+pub fn encode_frame(magic: [u8; 4], body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&magic);
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN - 4]);
+    body(&mut frame);
+    let len = (frame.len() - FRAME_HEADER_LEN) as u32;
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[4..8].copy_from_slice(&len.to_le_bytes());
+    frame[8..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// Check the frame at the start of `buf` against `magic` and a payload
+/// bound of `max_payload` bytes. A length above the bound is a defect, never
+/// an allocation or a wait; nothing here allocates.
+pub fn check_frame(buf: &[u8], magic: [u8; 4], max_payload: u32) -> FrameCheck<'_> {
+    let mut r = Reader::new(buf);
+    let (Ok(found), Ok(len), Ok(crc)) = (r.bytes(4), r.u32(), r.u32()) else {
+        return FrameCheck::Incomplete(FrameDefect::ShortHeader);
+    };
+    if found != magic {
+        return FrameCheck::Defect(FrameDefect::BadMagic);
+    }
+    if len > max_payload {
+        return FrameCheck::Defect(FrameDefect::ImplausibleLength);
+    }
+    let Ok(payload) = r.bytes(len as usize) else {
+        return FrameCheck::Incomplete(FrameDefect::ShortPayload);
+    };
+    if crc32(payload) != crc {
+        return FrameCheck::Defect(FrameDefect::CrcMismatch);
+    }
+    FrameCheck::Complete {
+        payload,
+        len: FRAME_HEADER_LEN + payload.len(),
+    }
+}
+
 /// IEEE CRC-32 (the pcap/zip polynomial), table-driven, table built at
 /// compile time.
 pub fn crc32(data: &[u8]) -> u32 {
@@ -313,6 +404,47 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn frame_check_classifies_every_prefix_and_defect() {
+        const MAGIC: [u8; 4] = *b"TST1";
+        let frame = encode_frame(MAGIC, |out| out.extend_from_slice(b"payload"));
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + 7);
+        let mut stream = frame.clone();
+        stream.push(0xAA);
+        assert_eq!(
+            check_frame(&stream, MAGIC, 7),
+            FrameCheck::Complete {
+                payload: b"payload",
+                len: frame.len()
+            }
+        );
+        for cut in 0..frame.len() {
+            let want = if cut < FRAME_HEADER_LEN {
+                FrameDefect::ShortHeader
+            } else {
+                FrameDefect::ShortPayload
+            };
+            assert_eq!(
+                check_frame(&frame[..cut], MAGIC, 7),
+                FrameCheck::Incomplete(want)
+            );
+        }
+        assert_eq!(
+            check_frame(&frame, *b"TST2", 7),
+            FrameCheck::Defect(FrameDefect::BadMagic)
+        );
+        assert_eq!(
+            check_frame(&frame, MAGIC, 6),
+            FrameCheck::Defect(FrameDefect::ImplausibleLength)
+        );
+        let mut bad = frame.clone();
+        bad[FRAME_HEADER_LEN] ^= 1;
+        assert_eq!(
+            check_frame(&bad, MAGIC, 7),
+            FrameCheck::Defect(FrameDefect::CrcMismatch)
+        );
     }
 
     #[test]

@@ -442,7 +442,7 @@ impl Daemon {
             }
         }
 
-        let (wal, replay) = WalWriter::open(&dir.join("wal.bin"))?;
+        let (wal, replay) = WalWriter::open(&dir.join("wal.bin"), WalRecord::decode)?;
         report.wal_torn_bytes = replay.torn_bytes;
         let apply_cfg = ApplyConfig {
             n_windows: cfg.n_windows,
@@ -1173,7 +1173,7 @@ impl Daemon {
             drained: self.drained.iter().copied().collect(),
         };
         let seq = snap.seq;
-        snapshot::write_snapshot(&self.dir, &snap)?;
+        snapshot::write_image(&self.dir, &snap)?;
         self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;

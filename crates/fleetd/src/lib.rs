@@ -11,12 +11,15 @@
 //!
 //! The layering, bottom-up:
 //!
-//! * [`codec`] — little-endian field codec, `WindowBatch`, IEEE CRC-32;
+//! * [`codec`] — little-endian field codec, `WindowBatch`, IEEE CRC-32,
+//!   and the one CRC frame header every persisted or sent byte sits
+//!   behind;
 //! * [`wal`] — CRC-framed append-only log with torn-tail recovery and the
 //!   cooperative [`KillSwitch`](wal::KillSwitch) used by crash-injection
 //!   harnesses;
 //! * [`snapshot`] — atomic (tmp+rename) full-state checkpoints, newest
-//!   valid image wins, keep-two retention;
+//!   valid image wins, keep-two retention, shared by the daemon and the
+//!   cluster coordinator;
 //! * [`state`] — per-host accumulators with seq-deduped idempotent apply;
 //! * [`epoch`] — versioned threshold epochs: WAL-journaled canary
 //!   rollouts with shadow evaluation, health gates, and O(1) bitwise

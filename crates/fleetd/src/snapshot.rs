@@ -1,23 +1,23 @@
 //! Snapshot checkpointing: periodic full-state images that bound WAL
-//! replay time.
+//! replay time, and the one snapshot store every image kind shares.
 //!
-//! A snapshot is a single CRC-framed file:
-//!
-//! ```text
-//! "FSN1" (4B) | payload_len u32 LE | crc32(payload) u32 LE | payload
-//! ```
-//!
-//! and the payload is the complete sharded host table (sequence numbers,
-//! train/test accumulators, fitted thresholds, live alarm counts) plus the
-//! snapshot's own monotone sequence number. Writes are atomic at the
-//! filesystem level — payload goes to `snap.tmp`, then a rename installs
-//! it as `snap-<seq>.bin` — so a crash mid-write leaves either the old
-//! snapshots or the new one, never a half-written current snapshot. The
-//! two most recent snapshots are kept; recovery walks them newest-first
-//! and loads the first one whose CRC and structure verify, counting the
-//! rest as discarded. A valid snapshot makes every WAL frame written
-//! before it redundant, so the daemon truncates the log right after a
-//! successful install.
+//! An image is a single file holding exactly one frame of
+//! [`crate::codec`]'s grammar; a file with anything after that frame is
+//! rejected. The daemon's image (`FSN1`, [`Snapshot`]) carries the
+//! complete sharded host table (sequence numbers, train/test
+//! accumulators, fitted thresholds, live alarm counts) plus the
+//! snapshot's own monotone sequence number; the cluster coordinator's
+//! (`CSN1`, [`crate::cluster::ClusterSnapshot`]) carries its assignment
+//! state. An [`Image`] names its magic and file prefix, and the store
+//! functions do the rest. Writes are atomic at the filesystem level —
+//! the image goes to `<prefix>.tmp`, then a rename installs it as
+//! `<prefix>-<seq>.bin` with `seq` as exactly 12 ASCII digits — so a
+//! crash mid-write leaves either the old snapshots or the new one, never
+//! a half-written current snapshot. The two most recent snapshots are
+//! kept; recovery walks them newest-first and loads the first one whose
+//! CRC and structure verify, counting the rest as discarded. A valid
+//! daemon snapshot makes every WAL frame written before it redundant, so
+//! the daemon truncates the log right after a successful install.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -26,13 +26,16 @@ use std::path::{Path, PathBuf};
 use hids_core::{SketchAccumulator, WindowAccumulator};
 use tailstats::KllSketch;
 
-use crate::codec::{crc32, put_f64, put_u32, put_u64, CodecError, Reader};
+use crate::codec::{
+    check_frame, encode_frame, put_f64, put_u32, put_u64, CodecError, FrameCheck, FrameDefect,
+    Reader,
+};
 use crate::epoch::{decode_epoch, encode_epoch, EpochState};
-use crate::state::{HostState, ShardState};
+use crate::state::HostState;
 
 /// Snapshot file magic: "FSN1".
 pub const SNAP_MAGIC: [u8; 4] = *b"FSN1";
-/// Sanity bound on the snapshot payload (1 GiB).
+/// Sanity bound on any snapshot image's payload (1 GiB).
 pub const MAX_SNAP_PAYLOAD: u32 = 1 << 30;
 
 /// A decoded snapshot: the daemon's full durable state at a checkpoint.
@@ -54,19 +57,36 @@ pub struct Snapshot {
     pub drained: Vec<u32>,
 }
 
-/// Why a snapshot file was rejected during recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotDefect {
-    /// File shorter than the fixed header.
-    ShortHeader,
-    /// Magic was not [`SNAP_MAGIC`].
-    BadMagic,
-    /// Declared payload length exceeds [`MAX_SNAP_PAYLOAD`] or the file.
-    BadLength,
-    /// CRC over the payload did not match.
-    CrcMismatch,
-    /// Payload failed structural decode.
-    Undecodable(CodecError),
+/// A full-state image kept by the snapshot store, one frame per file.
+pub trait Image: Sized {
+    /// Frame magic of this image kind.
+    const MAGIC: [u8; 4];
+    /// File prefix: images are `<PREFIX>-<seq:012>.bin`, staged through
+    /// `<PREFIX>.tmp`.
+    const PREFIX: &'static str;
+    /// Monotone sequence number (also in the filename).
+    fn seq(&self) -> u64;
+    /// Append the frame payload to `out`.
+    fn encode_payload(&self, out: &mut Vec<u8>);
+    /// Decode a CRC-verified payload; must consume it exactly.
+    fn decode_payload(payload: &[u8]) -> Result<Self, CodecError>;
+}
+
+/// Serialise `img` to its framed file form.
+pub fn encode_image<I: Image>(img: &I) -> Vec<u8> {
+    encode_frame(I::MAGIC, |out| img.encode_payload(out))
+}
+
+/// Verify and decode a whole image file: the frame must check and fill
+/// `bytes` exactly.
+pub fn decode_image<I: Image>(bytes: &[u8]) -> Result<I, FrameDefect> {
+    match check_frame(bytes, I::MAGIC, MAX_SNAP_PAYLOAD) {
+        FrameCheck::Complete { payload, len } if len == bytes.len() => {
+            I::decode_payload(payload).map_err(FrameDefect::Undecodable)
+        }
+        FrameCheck::Complete { .. } => Err(FrameDefect::TrailingBytes),
+        FrameCheck::Incomplete(d) | FrameCheck::Defect(d) => Err(d),
+    }
 }
 
 fn encode_accumulator(out: &mut Vec<u8>, acc: &WindowAccumulator) {
@@ -138,72 +158,63 @@ fn decode_sketch(r: &mut Reader<'_>) -> Result<Option<SketchAccumulator>, CodecE
 impl Snapshot {
     /// Serialise to the framed on-disk byte form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.seq);
-        put_u32(&mut payload, self.n_windows);
-        put_u32(&mut payload, self.hosts.len() as u32);
+        encode_image(self)
+    }
+
+    /// Parse a framed snapshot, verifying magic, length and CRC first.
+    pub fn decode(bytes: &[u8]) -> Result<Self, FrameDefect> {
+        decode_image(bytes)
+    }
+}
+
+impl Image for Snapshot {
+    const MAGIC: [u8; 4] = SNAP_MAGIC;
+    const PREFIX: &'static str = "snap";
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn encode_payload(&self, payload: &mut Vec<u8>) {
+        put_u64(payload, self.seq);
+        put_u32(payload, self.n_windows);
+        put_u32(payload, self.hosts.len() as u32);
         for (&host, st) in &self.hosts {
-            put_u32(&mut payload, host);
-            put_u64(&mut payload, st.last_seq);
-            put_u64(&mut payload, st.live_alarms);
+            put_u32(payload, host);
+            put_u64(payload, st.last_seq);
+            put_u64(payload, st.live_alarms);
             match st.threshold {
                 Some(t) => {
                     payload.push(1);
-                    put_f64(&mut payload, t);
+                    put_f64(payload, t);
                 }
                 None => payload.push(0),
             }
             match st.promoted {
                 Some((from, t)) => {
                     payload.push(1);
-                    put_u32(&mut payload, from);
-                    put_f64(&mut payload, t);
+                    put_u32(payload, from);
+                    put_f64(payload, t);
                 }
                 None => payload.push(0),
             }
             match st.pinned {
                 Some(t) => {
                     payload.push(1);
-                    put_f64(&mut payload, t);
+                    put_f64(payload, t);
                 }
                 None => payload.push(0),
             }
-            encode_accumulator(&mut payload, &st.train);
-            encode_accumulator(&mut payload, &st.test);
-            encode_sketch(&mut payload, &st.train_sketch);
-            encode_sketch(&mut payload, &st.test_sketch);
+            encode_accumulator(payload, &st.train);
+            encode_accumulator(payload, &st.test);
+            encode_sketch(payload, &st.train_sketch);
+            encode_sketch(payload, &st.test_sketch);
         }
-        encode_epoch(&mut payload, &self.epoch);
-        put_u32(&mut payload, self.drained.len() as u32);
+        encode_epoch(payload, &self.epoch);
+        put_u32(payload, self.drained.len() as u32);
         for &s in &self.drained {
-            put_u32(&mut payload, s);
+            put_u32(payload, s);
         }
-        let mut out = Vec::with_capacity(12 + payload.len());
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Parse a framed snapshot, verifying magic, length and CRC first.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotDefect> {
-        if bytes.len() < 12 {
-            return Err(SnapshotDefect::ShortHeader);
-        }
-        if bytes[..4] != SNAP_MAGIC {
-            return Err(SnapshotDefect::BadMagic);
-        }
-        let len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if len > MAX_SNAP_PAYLOAD || bytes.len() != 12 + len as usize {
-            return Err(SnapshotDefect::BadLength);
-        }
-        let crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        let payload = &bytes[12..];
-        if crc32(payload) != crc {
-            return Err(SnapshotDefect::CrcMismatch);
-        }
-        Self::decode_payload(payload).map_err(SnapshotDefect::Undecodable)
     }
 
     fn decode_payload(payload: &[u8]) -> Result<Self, CodecError> {
@@ -271,45 +282,33 @@ impl Snapshot {
             drained,
         })
     }
-
-    /// Build a snapshot image from live shard tables plus rollout state.
-    pub fn from_shards(seq: u64, n_windows: u32, shards: &[ShardState], epoch: &EpochState) -> Self {
-        let mut hosts = BTreeMap::new();
-        for shard in shards {
-            for (&h, st) in &shard.hosts {
-                hosts.insert(h, st.clone());
-            }
-        }
-        Self {
-            seq,
-            n_windows,
-            hosts,
-            epoch: epoch.clone(),
-            drained: Vec::new(),
-        }
-    }
 }
 
-/// Filename for snapshot `seq` inside the daemon directory.
-pub fn snapshot_filename(seq: u64) -> String {
-    format!("snap-{seq:012}.bin")
+/// Filename for image `seq` of kind `I`.
+fn image_filename<I: Image>(seq: u64) -> String {
+    format!("{}-{seq:012}.bin", I::PREFIX)
 }
 
-fn parse_snapshot_filename(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("snap-")?.strip_suffix(".bin")?;
+/// The seq of an image filename of kind `I`; `None` unless the name is
+/// exactly `<PREFIX>-` + 12 ASCII digits + `.bin`.
+fn parse_image_filename<I: Image>(name: &str) -> Option<u64> {
+    let rest = name
+        .strip_prefix(I::PREFIX)?
+        .strip_prefix('-')?
+        .strip_suffix(".bin")?;
     if rest.len() != 12 || !rest.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
     rest.parse().ok()
 }
 
-/// Snapshot files present in `dir`, newest first.
-pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+/// Image files of kind `I` present in `dir`, newest first.
+pub fn list_images<I: Image>(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut found = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        if let Some(seq) = name.to_str().and_then(parse_snapshot_filename) {
+        if let Some(seq) = name.to_str().and_then(parse_image_filename::<I>) {
             found.push((seq, entry.path()));
         }
     }
@@ -317,33 +316,42 @@ pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// Atomically install a snapshot in `dir` (tmp + rename), then prune so
-/// only the two newest remain. Returns the installed path.
-pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> std::io::Result<PathBuf> {
-    let tmp = dir.join("snap.tmp");
-    fs::write(&tmp, snap.encode())?;
-    let path = dir.join(snapshot_filename(snap.seq));
+/// Atomically install `img` in `dir` (tmp + rename), then prune so only
+/// the two newest images of its kind remain. Returns the installed path.
+pub fn write_image<I: Image>(dir: &Path, img: &I) -> std::io::Result<PathBuf> {
+    let tmp = dir.join(format!("{}.tmp", I::PREFIX));
+    fs::write(&tmp, encode_image(img))?;
+    let path = dir.join(image_filename::<I>(img.seq()));
     fs::rename(&tmp, &path)?;
-    for (old_seq, old_path) in list_snapshots(dir)?.into_iter().skip(2) {
-        let _ = old_seq;
+    for (_, old_path) in list_images::<I>(dir)?.into_iter().skip(2) {
         fs::remove_file(old_path)?;
     }
     Ok(path)
 }
 
-/// Load the newest snapshot in `dir` that verifies, counting how many
-/// newer-but-damaged images were skipped. `Ok(None)` means no snapshot
+/// Load the newest image of kind `I` in `dir` that verifies, counting how
+/// many newer-but-damaged images were skipped. `Ok(None)` means no image
 /// exists at all (cold start).
-pub fn load_latest(dir: &Path) -> std::io::Result<(Option<Snapshot>, u32)> {
+pub fn load_newest<I: Image>(dir: &Path) -> std::io::Result<(Option<I>, u32)> {
     let mut discarded = 0u32;
-    for (_, path) in list_snapshots(dir)? {
-        let bytes = fs::read(&path)?;
-        match Snapshot::decode(&bytes) {
-            Ok(snap) => return Ok((Some(snap), discarded)),
+    for (_, path) in list_images::<I>(dir)? {
+        match decode_image(&fs::read(&path)?) {
+            Ok(img) => return Ok((Some(img), discarded)),
             Err(_) => discarded += 1,
         }
     }
     Ok((None, discarded))
+}
+
+/// Daemon snapshot files present in `dir`, newest first.
+pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    list_images::<Snapshot>(dir)
+}
+
+/// Load the newest daemon snapshot in `dir` that verifies (see
+/// [`load_newest`]).
+pub fn load_latest(dir: &Path) -> std::io::Result<(Option<Snapshot>, u32)> {
+    load_newest(dir)
 }
 
 #[cfg(test)]
@@ -466,7 +474,7 @@ mod tests {
         let dir = tmpdir("prune");
         for seq in 1..=4 {
             let snap = Snapshot { seq, ..sample() };
-            write_snapshot(&dir, &snap).unwrap();
+            write_image(&dir, &snap).unwrap();
         }
         let listed = list_snapshots(&dir).unwrap();
         assert_eq!(
@@ -499,16 +507,5 @@ mod tests {
         assert!(loaded.is_none());
         assert_eq!(discarded, 0);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn from_shards_merges_in_host_order() {
-        let mut s0 = ShardState::default();
-        let mut s1 = ShardState::default();
-        s0.hosts.insert(2, HostState::default());
-        s1.hosts.insert(1, HostState::default());
-        let snap = Snapshot::from_shards(5, 672, &[s0, s1], &EpochState::default());
-        assert_eq!(snap.hosts.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(snap.seq, 5);
     }
 }

@@ -7,19 +7,16 @@
 //! Threshold-rollout transitions (canary start, promote, rollback) are
 //! journaled as a second record kind in the *same* log, interleaved in
 //! order with the batches, so replay reconstructs rollout state changes
-//! at exactly the point in the batch stream where they happened. The
-//! frame layout is
-//!
-//! ```text
-//! "WLR1" (4B) | payload_len u32 LE | crc32(payload) u32 LE | payload
-//! ```
-//!
-//! where the payload is one tag byte (0 = window batch, 1 = rollout
-//! event, 2 = operator command) followed by the record body.
+//! at exactly the point in the batch stream where they happened. Records
+//! are `WLR1` frames of [`crate::codec`]'s grammar whose payload is one tag
+//! byte (0 = window batch, 1 = rollout event, 2 = operator command)
+//! followed by the record body. The cluster coordinator's assignment
+//! journal uses the same frames and writer with its own payload grammar.
 //!
 //! Replay walks frames from the start and stops at the first defect —
-//! truncated header, bad magic, implausible length, short payload, or CRC
-//! mismatch. Everything before the defect is intact (CRC-verified);
+//! truncated header, bad magic, implausible length, short payload, CRC
+//! mismatch, or a payload the log's record decoder rejects. Everything
+//! before the defect is intact (CRC-verified);
 //! everything from it onward is a torn tail from a crash mid-append and is
 //! truncated away with a warning count, never an error. A kill mid-frame
 //! therefore costs at most one un-acked batch, which redelivery restores.
@@ -36,17 +33,15 @@ use std::path::{Path, PathBuf};
 
 use faultsim::KillPoint;
 
-use crate::codec::{crc32, CodecError, WindowBatch};
+use crate::codec::{check_frame, encode_frame, CodecError, FrameCheck, FrameDefect, WindowBatch};
 use crate::control::ControlCommand;
 use crate::epoch::RolloutEvent;
 
 /// Frame magic: "WLR1".
 pub const WAL_MAGIC: [u8; 4] = *b"WLR1";
-/// Fixed bytes before the payload: magic + len + crc.
-pub const WAL_HEADER_LEN: usize = 12;
-/// Sanity bound on a frame payload; larger declared lengths mean the
-/// length field itself is damaged.
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+/// Sanity bound on a log frame payload (16 MiB); larger declared lengths
+/// mean the length field itself is damaged.
+pub const MAX_WAL_PAYLOAD: u32 = 1 << 24;
 
 /// One journaled record: an applied batch, a rollout transition, or an
 /// operator command.
@@ -247,50 +242,17 @@ impl KillSwitch {
     }
 }
 
-/// What replay recovered from an existing WAL file.
+/// What replay recovered from an existing log file.
 #[derive(Debug)]
-pub struct WalReplay {
-    /// CRC-verified records, in append order.
-    pub records: Vec<WalRecord>,
+pub struct WalReplay<R = WalRecord> {
+    /// CRC-verified, decoded records, in append order.
+    pub records: Vec<R>,
     /// File length after truncating the torn tail.
     pub valid_bytes: u64,
     /// Bytes discarded as a torn / corrupt tail (0 for a clean log).
     pub torn_bytes: u64,
     /// Why the walk stopped early, if it did.
-    pub tail_defect: Option<TailDefect>,
-}
-
-/// What raw replay recovered: CRC-verified frame payloads with no
-/// structural interpretation (the caller owns the payload grammar — the
-/// cluster's assignment journal uses this).
-#[derive(Debug)]
-pub struct RawReplay {
-    /// CRC-verified payloads, in append order.
-    pub payloads: Vec<Vec<u8>>,
-    /// File length after truncating the torn tail.
-    pub valid_bytes: u64,
-    /// Bytes discarded as a torn / corrupt tail (0 for a clean log).
-    pub torn_bytes: u64,
-    /// Why the walk stopped early, if it did.
-    pub tail_defect: Option<TailDefect>,
-}
-
-/// The defect that terminated a replay walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailDefect {
-    /// Fewer than [`WAL_HEADER_LEN`] bytes remained.
-    ShortHeader,
-    /// Frame magic was not [`WAL_MAGIC`].
-    BadMagic,
-    /// Declared payload length exceeded [`MAX_FRAME_PAYLOAD`].
-    ImplausibleLength,
-    /// Payload extended past end of file.
-    ShortPayload,
-    /// CRC over the payload did not match the header.
-    CrcMismatch,
-    /// Payload passed CRC but failed structural decode (only possible
-    /// with deliberate corruption that preserves the CRC).
-    Undecodable(CodecError),
+    pub tail_defect: Option<FrameDefect>,
 }
 
 /// Append-only WAL writer over one file.
@@ -310,111 +272,78 @@ pub enum AppendOutcome {
     Killed,
 }
 
-/// Frame an arbitrary already-encoded payload with the `WLR1` header
-/// (magic, length, CRC). This is the framing discipline itself, exposed
-/// so other journals — the cluster coordinator's assignment log, the
-/// cluster wire protocol — can reuse it without inventing a second,
-/// subtly different frame grammar.
+/// Frame an arbitrary already-encoded payload as a `WLR1` record — the
+/// cluster coordinator's assignment journal appends its events this way.
 pub fn frame_raw(payload: &[u8]) -> Vec<u8> {
-    frame_payload(payload)
-}
-
-/// Frame an already-encoded record payload.
-fn frame_payload(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(WAL_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&WAL_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+    encode_frame(WAL_MAGIC, |out| out.extend_from_slice(payload))
 }
 
 /// Build the on-disk frame for one batch record.
 pub fn frame_batch(batch: &WindowBatch) -> Vec<u8> {
-    let mut payload = vec![0u8];
-    batch.encode(&mut payload);
-    frame_payload(&payload)
+    encode_frame(WAL_MAGIC, |out| {
+        out.push(0);
+        batch.encode(out);
+    })
 }
 
 /// Build the on-disk frame for one rollout transition record.
 pub fn frame_rollout(ev: &RolloutEvent) -> Vec<u8> {
-    let mut payload = vec![1u8];
-    ev.encode(&mut payload);
-    frame_payload(&payload)
+    encode_frame(WAL_MAGIC, |out| {
+        out.push(1);
+        ev.encode(out);
+    })
 }
 
 /// Build the on-disk frame for one operator-command record.
 pub fn frame_command(cmd: &ControlCommand) -> Vec<u8> {
-    let mut payload = vec![2u8];
-    cmd.encode(&mut payload);
-    frame_payload(&payload)
+    encode_frame(WAL_MAGIC, |out| {
+        out.push(2);
+        cmd.encode(out);
+    })
 }
 
-/// Walk the `WLR1` frames of `bytes` at the framing level only, returning
-/// each CRC-verified payload together with the byte offset one past its
-/// frame, the length of the valid prefix, and the defect (if any) that
-/// stopped the walk. Structural interpretation of the payloads is the
-/// caller's job — this is the piece the cluster journal shares with the
-/// daemon WAL. Pure function; file truncation is also the caller's job.
-pub fn scan_raw_frames(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, u64, Option<TailDefect>) {
-    let mut payloads = Vec::new();
+/// Walk the `WLR1` frames of `bytes`, decoding each CRC-verified payload
+/// with `decode`, and return the records, the length of the valid prefix,
+/// and the defect (if any) that stopped the walk. A frame that passes CRC
+/// but fails `decode` ends the valid prefix at its start, like any other
+/// tail defect. Pure function — file truncation is the caller's job.
+pub fn scan_log<R>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<R, CodecError>,
+) -> (Vec<R>, u64, Option<FrameDefect>) {
+    let mut records = Vec::new();
     let mut pos = 0usize;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.is_empty() {
-            return (payloads, pos as u64, None);
-        }
-        if rest.len() < WAL_HEADER_LEN {
-            return (payloads, pos as u64, Some(TailDefect::ShortHeader));
-        }
-        if rest[..4] != WAL_MAGIC {
-            return (payloads, pos as u64, Some(TailDefect::BadMagic));
-        }
-        let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len > MAX_FRAME_PAYLOAD {
-            return (payloads, pos as u64, Some(TailDefect::ImplausibleLength));
-        }
-        let crc = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-        let total = WAL_HEADER_LEN + len as usize;
-        if rest.len() < total {
-            return (payloads, pos as u64, Some(TailDefect::ShortPayload));
-        }
-        let payload = &rest[WAL_HEADER_LEN..total];
-        if crc32(payload) != crc {
-            return (payloads, pos as u64, Some(TailDefect::CrcMismatch));
-        }
-        pos += total;
-        payloads.push((pos as u64, payload.to_vec()));
+    while pos < bytes.len() {
+        let defect = match check_frame(&bytes[pos..], WAL_MAGIC, MAX_WAL_PAYLOAD) {
+            FrameCheck::Complete { payload, len } => match decode(payload) {
+                Ok(record) => {
+                    records.push(record);
+                    pos += len;
+                    continue;
+                }
+                Err(e) => FrameDefect::Undecodable(e),
+            },
+            FrameCheck::Incomplete(d) | FrameCheck::Defect(d) => d,
+        };
+        return (records, pos as u64, Some(defect));
     }
+    (records, pos as u64, None)
 }
 
-/// Walk the frames of `bytes`, returning the recovered records, the
-/// length of the valid prefix, and the defect (if any) that stopped the
-/// walk. Pure function — file truncation is the caller's job.
-pub fn scan_frames(bytes: &[u8]) -> (Vec<WalRecord>, u64, Option<TailDefect>) {
-    let (payloads, valid, defect) = scan_raw_frames(bytes);
-    let mut records = Vec::with_capacity(payloads.len());
-    let mut prev_end = 0u64;
-    for (end, payload) in payloads {
-        match WalRecord::decode(&payload) {
-            Ok(r) => records.push(r),
-            Err(e) => {
-                // A frame that passes CRC but fails structural decode is
-                // only possible with deliberate corruption; truncate from
-                // the frame's start like any other tail defect.
-                return (records, prev_end, Some(TailDefect::Undecodable(e)));
-            }
-        }
-        prev_end = end;
-    }
-    (records, valid, defect)
+/// [`scan_log`] with the daemon's [`WalRecord`] grammar.
+pub fn scan_frames(bytes: &[u8]) -> (Vec<WalRecord>, u64, Option<FrameDefect>) {
+    scan_log(bytes, WalRecord::decode)
 }
 
 impl WalWriter {
-    /// Open (creating if absent) the WAL at `path`, replay its valid
-    /// prefix, truncate any torn tail, and position the writer at the end
-    /// of the valid prefix.
-    pub fn open(path: &Path) -> std::io::Result<(Self, WalReplay)> {
+    /// Open (creating if absent) the log at `path`, replay its valid
+    /// prefix with the log's record grammar `decode` ([`WalRecord::decode`]
+    /// for the daemon WAL), truncate any torn tail, and position the
+    /// writer at the end of the valid prefix.
+    pub fn open<R>(
+        path: &Path,
+        decode: impl Fn(&[u8]) -> Result<R, CodecError>,
+    ) -> std::io::Result<(Self, WalReplay<R>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -423,7 +352,7 @@ impl WalWriter {
             .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (records, valid_bytes, tail_defect) = scan_frames(&bytes);
+        let (records, valid_bytes, tail_defect) = scan_log(&bytes, decode);
         let torn_bytes = bytes.len() as u64 - valid_bytes;
         if torn_bytes > 0 {
             file.set_len(valid_bytes)?;
@@ -431,43 +360,6 @@ impl WalWriter {
         file.seek(SeekFrom::Start(valid_bytes))?;
         let replay = WalReplay {
             records,
-            valid_bytes,
-            torn_bytes,
-            tail_defect,
-        };
-        Ok((
-            Self {
-                path: path.to_path_buf(),
-                file,
-                len: valid_bytes,
-            },
-            replay,
-        ))
-    }
-
-    /// Open (creating if absent) the log at `path` like [`WalWriter::open`],
-    /// but replay at the framing level only: payloads are returned
-    /// CRC-verified and uninterpreted. Use this for logs whose record
-    /// grammar is not [`WalRecord`] — opening such a log with
-    /// [`WalWriter::open`] would mis-decode the first record as a batch
-    /// and truncate the whole file as an undecodable tail.
-    pub fn open_raw(path: &Path) -> std::io::Result<(Self, RawReplay)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (ends, valid_bytes, tail_defect) = scan_raw_frames(&bytes);
-        let torn_bytes = bytes.len() as u64 - valid_bytes;
-        if torn_bytes > 0 {
-            file.set_len(valid_bytes)?;
-        }
-        file.seek(SeekFrom::Start(valid_bytes))?;
-        let replay = RawReplay {
-            payloads: ends.into_iter().map(|(_, p)| p).collect(),
             valid_bytes,
             torn_bytes,
             tail_defect,
@@ -540,7 +432,7 @@ impl WalWriter {
         payload: &[u8],
         kill: &mut KillSwitch,
     ) -> std::io::Result<AppendOutcome> {
-        self.append_frame(frame_payload(payload), kill)
+        self.append_frame(frame_raw(payload), kill)
     }
 
     fn append_frame(
@@ -577,7 +469,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Week;
+    use crate::codec::{Week, FRAME_HEADER_LEN};
 
     fn batch(host: u32, seq: u64, counts: &[u64]) -> WindowBatch {
         WindowBatch {
@@ -609,14 +501,14 @@ mod tests {
         let path = dir.join("wal.bin");
         let batches = vec![batch(1, 1, &[5, 6]), batch(2, 1, &[]), batch(1, 2, &[9])];
         {
-            let (mut w, replay) = WalWriter::open(&path).unwrap();
+            let (mut w, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
             assert!(replay.records.is_empty());
             let mut kill = KillSwitch::none();
             for b in &batches {
                 assert_eq!(w.append_batch(b, &mut kill).unwrap(), AppendOutcome::Appended);
             }
         }
-        let (_, replay) = WalWriter::open(&path).unwrap();
+        let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         let expected: Vec<WalRecord> = batches.into_iter().map(WalRecord::Batch).collect();
         assert_eq!(replay.records, expected);
         assert_eq!(replay.torn_bytes, 0);
@@ -630,13 +522,13 @@ mod tests {
         let path = dir.join("wal.bin");
         let ev = RolloutEvent::Promote { epoch: 2 };
         {
-            let (mut w, _) = WalWriter::open(&path).unwrap();
+            let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
             let mut kill = KillSwitch::none();
             w.append_batch(&batch(1, 1, &[3]), &mut kill).unwrap();
             w.append_rollout(&ev, &mut kill).unwrap();
             w.append_batch(&batch(1, 2, &[4]), &mut kill).unwrap();
         }
-        let (_, replay) = WalWriter::open(&path).unwrap();
+        let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(
             replay.records,
             vec![
@@ -655,14 +547,14 @@ mod tests {
         let path = dir.join("wal.bin");
         let cmd = ControlCommand::PinThreshold { host: 4, t: 7.25 };
         {
-            let (mut w, _) = WalWriter::open(&path).unwrap();
+            let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
             let mut kill = KillSwitch::none();
             w.append_batch(&batch(1, 1, &[3]), &mut kill).unwrap();
             w.append_command(&cmd, &mut kill).unwrap();
             w.append_command(&ControlCommand::DrainShard { shard: 1 }, &mut kill)
                 .unwrap();
         }
-        let (_, replay) = WalWriter::open(&path).unwrap();
+        let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(
             replay.records,
             vec![
@@ -721,11 +613,11 @@ mod tests {
             .collect();
         let mut all = frames.concat();
         // Flip a payload byte inside frame 0.
-        all[WAL_HEADER_LEN + 2] ^= 0xFF;
+        all[FRAME_HEADER_LEN + 2] ^= 0xFF;
         let (records, valid, defect) = scan_frames(&all);
         assert!(records.is_empty());
         assert_eq!(valid, 0);
-        assert_eq!(defect, Some(TailDefect::CrcMismatch));
+        assert_eq!(defect, Some(FrameDefect::CrcMismatch));
     }
 
     #[test]
@@ -738,10 +630,10 @@ mod tests {
         bytes.extend_from_slice(torn);
         std::fs::write(&path, &bytes).unwrap();
 
-        let (w, replay) = WalWriter::open(&path).unwrap();
+        let (w, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.torn_bytes, torn.len() as u64);
-        assert_eq!(replay.tail_defect, Some(TailDefect::ShortHeader));
+        assert_eq!(replay.tail_defect, Some(FrameDefect::ShortHeader));
         assert_eq!(w.len(), good.len() as u64);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -759,7 +651,7 @@ mod tests {
         let b2 = batch(1, 2, &[2]);
         let f1_len = frame_batch(&b1).len() as u64;
 
-        let (mut w, _) = WalWriter::open(&path).unwrap();
+        let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
         let mut kill = KillSwitch::armed(KillPoint::AtWalByte {
             offset: f1_len + 3,
             torn: 7,
@@ -769,7 +661,7 @@ mod tests {
         assert!(kill.fired());
         drop(w);
 
-        let (_, replay) = WalWriter::open(&path).unwrap();
+        let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(replay.records, vec![WalRecord::Batch(b1)]);
         assert_eq!(replay.torn_bytes, 7);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -796,7 +688,7 @@ mod tests {
         let path = dir.join("wal.bin");
         let b = batch(9, 1, &[]);
         let frame_len = frame_batch(&b).len() as u64;
-        let (mut w, _) = WalWriter::open(&path).unwrap();
+        let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
         let mut kill = KillSwitch::armed(KillPoint::AtWalByte {
             offset: 0,
             torn: u32::MAX,
@@ -804,7 +696,7 @@ mod tests {
         assert_eq!(w.append_batch(&b, &mut kill).unwrap(), AppendOutcome::Killed);
         assert_eq!(w.len(), frame_len - 1);
         drop(w);
-        let (_, replay) = WalWriter::open(&path).unwrap();
+        let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert!(replay.records.is_empty());
         assert_eq!(replay.torn_bytes, frame_len - 1);
         std::fs::remove_dir_all(&dir).unwrap();

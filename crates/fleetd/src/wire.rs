@@ -2,20 +2,13 @@
 //! the coordinator and worker nodes, with a resynchronizing streaming
 //! decoder hardened against adversarial length prefixes.
 //!
-//! The frame layout reuses the `WLR1` framing discipline of the WAL
-//! (magic, little-endian payload length, CRC-32 over the payload) under a
-//! distinct magic so a wire capture can never be mistaken for a journal
-//! file:
-//!
-//! ```text
-//! "CLW1" (4B) | payload_len u32 LE | crc32(payload) u32 LE | payload
-//! ```
-//!
-//! where the payload is one tag byte (0 = batch, 1 = ack, 2 = heartbeat)
-//! followed by the message body. Unlike the WAL — where the first defect
-//! ends replay, because everything behind it is a torn tail from a single
-//! writer — the wire is a *stream under active corruption*: a flipped
-//! byte must cost one frame, not the connection. [`WireDecoder`] therefore
+//! Messages are frames of [`crate::codec`]'s grammar — the WAL's — under
+//! a distinct magic, `CLW1`, so a wire capture can never be mistaken for a
+//! journal file. The payload is one tag byte (0 = batch, 1 = ack,
+//! 2 = heartbeat) followed by the message body. Unlike the WAL — where
+//! the first defect ends replay, because everything behind it is a torn
+//! tail from a single writer — the wire is a *stream under active
+//! corruption*: a flipped byte must cost one frame, not the connection. [`WireDecoder`] therefore
 //! resynchronizes: on any framing defect it skips forward to the next
 //! candidate magic and keeps decoding, counting every skipped byte.
 //!
@@ -28,15 +21,16 @@
 //! batch's window count is checked against `MAX_BATCH_WINDOWS` before any
 //! allocation).
 
-use crate::codec::{crc32, put_u32, put_u64, CodecError, Reader, WindowBatch};
+use crate::codec::{
+    check_frame, encode_frame, put_u32, put_u64, CodecError, FrameCheck, FrameDefect, Reader,
+    WindowBatch,
+};
 use crate::daemon::Disposition;
 
 /// Wire frame magic: "CLW1" (CLuster Wire v1).
 pub const WIRE_MAGIC: [u8; 4] = *b"CLW1";
-/// Fixed bytes before the payload: magic + len + crc.
-pub const WIRE_HEADER_LEN: usize = 12;
-/// Sanity bound on a wire payload. Cluster messages are small (a batch is
-/// at most a week of windows); a larger declared length means the length
+/// Sanity bound on a wire payload (1 MiB). Cluster messages are small (a
+/// batch is at most a week of windows); a larger declared length means the length
 /// field itself is damaged or hostile, and is treated as a framing defect
 /// rather than an allocation request.
 pub const MAX_WIRE_PAYLOAD: u32 = 1 << 20;
@@ -172,14 +166,7 @@ impl ClusterMsg {
 
 /// Build the on-wire frame for one message.
 pub fn frame_msg(msg: &ClusterMsg) -> Vec<u8> {
-    let mut payload = Vec::new();
-    msg.encode(&mut payload);
-    let mut frame = Vec::with_capacity(WIRE_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&WIRE_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    encode_frame(WIRE_MAGIC, |out| msg.encode(out))
 }
 
 /// Decoder counters (operational telemetry; exported under
@@ -231,44 +218,23 @@ impl WireDecoder {
     /// (more bytes must arrive).
     pub fn next(&mut self) -> Option<ClusterMsg> {
         loop {
-            let rest = &self.buf[self.pos..];
-            if rest.len() < WIRE_HEADER_LEN {
-                return None;
-            }
-            if rest[..4] != WIRE_MAGIC {
-                self.resync();
-                continue;
-            }
-            let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-            if len > MAX_WIRE_PAYLOAD {
-                // A forged length is a defect, not an allocation request.
-                self.resync();
-                continue;
-            }
-            let total = WIRE_HEADER_LEN + len as usize;
-            if rest.len() < total {
-                // Plausible length, payload not fully here yet: wait for
-                // real bytes instead of trusting the prefix. If the
-                // length was a lie, later traffic completes the span and
-                // the CRC check below rejects it.
-                return None;
-            }
-            let crc = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]);
-            let payload = &rest[WIRE_HEADER_LEN..total];
-            if crc32(payload) != crc {
-                self.resync();
-                continue;
-            }
-            match ClusterMsg::decode(payload) {
-                Ok(msg) => {
-                    self.pos += total;
-                    self.stats.frames_decoded += 1;
-                    return Some(msg);
-                }
-                Err(_) => {
-                    self.resync();
-                    continue;
-                }
+            match check_frame(&self.buf[self.pos..], WIRE_MAGIC, MAX_WIRE_PAYLOAD) {
+                // Short header, or a plausible length whose payload is not
+                // fully here yet: wait for real bytes instead of trusting
+                // the prefix. If the length was a lie, later traffic
+                // completes the span and the CRC check rejects it.
+                FrameCheck::Incomplete(_) => return None,
+                // Bad magic, a forged length (a defect, not an allocation
+                // request) or a bad CRC.
+                FrameCheck::Defect(_) => self.resync(),
+                FrameCheck::Complete { payload, len } => match ClusterMsg::decode(payload) {
+                    Ok(msg) => {
+                        self.pos += len;
+                        self.stats.frames_decoded += 1;
+                        return Some(msg);
+                    }
+                    Err(_) => self.resync(),
+                },
             }
         }
     }
@@ -293,12 +259,10 @@ impl WireDecoder {
     /// [`WireDecoder::next`] returns `None` while real frames behind the
     /// hungry header sit swallowed as its phantom payload.
     pub fn starved(&self) -> bool {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < WIRE_HEADER_LEN || rest[..4] != WIRE_MAGIC {
-            return false;
-        }
-        let len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        len <= MAX_WIRE_PAYLOAD && rest.len() < WIRE_HEADER_LEN + len as usize
+        matches!(
+            check_frame(&self.buf[self.pos..], WIRE_MAGIC, MAX_WIRE_PAYLOAD),
+            FrameCheck::Incomplete(FrameDefect::ShortPayload)
+        )
     }
 
     /// Tick the starvation clock; call once per transport tick after
@@ -341,7 +305,7 @@ impl WireDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Week;
+    use crate::codec::{Week, FRAME_HEADER_LEN};
 
     fn msg_batch(host: u32, seq: u64) -> ClusterMsg {
         ClusterMsg::Batch {
@@ -412,7 +376,7 @@ mod tests {
         let a = frame_msg(&msg_batch(1, 1));
         let mut b = frame_msg(&msg_batch(2, 1));
         let c = frame_msg(&msg_batch(3, 1));
-        b[WIRE_HEADER_LEN + 2] ^= 0xFF; // corrupt payload of the middle frame
+        b[FRAME_HEADER_LEN + 2] ^= 0xFF; // corrupt payload of the middle frame
         let mut dec = WireDecoder::new();
         dec.push(&a);
         dec.push(&b);
@@ -437,7 +401,7 @@ mod tests {
         dec.push(&evil);
         dec.push(&good);
         assert_eq!(dec.next(), Some(ClusterMsg::Heartbeat { node: 0, ticks: 1 }));
-        assert!(dec.buffered() < WIRE_HEADER_LEN);
+        assert!(dec.buffered() < FRAME_HEADER_LEN);
     }
 
     #[test]

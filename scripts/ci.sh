@@ -66,6 +66,11 @@
 # self-checks pass (a violated invariant prints a warning we grep for).
 # The sketchablate smoke verifies the sketch-vs-exact rank error bound on
 # a small corpus the same way.
+#
+# The last stages build the benchmark (hidsbench, its own manifest and
+# lockfile) against the workspace crates it calls — fleetd's snapshot
+# store and KillSwitch, the experiments daemon harness — run its unit
+# tests, and smoke every workload once at reduced scale (`--test`).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -260,5 +265,7 @@ grep -q "sketchablate self-check: worst rank deviation" "$ablate_log" || {
     exit 1
 }
 cargo bench -p bench -- --test
+cargo test -q --manifest-path hidsbench/Cargo.toml
+cargo run -q --release --offline --manifest-path hidsbench/Cargo.toml -- --test
 
 echo "ci.sh: all gates passed"

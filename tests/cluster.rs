@@ -19,11 +19,12 @@ use experiments::cluster::{
 use experiments::daemon::{build_batches_for, unique_run_dir};
 use experiments::{Corpus, CorpusConfig};
 use faultsim::{cluster_kill_points, ClusterKillPoint, KillPoint, LinkFaults};
-use fleetd::cluster::list_cluster_snapshots;
+use fleetd::codec::FRAME_HEADER_LEN;
+use fleetd::snapshot::list_images;
 use fleetd::wal::frame_raw;
-use fleetd::wire::{frame_msg, ClusterMsg, WireDecoder, MAX_WIRE_PAYLOAD, WIRE_HEADER_LEN};
+use fleetd::wire::{frame_msg, ClusterMsg, WireDecoder, MAX_WIRE_PAYLOAD};
 use fleetd::{
-    AssignEvent, Cluster, ClusterKillSwitch, Disposition, Week, WindowBatch,
+    AssignEvent, Cluster, ClusterKillSwitch, ClusterSnapshot, Disposition, Week, WindowBatch,
 };
 use hids_core::degraded::HostStatus;
 use itconsole::{DeliveryConfig, DeliveryQueue};
@@ -334,8 +335,8 @@ fn torn_snapshot_and_torn_journal_recover_to_pre_handoff_assignment() {
     std::fs::write(&journal, &bytes).unwrap();
 
     // And corrupt the newest snapshot's payload.
-    let snaps = list_cluster_snapshots(&dir).unwrap();
-    let (_, newest) = snaps.last().unwrap();
+    let snaps = list_images::<ClusterSnapshot>(&dir).unwrap();
+    let (_, newest) = snaps.first().unwrap();
     let mut snap_bytes = std::fs::read(newest).unwrap();
     let last = snap_bytes.len() - 1;
     snap_bytes[last] ^= 0xFF;
@@ -443,7 +444,7 @@ fn wire_path_retry_survives_huge_attempt_budgets() {
 
 /// The decoder may buffer at most one maximal frame plus one header's
 /// worth of scan slack.
-const BUFFER_BOUND: usize = MAX_WIRE_PAYLOAD as usize + 2 * WIRE_HEADER_LEN;
+const BUFFER_BOUND: usize = MAX_WIRE_PAYLOAD as usize + 2 * FRAME_HEADER_LEN;
 
 #[test]
 fn implausible_length_prefix_is_skipped_without_allocation() {
@@ -539,7 +540,7 @@ proptest! {
         // Flush slack: any partial header at the junk tail can declare up
         // to MAX_WIRE_PAYLOAD pending bytes; feeding that many zeros
         // forces its CRC check to fail and the scanner to move on.
-        stream.resize(stream.len() + MAX_WIRE_PAYLOAD as usize + WIRE_HEADER_LEN, 0);
+        stream.resize(stream.len() + MAX_WIRE_PAYLOAD as usize + FRAME_HEADER_LEN, 0);
         for m in &msgs {
             stream.extend_from_slice(&frame_msg(m));
         }

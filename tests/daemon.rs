@@ -20,7 +20,8 @@ use experiments::daemon::{
 };
 use experiments::{Corpus, CorpusConfig};
 use faultsim::{ByteFaults, KillPoint};
-use fleetd::wal::{frame_batch, frame_command, frame_rollout, scan_frames, WAL_HEADER_LEN, WAL_MAGIC};
+use fleetd::codec::FRAME_HEADER_LEN;
+use fleetd::wal::{frame_batch, frame_command, frame_rollout, scan_frames, WAL_MAGIC};
 use fleetd::{
     Admit, Daemon, DaemonConfig, DaemonError, EpochState, HostState, KillSwitch, QueueConfig,
     Snapshot, SupervisorConfig, WalRecord, Week, WindowBatch,
@@ -666,8 +667,8 @@ fn regression_cut_at_header_boundary() {
         poison: false,
     };
     let frame = frame_batch(&batch);
-    assert!(frame.len() > WAL_HEADER_LEN);
-    let (batches, valid, defect) = scan_frames(&frame[..WAL_HEADER_LEN]);
+    assert!(frame.len() > FRAME_HEADER_LEN);
+    let (batches, valid, defect) = scan_frames(&frame[..FRAME_HEADER_LEN]);
     assert!(batches.is_empty());
     assert_eq!(valid, 0);
     assert!(defect.is_some());
