@@ -7,8 +7,9 @@
 //! 1. **render** — each user's generated week is rendered into a real
 //!    pcap capture ([`synthgen::export_user_windows`]);
 //! 2. **capture** — the capture is read back through the fault-tolerant
-//!    [`netpkt::LossyPcapReader`] and decoded into flow records by
-//!    [`flowtab::FlowExtractor`] (a clean capture must be loss-free);
+//!    [`netpkt::LossyPcapReader`] and decoded into flow records by one
+//!    [`flowtab::FlowExtractor`] per 15-minute window (a clean capture
+//!    must be loss-free);
 //! 3. **features** — per-window behavioral counts are extracted from the
 //!    packet path and checked window-for-window against the generated
 //!    series (the packet round trip must add nothing);
@@ -29,13 +30,14 @@
 use std::time::Instant;
 
 use flowtab::{
-    extract_features, FeatureKind, FeatureSeries, FlowExtractor, FlowTableConfig, Windowing,
+    extract_features, FeatureKind, FeatureSeries, FlowExtractor, FlowRecord, FlowTableConfig,
+    Windowing,
 };
 use hids_core::{
     eval::evaluate_policy, EvalConfig, FeatureDataset, Grouping, PartialMethod, Policy,
     ThresholdHeuristic,
 };
-use netpkt::LossyPcapReader;
+use netpkt::{LossyPcapReader, PcapPacket};
 use synthgen::{export_user_windows, user_week_series_trended, Population, PopulationConfig};
 
 use crate::report::{fnum, Table};
@@ -154,6 +156,35 @@ const GROUPINGS: [(&str, Grouping); 3] = [
 /// the sanitizer must strip all of it before the decoder sees the line.
 const DIRTY_HOSTNAME: &str = "\u{1b}[31mhost-\u{1b}]0;owned\u{7}pipeline\u{7f}";
 
+/// Rebuild flows with one extractor per window, so no flow table outlives
+/// the window its flows start in. The renderer reuses source ports and
+/// destinations in every window; one table spanning the capture would
+/// merge a flow late in one window with a same-5-tuple flow early in the
+/// next. Returns the flow records and the count of rejected frames.
+fn extract_per_window(packets: &[PcapPacket], windowing: Windowing) -> (Vec<FlowRecord>, u64) {
+    let mut records = Vec::new();
+    let mut rejected = 0;
+    let mut current: Option<(usize, FlowExtractor)> = None;
+    for pkt in packets {
+        let w = windowing.window_of(pkt.timestamp());
+        if current.as_ref().map(|(cw, _)| *cw) != Some(w) {
+            if let Some((_, ex)) = current.take() {
+                records.extend(ex.finish());
+            }
+            current = Some((w, FlowExtractor::new(FlowTableConfig::default())));
+        }
+        if let Some((_, ex)) = current.as_mut() {
+            if ex.push_pcap(pkt).is_err() {
+                rejected += 1;
+            }
+        }
+    }
+    if let Some((_, ex)) = current {
+        records.extend(ex.finish());
+    }
+    (records, rejected)
+}
+
 /// One run. Deterministic in the scenario; returns the first stage
 /// failure as text rather than panicking.
 pub fn run(scenario: &PipelineScenario) -> Result<PipelineReport, String> {
@@ -218,13 +249,8 @@ pub fn run(scenario: &PipelineScenario) -> Result<PipelineReport, String> {
             let (packets, loss) = reader.read_all();
             report.records_ok += loss.records_ok;
             report.records_skipped += loss.records_skipped;
-            let mut ex = FlowExtractor::new(FlowTableConfig::default());
-            for pkt in &packets {
-                if ex.push_pcap(pkt).is_err() {
-                    report.frames_rejected += 1;
-                }
-            }
-            let records = ex.finish();
+            let (records, rejected) = extract_per_window(&packets, windowing);
+            report.frames_rejected += rejected;
             report.secs.capture += t.elapsed().as_secs_f64();
 
             // Stage 3: features from the packet path, checked against the

@@ -55,7 +55,7 @@ use hids_metrics::Registry;
 use crate::codec::{put_u32, put_u64, CodecError, FrameDefect, Reader, WindowBatch};
 use crate::daemon::{Completion, Daemon, DaemonConfig, DaemonError, RecoveryReport};
 use crate::queue::Admit;
-use crate::snapshot::{self, decode_image, encode_image, Image};
+use crate::snapshot::{self, decode_image, encode_image, EncodeImage, Image};
 use crate::state::HostState;
 use crate::wal::{KillSwitch, WalWriter};
 use crate::wire::{frame_msg, ClusterMsg, WireDecoder, WireStats};
@@ -235,7 +235,7 @@ impl ClusterSnapshot {
     }
 }
 
-impl Image for ClusterSnapshot {
+impl EncodeImage for ClusterSnapshot {
     const MAGIC: [u8; 4] = CLUSTER_SNAP_MAGIC;
     const PREFIX: &'static str = "cluster-snap";
 
@@ -263,7 +263,9 @@ impl Image for ClusterSnapshot {
             put_u32(p, e);
         }
     }
+}
 
+impl Image for ClusterSnapshot {
     fn decode_payload(payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
         let seq = r.u64()?;

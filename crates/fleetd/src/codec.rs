@@ -1,8 +1,10 @@
 //! Deterministic binary codec for the daemon's durable artifacts.
 //!
 //! Every byte fleetd persists or puts on the wire is built from the
-//! primitives here: little-endian fixed-width integers, an IEEE CRC-32,
-//! and one frame grammar shared by all four framed formats:
+//! primitives here: little-endian fixed-width integers, an IEEE CRC-32
+//! (slice-by-8, held equal to the byte-at-a-time loop in [`oracle`] by a
+//! differential test), and one frame grammar shared by all four framed
+//! formats:
 //!
 //! ```text
 //! magic (4B) | payload_len u32 LE | crc32(payload) u32 LE | payload
@@ -305,16 +307,65 @@ pub fn check_frame(buf: &[u8], magic: [u8; 4], max_payload: u32) -> FrameCheck<'
     }
 }
 
-/// IEEE CRC-32 (the pcap/zip polynomial), table-driven, table built at
-/// compile time.
+/// IEEE CRC-32 (the pcap/zip polynomial), slice-by-8: each step folds
+/// eight input bytes through eight lookup tables, and the tail of fewer
+/// than eight bytes goes a byte at a time. The tables are built at compile
+/// time. [`oracle::crc32`] keeps the byte-at-a-time loop this replaced.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = T[7][(lo & 0xFF) as usize]
+            ^ T[6][((lo >> 8) & 0xFF) as usize]
+            ^ T[5][((lo >> 16) & 0xFF) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][usize::from(c[4])]
+            ^ T[2][usize::from(c[5])]
+            ^ T[1][usize::from(c[6])]
+            ^ T[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `T[0]` is the byte-at-a-time table; `T[k][i]` is the CRC state after
+/// byte `i` is followed by `k` zero bytes, so one step can fold a byte
+/// that sits `k` places before the end of an eight-byte block.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    t[0] = crc32_table();
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Reference implementations of the hot loops in this module, retained as
+/// differential-test oracles. Nothing here runs on the hot path.
+pub mod oracle {
+    use super::crc32_table;
+
+    /// Byte-at-a-time [`super::crc32`]: one table lookup per input byte.
+    pub fn crc32(data: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = crc32_table();
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
+            crc = (crc >> 8) ^ TABLE[idx];
+        }
+        !crc
+    }
 }
 
 const fn crc32_table() -> [u32; 256] {
@@ -404,6 +455,47 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    fn noise(n: usize) -> Vec<u8> {
+        (0..n as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_oracle_at_every_short_length_and_offset() {
+        let buf = noise(80);
+        for start in 0..8 {
+            for end in start..buf.len() {
+                let s = &buf[start..end];
+                assert_eq!(crc32(s), oracle::crc32(s), "bytes {start}..{end}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Slice-by-8 equals the byte-at-a-time oracle on whole buffers of
+        /// every length up to 4 KiB (so every remainder mod 8), and on
+        /// sub-slices that start at an odd offset.
+        #[test]
+        fn crc32_matches_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..=4096),
+            half_start in 0usize..32,
+            cut in any::<usize>(),
+        ) {
+            prop_assert_eq!(crc32(&data), oracle::crc32(&data), "len {}", data.len());
+            let start = 2 * half_start + 1;
+            if start <= data.len() {
+                let end = start + cut % (data.len() - start + 1);
+                let s = &data[start..end];
+                prop_assert_eq!(crc32(s), oracle::crc32(s), "bytes {}..{}", start, end);
+            }
+        }
     }
 
     #[test]

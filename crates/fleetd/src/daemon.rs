@@ -37,7 +37,7 @@ use crate::epoch::{
     RolloutConfig, RolloutEvent,
 };
 use crate::queue::{Admit, Popped, QueueConfig, ShardQueue};
-use crate::snapshot::{self, Snapshot};
+use crate::snapshot::{self, SnapshotView};
 use crate::state::{ApplyConfig, ApplyOutcome, HostState, ShadowCtx, ShardState};
 use crate::supervisor::{SupervisorConfig, Worker, WorkerStatus};
 use crate::wal::{AppendOutcome, KillSwitch, WalRecord, WalWriter};
@@ -1159,21 +1159,16 @@ impl Daemon {
     }
 
     fn write_snapshot(&mut self) -> Result<(), DaemonError> {
-        let mut hosts = BTreeMap::new();
-        for shard in &self.shards {
-            for (&h, st) in &shard.state.hosts {
-                hosts.insert(h, st.clone());
-            }
-        }
-        let snap = Snapshot {
-            seq: self.next_snapshot_seq,
+        let seq = self.next_snapshot_seq;
+        let drained = self.drained_shards();
+        let view = SnapshotView {
+            seq,
             n_windows: self.cfg.n_windows,
-            hosts,
-            epoch: self.epoch.clone(),
-            drained: self.drained.iter().copied().collect(),
+            hosts: self.hosts(),
+            epoch: &self.epoch,
+            drained: &drained,
         };
-        let seq = snap.seq;
-        snapshot::write_image(&self.dir, &snap)?;
+        snapshot::write_image(&self.dir, &view)?;
         self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;
@@ -2060,6 +2055,61 @@ mod tests {
         assert!(d.drained_shards().is_empty());
         assert_ne!(d.offer(b(0, 5, Week::Test, 4, &[5, 5])), Admit::Overflow);
         assert_eq!(d.control_stats().undrains, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_from_live_state_matches_owned_encode_byte_for_byte() {
+        use crate::snapshot::{list_snapshots, Snapshot};
+        let dir = tmpdir("liveenc");
+        {
+            // Exact-mode life: hosts 0 and 1 are promoted, then host 1 is
+            // pinned on top.
+            let (mut d, mut kill) = prepare_rollout_daemon(&dir);
+            d.begin_rollout(4, 6, candidate(6.0), &mut kill).unwrap();
+            feed(&mut d, &mut kill, &[
+                b(0, 4, Week::Test, 4, &[5, 5]),
+                b(1, 4, Week::Test, 4, &[5, 5]),
+            ]);
+            assert_eq!(d.epoch_state().history.len(), 1);
+            d.command(ControlCommand::PinThreshold { host: 1, t: 9.5 }, &mut kill)
+                .unwrap();
+            d.force_snapshot().unwrap();
+        }
+        // Restart in sketch mode: hosts 0 and 1 keep their exact-mode
+        // state, hosts 2..5 accumulate sketches (host 5 never reaches its
+        // test week), and shard 1 is drained.
+        let sketch_cfg = DaemonConfig {
+            sketch_eps: Some(0.01),
+            ..small_cfg()
+        };
+        let (mut d, _) = Daemon::open(&dir, sketch_cfg).unwrap();
+        let mut kill = KillSwitch::none();
+        let mut batches: Vec<_> = (2..5).flat_map(week_batches).collect();
+        batches.push(b(5, 1, Week::Train, 0, &[3, 1, 4, 1]));
+        feed(&mut d, &mut kill, &batches);
+        d.command(ControlCommand::DrainShard { shard: 1 }, &mut kill)
+            .unwrap();
+        d.force_snapshot().unwrap();
+
+        let hosts = d.hosts();
+        assert!(hosts[&0].train_sketch.is_none() && hosts[&0].promoted.is_some());
+        assert!(hosts[&1].pinned.is_some() && hosts[&1].promoted.is_some());
+        assert!(hosts[&2].train_sketch.is_some() && hosts[&2].test_sketch.is_some());
+        assert!(hosts[&5].threshold.is_none());
+        let owned = Snapshot {
+            seq: 2,
+            n_windows: d.config().n_windows,
+            hosts: hosts.iter().map(|(&h, &st)| (h, st.clone())).collect(),
+            epoch: d.epoch_state().clone(),
+            drained: d.drained_shards(),
+        };
+        assert_eq!(owned.drained, vec![1]);
+        let (seq, path) = list_snapshots(&dir).unwrap().remove(0);
+        assert_eq!(seq, 2);
+        let installed = std::fs::read(path).unwrap();
+        assert!(installed == owned.encode(), "live encode diverged from owned encode");
+        assert_eq!(Snapshot::decode(&installed).unwrap(), owned);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,8 +8,12 @@
 //! accumulators, fitted thresholds, live alarm counts) plus the
 //! snapshot's own monotone sequence number; the cluster coordinator's
 //! (`CSN1`, [`crate::cluster::ClusterSnapshot`]) carries its assignment
-//! state. An [`Image`] names its magic and file prefix, and the store
-//! functions do the rest. Writes are atomic at the filesystem level —
+//! state. An image kind's write half ([`EncodeImage`]) names its magic and
+//! file prefix and encodes its payload, its read half ([`Image`]) decodes
+//! it, and the store functions do the rest. The daemon writes its image
+//! straight from live shard state through a borrowed [`SnapshotView`], the
+//! one `FSN1` payload encoder, so a snapshot tick copies no host state.
+//! Writes are atomic at the filesystem level —
 //! the image goes to `<prefix>.tmp`, then a rename installs it as
 //! `<prefix>-<seq>.bin` with `seq` as exactly 12 ASCII digits — so a
 //! crash mid-write leaves either the old snapshots or the new one, never
@@ -57,8 +61,28 @@ pub struct Snapshot {
     pub drained: Vec<u32>,
 }
 
-/// A full-state image kept by the snapshot store, one frame per file.
-pub trait Image: Sized {
+/// The daemon's full durable state, borrowed: the one encoder of the
+/// `FSN1` payload. The daemon writes its live shard state through a view
+/// without copying it, and [`Snapshot`] encodes through a view of itself,
+/// so both produce the same bytes for the same state.
+#[derive(Debug)]
+pub struct SnapshotView<'a> {
+    /// Monotone snapshot sequence number (also embedded in the filename).
+    pub seq: u64,
+    /// Windows per week the daemon is configured with.
+    pub n_windows: u32,
+    /// Full host table, merged across shards.
+    pub hosts: BTreeMap<u32, &'a HostState>,
+    /// Rollout lifecycle state.
+    pub epoch: &'a EpochState,
+    /// Drained shards (sorted, deduplicated).
+    pub drained: &'a [u32],
+}
+
+/// The write half of a full-state image kept by the snapshot store, one
+/// frame per file: what [`write_image`] needs to frame and install it. A
+/// borrowed view of live state implements this half alone.
+pub trait EncodeImage {
     /// Frame magic of this image kind.
     const MAGIC: [u8; 4];
     /// File prefix: images are `<PREFIX>-<seq:012>.bin`, staged through
@@ -68,12 +92,16 @@ pub trait Image: Sized {
     fn seq(&self) -> u64;
     /// Append the frame payload to `out`.
     fn encode_payload(&self, out: &mut Vec<u8>);
+}
+
+/// An image kind the store can also read back ([`load_newest`]).
+pub trait Image: EncodeImage + Sized {
     /// Decode a CRC-verified payload; must consume it exactly.
     fn decode_payload(payload: &[u8]) -> Result<Self, CodecError>;
 }
 
 /// Serialise `img` to its framed file form.
-pub fn encode_image<I: Image>(img: &I) -> Vec<u8> {
+pub fn encode_image<I: EncodeImage>(img: &I) -> Vec<u8> {
     encode_frame(I::MAGIC, |out| img.encode_payload(out))
 }
 
@@ -167,9 +195,29 @@ impl Snapshot {
     }
 }
 
-impl Image for Snapshot {
+impl EncodeImage for Snapshot {
     const MAGIC: [u8; 4] = SNAP_MAGIC;
     const PREFIX: &'static str = "snap";
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    fn encode_payload(&self, payload: &mut Vec<u8>) {
+        SnapshotView {
+            seq: self.seq,
+            n_windows: self.n_windows,
+            hosts: self.hosts.iter().map(|(&h, st)| (h, st)).collect(),
+            epoch: &self.epoch,
+            drained: &self.drained,
+        }
+        .encode_payload(payload);
+    }
+}
+
+impl EncodeImage for SnapshotView<'_> {
+    const MAGIC: [u8; 4] = Snapshot::MAGIC;
+    const PREFIX: &'static str = Snapshot::PREFIX;
 
     fn seq(&self) -> u64 {
         self.seq
@@ -210,13 +258,15 @@ impl Image for Snapshot {
             encode_sketch(payload, &st.train_sketch);
             encode_sketch(payload, &st.test_sketch);
         }
-        encode_epoch(payload, &self.epoch);
+        encode_epoch(payload, self.epoch);
         put_u32(payload, self.drained.len() as u32);
-        for &s in &self.drained {
+        for &s in self.drained {
             put_u32(payload, s);
         }
     }
+}
 
+impl Image for Snapshot {
     fn decode_payload(payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(payload);
         let seq = r.u64()?;
@@ -285,13 +335,13 @@ impl Image for Snapshot {
 }
 
 /// Filename for image `seq` of kind `I`.
-fn image_filename<I: Image>(seq: u64) -> String {
+fn image_filename<I: EncodeImage>(seq: u64) -> String {
     format!("{}-{seq:012}.bin", I::PREFIX)
 }
 
 /// The seq of an image filename of kind `I`; `None` unless the name is
 /// exactly `<PREFIX>-` + 12 ASCII digits + `.bin`.
-fn parse_image_filename<I: Image>(name: &str) -> Option<u64> {
+fn parse_image_filename<I: EncodeImage>(name: &str) -> Option<u64> {
     let rest = name
         .strip_prefix(I::PREFIX)?
         .strip_prefix('-')?
@@ -303,7 +353,7 @@ fn parse_image_filename<I: Image>(name: &str) -> Option<u64> {
 }
 
 /// Image files of kind `I` present in `dir`, newest first.
-pub fn list_images<I: Image>(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+pub fn list_images<I: EncodeImage>(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut found = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -318,7 +368,7 @@ pub fn list_images<I: Image>(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>>
 
 /// Atomically install `img` in `dir` (tmp + rename), then prune so only
 /// the two newest images of its kind remain. Returns the installed path.
-pub fn write_image<I: Image>(dir: &Path, img: &I) -> std::io::Result<PathBuf> {
+pub fn write_image<I: EncodeImage>(dir: &Path, img: &I) -> std::io::Result<PathBuf> {
     let tmp = dir.join(format!("{}.tmp", I::PREFIX));
     fs::write(&tmp, encode_image(img))?;
     let path = dir.join(image_filename::<I>(img.seq()));

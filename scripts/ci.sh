@@ -1,9 +1,12 @@
 #!/usr/bin/env sh
 # Tier-1 verification gate (referenced from ROADMAP.md).
 #
-# Builds the workspace, runs the root-package test suites, then smoke-runs
-# every criterion bench routine once (`-- --test` executes each benchmark
-# body without timing it, catching bit-rot in the bench harnesses).
+# Builds the workspace, runs every workspace package's tests (`--workspace`:
+# the root manifest is itself a package, so a bare `cargo test` would run
+# only the root package's suites and skip every crate's unit tests and
+# `crates/fleetd/tests/golden.rs`), then smoke-runs every criterion bench
+# routine once (`-- --test` executes each benchmark body without timing it,
+# catching bit-rot in the bench harnesses).
 #
 # The fault-injection smoke stage runs the chaos experiment at a fixed
 # seed and severity; `repro` prints a warning on any conservation-law
@@ -75,7 +78,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo test -q --test daemon
 cargo test -q --test rollout
 cargo test -q --test cluster
