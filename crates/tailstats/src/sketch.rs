@@ -55,6 +55,30 @@
 //! `cap = max(8, ⌈H/ε⌉)` (`H` = current number of levels). Each level
 //! then contributes ≈ `W·ε/H` rank error, summing to the budget across
 //! all `H` levels — and the ledger enforces the sum exactly.
+//!
+//! # Query and merge cost
+//!
+//! Every level is kept sorted, so no query re-sorts anything:
+//!
+//! * [`cdf`](KllSketch::cdf), [`below`](KllSketch::below) and
+//!   [`exceedance`](KllSketch::exceedance) sum `2^l · partition_point`
+//!   over the levels — `O(H log k)` for `k` items per level, no
+//!   allocation.
+//! * The rank reads behind [`quantile`](KllSketch::quantile) and
+//!   [`quantile_discrete`](KllSketch::quantile_discrete) binary-search
+//!   each level for its smallest item whose expanded `≤` count exceeds
+//!   the rank and keep the least such item (`O(H² log² k)`, no
+//!   allocation).
+//! * [`merge`](KllSketch::merge) and compaction fold one sorted run into
+//!   another with a backward in-place linear merge (no scratch buffer).
+//! * [`pool`](KllSketch::pool) appends levels unsorted while it folds,
+//!   sorts a level only when compaction halves it, and sorts every level
+//!   once before returning. Compaction decides only from level lengths
+//!   and the ledger, and halves its (sorted) input, so the result is
+//!   byte-identical to folding with sorted merges.
+//!
+//! [`oracle`] keeps sort-per-call reference bodies of the queries and of
+//! `pool`, which the differential tests compare against bit for bit.
 
 use std::cmp::Ordering;
 
@@ -232,6 +256,13 @@ impl KllSketch {
     /// hard budget `⌊W·ε⌋`. Runs automatically on insert; callers only
     /// need it explicitly after [`merge`](Self::merge).
     pub fn compress(&mut self) {
+        self.compress_with(|s, l| s.compact_level(l, Runs::Sorted));
+    }
+
+    /// The compaction schedule, with the kernel that halves one level
+    /// supplied by the caller. Decisions depend only on level lengths,
+    /// the ledger and the weight — never on item order.
+    fn compress_with(&mut self, mut compact: impl FnMut(&mut Self, usize)) {
         loop {
             let h = self.levels.len();
             if h == 0 {
@@ -249,7 +280,7 @@ impl KllSketch {
                     // Deferred: the bound is inviolable, the buffer grows.
                     continue;
                 }
-                self.compact_level(l);
+                compact(self, l);
                 compacted = true;
             }
             if !compacted {
@@ -259,22 +290,34 @@ impl KllSketch {
     }
 
     /// Halve level `l`'s even prefix into level `l+1`, flipping parity and
-    /// charging `2^l` to the error ledger.
-    fn compact_level(&mut self, l: usize) {
-        let buf = std::mem::take(&mut self.levels[l]);
-        let m = buf.len() & !1;
-        let start = usize::from(self.parities[l]);
-        let promoted: Vec<u64> = buf[..m].iter().copied().skip(start).step_by(2).collect();
-        // The odd leftover (if any) stays behind at its own weight.
-        self.levels[l] = buf[m..].to_vec();
-        self.parities[l] = !self.parities[l];
+    /// charging `2^l` to the error ledger. With [`Runs::Lazy`] level `l`
+    /// is sorted first and the survivors are appended to level `l+1`
+    /// unsorted; with [`Runs::Sorted`] both levels are already sorted and
+    /// the survivors are merged in place.
+    fn compact_level(&mut self, l: usize, runs: Runs) {
         if l + 1 == self.levels.len() {
             self.levels.push(Vec::new());
             self.parities.push(false);
         }
-        let target = &mut self.levels[l + 1];
-        target.extend_from_slice(&promoted);
-        target.sort_unstable();
+        let (lower, upper) = self.levels.split_at_mut(l + 1);
+        let buf = &mut lower[l];
+        let target = &mut upper[0];
+        if runs == Runs::Lazy {
+            buf.sort_unstable();
+        }
+        let m = buf.len() & !1;
+        let start = usize::from(self.parities[l]);
+        let survivors = buf[..m].iter().copied().skip(start).step_by(2);
+        match runs {
+            Runs::Sorted => merge_run(target, survivors),
+            Runs::Lazy => target.extend(survivors),
+        }
+        // The odd leftover (if any) stays behind at its own weight. The
+        // emptied buffer's capacity is released: kept, it would pin every
+        // level's high-water mark in memory for the sketch's lifetime.
+        buf.drain(..m);
+        buf.shrink_to_fit();
+        self.parities[l] = !self.parities[l];
         self.err = self.err.saturating_add(1u64 << l.min(63));
         self.compactions = self.compactions.saturating_add(1);
     }
@@ -291,6 +334,12 @@ impl KllSketch {
     /// Panics if the two sketches were built with different `eps` budgets;
     /// mixing budgets would make the merged ledger meaningless.
     pub fn merge(&mut self, other: &KllSketch) {
+        self.union(other, Runs::Sorted);
+    }
+
+    /// [`merge`](Self::merge)'s union; with [`Runs::Lazy`] the other
+    /// sketch's levels are appended and left unsorted.
+    fn union(&mut self, other: &KllSketch, runs: Runs) {
         assert!(
             self.eps_ppm == other.eps_ppm,
             "cannot merge sketches with different eps budgets"
@@ -300,8 +349,10 @@ impl KllSketch {
             self.parities.push(false);
         }
         for (l, items) in other.levels.iter().enumerate() {
-            self.levels[l].extend_from_slice(items);
-            self.levels[l].sort_unstable();
+            match runs {
+                Runs::Sorted => merge_run(&mut self.levels[l], items.iter().copied()),
+                Runs::Lazy => self.levels[l].extend_from_slice(items),
+            }
             self.parities[l] ^= other.parities[l];
         }
         self.weight = self.weight.saturating_add(other.weight);
@@ -347,6 +398,11 @@ impl KllSketch {
     /// accumulator stays memory-bounded and every permutation of the same
     /// multiset of inputs yields byte-identical output.
     ///
+    /// The fold leaves levels unsorted and sorts only the level a
+    /// compaction halves; every level is sorted once at the end. The bytes
+    /// equal those of folding with [`merge`](Self::merge) and
+    /// [`compress`](Self::compress) (see [`oracle::pool`]).
+    ///
     /// # Panics
     /// Panics if `sketches` is empty or mixes `eps` budgets.
     pub fn pool(sketches: &[&KllSketch]) -> KllSketch {
@@ -355,8 +411,11 @@ impl KllSketch {
         order.sort_by(|&i, &j| Self::canonical_cmp(sketches[i], sketches[j]));
         let mut acc = sketches[order[0]].clone();
         for &i in &order[1..] {
-            acc.merge(sketches[i]);
-            acc.compress();
+            acc.union(sketches[i], Runs::Lazy);
+            acc.compress_with(|s, l| s.compact_level(l, Runs::Lazy));
+        }
+        for level in &mut acc.levels {
+            level.sort_unstable();
         }
         acc
     }
@@ -380,20 +439,35 @@ impl KllSketch {
         out
     }
 
+    /// Expanded (saturating) weight of the stored items satisfying `pred`,
+    /// which must hold on a prefix of every sorted level.
+    fn weight_where(&self, pred: impl Fn(u64) -> bool) -> u64 {
+        self.levels
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (l, items)| {
+                let n = items.partition_point(|&v| pred(v)) as u64;
+                acc.saturating_add(n.saturating_mul(1u64 << l.min(63)))
+            })
+    }
+
     /// The value at expanded (0-based) rank `r`, i.e. the `r`-th element
-    /// of the weight-expanded sorted sample. `r` is clamped to the last
-    /// item. Returns 0.0 on an empty sketch.
+    /// of the weight-expanded sorted sample: the least stored value whose
+    /// expanded `≤` count exceeds `r`. Falls back to the largest stored
+    /// value when `r` is past the end. Returns 0.0 on an empty sketch.
     fn value_at_rank(&self, r: u64) -> f64 {
-        let items = self.weighted_items();
-        let mut cum = 0u64;
-        for &(v, w) in &items {
-            cum = cum.saturating_add(w);
-            if r < cum {
-                return v as f64;
+        let mut best: Option<u64> = None;
+        for items in &self.levels {
+            // Only items below the current best can improve on it.
+            let end = best.map_or(items.len(), |b| items.partition_point(|&v| v < b));
+            let head = &items[..end];
+            let at = head.partition_point(|&v| self.weight_where(|x| x <= v) <= r);
+            if let Some(&v) = head.get(at) {
+                best = Some(v);
             }
         }
-        match items.last() {
-            Some(&(v, _)) => v as f64,
+        match best.or_else(|| self.levels.iter().filter_map(|l| l.last().copied()).max()) {
+            Some(v) => v as f64,
             None => 0.0,
         }
     }
@@ -405,12 +479,17 @@ impl KllSketch {
     /// Boundary/NaN contract: see [`crate::source::QuantileSource`].
     /// Returns 0.0 on an empty sketch.
     pub fn quantile(&self, q: f64) -> f64 {
+        self.quantile_by(q, Self::value_at_rank)
+    }
+
+    /// [`quantile`](Self::quantile) over the rank read `at_rank`.
+    fn quantile_by(&self, q: f64, at_rank: impl Fn(&Self, u64) -> f64) -> f64 {
         if self.weight == 0 {
             return 0.0;
         }
         let q = q.clamp(0.0, 1.0);
         if self.weight == 1 {
-            return self.value_at_rank(0);
+            return at_rank(self, 0);
         }
         let pos = q * (self.weight - 1) as f64;
         let lo = pos.floor();
@@ -421,10 +500,10 @@ impl KllSketch {
         let lo_r = lo as u64;
         let hi_r = hi as u64;
         if lo_r == hi_r {
-            self.value_at_rank(lo_r)
+            at_rank(self, lo_r)
         } else {
             let frac = pos - lo;
-            self.value_at_rank(lo_r) * (1.0 - frac) + self.value_at_rank(hi_r) * frac
+            at_rank(self, lo_r) * (1.0 - frac) + at_rank(self, hi_r) * frac
         }
     }
 
@@ -433,12 +512,18 @@ impl KllSketch {
     /// [`EmpiricalDist::quantile_discrete`](crate::EmpiricalDist::quantile_discrete).
     /// Returns 0.0 on an empty sketch.
     pub fn quantile_discrete(&self, q: f64) -> f64 {
+        self.quantile_discrete_by(q, Self::value_at_rank)
+    }
+
+    /// [`quantile_discrete`](Self::quantile_discrete) over the rank read
+    /// `at_rank`.
+    fn quantile_discrete_by(&self, q: f64, at_rank: impl Fn(&Self, u64) -> f64) -> f64 {
         if self.weight == 0 {
             return 0.0;
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.weight as f64).ceil() as u64).clamp(1, self.weight);
-        self.value_at_rank(rank - 1)
+        at_rank(self, rank - 1)
     }
 
     /// Fraction of expanded samples `≤ x`. Returns 0.0 on an empty sketch.
@@ -446,15 +531,7 @@ impl KllSketch {
         if self.weight == 0 {
             return 0.0;
         }
-        let mut cum = 0u64;
-        for &(v, w) in &self.weighted_items() {
-            if v as f64 <= x {
-                cum = cum.saturating_add(w);
-            } else {
-                break;
-            }
-        }
-        cum as f64 / self.weight as f64
+        self.weight_where(|v| v as f64 <= x) as f64 / self.weight as f64
     }
 
     /// Fraction of expanded samples strictly greater than `x` (the
@@ -472,15 +549,7 @@ impl KllSketch {
         if self.weight == 0 {
             return 0.0;
         }
-        let mut cum = 0u64;
-        for &(v, w) in &self.weighted_items() {
-            if (v as f64) < x {
-                cum = cum.saturating_add(w);
-            } else {
-                break;
-            }
-        }
-        cum as f64 / self.weight as f64
+        self.weight_where(|v| (v as f64) < x) as f64 / self.weight as f64
     }
 
     /// Exact minimum sample (0.0 on an empty sketch).
@@ -551,7 +620,10 @@ impl KllSketch {
 
     /// Decode a sketch from its canonical serialized form. Returns an
     /// error (never panics) on truncated, corrupt, or invariant-violating
-    /// input — the snapshot codec treats any error as a torn record.
+    /// input — the snapshot codec treats any error as a torn record. The
+    /// invariants checked: every level is sorted, the levels expand to
+    /// exactly `weight` (`Σ len_l·2^l`), and the ledger is within budget
+    /// (`err ≤ ⌊weight·ε⌋`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SketchDecodeError> {
         let mut r = Reader { buf: bytes, at: 0 };
         let magic = r.take(4)?;
@@ -575,8 +647,8 @@ impl KllSketch {
         }
         let mut levels = Vec::with_capacity(n_levels);
         let mut parities = Vec::with_capacity(n_levels);
-        let mut stored = 0u64;
-        for _ in 0..n_levels {
+        let mut expanded = 0u128;
+        for l in 0..n_levels {
             let parity = r.u8()?;
             if parity > 1 {
                 return Err(SketchDecodeError::BadField("parity"));
@@ -592,17 +664,20 @@ impl KllSketch {
                 prev = v;
                 items.push(v);
             }
-            stored = stored.saturating_add(len as u64);
+            expanded += (len as u128) << l;
             levels.push(items);
             parities.push(parity == 1);
         }
         if r.at != bytes.len() {
             return Err(SketchDecodeError::TrailingBytes);
         }
-        if stored > weight {
-            return Err(SketchDecodeError::BadField("stored > weight"));
+        // Rank reads walk the levels against `weight`: the two must agree.
+        if expanded != weight as u128 {
+            return Err(SketchDecodeError::BadField(
+                "levels do not expand to weight",
+            ));
         }
-        Ok(Self {
+        let sketch = Self {
             eps_ppm,
             weight,
             err,
@@ -613,7 +688,174 @@ impl KllSketch {
             sum_sq,
             levels,
             parities,
-        })
+        };
+        if err > sketch.budget() {
+            return Err(SketchDecodeError::BadField("err > floor(weight * eps)"));
+        }
+        Ok(sketch)
+    }
+}
+
+/// Whether a level-wise kernel keeps every level sorted as it goes
+/// (`merge`, `compress`) or defers sorting to the end (`pool`'s fold).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Runs {
+    Sorted,
+    Lazy,
+}
+
+/// Merge the ascending run `src` into the ascending `dst` in place,
+/// filling from the back so no scratch buffer is needed.
+fn merge_run<I>(dst: &mut Vec<u64>, src: I)
+where
+    I: DoubleEndedIterator<Item = u64> + ExactSizeIterator,
+{
+    let mut i = dst.len();
+    dst.resize(i + src.len(), 0);
+    let mut k = dst.len();
+    for v in src.rev() {
+        while i > 0 && dst[i - 1] > v {
+            i -= 1;
+            k -= 1;
+            dst[k] = dst[i];
+        }
+        k -= 1;
+        dst[k] = v;
+    }
+}
+
+/// Sort-per-call reference bodies of the sketch queries and of
+/// [`KllSketch::pool`], retained as differential-test oracles. Nothing
+/// here runs on the hot path.
+pub mod oracle {
+    use super::KllSketch;
+
+    /// [`KllSketch::quantile`] over the oracle rank read.
+    pub fn quantile(s: &KllSketch, q: f64) -> f64 {
+        s.quantile_by(q, value_at_rank)
+    }
+
+    /// [`KllSketch::quantile_discrete`] over the oracle rank read.
+    pub fn quantile_discrete(s: &KllSketch, q: f64) -> f64 {
+        s.quantile_discrete_by(q, value_at_rank)
+    }
+
+    /// The value at expanded (0-based) rank `r`, read off a freshly sorted
+    /// [`KllSketch::weighted_items`]. `r` is clamped to the last item.
+    /// Returns 0.0 on an empty sketch.
+    pub fn value_at_rank(s: &KllSketch, r: u64) -> f64 {
+        let items = s.weighted_items();
+        let mut cum = 0u64;
+        for &(v, w) in &items {
+            cum = cum.saturating_add(w);
+            if r < cum {
+                return v as f64;
+            }
+        }
+        match items.last() {
+            Some(&(v, _)) => v as f64,
+            None => 0.0,
+        }
+    }
+
+    /// Fraction of expanded samples `≤ x`. Returns 0.0 on an empty sketch.
+    pub fn cdf(s: &KllSketch, x: f64) -> f64 {
+        if s.weight == 0 {
+            return 0.0;
+        }
+        let mut cum = 0u64;
+        for &(v, w) in &s.weighted_items() {
+            if v as f64 <= x {
+                cum = cum.saturating_add(w);
+            } else {
+                break;
+            }
+        }
+        cum as f64 / s.weight as f64
+    }
+
+    /// Fraction of expanded samples strictly greater than `x`.
+    pub fn exceedance(s: &KllSketch, x: f64) -> f64 {
+        if s.weight == 0 {
+            return 0.0;
+        }
+        1.0 - cdf(s, x)
+    }
+
+    /// Fraction of expanded samples strictly below `x`.
+    pub fn below(s: &KllSketch, x: f64) -> f64 {
+        if s.weight == 0 {
+            return 0.0;
+        }
+        let mut cum = 0u64;
+        for &(v, w) in &s.weighted_items() {
+            if (v as f64) < x {
+                cum = cum.saturating_add(w);
+            } else {
+                break;
+            }
+        }
+        cum as f64 / s.weight as f64
+    }
+
+    /// [`KllSketch::pool`] folded with sorting merges and compactions.
+    ///
+    /// # Panics
+    /// Panics if `sketches` is empty or mixes `eps` budgets.
+    pub fn pool(sketches: &[&KllSketch]) -> KllSketch {
+        assert!(!sketches.is_empty(), "pool needs at least one sketch");
+        let mut order: Vec<usize> = (0..sketches.len()).collect();
+        order.sort_by(|&i, &j| KllSketch::canonical_cmp(sketches[i], sketches[j]));
+        let mut acc = sketches[order[0]].clone();
+        for &i in &order[1..] {
+            merge(&mut acc, sketches[i]);
+            acc.compress_with(compact_level);
+        }
+        acc
+    }
+
+    /// Level-wise union by `extend` + `sort_unstable`.
+    fn merge(s: &mut KllSketch, other: &KllSketch) {
+        assert!(
+            s.eps_ppm == other.eps_ppm,
+            "cannot merge sketches with different eps budgets"
+        );
+        while s.levels.len() < other.levels.len() {
+            s.levels.push(Vec::new());
+            s.parities.push(false);
+        }
+        for (l, items) in other.levels.iter().enumerate() {
+            s.levels[l].extend_from_slice(items);
+            s.levels[l].sort_unstable();
+            s.parities[l] ^= other.parities[l];
+        }
+        s.weight = s.weight.saturating_add(other.weight);
+        s.err = s.err.saturating_add(other.err);
+        s.compactions = s.compactions.saturating_add(other.compactions);
+        s.min = s.min.min(other.min);
+        s.max = s.max.max(other.max);
+        s.sum = s.sum.saturating_add(other.sum);
+        s.sum_sq = s.sum_sq.saturating_add(other.sum_sq);
+    }
+
+    /// Halve level `l` by copying survivors out and re-sorting the target.
+    fn compact_level(s: &mut KllSketch, l: usize) {
+        let buf = std::mem::take(&mut s.levels[l]);
+        let m = buf.len() & !1;
+        let start = usize::from(s.parities[l]);
+        let promoted: Vec<u64> = buf[..m].iter().copied().skip(start).step_by(2).collect();
+        // The odd leftover (if any) stays behind at its own weight.
+        s.levels[l] = buf[m..].to_vec();
+        s.parities[l] = !s.parities[l];
+        if l + 1 == s.levels.len() {
+            s.levels.push(Vec::new());
+            s.parities.push(false);
+        }
+        let target = &mut s.levels[l + 1];
+        target.extend_from_slice(&promoted);
+        target.sort_unstable();
+        s.err = s.err.saturating_add(1u64 << l.min(63));
+        s.compactions = s.compactions.saturating_add(1);
     }
 }
 
@@ -834,6 +1076,88 @@ mod tests {
         assert_eq!(
             KllSketch::from_bytes(&trailing),
             Err(SketchDecodeError::TrailingBytes)
+        );
+    }
+
+    /// A hand-built `KLL1` image: header fields as given (min/max/sums
+    /// zero), then `(parity, items)` per level.
+    fn image(eps_ppm: u32, weight: u64, err: u64, levels: &[(u8, &[u64])]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&eps_ppm.to_le_bytes());
+        for field in [weight, err, 0, 0, 0] {
+            out.extend_from_slice(&field.to_le_bytes());
+        }
+        out.extend_from_slice(&[0u8; 32]);
+        out.extend_from_slice(&(levels.len() as u32).to_le_bytes());
+        for &(parity, items) in levels {
+            out.push(parity);
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            for v in items {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn from_bytes_accepts_consistent_hand_built_images() {
+        // 2·1 + 1·2 = 4 expanded samples; budget ⌊4·0.5⌋ = 2.
+        let ok = image(500_000, 4, 2, &[(1, &[1, 2]), (0, &[5])]);
+        let s = KllSketch::from_bytes(&ok).expect("consistent image");
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.quantile_discrete(1.0), 5.0);
+        assert_eq!(s.to_bytes(), ok);
+        assert!(KllSketch::from_bytes(&image(10_000, 0, 0, &[])).is_ok());
+    }
+
+    #[test]
+    fn from_bytes_rejects_levels_that_do_not_expand_to_weight() {
+        let want = Err(SketchDecodeError::BadField(
+            "levels do not expand to weight",
+        ));
+        // Fewer expanded samples than the weight claims.
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 5, 0, &[(0, &[1, 2, 3])])),
+            want
+        );
+        // More: the level-1 item counts twice.
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 3, 0, &[(0, &[1, 2]), (0, &[5])])),
+            want
+        );
+        // Stored items within the weight, but not at their level weights.
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 6, 0, &[(0, &[]), (0, &[]), (0, &[7])])),
+            want
+        );
+        // Items with a zero weight.
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 0, 0, &[(0, &[9])])),
+            want
+        );
+        // The top level's weight 2^63 must not wrap the sum.
+        let mut levels: Vec<(u8, &[u64])> = vec![(0, &[]); 64];
+        levels[63] = (0, &[1, 2]);
+        assert_eq!(KllSketch::from_bytes(&image(500_000, 0, 0, &levels)), want);
+    }
+
+    #[test]
+    fn from_bytes_rejects_a_ledger_over_budget() {
+        let want = Err(SketchDecodeError::BadField("err > floor(weight * eps)"));
+        // ε = 0.01 over 4 samples: ⌊0.04⌋ = 0, so any charged error is over.
+        assert_eq!(
+            KllSketch::from_bytes(&image(10_000, 4, 1, &[(0, &[1, 2, 3, 4])])),
+            want
+        );
+        // ε = 0.5 over 4 samples: budget 2.
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 4, 3, &[(0, &[1, 2, 3, 4])])),
+            want
+        );
+        assert!(KllSketch::from_bytes(&image(500_000, 4, 2, &[(0, &[1, 2, 3, 4])])).is_ok());
+        assert_eq!(
+            KllSketch::from_bytes(&image(500_000, 0, u64::MAX, &[])),
+            want
         );
     }
 

@@ -265,3 +265,132 @@ proptest! {
         prop_assert_eq!(back.to_bytes(), all.to_bytes());
     }
 }
+
+/// Streams for the fast-vs-oracle sketch tests: heavy-tailed with long
+/// duplicate runs, plus values at the top of the u64 range where
+/// neighbouring integers round to the same f64.
+fn sketch_stream() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(
+        prop_oneof![
+            0u64..16,
+            0u64..1_000,
+            0u64..1_000_000_000,
+            (u64::MAX - 4096)..=u64::MAX,
+        ],
+        0..1500,
+    )
+}
+
+/// A sketch in one of the shapes the fast query paths must cover:
+/// inserted-only (multi-level once compacted), pooled from chunks (with
+/// compactions deferred by the ledger), or decoded from its own bytes.
+fn shaped_sketch(xs: &[u64], eps: f64, shape: u8, parts: usize) -> KllSketch {
+    let chunked = |xs: &[u64]| -> Vec<KllSketch> {
+        xs.chunks((xs.len() / parts).max(1))
+            .map(|c| {
+                let mut s = KllSketch::new(eps);
+                s.extend_from_counts(c);
+                s
+            })
+            .collect()
+    };
+    let mut s = KllSketch::new(eps);
+    match shape % 3 {
+        0 => s.extend_from_counts(xs),
+        1 => {
+            let parts = chunked(xs);
+            if !parts.is_empty() {
+                s = KllSketch::pool(&parts.iter().collect::<Vec<_>>());
+            }
+        }
+        _ => {
+            for p in chunked(xs) {
+                s.merge(&p);
+            }
+            s = KllSketch::from_bytes(&s.to_bytes()).expect("roundtrip");
+        }
+    }
+    s
+}
+
+/// Probe points for `cdf`/`below`/`exceedance`: the pinned specials and
+/// up to 16 stored values (evenly spread), each with its neighbours and
+/// midpoints.
+fn probes(s: &KllSketch, extra: f64) -> Vec<f64> {
+    let mut xs = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.5,
+        0.0,
+        u64::MAX as f64,
+        extra,
+    ];
+    let items = s.weighted_items();
+    for &(v, _) in items.iter().step_by(items.len().div_ceil(16).max(1)) {
+        let v = v as f64;
+        xs.extend([v, v - 1.0, v + 1.0, v - 0.5, v + 0.5]);
+    }
+    xs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The per-level rank queries answer bit for bit like the sort-per-call
+    /// oracle, on compacted, pooled and decoded sketches, at the pinned
+    /// special points and at and between stored values.
+    #[test]
+    fn sketch_queries_match_oracle_bitwise(
+        xs in sketch_stream(),
+        eps in prop_oneof![Just(0.2), Just(0.05), Just(0.01)],
+        shape in 0u8..3,
+        parts in 1usize..40,
+        q in -0.5f64..1.5,
+        extra in any::<f64>(),
+    ) {
+        use tailstats::sketch::oracle;
+        let s = shaped_sketch(&xs, eps, shape, parts);
+        for q in [q, f64::NAN, -1.0, 0.0, 1e-9, 0.5, 0.9, 0.95, 0.99, 1.0, 2.0] {
+            prop_assert_eq!(s.quantile(q).to_bits(), oracle::quantile(&s, q).to_bits(), "quantile({})", q);
+            prop_assert_eq!(
+                s.quantile_discrete(q).to_bits(),
+                oracle::quantile_discrete(&s, q).to_bits(),
+                "quantile_discrete({})", q
+            );
+        }
+        for x in probes(&s, extra) {
+            prop_assert_eq!(s.cdf(x).to_bits(), oracle::cdf(&s, x).to_bits(), "cdf({})", x);
+            prop_assert_eq!(s.below(x).to_bits(), oracle::below(&s, x).to_bits(), "below({})", x);
+            prop_assert_eq!(
+                s.exceedance(x).to_bits(),
+                oracle::exceedance(&s, x).to_bits(),
+                "exceedance({})", x
+            );
+        }
+    }
+
+    /// The lazily sorted pool is byte-identical to the oracle's fold of
+    /// sorting merges, for 1..40 sketches handed over in random order.
+    #[test]
+    fn sketch_pool_matches_oracle_bytes(
+        streams in proptest::collection::vec(sketch_stream(), 1..40),
+        keys in proptest::collection::vec(any::<u64>(), 40),
+        eps in prop_oneof![Just(0.2), Just(0.05), Just(0.01)],
+    ) {
+        let sketches: Vec<KllSketch> = streams
+            .iter()
+            .map(|xs| {
+                let mut s = KllSketch::new(eps);
+                s.extend_from_counts(xs);
+                s
+            })
+            .collect();
+        let mut refs: Vec<(u64, &KllSketch)> = keys.iter().copied().zip(&sketches).collect();
+        refs.sort_by_key(|&(k, _)| k);
+        let refs: Vec<&KllSketch> = refs.into_iter().map(|(_, s)| s).collect();
+        let fast = KllSketch::pool(&refs);
+        prop_assert_eq!(fast.to_bytes(), tailstats::sketch::oracle::pool(&refs).to_bytes());
+    }
+}

@@ -67,6 +67,9 @@
 # with its health gauges exported, asserting the tailstats_sketch_*
 # families exist and that the run's internal merge-order / rank-budget
 # self-checks pass (a violated invariant prints a warning we grep for).
+# It also pins its table's hosts-CSV fingerprint, the pooled fleet
+# sketch's size and the merge-order line, so any byte drift in the
+# sketch fails here.
 # The sketchablate smoke verifies the sketch-vs-exact rank error bound on
 # a small corpus the same way.
 #
@@ -241,10 +244,19 @@ grep -Eq '"end_to_end_events_per_sec": [1-9][0-9]*' \
 cargo bench -p bench --bench pipeline -- --test
 mega_metrics="target/ci-megafleet.prom"
 mega_log="target/ci-megafleet.log"
-rm -f "$mega_metrics" "$mega_log"
+mega_table="target/ci-megafleet.out"
+rm -f "$mega_metrics" "$mega_log" "$mega_table"
 cargo run -q --release -p experiments --bin repro -- \
     --users 20000 --sketch-eps 0.01 --metrics-out "$mega_metrics" \
-    megafleet 2> "$mega_log"
+    megafleet > "$mega_table" 2> "$mega_log"
+cat "$mega_table"
+for pin in 'hosts csv fnv64 +a53961acf65ed9fa' 'fleet sketch bytes +6857565' \
+    'merge-order check +ok'; do
+    grep -Eq "^ *$pin\$" "$mega_table" || {
+        echo "ci.sh: megafleet table lacks pinned line: $pin" >&2
+        exit 1
+    }
+done
 for family in tailstats_sketch_bytes_total tailstats_sketch_peak_host_bytes \
     tailstats_sketch_compactions_total tailstats_sketch_rank_error_ppm_max; do
     grep -q "^# TYPE $family " "$mega_metrics" || {
