@@ -1,13 +1,9 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures and drive the
+//! fleetd scenarios.
 //!
-//! ```text
-//! repro [--users N] [--weeks N] [--seed S] [--threads N] [--out DIR]
-//!       [--fault-seed S] [--fault-rate R] [--metrics-out PATH]
-//!       [--delivery-attempts N] [--delivery-backoff T] [EXPERIMENT...]
-//!
-//! EXPERIMENT ∈ { fig1 fig2 tab2 fig3a fig3b tab3 fig4a fig4b fig5a fig5b
-//!                drift ablation chaos daemon rollout all }   (default: all)
-//! ```
+//! The flags and experiment names are listed once, in [`usage`] (printed by
+//! `repro --help` and after any flag error); with no experiment named it
+//! runs `all`.
 //!
 //! Prints each artifact as an aligned table and, when `--out` is given,
 //! writes the underlying data as CSV for external plotting plus a
@@ -24,8 +20,10 @@
 //! section that is excluded — so the file is byte-identical at any
 //! `--threads` setting.
 
-use std::path::PathBuf;
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use experiments::plot::{render as plot, ChartSpec, Series};
@@ -35,6 +33,7 @@ use experiments::{
     Corpus, Table,
 };
 use flowtab::FeatureKind;
+use itconsole::DeliveryConfig;
 use synthgen::StormConfig;
 
 #[derive(Debug)]
@@ -84,6 +83,19 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The value after `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} requires a value"))
+}
+
+/// The value after `flag`, parsed as a `T`; a parse error names the flag.
+fn typed<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value(it, flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args<I>(argv: I) -> Result<Args, String>
 where
     I: IntoIterator<Item = String>,
@@ -113,70 +125,27 @@ where
     let mut admin_port_raw: Option<String> = None;
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--users" => args.users = value("--users")?.parse().map_err(|e| format!("{e}"))?,
-            "--weeks" => args.weeks = value("--weeks")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--threads" => {
-                args.threads = Some(value("--threads")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--metrics-out" => {
-                args.metrics_out = Some(PathBuf::from(value("--metrics-out")?))
-            }
-            "--fault-seed" => {
-                args.fault_seed = value("--fault-seed")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--fault-rate" => {
-                args.fault_rate = value("--fault-rate")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--delivery-attempts" => {
-                args.delivery_attempts = Some(
-                    value("--delivery-attempts")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--delivery-backoff" => {
-                args.delivery_backoff = Some(
-                    value("--delivery-backoff")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--ingest-rate" => {
-                args.ingest_rate = value("--ingest-rate")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--ingest-burst" => {
-                args.ingest_burst = value("--ingest-burst")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--fault-severity" => {
-                args.fault_severity = value("--fault-severity")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--sketch-eps" => {
-                args.sketch_eps = value("--sketch-eps")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|e| format!("{e}"))?,
-            "--kill-seed" => {
-                args.kill_seed = value("--kill-seed")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--heartbeat-interval" => {
-                args.heartbeat_interval = value("--heartbeat-interval")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--heartbeat-timeout" => {
-                args.heartbeat_timeout = value("--heartbeat-timeout")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--admin-port" => admin_port_raw = Some(value("--admin-port")?),
+        let flag = arg.as_str();
+        match flag {
+            "--users" => args.users = typed(&mut it, flag)?,
+            "--weeks" => args.weeks = typed(&mut it, flag)?,
+            "--seed" => args.seed = typed(&mut it, flag)?,
+            "--threads" => args.threads = Some(typed(&mut it, flag)?),
+            "--out" => args.out = Some(PathBuf::from(value(&mut it, flag)?)),
+            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value(&mut it, flag)?)),
+            "--fault-seed" => args.fault_seed = typed(&mut it, flag)?,
+            "--fault-rate" => args.fault_rate = typed(&mut it, flag)?,
+            "--delivery-attempts" => args.delivery_attempts = Some(typed(&mut it, flag)?),
+            "--delivery-backoff" => args.delivery_backoff = Some(typed(&mut it, flag)?),
+            "--ingest-rate" => args.ingest_rate = typed(&mut it, flag)?,
+            "--ingest-burst" => args.ingest_burst = typed(&mut it, flag)?,
+            "--fault-severity" => args.fault_severity = typed(&mut it, flag)?,
+            "--sketch-eps" => args.sketch_eps = typed(&mut it, flag)?,
+            "--nodes" => args.nodes = typed(&mut it, flag)?,
+            "--kill-seed" => args.kill_seed = typed(&mut it, flag)?,
+            "--heartbeat-interval" => args.heartbeat_interval = typed(&mut it, flag)?,
+            "--heartbeat-timeout" => args.heartbeat_timeout = typed(&mut it, flag)?,
+            "--admin-port" => admin_port_raw = Some(value(&mut it, flag)?),
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -260,6 +229,46 @@ where
         .map_err(|e| format!("--{}", e.replacen('_', "-", 1)))?;
     args.admin_port = fc.admin_port;
     Ok(args)
+}
+
+impl Args {
+    /// A harness's default delivery link with `--delivery-attempts` and
+    /// `--delivery-backoff` applied.
+    fn delivery(&self, mut link: DeliveryConfig) -> DeliveryConfig {
+        if let Some(n) = self.delivery_attempts {
+            link.max_attempts = n;
+        }
+        if let Some(t) = self.delivery_backoff {
+            link.backoff_base = t;
+        }
+        link
+    }
+}
+
+/// Run `f` in a fresh scratch directory, removed again on every path out
+/// of `f`.
+fn in_scratch<T>(tag: &str, f: impl FnOnce(&Path) -> T) -> T {
+    struct Removed(PathBuf);
+    impl Drop for Removed {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir = Removed(daemon::unique_run_dir(tag));
+    f(&dir.0)
+}
+
+/// The `Ok` value, or report the error after `context` and exit failed.
+macro_rules! or_exit {
+    ($result:expr, $($context:tt)+) => {
+        match $result {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("{}: {e}", format_args!($($context)+));
+                return ExitCode::FAILURE;
+            }
+        }
+    };
 }
 
 fn emit(table: &Table, out: &Option<PathBuf>, name: &str) {
@@ -374,16 +383,16 @@ fn pipeline_json(args: &Args, r: &experiments::pipeline::PipelineReport) -> Stri
     )
 }
 
-/// Drive the live admin endpoint over real TCP: bind on `port`, serve
-/// from this thread while a client thread issues one request per probe,
-/// and return the `(label, raw response)` pairs.
+/// Drive the live admin endpoint over real TCP: open a daemon at `dir`,
+/// bind on `port`, serve from this thread while a client thread issues one
+/// request per probe, and return the `(label, raw response)` pairs.
 fn admin_probe(
+    dir: &Path,
     port: u16,
     daemon_cfg: fleetd::DaemonConfig,
 ) -> Result<Vec<(String, String)>, String> {
     use std::io::{Read as _, Write as _};
-    let dir = daemon::unique_run_dir("ctrl-admin");
-    let (mut d, _) = fleetd::Daemon::open(&dir, daemon_cfg).map_err(|e| e.to_string())?;
+    let (mut d, _) = fleetd::Daemon::open(dir, daemon_cfg).map_err(|e| e.to_string())?;
     let mut kill = fleetd::KillSwitch::none();
     let server = fleetd::AdminServer::bind(port, fleetd::AdminConfig::default())
         .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
@@ -436,7 +445,6 @@ fn admin_probe(
     let out = client
         .join()
         .map_err(|_| "admin client thread panicked".to_string())?;
-    let _ = std::fs::remove_dir_all(&dir);
     match serve_err {
         Some(e) => Err(format!("serve: {e}")),
         None => out,
@@ -890,12 +898,7 @@ fn main() -> ExitCode {
 
     experiment!("chaos", {
         let mut ccfg = chaos::ChaosConfig::new(args.fault_seed, args.fault_rate);
-        if let Some(n) = args.delivery_attempts {
-            ccfg.queue.max_attempts = n;
-        }
-        if let Some(t) = args.delivery_backoff {
-            ccfg.queue.backoff_base = t;
-        }
+        ccfg.queue = args.delivery(ccfg.queue);
         let r = chaos::run(&corpus, tcp, &ccfg);
         emit(&chaos::table(&r), &args.out, "chaos");
         if let Err(e) = r.check() {
@@ -909,12 +912,7 @@ fn main() -> ExitCode {
             feature: tcp,
             ..daemon::DaemonScenario::default()
         };
-        if let Some(n) = args.delivery_attempts {
-            scenario.delivery.max_attempts = n;
-        }
-        if let Some(t) = args.delivery_backoff {
-            scenario.delivery.backoff_base = t;
-        }
+        scenario.delivery = args.delivery(scenario.delivery);
         if args.fault_rate > 0.0 {
             // One poisoned host per run keeps the quarantine path hot
             // without drowning the coverage picture.
@@ -927,15 +925,10 @@ fn main() -> ExitCode {
         }
         let batches = daemon::build_batches(&corpus, &scenario);
 
-        let ref_dir = daemon::unique_run_dir("repro-ref");
-        let reference = match daemon::run(&ref_dir, &scenario, &batches, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("daemon experiment failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&ref_dir);
+        let reference = or_exit!(
+            in_scratch("repro-ref", |dir| daemon::run(dir, &scenario, &batches, &[])),
+            "daemon experiment failed"
+        );
         emit(&daemon::hosts_table(&reference), &args.out, "daemon_hosts");
         emit(&daemon::ops_table(&reference), &args.out, "daemon_ops");
         metrics.merge(&reference.metrics);
@@ -953,8 +946,7 @@ fn main() -> ExitCode {
                 reference.total_applied,
                 reference.total_wal_bytes,
             );
-            let kill_dir = daemon::unique_run_dir("repro-kill");
-            match daemon::run(&kill_dir, &scenario, &batches, &kills) {
+            match in_scratch("repro-kill", |dir| daemon::run(dir, &scenario, &batches, &kills)) {
                 Ok(killed) => {
                     if daemon::hosts_csv(&killed) == daemon::hosts_csv(&reference) {
                         eprintln!(
@@ -967,7 +959,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => eprintln!("warning: daemon kill-recovery run failed: {e}"),
             }
-            let _ = std::fs::remove_dir_all(&kill_dir);
         }
     });
 
@@ -985,18 +976,12 @@ fn main() -> ExitCode {
 
         // Identity leg: a clean wire must reproduce the synthetic-batch
         // hosts CSV byte-for-byte — the wire format adds nothing.
-        let clean_dir = daemon::unique_run_dir("ingest-clean");
-        let clean = match experiments::ingest::run(&clean_dir, &corpus, &base) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ingest experiment failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&clean_dir);
+        let clean = or_exit!(
+            in_scratch("ingest-clean", |dir| experiments::ingest::run(dir, &corpus, &base)),
+            "ingest experiment failed"
+        );
         let batches = daemon::build_batches(&corpus, &base.daemon);
-        let ref_dir = daemon::unique_run_dir("ingest-ref");
-        match daemon::run(&ref_dir, &base.daemon, &batches, &[]) {
+        match in_scratch("ingest-ref", |dir| daemon::run(dir, &base.daemon, &batches, &[])) {
             Ok(reference) => {
                 if clean.hosts_csv() == daemon::hosts_csv(&reference) {
                     eprintln!("ingest identity check: severity-0 hosts CSV identical to synthetic path");
@@ -1006,7 +991,6 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("warning: ingest reference run failed: {e}"),
         }
-        let _ = std::fs::remove_dir_all(&ref_dir);
 
         // Degradation leg: a faulted wire plus one flooding agent. The
         // flood drains its own source's bucket, so that host's test week
@@ -1018,15 +1002,11 @@ fn main() -> ExitCode {
             flood_hosts: vec![flooded_host],
             ..base.clone()
         };
-        let hostile_dir = daemon::unique_run_dir("ingest-hostile");
-        let faulted = match experiments::ingest::run(&hostile_dir, &corpus, &hostile) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ingest experiment failed (severity {}): {e}", args.fault_severity);
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&hostile_dir);
+        let faulted = or_exit!(
+            in_scratch("ingest-hostile", |dir| experiments::ingest::run(dir, &corpus, &hostile)),
+            "ingest experiment failed (severity {})",
+            args.fault_severity
+        );
         emit(
             &experiments::ingest::sweep_table(&[
                 (0.0, &clean),
@@ -1083,15 +1063,10 @@ fn main() -> ExitCode {
             ..rollout::RolloutScenario::default()
         };
         let benign_input = rollout::build_input(&benign);
-        let ben_dir = daemon::unique_run_dir("rollout-benign");
-        let promoted = match rollout::run(&ben_dir, &benign, &benign_input, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("rollout experiment failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&ben_dir);
+        let promoted = or_exit!(
+            in_scratch("rollout-benign", |dir| rollout::run(dir, &benign, &benign_input, &[])),
+            "rollout experiment failed"
+        );
         println!("benign drift: refit, canary, promote");
         print!("{}", itconsole::render_history(&promoted.epoch_summaries()));
         itconsole::export_history_metrics(&promoted.epoch_summaries(), &mut metrics);
@@ -1107,15 +1082,12 @@ fn main() -> ExitCode {
             ..benign.clone()
         };
         let poisoned_input = rollout::build_input(&poisoned);
-        let poi_dir = daemon::unique_run_dir("rollout-poisoned");
-        let rolled_back = match rollout::run(&poi_dir, &poisoned, &poisoned_input, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("rollout experiment failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&poi_dir);
+        let rolled_back = or_exit!(
+            in_scratch("rollout-poisoned", |dir| {
+                rollout::run(dir, &poisoned, &poisoned_input, &[])
+            }),
+            "rollout experiment failed"
+        );
         println!("poisoned drift: guard, gate failure, rollback");
         print!("{}", itconsole::render_history(&rolled_back.epoch_summaries()));
         itconsole::export_history_metrics(&rolled_back.epoch_summaries(), &mut metrics);
@@ -1132,8 +1104,9 @@ fn main() -> ExitCode {
             attempt_rollout: false,
             ..poisoned.clone()
         };
-        let ref_dir = daemon::unique_run_dir("rollout-untouched");
-        match rollout::run(&ref_dir, &untouched_scenario, &poisoned_input, &[]) {
+        match in_scratch("rollout-untouched", |dir| {
+            rollout::run(dir, &untouched_scenario, &poisoned_input, &[])
+        }) {
             Ok(untouched) => {
                 if rollout::hosts_csv(&rolled_back) == rollout::hosts_csv(&untouched) {
                     eprintln!("rollout rollback-identity check: hosts CSV identical");
@@ -1143,7 +1116,6 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("warning: rollout reference run failed: {e}"),
         }
-        let _ = std::fs::remove_dir_all(&ref_dir);
 
         if args.fault_rate > 0.0 {
             // Crash-recovery self-check across batch, WAL-byte, and
@@ -1155,8 +1127,9 @@ fn main() -> ExitCode {
                 promoted.total_wal_bytes,
                 promoted.total_rollout_events as u32,
             );
-            let kill_dir = daemon::unique_run_dir("rollout-kill");
-            match rollout::run(&kill_dir, &benign, &benign_input, &kills) {
+            match in_scratch("rollout-kill", |dir| {
+                rollout::run(dir, &benign, &benign_input, &kills)
+            }) {
                 Ok(killed) => {
                     if rollout::hosts_csv(&killed) == rollout::hosts_csv(&promoted) {
                         eprintln!(
@@ -1169,7 +1142,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => eprintln!("warning: rollout kill-recovery run failed: {e}"),
             }
-            let _ = std::fs::remove_dir_all(&kill_dir);
         }
     });
 
@@ -1178,12 +1150,7 @@ fn main() -> ExitCode {
             feature: tcp,
             ..controlplane::ControlScenario::default()
         };
-        if let Some(n) = args.delivery_attempts {
-            scenario.delivery.max_attempts = n;
-        }
-        if let Some(t) = args.delivery_backoff {
-            scenario.delivery.backoff_base = t;
-        }
+        scenario.delivery = args.delivery(scenario.delivery);
         if args.users == 1 {
             // A one-host fleet: the script's drain/pin target must exist.
             scenario.drain_shard = 0;
@@ -1191,15 +1158,10 @@ fn main() -> ExitCode {
         }
         let batches = daemon::build_batches_for(&corpus, tcp, scenario.batch_windows, &[]);
 
-        let ref_dir = daemon::unique_run_dir("ctrl-ref");
-        let reference = match controlplane::run(&ref_dir, &scenario, &batches, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("controlplane experiment failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&ref_dir);
+        let reference = or_exit!(
+            in_scratch("ctrl-ref", |dir| controlplane::run(dir, &scenario, &batches, &[])),
+            "controlplane experiment failed"
+        );
         emit(&controlplane::hosts_table(&reference), &args.out, "controlplane_hosts");
         emit(
             &controlplane::evidence_table(&reference),
@@ -1218,8 +1180,7 @@ fn main() -> ExitCode {
 
         // Determinism: a second uninterrupted run of the same script must
         // reproduce the hosts CSV byte-for-byte.
-        let dup_dir = daemon::unique_run_dir("ctrl-dup");
-        match controlplane::run(&dup_dir, &scenario, &batches, &[]) {
+        match in_scratch("ctrl-dup", |dir| controlplane::run(dir, &scenario, &batches, &[])) {
             Ok(dup) => {
                 if controlplane::hosts_csv(&dup) == controlplane::hosts_csv(&reference) {
                     eprintln!("controlplane determinism check: hosts CSV identical");
@@ -1229,7 +1190,6 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("warning: controlplane determinism run failed: {e}"),
         }
-        let _ = std::fs::remove_dir_all(&dup_dir);
 
         if args.fault_rate > 0.0 {
             // Crash-recovery self-check: kill at seeded batch boundaries,
@@ -1243,8 +1203,9 @@ fn main() -> ExitCode {
                 reference.total_wal_bytes,
                 reference.total_commands as u32,
             );
-            let kill_dir = daemon::unique_run_dir("ctrl-kill");
-            match controlplane::run(&kill_dir, &scenario, &batches, &kills) {
+            match in_scratch("ctrl-kill", |dir| {
+                controlplane::run(dir, &scenario, &batches, &kills)
+            }) {
                 Ok(killed) => {
                     if let Err(e) = killed.check(&scenario) {
                         eprintln!("warning: controlplane invariant violated under kills: {e}");
@@ -1265,14 +1226,13 @@ fn main() -> ExitCode {
                 }
                 Err(e) => eprintln!("warning: controlplane kill-recovery run failed: {e}"),
             }
-            let _ = std::fs::remove_dir_all(&kill_dir);
         }
 
         if let Some(port) = args.admin_port {
             // Live endpoint leg: serve the admin plane on a real socket
             // and drive reload / rejected reload / command / scrape
             // requests through it.
-            match admin_probe(port, scenario.daemon) {
+            match in_scratch("ctrl-admin", |dir| admin_probe(dir, port, scenario.daemon)) {
                 Ok(responses) => {
                     let get = |label: &str| {
                         responses
@@ -1361,12 +1321,7 @@ fn main() -> ExitCode {
         scenario.cluster.n_nodes = args.nodes;
         scenario.cluster.heartbeat_interval = args.heartbeat_interval;
         scenario.cluster.heartbeat_timeout = args.heartbeat_timeout;
-        if let Some(n) = args.delivery_attempts {
-            scenario.delivery.max_attempts = n;
-        }
-        if let Some(t) = args.delivery_backoff {
-            scenario.delivery.backoff_base = t;
-        }
+        scenario.delivery = args.delivery(scenario.delivery);
         let batches =
             daemon::build_batches_for(&corpus, tcp, scenario.batch_windows, &scenario.poison_hosts);
 
@@ -1374,25 +1329,15 @@ fn main() -> ExitCode {
         // reproduce byte-for-byte.
         let mut ref_scenario = scenario.clone();
         ref_scenario.cluster.n_nodes = 1;
-        let ref_dir = daemon::unique_run_dir("cluster-ref");
-        let reference = match cluster::run(&ref_dir, &ref_scenario, &batches, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cluster experiment failed (single-node reference): {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&ref_dir);
-
-        let multi_dir = daemon::unique_run_dir("cluster-multi");
-        let multi = match cluster::run(&multi_dir, &scenario, &batches, &[]) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cluster experiment failed ({} nodes): {e}", args.nodes);
-                return ExitCode::FAILURE;
-            }
-        };
-        let _ = std::fs::remove_dir_all(&multi_dir);
+        let reference = or_exit!(
+            in_scratch("cluster-ref", |dir| cluster::run(dir, &ref_scenario, &batches, &[])),
+            "cluster experiment failed (single-node reference)"
+        );
+        let multi = or_exit!(
+            in_scratch("cluster-multi", |dir| cluster::run(dir, &scenario, &batches, &[])),
+            "cluster experiment failed ({} nodes)",
+            args.nodes
+        );
         emit(&cluster::hosts_table(&multi), &args.out, "cluster_hosts");
         emit(&cluster::ops_table(&multi), &args.out, "cluster_ops");
         metrics.merge(&multi.metrics);
@@ -1426,8 +1371,7 @@ fn main() -> ExitCode {
                 multi.total_wal_bytes,
                 multi.total_ticks,
             );
-            let kill_dir = daemon::unique_run_dir("cluster-kill");
-            match cluster::run(&kill_dir, &scenario, &batches, &kills) {
+            match in_scratch("cluster-kill", |dir| cluster::run(dir, &scenario, &batches, &kills)) {
                 Ok(killed) => {
                     if let Err(e) = killed.check() {
                         eprintln!("warning: cluster invariant violated under kills: {e}");
@@ -1450,7 +1394,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => eprintln!("warning: cluster kill-recovery run failed: {e}"),
             }
-            let _ = std::fs::remove_dir_all(&kill_dir);
         }
     });
 
@@ -1487,7 +1430,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{in_scratch, parse_args};
 
     fn parse(argv: &[&str]) -> Result<super::Args, String> {
         parse_args(argv.iter().map(|s| s.to_string()))
@@ -1657,9 +1600,60 @@ mod tests {
     }
 
     #[test]
+    fn scratch_dirs_are_removed_on_every_path() {
+        let made = |dir: &std::path::Path| {
+            std::fs::create_dir_all(dir).unwrap();
+            dir.to_path_buf()
+        };
+        let dir = in_scratch("scratch-ok", made);
+        assert!(!dir.exists());
+        let mut early = None;
+        let r: Result<(), String> = in_scratch("scratch-err", |dir| {
+            early = Some(made(dir));
+            Err("failed run".into())
+        });
+        assert!(r.is_err());
+        assert!(!early.unwrap().exists());
+        let mut panicked = None;
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            in_scratch("scratch-panic", |dir| {
+                panicked = Some(made(dir));
+                panic!("harness bug");
+            })
+        }));
+        assert!(r.is_err());
+        assert!(!panicked.unwrap().exists());
+    }
+
+    #[test]
     fn malformed_input_is_rejected_with_context() {
         assert!(parse(&["--users"]).unwrap_err().contains("requires a value"));
-        assert!(parse(&["--users", "many"]).is_err());
+        assert_eq!(
+            parse(&["--users", "many"]).unwrap_err(),
+            "--users: invalid digit found in string"
+        );
+        for flag in [
+            "--users",
+            "--weeks",
+            "--seed",
+            "--threads",
+            "--fault-seed",
+            "--fault-rate",
+            "--delivery-attempts",
+            "--delivery-backoff",
+            "--ingest-rate",
+            "--ingest-burst",
+            "--fault-severity",
+            "--sketch-eps",
+            "--nodes",
+            "--kill-seed",
+            "--heartbeat-interval",
+            "--heartbeat-timeout",
+            "--admin-port",
+        ] {
+            let err = parse(&[flag, "many"]).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}: ")), "{flag} many: {err}");
+        }
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown flag"));
     }
 }

@@ -25,7 +25,7 @@
 //! them until the heartbeat detector declares the node dead, the journal
 //! records the rebalance, and the host re-emerges on a survivor.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use faultsim::{ClusterKillPoint, LinkFaultLog};
@@ -36,10 +36,11 @@ use fleetd::{
 use flowtab::FeatureKind;
 use hids_core::degraded::DegradedEvaluation;
 use hids_metrics::{Registry, RenderOptions};
-use itconsole::{DeliveryConfig, DeliveryQueue, DeliveryStats};
+use itconsole::{DeliveryConfig, DeliveryStats};
 
-use crate::daemon::{evaluate_hosts, hosts_table_titled, sum_delivery, RunError};
+use crate::daemon::{evaluate_hosts, hosts_table_titled, RunError};
 use crate::report::Table;
+use crate::stopwait::StopAndWait;
 
 /// Everything a cluster run needs besides the corpus and a directory.
 #[derive(Debug, Clone)]
@@ -179,11 +180,13 @@ pub fn run(
     batches: &[WindowBatch],
     kills: &[ClusterKillPoint],
 ) -> Result<ClusterRun, RunError> {
-    let mut by_host: BTreeMap<u32, Vec<&WindowBatch>> = BTreeMap::new();
-    for b in batches {
-        by_host.entry(b.host).or_default().push(b);
-    }
-    let universe: Vec<u32> = by_host.keys().copied().collect();
+    let mut sw = StopAndWait::new(batches, scenario.delivery);
+    let universe: Vec<u32> = batches
+        .iter()
+        .map(|b| b.host)
+        .collect::<BTreeSet<u32>>()
+        .into_iter()
+        .collect();
 
     let mut node_kills = Vec::new();
     let mut process_kills = Vec::new();
@@ -197,11 +200,7 @@ pub fn run(
     let mut kill_iter = process_kills.into_iter();
     kill.process.rearm(kill_iter.next());
 
-    // Batches given up by the delivery link, permanent across lifetimes.
-    let mut lost: BTreeSet<(u32, u64)> = BTreeSet::new();
-
     let mut recovery = ClusterRecoveryTotals::default();
-    let mut delivery_total = DeliveryStats::default();
     let mut dark_episodes: Vec<DarkEpisode> = Vec::new();
     let mut dark_evaluation: Option<(u64, DegradedEvaluation)> = None;
     let mut node_deaths_total = 0u64;
@@ -239,38 +238,21 @@ pub fn run(
             recovery.node_wal_torn_bytes += report.wal_torn_bytes;
         }
 
-        let mut queue: DeliveryQueue<WindowBatch> = DeliveryQueue::new(scenario.delivery);
         // Unlike the single-daemon harness, completions do NOT persist
         // across lifetimes: after a process kill, every host is redriven
         // from its first batch. Recovered nodes answer the already-applied
         // prefix with `Duplicate` acks (cheap), and hosts whose rebalance
         // was torn out of the journal get the full replay their new owner
         // actually needs. Correctness never depends on harness memory.
-        let mut completed: BTreeSet<(u32, u64)> = BTreeSet::new();
-        let mut cursor: BTreeMap<u32, usize> = by_host
-            .iter()
-            .map(|(&h, list)| (h, first_pending(list, &completed, &lost)))
-            .collect();
-        let mut in_flight: BTreeSet<u32> = BTreeSet::new();
-        let mut attempts: BTreeMap<(u32, u64), u32> = BTreeMap::new();
+        sw.forget_completions();
+        sw.begin_lifetime();
 
         loop {
             rounds += 1;
             if rounds > scenario.max_rounds {
                 return Err(RunError::Stalled("round budget exhausted"));
             }
-
-            // Feed: one outstanding batch per host.
-            let mut work_left = false;
-            for (&host, &idx) in &cursor {
-                let list = &by_host[&host];
-                if idx < list.len() {
-                    work_left = true;
-                    if !in_flight.contains(&host) && queue.offer(list[idx].clone()) {
-                        in_flight.insert(host);
-                    }
-                }
-            }
+            let host_side_quiet = sw.feed(|_| false);
             // A silently-killed node is invisible to the coordinator until
             // its heartbeat timeout expires; quiescing inside that window
             // would drop the dead node's hosts from the merged table. The
@@ -282,16 +264,13 @@ pub fn run(
                 .live
                 .iter()
                 .any(|&n| kill.node_is_dead(n));
-            if !work_left
-                && in_flight.is_empty()
-                && queue.is_empty()
+            if host_side_quiet
                 && cluster.queued_total() == 0
                 && cluster.settled()
                 && !undetected_kill
             {
                 // Quiescent: every batch acked or lost, no handoff
                 // pending, every live node drained.
-                delivery_total = sum_delivery(delivery_total, queue.stats());
                 let s = *cluster.stats();
                 node_deaths_total += s.node_deaths;
                 rebalances_total += s.rebalances;
@@ -304,9 +283,10 @@ pub fn run(
                     n_windows as usize,
                     scenario.min_coverage,
                 );
+                let delivery = sw.delivery();
                 let mut metrics = Registry::new();
                 cluster.export_metrics(&mut metrics);
-                delivery_total.export_metrics(&mut metrics, "cluster_link");
+                delivery.export_metrics(&mut metrics, "cluster_link");
                 export_cluster_recovery_totals(&recovery, &mut metrics);
                 if let Some(eval) = &evaluation {
                     eval.export_metrics(&mut metrics);
@@ -315,7 +295,7 @@ pub fn run(
                     hosts,
                     evaluation,
                     stats: s,
-                    delivery: delivery_total,
+                    delivery,
                     recovery,
                     wire: cluster.wire_stats(),
                     links: cluster.link_log(),
@@ -324,7 +304,7 @@ pub fn run(
                     node_deaths_total,
                     rebalances_total,
                     hosts_moved_total,
-                    lost_batches: lost.len() as u64,
+                    lost_batches: sw.lost_batches(),
                     total_applied: kill.process.applied_batches(),
                     total_wal_bytes: kill.process.wal_bytes(),
                     total_ticks: kill.ticks(),
@@ -338,24 +318,9 @@ pub fn run(
             // sink always reports failure and only an ack (below) retires
             // a batch, so anything the wire loses is retransmitted on the
             // decorrelated-jitter schedule.
-            queue.pump(|b| {
-                *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
+            sw.pump(|b| {
                 let _ = cluster.transmit(b);
                 false
-            });
-
-            // Reconcile retry-budget exhaustion.
-            attempts.retain(|&(host, seq), &mut n| {
-                if n >= scenario.delivery.max_attempts {
-                    lost.insert((host, seq));
-                    if let Some(idx) = cursor.get_mut(&host) {
-                        *idx += 1;
-                    }
-                    in_flight.remove(&host);
-                    false
-                } else {
-                    true
-                }
             });
 
             // Advance the cluster one tick; a fired kill switch ends this
@@ -365,7 +330,6 @@ pub fn run(
                 Err(DaemonError::Killed) => {
                     recovery.kills += 1;
                     kill.process.rearm(kill_iter.next());
-                    delivery_total = sum_delivery(delivery_total, queue.stats());
                     let s = cluster.stats();
                     node_deaths_total += s.node_deaths;
                     rebalances_total += s.rebalances;
@@ -378,39 +342,20 @@ pub fn run(
             // Acknowledge: coordinator-confirmed completions retire the
             // queued batch, advance cursors, and free hosts.
             for c in cluster.take_completions() {
-                completed.insert((c.host, c.seq));
-                attempts.remove(&(c.host, c.seq));
-                queue.acknowledge(|b| b.host == c.host && b.seq == c.seq);
-                if let Some(idx) = cursor.get_mut(&c.host) {
-                    let list = &by_host[&c.host];
-                    if *idx < list.len() && list[*idx].seq == c.seq {
-                        *idx += 1;
-                        in_flight.remove(&c.host);
-                    }
-                }
+                sw.acknowledge(c.host, c.seq);
             }
 
             // Rebalance: every moved host rewinds to its first batch. The
             // new owner has none of its history, and only redelivery from
             // sequence 1 reconstructs the same applied prefix a
             // never-moved host would have.
-            let handoffs = cluster.take_handoffs();
-            if !handoffs.is_empty() {
-                let mut moved_hosts: BTreeSet<u32> = BTreeSet::new();
-                for h in &handoffs {
-                    for &(host, _) in &h.moved {
-                        moved_hosts.insert(host);
-                    }
-                }
-                completed.retain(|&(h, _)| !moved_hosts.contains(&h));
-                attempts.retain(|&(h, _), _| !moved_hosts.contains(&h));
-                queue.evict(|b| moved_hosts.contains(&b.host));
-                for &host in &moved_hosts {
-                    in_flight.remove(&host);
-                    if let Some(idx) = cursor.get_mut(&host) {
-                        *idx = first_pending(&by_host[&host], &completed, &lost);
-                    }
-                }
+            let moved_hosts: BTreeSet<u32> = cluster
+                .take_handoffs()
+                .iter()
+                .flat_map(|h| h.moved.iter().map(|&(host, _)| host))
+                .collect();
+            if !moved_hosts.is_empty() {
+                sw.rewind(&moved_hosts);
             }
 
             // Dark windows: record every episode; on the first one,
@@ -432,20 +377,9 @@ pub fn run(
             }
             dark_episodes.extend(episodes);
 
-            queue.tick(1);
+            sw.tick();
         }
     }
-}
-
-/// First index into `list` without a terminal outcome.
-fn first_pending(
-    list: &[&WindowBatch],
-    completed: &BTreeSet<(u32, u64)>,
-    lost: &BTreeSet<(u32, u64)>,
-) -> usize {
-    list.iter()
-        .position(|b| !completed.contains(&(b.host, b.seq)) && !lost.contains(&(b.host, b.seq)))
-        .unwrap_or(list.len())
 }
 
 /// The merged host table over the full universe: live-node state where a

@@ -21,7 +21,7 @@
 //! idempotent, so "issued but unacknowledged" resolves safely either way
 //! — exactly the operator's own retry rule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use faultsim::KillPoint;
@@ -32,10 +32,11 @@ use fleetd::{
 use flowtab::FeatureKind;
 use hids_core::degraded::DegradedEvaluation;
 use hids_metrics::Registry;
-use itconsole::{DeliveryConfig, DeliveryQueue, DeliveryStats};
+use itconsole::{DeliveryConfig, DeliveryStats};
 
-use crate::daemon::{sum_delivery, RecoveryTotals, RunError};
+use crate::daemon::{RecoveryTotals, RunError};
 use crate::report::Table;
+use crate::stopwait::{open_daemon, sum_delivery, StopAndWait};
 
 /// Everything the control-plane scenario needs besides a directory.
 #[derive(Debug, Clone)]
@@ -316,16 +317,19 @@ pub fn run(
 ) -> Result<ControlRun, RunError> {
     let segs = segments(scenario, batches);
     let actions = stage_actions(scenario, &segs);
+    // One driver per segment; segments partition the stream, so their
+    // lost and delivery counters add up to the run's.
+    let mut drivers: Vec<StopAndWait> = segs
+        .iter()
+        .map(|seg| StopAndWait::new(seg, scenario.delivery))
+        .collect();
 
     let mut kill = KillSwitch::none();
     let mut kill_iter = kills.iter().copied();
     kill.rearm(kill_iter.next());
 
-    let mut completed: BTreeSet<(u32, u64)> = BTreeSet::new();
-    let mut lost: BTreeSet<(u32, u64)> = BTreeSet::new();
     let mut evidence = ControlEvidence::default();
     let mut recovery = RecoveryTotals::default();
-    let mut delivery_total = DeliveryStats::default();
     let mut rounds = 0u64;
 
     // The operator-script cursor: survives lifetimes; actions are only
@@ -334,116 +338,30 @@ pub fn run(
     let mut action_idx = 0usize;
 
     'lifetime: loop {
-        recovery.lifetimes += 1;
-        if recovery.lifetimes > scenario.max_lifetimes {
-            return Err(RunError::Stalled("lifetime budget exhausted"));
-        }
-        let (mut daemon, rec) = Daemon::open(dir, scenario.daemon)?;
-        if rec.snapshot_seq.is_some() {
-            recovery.snapshots_loaded += 1;
-        }
-        recovery.snapshots_discarded += rec.snapshots_discarded;
-        recovery.wal_replayed += rec.wal_replayed;
-        recovery.wal_torn_bytes += rec.wal_torn_bytes;
+        let mut daemon = open_daemon(dir, scenario.daemon, &mut recovery, scenario.max_lifetimes)?;
 
         while stage_idx < segs.len() {
-            let seg = &segs[stage_idx];
-            let mut by_host: BTreeMap<u32, Vec<&WindowBatch>> = BTreeMap::new();
-            for b in seg {
-                by_host.entry(b.host).or_default().push(b);
-            }
-            let mut queue: DeliveryQueue<WindowBatch> = DeliveryQueue::new(scenario.delivery);
-            let mut cursor: BTreeMap<u32, usize> = by_host
-                .iter()
-                .map(|(&h, list)| {
-                    let idx = list
-                        .iter()
-                        .position(|b| {
-                            !completed.contains(&(b.host, b.seq))
-                                && !lost.contains(&(b.host, b.seq))
-                        })
-                        .unwrap_or(list.len());
-                    (h, idx)
-                })
-                .collect();
-            let mut in_flight: BTreeSet<u32> = BTreeSet::new();
-            let mut attempts: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-
-            // Deliver this segment to quiescence (same stop-and-wait
-            // discipline as the daemon harness).
+            // Deliver this segment to quiescence on a fresh link.
+            let sw = &mut drivers[stage_idx];
+            sw.begin_lifetime();
             loop {
                 rounds += 1;
                 if rounds > scenario.max_rounds {
                     return Err(RunError::Stalled("round budget exhausted"));
                 }
-                let mut work_left = false;
-                for (&host, &idx) in &cursor {
-                    if let Some(list) = by_host.get(&host) {
-                        if idx < list.len() {
-                            work_left = true;
-                            if !in_flight.contains(&host) && queue.offer(list[idx].clone()) {
-                                in_flight.insert(host);
-                            }
-                        }
-                    }
-                }
-                if !work_left
-                    && in_flight.is_empty()
-                    && queue.is_empty()
-                    && daemon.queued_total() == 0
-                {
+                if sw.feed(|_| false) && daemon.queued_total() == 0 {
                     break;
                 }
-                queue.pump(|b| {
-                    if daemon.shard_busy(b.host) {
-                        *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                        return false;
-                    }
-                    match daemon.offer(b.clone()) {
-                        Admit::Overflow => {
-                            *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                            false
-                        }
-                        _ => true,
-                    }
-                });
-                attempts.retain(|&(host, seq), &mut n| {
-                    if n >= scenario.delivery.max_attempts {
-                        lost.insert((host, seq));
-                        if let Some(idx) = cursor.get_mut(&host) {
-                            *idx += 1;
-                        }
-                        in_flight.remove(&host);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                match daemon.tick(&mut kill) {
-                    Ok(()) => {}
+                match sw.deliver_round(&mut daemon, &mut kill) {
+                    Ok(_) => {}
                     Err(DaemonError::Killed) => {
                         recovery.kills += 1;
                         kill.rearm(kill_iter.next());
-                        delivery_total = sum_delivery(delivery_total, queue.stats());
                         continue 'lifetime;
                     }
                     Err(e) => return Err(e.into()),
                 }
-                for c in daemon.take_completions() {
-                    completed.insert((c.host, c.seq));
-                    attempts.remove(&(c.host, c.seq));
-                    if let Some(idx) = cursor.get_mut(&c.host) {
-                        if let Some(list) = by_host.get(&c.host) {
-                            if *idx < list.len() && list[*idx].seq == c.seq {
-                                *idx += 1;
-                                in_flight.remove(&c.host);
-                            }
-                        }
-                    }
-                }
-                queue.tick(1);
             }
-            delivery_total = sum_delivery(delivery_total, queue.stats());
 
             // Quiescent barrier reached: run this stage's remaining
             // operator actions, skipping any whose durable effect a
@@ -476,27 +394,30 @@ pub fn run(
             .into_iter()
             .map(|(h, s)| (h, s.clone()))
             .collect();
-        let stats = *daemon.stats();
         let evaluation = crate::daemon::evaluate_hosts(
             &hosts,
             scenario.feature,
             scenario.daemon.n_windows as usize,
             scenario.min_coverage,
         );
+        let delivery = drivers
+            .iter()
+            .map(StopAndWait::delivery)
+            .fold(DeliveryStats::default(), sum_delivery);
         let mut metrics = Registry::new();
         daemon.export_metrics(&mut metrics);
-        delivery_total.export_metrics(&mut metrics, "controlplane_link");
+        delivery.export_metrics(&mut metrics, "controlplane_link");
         if let Some(eval) = &evaluation {
             eval.export_metrics(&mut metrics);
         }
         return Ok(ControlRun {
             hosts,
             evaluation,
-            stats,
-            delivery: delivery_total,
+            stats: *daemon.stats(),
+            delivery,
             recovery,
             evidence,
-            lost_batches: lost.len() as u64,
+            lost_batches: drivers.iter().map(StopAndWait::lost_batches).sum(),
             total_applied: kill.applied_batches(),
             total_wal_bytes: kill.wal_bytes(),
             total_commands: kill.commands(),

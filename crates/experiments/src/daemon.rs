@@ -10,20 +10,19 @@
 //! and finally evaluates the accumulated host table with the degraded
 //! pipeline.
 //!
-//! The delivery discipline is stop-and-wait per host: at most one batch
-//! per host is outstanding at any moment, so retries can never reorder a
-//! host's sequence numbers. That — plus the daemon's seq-deduped
-//! idempotent apply — is what makes the headline property hold: a run
-//! killed at arbitrary points and restarted produces a host table, and
-//! therefore a hosts CSV, byte-identical to an uninterrupted run.
+//! The delivery discipline is stop-and-wait per host (the shared driver in
+//! `crate::stopwait`): at most one batch per host is outstanding at any
+//! moment, so retries can never reorder a host's sequence numbers. That —
+//! plus the daemon's seq-deduped idempotent apply — is what makes the
+//! headline property hold: a run killed at arbitrary points and restarted
+//! produces a host table, and therefore a hosts CSV, byte-identical to an
+//! uninterrupted run.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use faultsim::KillPoint;
 use fleetd::{
-    Admit, Daemon, DaemonConfig, DaemonError, DaemonStats, HostState, KillSwitch, Week,
-    WindowBatch,
+    Daemon, DaemonConfig, DaemonError, DaemonStats, HostState, KillSwitch, Week, WindowBatch,
 };
 use flowtab::FeatureKind;
 use hids_core::degraded::{DegradedEvalConfig, DegradedEvaluation, HostStatus};
@@ -31,10 +30,11 @@ use hids_core::eval::EvalConfig;
 use hids_core::threshold::AttackSweep;
 use hids_core::{Grouping, Policy, ThresholdHeuristic, WindowAccumulator};
 use hids_metrics::Registry;
-use itconsole::{DeliveryConfig, DeliveryQueue, DeliveryStats};
+use itconsole::{DeliveryConfig, DeliveryStats};
 
 use crate::data::Corpus;
 use crate::report::Table;
+use crate::stopwait::{open_daemon, StopAndWait};
 
 /// Everything a daemon run needs besides the corpus and a directory.
 #[derive(Debug, Clone)]
@@ -240,174 +240,80 @@ pub fn run(
     batches: &[WindowBatch],
     kills: &[KillPoint],
 ) -> Result<DaemonRun, RunError> {
-    // Original-order index per host, preserving ascending seq.
-    let mut by_host: BTreeMap<u32, Vec<&WindowBatch>> = BTreeMap::new();
-    for b in batches {
-        by_host.entry(b.host).or_default().push(b);
-    }
-
+    let mut sw = StopAndWait::new(batches, scenario.delivery);
     let mut kill = KillSwitch::none();
     let mut kill_iter = kills.iter().copied();
     kill.rearm(kill_iter.next());
 
-    // (host, seq) pairs with a terminal outcome: daemon completion, or
-    // given up by the delivery link.
-    let mut completed: BTreeSet<(u32, u64)> = BTreeSet::new();
-    let mut lost: BTreeSet<(u32, u64)> = BTreeSet::new();
-
     let mut recovery = RecoveryTotals::default();
-    let mut delivery_total = DeliveryStats::default();
     let mut max_queue_depth = 0usize;
     let mut rounds = 0u64;
 
     'lifetime: loop {
-        recovery.lifetimes += 1;
-        if recovery.lifetimes > scenario.max_lifetimes {
-            return Err(RunError::Stalled("lifetime budget exhausted"));
-        }
-        let (mut daemon, rec) = Daemon::open(dir, scenario.daemon)?;
-        if rec.snapshot_seq.is_some() {
-            recovery.snapshots_loaded += 1;
-        }
-        recovery.snapshots_discarded += rec.snapshots_discarded;
-        recovery.wal_replayed += rec.wal_replayed;
-        recovery.wal_torn_bytes += rec.wal_torn_bytes;
-
-        let mut queue: DeliveryQueue<WindowBatch> = DeliveryQueue::new(scenario.delivery);
-        // Per-host cursor into its batch list: first batch without a
-        // terminal outcome. Stop-and-wait: `in_flight` holds hosts whose
-        // current batch is somewhere between the delivery queue and a
-        // completion.
-        let mut cursor: BTreeMap<u32, usize> = by_host
-            .iter()
-            .map(|(&h, list)| {
-                let idx = list
-                    .iter()
-                    .position(|b| {
-                        !completed.contains(&(b.host, b.seq)) && !lost.contains(&(b.host, b.seq))
-                    })
-                    .unwrap_or(list.len());
-                (h, idx)
-            })
-            .collect();
-        let mut in_flight: BTreeSet<u32> = BTreeSet::new();
-        // Delivery attempts per in-flight batch, to detect retry-budget
-        // exhaustion (the queue drops such batches internally).
-        let mut attempts: BTreeMap<(u32, u64), u32> = BTreeMap::new();
-
+        let mut daemon = open_daemon(dir, scenario.daemon, &mut recovery, scenario.max_lifetimes)?;
+        sw.begin_lifetime();
         loop {
             rounds += 1;
             if rounds > scenario.max_rounds {
                 return Err(RunError::Stalled("round budget exhausted"));
             }
-
-            // Feed: one outstanding batch per host.
-            let mut work_left = false;
-            for (&host, &idx) in &cursor {
-                let list = &by_host[&host];
-                if idx < list.len() {
-                    work_left = true;
-                    if !in_flight.contains(&host) && queue.offer(list[idx].clone()) {
-                        in_flight.insert(host);
-                    }
-                }
-            }
-            if !work_left && in_flight.is_empty() && queue.is_empty() && daemon.queued_total() == 0
-            {
+            if sw.feed(|_| false) && daemon.queued_total() == 0 {
                 // Quiescent: every batch has a terminal outcome.
-                delivery_total = sum_delivery(delivery_total, queue.stats());
                 max_queue_depth = max_queue_depth.max(daemon.max_queue_depth());
-                let hosts: Vec<(u32, HostState)> = daemon
-                    .hosts()
-                    .into_iter()
-                    .map(|(h, s)| (h, s.clone()))
-                    .collect();
-                let stats = *daemon.stats();
-                let evaluation = evaluate(&hosts, scenario);
-                let mut metrics = Registry::new();
-                daemon.export_metrics(&mut metrics);
-                delivery_total.export_metrics(&mut metrics, "daemon_link");
-                export_recovery_totals(&recovery, &mut metrics);
-                if let Some(eval) = &evaluation {
-                    eval.export_metrics(&mut metrics);
-                }
-                return Ok(DaemonRun {
-                    hosts,
-                    evaluation,
-                    stats,
-                    delivery: delivery_total,
-                    recovery,
-                    lost_batches: lost.len() as u64,
-                    max_queue_depth,
-                    total_applied: kill.applied_batches(),
-                    total_wal_bytes: kill.wal_bytes(),
-                    n_windows: scenario.daemon.n_windows,
-                    min_coverage: scenario.min_coverage,
-                    metrics,
-                });
+                return Ok(finish(&daemon, scenario, &sw, recovery, max_queue_depth, &kill));
             }
-
-            // Deliver: the unreliable link pushes expired-timer batches at
-            // the daemon, refusing (and re-arming) when the target shard
-            // asserts backpressure.
-            queue.pump(|b| {
-                if daemon.shard_busy(b.host) {
-                    *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                    return false;
-                }
-                match daemon.offer(b.clone()) {
-                    Admit::Overflow => {
-                        *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-
-            // Reconcile retry-budget exhaustion: the queue has dropped any
-            // batch whose attempts just reached the cap.
-            attempts.retain(|&(host, seq), &mut n| {
-                if n >= scenario.delivery.max_attempts {
-                    lost.insert((host, seq));
-                    if let Some(idx) = cursor.get_mut(&host) {
-                        *idx += 1;
-                    }
-                    in_flight.remove(&host);
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // Process: one daemon tick; a fired kill switch ends this
-            // lifetime and recovery takes it from the top.
-            match daemon.tick(&mut kill) {
-                Ok(()) => {}
+            // A fired kill switch ends this lifetime and recovery takes
+            // it from the top.
+            match sw.deliver_round(&mut daemon, &mut kill) {
+                Ok(_) => {}
                 Err(DaemonError::Killed) => {
                     recovery.kills += 1;
                     kill.rearm(kill_iter.next());
-                    delivery_total = sum_delivery(delivery_total, queue.stats());
                     max_queue_depth = max_queue_depth.max(daemon.max_queue_depth());
                     continue 'lifetime;
                 }
                 Err(e) => return Err(e.into()),
             }
-
-            // Acknowledge: completions advance cursors and free hosts.
-            for c in daemon.take_completions() {
-                completed.insert((c.host, c.seq));
-                attempts.remove(&(c.host, c.seq));
-                if let Some(idx) = cursor.get_mut(&c.host) {
-                    let list = &by_host[&c.host];
-                    if *idx < list.len() && list[*idx].seq == c.seq {
-                        *idx += 1;
-                        in_flight.remove(&c.host);
-                    }
-                }
-            }
-
-            queue.tick(1);
         }
+    }
+}
+
+/// Collect a quiescent run's result from its final daemon lifetime.
+fn finish(
+    daemon: &Daemon,
+    scenario: &DaemonScenario,
+    sw: &StopAndWait,
+    recovery: RecoveryTotals,
+    max_queue_depth: usize,
+    kill: &KillSwitch,
+) -> DaemonRun {
+    let hosts: Vec<(u32, HostState)> = daemon
+        .hosts()
+        .into_iter()
+        .map(|(h, s)| (h, s.clone()))
+        .collect();
+    let evaluation = evaluate(&hosts, scenario);
+    let delivery = sw.delivery();
+    let mut metrics = Registry::new();
+    daemon.export_metrics(&mut metrics);
+    delivery.export_metrics(&mut metrics, "daemon_link");
+    export_recovery_totals(&recovery, &mut metrics);
+    if let Some(eval) = &evaluation {
+        eval.export_metrics(&mut metrics);
+    }
+    DaemonRun {
+        hosts,
+        evaluation,
+        stats: *daemon.stats(),
+        delivery,
+        recovery,
+        lost_batches: sw.lost_batches(),
+        max_queue_depth,
+        total_applied: kill.applied_batches(),
+        total_wal_bytes: kill.wal_bytes(),
+        n_windows: scenario.daemon.n_windows,
+        min_coverage: scenario.min_coverage,
+        metrics,
     }
 }
 
@@ -453,21 +359,6 @@ fn export_recovery_totals(rec: &RecoveryTotals, reg: &mut Registry) {
         &[],
         rec.wal_torn_bytes,
     );
-}
-
-pub(crate) fn sum_delivery(mut acc: DeliveryStats, s: DeliveryStats) -> DeliveryStats {
-    acc.enqueued += s.enqueued;
-    acc.delivered += s.delivered;
-    acc.retries += s.retries;
-    acc.acknowledged += s.acknowledged;
-    acc.rejected_batches += s.rejected_batches;
-    acc.rejected_units += s.rejected_units;
-    acc.expired_batches += s.expired_batches;
-    acc.expired_units += s.expired_units;
-    acc.evicted_batches += s.evicted_batches;
-    acc.evicted_units += s.evicted_units;
-    acc.queue_high_water = acc.queue_high_water.max(s.queue_high_water);
-    acc
 }
 
 fn evaluate(hosts: &[(u32, HostState)], scenario: &DaemonScenario) -> Option<DegradedEvaluation> {
@@ -686,6 +577,7 @@ mod tests {
     use super::*;
     use crate::data::CorpusConfig;
     use fleetd::QueueConfig;
+    use std::collections::BTreeMap;
 
     fn tiny_scenario() -> DaemonScenario {
         DaemonScenario {
@@ -752,6 +644,40 @@ mod tests {
         assert_eq!(hosts_table(&run).len(), 9);
         assert!(!ops_table(&run).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exhausted_retry_budgets_lose_batches_and_hosts_move_on() {
+        // One shard that is busy at a depth of one batch, and a link that
+        // gives up after two refusals: most hosts lose some batches.
+        let mut scenario = tiny_scenario();
+        scenario.daemon.n_shards = 1;
+        scenario.daemon.queue = QueueConfig {
+            capacity: 2,
+            high: 1,
+            low: 0,
+            shed_after: 100_000,
+            quantum: 1,
+        };
+        scenario.delivery.max_attempts = 2;
+        let corpus = tiny_corpus();
+        let batches = build_batches(&corpus, &scenario);
+        let dir = unique_run_dir("lossy");
+        let run = run(&dir, &scenario, &batches, &[]).expect("a lossy run still quiesces");
+        std::fs::remove_dir_all(&dir).unwrap();
+        run.check().unwrap();
+        assert!(run.lost_batches > 0, "the budget must run out");
+        assert_eq!(run.lost_batches, run.delivery.expired_batches);
+        assert_eq!(
+            run.delivery.enqueued,
+            run.delivery.delivered + run.delivery.expired_batches
+        );
+        // A host that lost a batch still had its last batch applied.
+        let last_seq: BTreeMap<u32, u64> = batches.iter().map(|b| (b.host, b.seq)).collect();
+        let moved_on = run.hosts.iter().filter(|(h, st)| {
+            st.train.len() + st.test.len() < 2 * 672 && st.last_seq == last_seq[h]
+        });
+        assert!(moved_on.count() > 0, "no host got past a lost batch");
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod report;
 pub mod rollout;
 pub mod seeds;
 pub mod sketchablate;
+mod stopwait;
 pub mod tab2;
 pub mod tab3;
 

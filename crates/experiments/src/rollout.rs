@@ -39,18 +39,19 @@ use std::path::Path;
 
 use faultsim::{poisoned_hosts, KillPoint, RampInject};
 use fleetd::{
-    Admit, Daemon, DaemonConfig, DaemonError, DaemonStats, EpochOutcome, EpochState, HostState,
-    KillSwitch, QueueConfig, Week, WindowBatch,
+    DaemonConfig, DaemonError, DaemonStats, EpochOutcome, EpochState, HostState, KillSwitch,
+    QueueConfig, Week, WindowBatch,
 };
 use hids_core::{DriftConfig, Grouping, PartialMethod, Policy, ThresholdHeuristic};
 use itconsole::{
-    fallback_from_outcome, DeliveryConfig, DeliveryQueue, DeliveryStats, EpochSummary,
-    FleetDriftMonitor, RolloutPlanner, RolloutProposal,
+    fallback_from_outcome, DeliveryConfig, DeliveryStats, EpochSummary, FleetDriftMonitor,
+    RolloutPlanner, RolloutProposal,
 };
 use tailstats::EmpiricalDist;
 
 use crate::daemon::{RecoveryTotals, RunError};
 use crate::report::Table;
+use crate::stopwait::{open_daemon, StopAndWait};
 
 /// Everything a rollout run needs besides a scratch directory.
 #[derive(Debug, Clone)]
@@ -360,18 +361,12 @@ pub fn run(
     input: &RolloutInput,
     kills: &[KillPoint],
 ) -> Result<RolloutRun, RunError> {
-    let mut by_host: BTreeMap<u32, Vec<&WindowBatch>> = BTreeMap::new();
-    for b in &input.batches {
-        by_host.entry(b.host).or_default().push(b);
-    }
+    let mut sw = StopAndWait::new(&input.batches, s.delivery);
     let soak_start = s.soak_start();
 
     let mut kill = KillSwitch::none();
     let mut kill_iter = kills.iter().copied();
     kill.rearm(kill_iter.next());
-
-    let mut completed: BTreeSet<(u32, u64)> = BTreeSet::new();
-    let mut lost: BTreeSet<(u32, u64)> = BTreeSet::new();
 
     // Console-side planner state, which must survive daemon restarts the
     // way a real console process outlives a daemon crash: counts feed
@@ -385,21 +380,10 @@ pub fn run(
     let mut decided = false;
 
     let mut recovery = RecoveryTotals::default();
-    let mut delivery_total = DeliveryStats::default();
     let mut rounds = 0u64;
 
     'lifetime: loop {
-        recovery.lifetimes += 1;
-        if recovery.lifetimes > s.max_lifetimes {
-            return Err(RunError::Stalled("lifetime budget exhausted"));
-        }
-        let (mut daemon, rec) = Daemon::open(dir, s.daemon)?;
-        if rec.snapshot_seq.is_some() {
-            recovery.snapshots_loaded += 1;
-        }
-        recovery.snapshots_discarded += rec.snapshots_discarded;
-        recovery.wal_replayed += rec.wal_replayed;
-        recovery.wal_torn_bytes += rec.wal_torn_bytes;
+        let mut daemon = open_daemon(dir, s.daemon, &mut recovery, s.max_lifetimes)?;
 
         // Reconcile the orchestrator with what the daemon made durable:
         // a journaled decision ends the lifecycle; a journaled Begin
@@ -415,22 +399,7 @@ pub fn run(
                 submitted = false;
             }
         }
-
-        let mut queue: DeliveryQueue<WindowBatch> = DeliveryQueue::new(s.delivery);
-        let mut cursor: BTreeMap<u32, usize> = by_host
-            .iter()
-            .map(|(&h, list)| {
-                let idx = list
-                    .iter()
-                    .position(|b| {
-                        !completed.contains(&(b.host, b.seq)) && !lost.contains(&(b.host, b.seq))
-                    })
-                    .unwrap_or(list.len());
-                (h, idx)
-            })
-            .collect();
-        let mut in_flight: BTreeSet<u32> = BTreeSet::new();
-        let mut attempts: BTreeMap<(u32, u64), u32> = BTreeMap::new();
+        sw.begin_lifetime();
 
         loop {
             rounds += 1;
@@ -455,7 +424,6 @@ pub fn run(
                             submitted = true; // resolved against durable state on reopen
                             recovery.kills += 1;
                             kill.rearm(kill_iter.next());
-                            delivery_total = sum_delivery(delivery_total, queue.stats());
                             continue 'lifetime;
                         }
                         Err(e) => return Err(e.into()),
@@ -463,42 +431,27 @@ pub fn run(
                 }
             }
 
-            // Feed: one outstanding batch per host; while a proposal is
-            // pending, hold back test batches that would consume soak
-            // windows before the daemon knows a candidate exists.
+            // Feed: while a proposal is pending, hold back test batches
+            // that would consume soak windows before the daemon knows a
+            // candidate exists.
             let holdback_active = s.attempt_rollout && !decided && !submitted;
-            let mut work_left = false;
-            for (&host, &idx) in &cursor {
-                let list = &by_host[&host];
-                if idx < list.len() {
-                    work_left = true;
-                    let b = list[idx];
-                    let held =
-                        holdback_active && b.week == Week::Test && b.start >= soak_start;
-                    if !held && !in_flight.contains(&host) && queue.offer(b.clone()) {
-                        in_flight.insert(host);
-                    }
-                }
-            }
-            if !work_left && in_flight.is_empty() && queue.is_empty() && daemon.queued_total() == 0
-            {
-                delivery_total = sum_delivery(delivery_total, queue.stats());
+            let held =
+                |b: &WindowBatch| holdback_active && b.week == Week::Test && b.start >= soak_start;
+            if sw.feed(held) && daemon.queued_total() == 0 {
                 let hosts: Vec<(u32, HostState)> = daemon
                     .hosts()
                     .into_iter()
                     .map(|(h, st)| (h, st.clone()))
                     .collect();
-                let stats = *daemon.stats();
-                let epoch = daemon.epoch_state().clone();
                 let (fn_effective, fn_stale) = count_misses(&hosts, &input.attacks);
                 return Ok(RolloutRun {
                     hosts,
-                    epoch,
+                    epoch: daemon.epoch_state().clone(),
                     proposal,
-                    stats,
-                    delivery: delivery_total,
+                    stats: *daemon.stats(),
+                    delivery: sw.delivery(),
                     recovery,
-                    lost_batches: lost.len() as u64,
+                    lost_batches: sw.lost_batches(),
                     n_attacks: input.attacks.len() as u64,
                     fn_effective,
                     fn_stale,
@@ -510,94 +463,38 @@ pub fn run(
 
             // Deliver: backpressure and the canary barrier both read as
             // "not now, retry later" to the link.
-            queue.pump(|b| {
-                if daemon.shard_busy(b.host) {
-                    *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                    return false;
-                }
-                match daemon.offer(b.clone()) {
-                    Admit::Overflow => {
-                        *attempts.entry((b.host, b.seq)).or_insert(0) += 1;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-            attempts.retain(|&(host, seq), &mut n| {
-                if n >= s.delivery.max_attempts {
-                    lost.insert((host, seq));
-                    if let Some(idx) = cursor.get_mut(&host) {
-                        *idx += 1;
-                    }
-                    in_flight.remove(&host);
-                    false
-                } else {
-                    true
-                }
-            });
-
-            // Process one tick.
-            match daemon.tick(&mut kill) {
-                Ok(()) => {}
+            let completions = match sw.deliver_round(&mut daemon, &mut kill) {
+                Ok(c) => c,
                 Err(DaemonError::Killed) => {
                     recovery.kills += 1;
                     kill.rearm(kill_iter.next());
-                    delivery_total = sum_delivery(delivery_total, queue.stats());
                     continue 'lifetime;
                 }
                 Err(e) => return Err(e.into()),
-            }
+            };
             if s.attempt_rollout && !decided && !daemon.epoch_state().history.is_empty() {
                 decided = true;
             }
 
-            // Acknowledge: completions advance cursors; applied (or
-            // previously-applied) test batches feed the drift monitor,
-            // exactly once each.
-            for c in daemon.take_completions() {
-                completed.insert((c.host, c.seq));
-                attempts.remove(&(c.host, c.seq));
-                if let Some(idx) = cursor.get_mut(&c.host) {
-                    let list = &by_host[&c.host];
-                    if *idx < list.len() && list[*idx].seq == c.seq {
-                        *idx += 1;
-                        in_flight.remove(&c.host);
-                    }
-                }
-                if matches!(
+            // Applied (or previously-applied) test batches feed the drift
+            // monitor, exactly once each.
+            for c in completions {
+                if !matches!(
                     c.disposition,
                     fleetd::Disposition::Applied | fleetd::Disposition::Duplicate
-                ) && fed.insert((c.host, c.seq))
+                ) || !fed.insert((c.host, c.seq))
                 {
-                    if let Some(b) = by_host
-                        .get(&c.host)
-                        .and_then(|l| l.iter().find(|b| b.seq == c.seq))
-                    {
-                        if b.week == Week::Test {
-                            for &count in &b.counts {
-                                planner.observe(b.host, count);
-                            }
-                            *fed_windows.entry(b.host).or_insert(0) += b.counts.len() as u64;
-                        }
+                    continue;
+                }
+                if let Some(b) = sw.batch(c.host, c.seq).filter(|b| b.week == Week::Test) {
+                    for &count in &b.counts {
+                        planner.observe(b.host, count);
                     }
+                    *fed_windows.entry(b.host).or_insert(0) += b.counts.len() as u64;
                 }
             }
-
-            queue.tick(1);
         }
     }
-}
-
-fn sum_delivery(mut acc: DeliveryStats, st: DeliveryStats) -> DeliveryStats {
-    acc.enqueued += st.enqueued;
-    acc.delivered += st.delivered;
-    acc.retries += st.retries;
-    acc.rejected_batches += st.rejected_batches;
-    acc.rejected_units += st.rejected_units;
-    acc.expired_batches += st.expired_batches;
-    acc.expired_units += st.expired_units;
-    acc.queue_high_water = acc.queue_high_water.max(st.queue_high_water);
-    acc
 }
 
 /// Misses over the injected attacks under (a) each host's final

@@ -10,7 +10,8 @@
 #
 # The fault-injection smoke stage runs the chaos experiment at a fixed
 # seed and severity; `repro` prints a warning on any conservation-law
-# violation, and the root `tests/chaos.rs` suite (run by `cargo test`)
+# violation (which we grep for, as for every `repro` smoke below: see
+# check_log), and the root `tests/chaos.rs` suite (run by `cargo test`)
 # asserts the same laws hard. The clippy gate holds every workspace crate's
 # library code to the no-unwrap/no-panic bar the fleetd supervisor model
 # promises (test code is exempt: the gate is --lib only).
@@ -18,10 +19,10 @@
 # The daemon stages are the crash-safety gate: the root `tests/daemon.rs`
 # suite replays >=20 seeded kill points (including torn WAL tails) and
 # asserts byte-identical recovery, and the `repro daemon` smoke re-runs
-# the scenario under a seeded kill schedule at a fixed seed. The rollout
-# smoke drives the threshold-lifecycle (canary/rollback) scenarios the
-# same way, including the rollback-identity and epoch-boundary
-# kill-recovery self-checks.
+# the scenario under a seeded kill schedule at a fixed seed, requiring its
+# kill-recovery self-check line. The rollout smoke drives the
+# threshold-lifecycle (canary/rollback) scenarios the same way, requiring
+# the rollback-identity and epoch-boundary kill-recovery self-check lines.
 #
 # The cluster stages are the distribution gate: the root `tests/cluster.rs`
 # suite asserts byte-identical merged output across 1/2/4 nodes and a
@@ -80,6 +81,27 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# check_log LOG NAME [LINE...]: fail unless the `repro` stderr in LOG holds
+# every LINE (a grep pattern) and no "FAILED" or "invariant violated"
+# warning; `repro` exits 0 either way.
+check_log() {
+    log="$1"
+    name="$2"
+    shift 2
+    for line in "$@"; do
+        grep -q "$line" "$log" || {
+            echo "ci.sh: $name self-check missing: $line" >&2
+            cat "$log" >&2
+            exit 1
+        }
+    done
+    if grep -q "FAILED\|invariant violated" "$log"; then
+        echo "ci.sh: $name self-check failed" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+}
+
 cargo build --release
 cargo test -q --workspace
 cargo test -q --test daemon
@@ -94,12 +116,24 @@ cargo clippy -q \
     -p attacksim -p itconsole -p faultsim -p fleetd -p experiments -p bench \
     -p hids-metrics \
     --lib --no-deps -- -D clippy::unwrap_used -D clippy::panic
+chaos_log="target/ci-chaos.log"
+daemon_log="target/ci-daemon.log"
+rollout_log="target/ci-rollout.log"
+rm -f "$chaos_log" "$daemon_log" "$rollout_log"
 cargo run -q --release -p experiments --bin repro -- \
-    --users 40 --weeks 2 --fault-seed 64273 --fault-rate 0.2 chaos
+    --users 40 --weeks 2 --fault-seed 64273 --fault-rate 0.2 chaos \
+    2> "$chaos_log"
+check_log "$chaos_log" chaos
 cargo run -q --release -p experiments --bin repro -- \
-    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 daemon
+    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 daemon \
+    2> "$daemon_log"
+check_log "$daemon_log" daemon "daemon kill-recovery check:"
 cargo run -q --release -p experiments --bin repro -- \
-    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 rollout
+    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 rollout \
+    2> "$rollout_log"
+check_log "$rollout_log" rollout \
+    "rollout rollback-identity check: hosts CSV identical" \
+    "rollout kill-recovery check:"
 metrics_out="target/ci-metrics.prom"
 rm -f "$metrics_out"
 cargo run -q --release -p experiments --bin repro -- \
@@ -128,21 +162,8 @@ for family in fleetd_cluster_batches_total fleetd_cluster_nodes \
         exit 1
     }
 done
-grep -q "cluster determinism check (4 nodes vs 1)" "$cluster_log" || {
-    echo "ci.sh: cluster determinism check did not run" >&2
-    cat "$cluster_log" >&2
-    exit 1
-}
-grep -q "cluster kill-recovery check:" "$cluster_log" || {
-    echo "ci.sh: cluster kill-recovery check did not run" >&2
-    cat "$cluster_log" >&2
-    exit 1
-}
-if grep -q "FAILED" "$cluster_log"; then
-    echo "ci.sh: cluster self-check failed" >&2
-    cat "$cluster_log" >&2
-    exit 1
-fi
+check_log "$cluster_log" cluster "cluster determinism check (4 nodes vs 1)" \
+    "cluster kill-recovery check:"
 ingest_metrics="target/ci-ingest.prom"
 ingest_log="target/ci-ingest.log"
 rm -f "$ingest_metrics" "$ingest_log"
@@ -156,21 +177,8 @@ for family in ingest_datagrams_total ingest_malformed_total \
         exit 1
     }
 done
-grep -q "ingest identity check: severity-0 hosts CSV identical" "$ingest_log" || {
-    echo "ci.sh: ingest identity check did not run" >&2
-    cat "$ingest_log" >&2
-    exit 1
-}
-grep -q "ingest flood check:" "$ingest_log" || {
-    echo "ci.sh: ingest flood check did not run" >&2
-    cat "$ingest_log" >&2
-    exit 1
-}
-if grep -q "FAILED" "$ingest_log"; then
-    echo "ci.sh: ingest self-check failed" >&2
-    cat "$ingest_log" >&2
-    exit 1
-fi
+check_log "$ingest_log" ingest \
+    "ingest identity check: severity-0 hosts CSV identical" "ingest flood check:"
 control_metrics="target/ci-control.prom"
 control_log="target/ci-control.log"
 rm -f "$control_metrics" "$control_log"
@@ -189,52 +197,19 @@ grep -q "# event .* fleetd\.control config_rejected" "$control_metrics" || {
     echo "ci.sh: controlplane smoke missing config_rejected event" >&2
     exit 1
 }
-grep -q "controlplane script check:" "$control_log" || {
-    echo "ci.sh: controlplane script check did not run" >&2
-    cat "$control_log" >&2
-    exit 1
-}
-grep -q "controlplane determinism check: hosts CSV identical" "$control_log" || {
-    echo "ci.sh: controlplane determinism check did not run" >&2
-    cat "$control_log" >&2
-    exit 1
-}
-grep -q "controlplane kill-recovery check:" "$control_log" || {
-    echo "ci.sh: controlplane kill-recovery check did not run" >&2
-    cat "$control_log" >&2
-    exit 1
-}
-grep -q "controlplane admin check: reload applied at generation 2" "$control_log" || {
-    echo "ci.sh: controlplane admin check did not run" >&2
-    cat "$control_log" >&2
-    exit 1
-}
-if grep -q "FAILED" "$control_log"; then
-    echo "ci.sh: controlplane self-check failed" >&2
-    cat "$control_log" >&2
-    exit 1
-fi
+check_log "$control_log" controlplane "controlplane script check:" \
+    "controlplane determinism check: hosts CSV identical" \
+    "controlplane kill-recovery check:" \
+    "controlplane admin check: reload applied at generation 2"
 pipeline_out="target/ci-pipeline"
 pipeline_log="target/ci-pipeline.log"
 rm -rf "$pipeline_out"
 rm -f "$pipeline_log"
 cargo run -q --release -p experiments --bin repro -- \
     --seed 7 --out "$pipeline_out" pipeline 2> "$pipeline_log" > /dev/null
-for check in "pipeline capture check: clean pcap loss-free" \
+check_log "$pipeline_log" pipeline "pipeline capture check: clean pcap loss-free" \
     "pipeline feature check: packet-path features identical" \
-    "pipeline wire check:" \
-    "pipeline throughput:"; do
-    grep -q "$check" "$pipeline_log" || {
-        echo "ci.sh: pipeline self-check missing: $check" >&2
-        cat "$pipeline_log" >&2
-        exit 1
-    }
-done
-if grep -q "FAILED" "$pipeline_log"; then
-    echo "ci.sh: pipeline self-check failed" >&2
-    cat "$pipeline_log" >&2
-    exit 1
-fi
+    "pipeline wire check:" "pipeline throughput:"
 grep -Eq '"end_to_end_events_per_sec": [1-9][0-9]*' \
     "$pipeline_out/BENCH_pipeline.json" || {
     echo "ci.sh: BENCH_pipeline.json missing nonzero events/sec" >&2
@@ -264,11 +239,7 @@ for family in tailstats_sketch_bytes_total tailstats_sketch_peak_host_bytes \
         exit 1
     }
 done
-if grep -q "megafleet invariant violated" "$mega_log"; then
-    echo "ci.sh: megafleet self-check failed" >&2
-    cat "$mega_log" >&2
-    exit 1
-fi
+check_log "$mega_log" megafleet
 ablate_log="target/ci-sketchablate.log"
 rm -f "$ablate_log"
 cargo run -q --release -p experiments --bin repro -- \
