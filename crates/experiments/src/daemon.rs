@@ -544,8 +544,9 @@ pub fn ops_table(run: &DaemonRun) -> Table {
 
 impl DaemonRun {
     /// Cross-check the run's own invariants (used by `repro daemon` and
-    /// tests): final-lifetime conservation, and — when nothing was lost
-    /// or shed — full application of every input window.
+    /// tests): final-lifetime conservation, and — when nothing was lost,
+    /// shed, quarantined or rejected — full application of every input
+    /// window.
     pub fn check(&self) -> Result<(), String> {
         if !self.stats.conservation_holds(0) {
             return Err(format!(
@@ -558,6 +559,7 @@ impl DaemonRun {
             && self.stats.quarantined == 0
             && self.stats.shed_overload == 0
             && self.stats.shed_dark == 0
+            && self.stats.rejected == 0
             && self.recovery.lifetimes == 1
         {
             let expect = self.stats.admitted;

@@ -136,6 +136,16 @@ impl IngestRun {
         if self.stats.flood_latched as usize > 0 && self.flood_hosts.is_empty() {
             return Err("flood latched with no flooding host configured".into());
         }
+        // Only a datagram the wire altered can decode into a batch the
+        // daemon rejects as structurally invalid; an encoded batch itself
+        // always fits its week.
+        let altered = self.fault_log.corrupted + self.fault_log.truncated;
+        if altered == 0 && self.run.stats.rejected > 0 {
+            return Err(format!(
+                "{} batches rejected although the wire altered no datagram",
+                self.run.stats.rejected
+            ));
+        }
         self.run.check()
     }
 }
@@ -405,6 +415,46 @@ mod tests {
         assert!(r.stats.dns_novel < r.stats.dns_queries);
         assert!(r.dns_distinct_total >= corpus.n_users() as u64);
         assert!(r.dns_distinct_total <= (corpus.n_users() * DNS_NAME_POOL.len()) as u64 * 2);
+    }
+
+    /// A corrupted datagram can decode into a well-formed batch whose
+    /// windows overrun the week (seen once in 13595 batches at 1000
+    /// hosts, severity 0.2). The daemon rejects it; the run is then not
+    /// clean, so the full-resolution law must not apply. Only an altered
+    /// wire may cause a rejection.
+    #[test]
+    fn rejected_batch_is_not_an_unresolved_one() {
+        let corpus = small_corpus();
+        let scenario = IngestScenario::default();
+        let mut batches = daemon::build_batches(&corpus, &scenario.daemon);
+        let last_seq = batches.iter().filter(|b| b.host == 0).map(|b| b.seq).max();
+        let n_windows = scenario.daemon.daemon.n_windows;
+        batches.push(WindowBatch {
+            host: 0,
+            seq: last_seq.unwrap_or(0) + 1,
+            week: Week::Test,
+            start: n_windows - 1,
+            counts: vec![1, 1],
+            poison: false,
+        });
+        let dir = daemon::unique_run_dir("ingest-mod-reject");
+        let run = daemon::run(&dir, &scenario.daemon, &batches, &[]).expect("daemon run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(run.stats.rejected, 1);
+        run.check().expect("a rejected batch is resolved, not lost");
+
+        let mut r = IngestRun {
+            stats: IngestStats::default(),
+            fault_log: DatagramFaultLog::default(),
+            accepted_batches: batches.len() as u64,
+            flood_hosts: Vec::new(),
+            dns_distinct_total: 0,
+            run,
+        };
+        let err = r.check().expect_err("a clean wire rejects nothing");
+        assert!(err.contains("altered no datagram"), "{err}");
+        r.fault_log.corrupted = 1;
+        r.check().expect("a corrupted datagram may be rejected");
     }
 
     #[test]

@@ -30,6 +30,10 @@ pub(crate) struct StopAndWait<'a> {
     cursor: BTreeMap<u32, usize>,
     /// Hosts whose current batch is queued or admitted but not completed.
     in_flight: BTreeSet<u32>,
+    /// Hosts with a batch left and none in flight: the only hosts
+    /// [`feed`](Self::feed) visits, so a round costs the idle hosts, not
+    /// the whole fleet.
+    idle: BTreeSet<u32>,
     /// Refused delivery attempts per in-flight batch.
     attempts: BTreeMap<(u32, u64), u32>,
     /// Batches the target reported complete.
@@ -55,6 +59,7 @@ impl<'a> StopAndWait<'a> {
             by_host,
             cursor: BTreeMap::new(),
             in_flight: BTreeSet::new(),
+            idle: BTreeSet::new(),
             attempts: BTreeMap::new(),
             completed: BTreeSet::new(),
             lost: BTreeSet::new(),
@@ -77,6 +82,26 @@ impl<'a> StopAndWait<'a> {
             .collect();
         self.in_flight.clear();
         self.attempts.clear();
+        self.idle = self
+            .cursor
+            .iter()
+            .filter(|&(h, &idx)| idx < self.by_host[h].len())
+            .map(|(&h, _)| h)
+            .collect();
+    }
+
+    /// Re-derive whether `host` is idle after its cursor or in-flight
+    /// state changed.
+    fn settle(&mut self, host: u32) {
+        let pending = match (self.cursor.get(&host), self.by_host.get(&host)) {
+            (Some(&idx), Some(list)) => idx < list.len(),
+            _ => false,
+        };
+        if pending && !self.in_flight.contains(&host) {
+            self.idle.insert(host);
+        } else {
+            self.idle.remove(&host);
+        }
     }
 
     /// Forget every completion, so the next lifetime redrives each host
@@ -89,17 +114,20 @@ impl<'a> StopAndWait<'a> {
     /// Returns whether the host side is quiescent: every batch has a
     /// terminal outcome and nothing is in flight or queued.
     pub(crate) fn feed(&mut self, hold: impl Fn(&WindowBatch) -> bool) -> bool {
-        let mut work_left = false;
-        for (&host, &idx) in &self.cursor {
-            let Some(&b) = self.by_host[&host].get(idx) else {
+        let mut offered = Vec::new();
+        for host in &self.idle {
+            let Some(&b) = self.by_host[host].get(self.cursor[host]) else {
                 continue;
             };
-            work_left = true;
-            if !hold(b) && !self.in_flight.contains(&host) && self.queue.offer(b.clone()) {
-                self.in_flight.insert(host);
+            if !hold(b) && self.queue.offer(b.clone()) {
+                offered.push(*host);
             }
         }
-        !work_left && self.in_flight.is_empty() && self.queue.is_empty()
+        for host in offered {
+            self.idle.remove(&host);
+            self.in_flight.insert(host);
+        }
+        self.idle.is_empty() && self.in_flight.is_empty() && self.queue.is_empty()
     }
 
     /// Push every due batch at `sink`; a `false` is a refused attempt.
@@ -116,6 +144,7 @@ impl<'a> StopAndWait<'a> {
         });
         let max_attempts = self.config.max_attempts;
         let (lost, cursor, in_flight) = (&mut self.lost, &mut self.cursor, &mut self.in_flight);
+        let mut moved = Vec::new();
         self.attempts.retain(|&(host, seq), &mut n| {
             if n < max_attempts {
                 return true;
@@ -125,8 +154,12 @@ impl<'a> StopAndWait<'a> {
                 *idx += 1;
             }
             in_flight.remove(&host);
+            moved.push(host);
             false
         });
+        for host in moved {
+            self.settle(host);
+        }
     }
 
     /// Record the target's completion of `(host, seq)`; when it is the
@@ -139,6 +172,7 @@ impl<'a> StopAndWait<'a> {
             if list.get(*idx).is_some_and(|b| b.seq == seq) {
                 *idx += 1;
                 self.in_flight.remove(&host);
+                self.settle(host);
             }
         }
     }
@@ -161,6 +195,7 @@ impl<'a> StopAndWait<'a> {
             if let Some(idx) = self.cursor.get_mut(host) {
                 *idx = first_pending(&self.by_host[host], &self.completed, &self.lost);
             }
+            self.settle(*host);
         }
     }
 

@@ -706,6 +706,7 @@ impl Cluster {
 
         let mut recovery = ClusterRecovery::default();
         let (snap, discarded) = snapshot::load_newest::<ClusterSnapshot>(dir)?;
+        let snap = snap.map(|(img, _)| img);
         recovery.snapshots_discarded = discarded;
         let mut next_snap_seq = 1;
         let mut assign = match &snap {
@@ -1486,7 +1487,7 @@ mod tests {
             .collect();
         assert_eq!(listed, vec![3, 2], "strays listed or a real image pruned");
         let (loaded, discarded) = snapshot::load_newest::<ClusterSnapshot>(&dir).expect("load");
-        assert_eq!(loaded.map(|s| s.seq), Some(3));
+        assert_eq!(loaded.map(|(s, _)| s.seq), Some(3));
         assert_eq!(discarded, 0);
         for name in strays {
             assert!(dir.join(name).exists(), "{name} must not be deleted");

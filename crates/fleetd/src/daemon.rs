@@ -51,7 +51,9 @@ pub struct DaemonConfig {
     pub n_windows: u32,
     /// Quantile for per-host live thresholds.
     pub threshold_q: f64,
-    /// Write a snapshot after at least this many applied batches.
+    /// Floor on snapshot cadence: a tick takes an image only after at
+    /// least this many applied batches, and only once the WAL is at least
+    /// as long as the last installed image (see [`Daemon::tick`]).
     pub snapshot_every: u64,
     /// Per-shard queue sizing and shedding.
     pub queue: QueueConfig,
@@ -171,6 +173,9 @@ pub struct DaemonStats {
     pub breaker_trips: u64,
     /// Snapshots successfully installed.
     pub snapshots_written: u64,
+    /// Bytes of the snapshot images installed (a pure function of the
+    /// state each image holds).
+    pub snapshot_bytes: u64,
     /// Test batches refused at the canary barrier because their windows
     /// extend past the in-flight candidate's soak end; the source retries
     /// them after the promote/rollback decision.
@@ -242,6 +247,9 @@ pub struct Daemon {
     tick: u64,
     next_snapshot_seq: u64,
     applied_since_snapshot: u64,
+    /// Byte length of the last installed image (0 before the first): a
+    /// tick snapshots only once the WAL has grown at least this long.
+    last_image_bytes: u64,
     stats: DaemonStats,
     completions: Vec<Completion>,
     epoch: EpochState,
@@ -411,7 +419,7 @@ impl Daemon {
         std::fs::create_dir_all(dir)?;
 
         let mut report = RecoveryReport::default();
-        let (snap, discarded) = snapshot::load_latest(dir)?;
+        let (snap, discarded) = snapshot::load_newest::<snapshot::Snapshot>(dir)?;
         report.snapshots_discarded = discarded;
 
         let mut shards: Vec<Shard> = (0..cfg.n_shards)
@@ -426,7 +434,8 @@ impl Daemon {
         let mut next_snapshot_seq = 1;
         let mut epoch = EpochState::default();
         let mut drained: BTreeSet<u32> = BTreeSet::new();
-        if let Some(snap) = snap {
+        let mut last_image_bytes = 0;
+        if let Some((snap, image_bytes)) = snap {
             if snap.n_windows != cfg.n_windows {
                 return Err(DaemonError::Config(
                     "snapshot was written with a different n_windows",
@@ -434,6 +443,7 @@ impl Daemon {
             }
             report.snapshot_seq = Some(snap.seq);
             next_snapshot_seq = snap.seq + 1;
+            last_image_bytes = image_bytes;
             epoch = snap.epoch;
             drained = snap.drained.into_iter().collect();
             for (host, st) in snap.hosts {
@@ -534,10 +544,13 @@ impl Daemon {
             shards,
             tick: 0,
             next_snapshot_seq,
-            // Count the replayed backlog toward the next snapshot so a
-            // crash loop cannot grow the WAL without bound: recovery with
-            // a long tail snapshots soon after restart.
+            // Count the replayed backlog toward the next snapshot, and
+            // keep the replayed log and the loaded image's length, so the
+            // cadence rule reads the same state it would have read had
+            // the process not restarted: a crash loop cannot grow the WAL
+            // without bound.
             applied_since_snapshot: report.wal_replayed,
+            last_image_bytes,
             stats: DaemonStats::default(),
             completions: Vec::new(),
             epoch,
@@ -605,7 +618,16 @@ impl Daemon {
     }
 
     /// Advance the virtual clock one tick: each running shard worker
-    /// processes up to its quantum of batches. Returns
+    /// processes up to its quantum of batches.
+    ///
+    /// A tick that applied a batch ends with a snapshot when at least
+    /// [`DaemonConfig::snapshot_every`] batches were applied since the
+    /// last image *and* the WAL is at least as long as that image — Raft's
+    /// log-compaction rule (Ongaro & Ousterhout, USENIX ATC 2014, §7).
+    /// Each image byte is then paid for by at least one WAL byte, so
+    /// checkpoint work stays linear in applied work, and a recovery
+    /// replays at most the larger of one image and `snapshot_every`
+    /// batches, plus one tick's batches, of log. Returns
     /// [`DaemonError::Killed`] when the kill switch fires — the caller
     /// must then drop this instance and recover via [`Daemon::open`].
     pub fn tick(&mut self, kill: &mut KillSwitch) -> Result<(), DaemonError> {
@@ -619,7 +641,7 @@ impl Daemon {
         };
         let sup = self.cfg.supervisor;
         let canary = effective_canary(&self.cfg);
-        let mut need_snapshot = false;
+        let mut applied_this_tick = false;
 
         // A soak that completed during replay (the deciding record was
         // lost to a torn write, or the daemon died right before deciding)
@@ -675,9 +697,7 @@ impl Daemon {
                         shard.worker.note_success();
                         self.stats.applied += 1;
                         self.applied_since_snapshot += 1;
-                        if self.applied_since_snapshot >= self.cfg.snapshot_every {
-                            need_snapshot = true;
-                        }
+                        applied_this_tick = true;
                         if kill.after_batch_applied() {
                             // Die with the ack suppressed: the batch is
                             // durable but the source never hears so, and
@@ -772,7 +792,10 @@ impl Daemon {
         if self.soak_ready() {
             self.decide_rollout(kill)?;
         }
-        if need_snapshot {
+        if applied_this_tick
+            && self.applied_since_snapshot >= self.cfg.snapshot_every
+            && self.wal.len() >= self.last_image_bytes
+        {
             self.write_snapshot()?;
         }
         Ok(())
@@ -1168,11 +1191,13 @@ impl Daemon {
             epoch: &self.epoch,
             drained: &drained,
         };
-        snapshot::write_image(&self.dir, &view)?;
+        let image_bytes = snapshot::write_image(&self.dir, &view)?;
         self.wal.reset()?;
         self.next_snapshot_seq += 1;
         self.applied_since_snapshot = 0;
+        self.last_image_bytes = image_bytes;
         self.stats.snapshots_written += 1;
+        self.stats.snapshot_bytes += image_bytes;
         self.events.push(
             "fleetd.snapshot",
             "written",
@@ -1245,7 +1270,7 @@ impl Daemon {
         &self.events
     }
 
-    /// Checkpoint now, regardless of `snapshot_every` (the operator's
+    /// Checkpoint now, regardless of the cadence rule (the operator's
     /// pre-maintenance "make recovery cheap" lever; drains make this
     /// useful — a drained fleet checkpoints small).
     pub fn force_snapshot(&mut self) -> Result<(), DaemonError> {
@@ -1305,6 +1330,11 @@ impl Daemon {
             &[],
             self.stats.snapshots_written,
         );
+        reg.register_counter(
+            "fleetd_snapshot_bytes_total",
+            "Bytes of snapshot images installed",
+        );
+        reg.counter_add("fleetd_snapshot_bytes_total", &[], self.stats.snapshot_bytes);
 
         reg.register_gauge("fleetd_queue_depth", "Batches currently queued, fleet-wide");
         reg.gauge_set("fleetd_queue_depth", &[], self.queued_total() as i64);
@@ -1670,6 +1700,195 @@ mod tests {
             .map(|(h, s)| (h, s.clone()))
             .collect();
         assert_eq!(recovered, reference);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Cadence-test config: 4 shards, one batch per shard per tick, so a
+    /// tick applies at most 4 batches, half of `snapshot_every`.
+    fn cadence_cfg() -> DaemonConfig {
+        DaemonConfig {
+            n_shards: 4,
+            n_windows: 96,
+            snapshot_every: 8,
+            queue: QueueConfig {
+                capacity: 64,
+                high: 48,
+                low: 16,
+                shed_after: 100_000,
+                quantum: 1,
+            },
+            ..small_cfg()
+        }
+    }
+
+    /// 24 hosts × two weeks of 8-window batches, in delivery rounds:
+    /// round `r` holds every host's `r`-th batch.
+    fn cadence_rounds() -> Vec<Vec<WindowBatch>> {
+        (0..24u32)
+            .map(|r| {
+                let (week, start) = if r < 12 {
+                    (Week::Train, r * 8)
+                } else {
+                    (Week::Test, (r - 12) * 8)
+                };
+                (0..24u32)
+                    .map(|h| {
+                        let counts: Vec<u64> = (0..8u32)
+                            .map(|i| u64::from((h * 31 + r * 7 + i * 13) % 50))
+                            .collect();
+                        b(h, u64::from(r) + 1, week, start, &counts)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Replay bound of the cadence rule: a snapshot is due at the end of
+    /// every tick once the WAL holds `snapshot_every` batches and one
+    /// image's worth of bytes, so a WAL found at recovery is at most the
+    /// larger of the two plus one tick's batches.
+    fn replay_bound(cfg: &DaemonConfig, image_bytes: u64) -> u64 {
+        let frame = cadence_rounds()
+            .iter()
+            .flatten()
+            .map(|b| crate::wal::frame_batch(b).len() as u64)
+            .max()
+            .unwrap_or(0);
+        let per_tick = (cfg.n_shards * cfg.queue.quantum) as u64;
+        image_bytes.max(cfg.snapshot_every * frame) + per_tick * frame
+    }
+
+    fn newest_image_bytes(dir: &Path) -> u64 {
+        crate::snapshot::list_snapshots(dir)
+            .unwrap()
+            .first()
+            .map_or(0, |(_, p)| std::fs::metadata(p).unwrap().len())
+    }
+
+    /// Offer `round` and tick until it drains or the kill switch fires.
+    /// Returns the applied-batch meter after each tick that installed a
+    /// snapshot.
+    fn run_round(
+        d: &mut Daemon,
+        kill: &mut KillSwitch,
+        round: &[WindowBatch],
+    ) -> Result<Vec<u64>, DaemonError> {
+        for batch in round {
+            assert_ne!(d.offer(batch.clone()), Admit::Overflow);
+        }
+        let mut snapshot_ticks = Vec::new();
+        while d.queued_total() > 0 {
+            let before = d.stats().snapshots_written;
+            d.tick(kill)?;
+            if d.stats().snapshots_written > before {
+                snapshot_ticks.push(kill.applied_batches());
+            }
+        }
+        Ok(snapshot_ticks)
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_paid_for_by_wal_bytes_and_replay_is_bounded() {
+        let cfg = cadence_cfg();
+        let dir = tmpdir("cadence");
+        let (mut d, _) = Daemon::open(&dir, cfg).unwrap();
+        let mut kill = KillSwitch::none();
+        let mut snapshot_ticks = Vec::new();
+        for round in cadence_rounds() {
+            snapshot_ticks.extend(run_round(&mut d, &mut kill, &round).unwrap());
+        }
+        let stats = *d.stats();
+        assert_eq!(stats.applied, 24 * 24);
+        let largest = newest_image_bytes(&dir);
+        assert!(stats.snapshots_written >= 3, "{stats:?}");
+        // The floor alone would have taken one image per 8 batches (72).
+        assert!(stats.snapshots_written <= 10, "{stats:?}");
+        assert!(
+            stats.snapshot_bytes <= kill.wal_bytes() + largest,
+            "images {} > WAL {} + largest image {largest}",
+            stats.snapshot_bytes,
+            kill.wal_bytes()
+        );
+        let reference: Vec<_> = d.hosts().into_iter().map(|(h, s)| (h, s.clone())).collect();
+        drop(d);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Die at the worst point: after the last batch of a tick that was
+        // about to snapshot, with the WAL at its longest.
+        assert_eq!(snapshot_ticks.len() as u64, stats.snapshots_written);
+        for &at in &snapshot_ticks {
+            let dir = tmpdir("cadence-kill");
+            let mut kill = KillSwitch::armed(faultsim::KillPoint::AfterBatches(at));
+            let (mut d, _) = Daemon::open(&dir, cfg).unwrap();
+            let mut rounds = cadence_rounds().into_iter();
+            let died = rounds.by_ref().any(|round| {
+                matches!(
+                    run_round(&mut d, &mut kill, &round),
+                    Err(DaemonError::Killed)
+                )
+            });
+            assert!(died, "kill after {at} batches never fired");
+            drop(d);
+            let (mut d, rec) = Daemon::open(&dir, cfg).unwrap();
+            assert!(rec.wal_replayed > 0);
+            let bound = replay_bound(&cfg, newest_image_bytes(&dir));
+            assert!(
+                d.wal_len() <= bound,
+                "replayed {} > bound {bound}",
+                d.wal_len()
+            );
+            // Redeliver everything: recovery converges to the reference.
+            let mut kill = KillSwitch::none();
+            for round in cadence_rounds() {
+                run_round(&mut d, &mut kill, &round).unwrap();
+            }
+            let hosts: Vec<_> = d.hosts().into_iter().map(|(h, s)| (h, s.clone())).collect();
+            assert_eq!(hosts, reference);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn crash_loop_cannot_grow_the_wal_without_bound() {
+        // Every lifetime dies after 6 applied batches: past its first tick
+        // (at most 4), but short of `snapshot_every` (8). Only the
+        // replayed backlog and the loaded image's length, carried across
+        // the restart, let the cadence rule fire at all.
+        let cfg = cadence_cfg();
+        let dir = tmpdir("crashloop");
+        let rounds = cadence_rounds();
+        let mut kill = KillSwitch::none();
+        let (mut next, mut lifetimes, mut image_bytes) = (0, 0u64, 0u64);
+        let mut largest = 0u64;
+        while next < rounds.len() {
+            lifetimes += 1;
+            assert!(lifetimes < 1_000, "crash loop made no progress");
+            let (mut d, _) = Daemon::open(&dir, cfg).unwrap();
+            let bound = replay_bound(&cfg, newest_image_bytes(&dir));
+            assert!(
+                d.wal_len() <= bound,
+                "lifetime {lifetimes}: WAL {} > bound {bound}",
+                d.wal_len()
+            );
+            kill.rearm(Some(faultsim::KillPoint::AfterBatches(
+                kill.applied_batches() + 6,
+            )));
+            while next < rounds.len() {
+                match run_round(&mut d, &mut kill, &rounds[next]) {
+                    Ok(_) => next += 1,
+                    Err(DaemonError::Killed) => break,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            image_bytes += d.stats().snapshot_bytes;
+            largest = largest.max(newest_image_bytes(&dir));
+        }
+        assert!(lifetimes > 50, "only {lifetimes} lifetimes");
+        assert!(
+            image_bytes <= kill.wal_bytes() + largest,
+            "images {image_bytes} > WAL {} + largest image {largest}",
+            kill.wal_bytes()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -367,26 +367,28 @@ pub fn list_images<I: EncodeImage>(dir: &Path) -> std::io::Result<Vec<(u64, Path
 }
 
 /// Atomically install `img` in `dir` (tmp + rename), then prune so only
-/// the two newest images of its kind remain. Returns the installed path.
-pub fn write_image<I: EncodeImage>(dir: &Path, img: &I) -> std::io::Result<PathBuf> {
+/// the two newest images of its kind remain. Returns the installed
+/// image's length in bytes.
+pub fn write_image<I: EncodeImage>(dir: &Path, img: &I) -> std::io::Result<u64> {
     let tmp = dir.join(format!("{}.tmp", I::PREFIX));
-    fs::write(&tmp, encode_image(img))?;
-    let path = dir.join(image_filename::<I>(img.seq()));
-    fs::rename(&tmp, &path)?;
+    let bytes = encode_image(img);
+    fs::write(&tmp, &bytes)?;
+    fs::rename(&tmp, dir.join(image_filename::<I>(img.seq())))?;
     for (_, old_path) in list_images::<I>(dir)?.into_iter().skip(2) {
         fs::remove_file(old_path)?;
     }
-    Ok(path)
+    Ok(bytes.len() as u64)
 }
 
-/// Load the newest image of kind `I` in `dir` that verifies, counting how
-/// many newer-but-damaged images were skipped. `Ok(None)` means no image
-/// exists at all (cold start).
-pub fn load_newest<I: Image>(dir: &Path) -> std::io::Result<(Option<I>, u32)> {
+/// Load the newest image of kind `I` in `dir` that verifies, with its
+/// length in bytes, counting how many newer-but-damaged images were
+/// skipped. `Ok(None)` means no image exists at all (cold start).
+pub fn load_newest<I: Image>(dir: &Path) -> std::io::Result<(Option<(I, u64)>, u32)> {
     let mut discarded = 0u32;
     for (_, path) in list_images::<I>(dir)? {
-        match decode_image(&fs::read(&path)?) {
-            Ok(img) => return Ok((Some(img), discarded)),
+        let bytes = fs::read(&path)?;
+        match decode_image(&bytes) {
+            Ok(img) => return Ok((Some((img, bytes.len() as u64)), discarded)),
             Err(_) => discarded += 1,
         }
     }
@@ -401,7 +403,8 @@ pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 /// Load the newest daemon snapshot in `dir` that verifies (see
 /// [`load_newest`]).
 pub fn load_latest(dir: &Path) -> std::io::Result<(Option<Snapshot>, u32)> {
-    load_newest(dir)
+    let (snap, discarded) = load_newest(dir)?;
+    Ok((snap.map(|(img, _)| img), discarded))
 }
 
 #[cfg(test)]

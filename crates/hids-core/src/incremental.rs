@@ -7,11 +7,15 @@
 //! interrupted by crashes and restarts. This module provides the state
 //! object that makes streaming accumulation equivalent to the batch path:
 //!
-//! * [`WindowAccumulator`] — a sparse, ordered `window → count` map with
+//! * [`WindowAccumulator`] — a sparse, ordered `window → count` run with
 //!   idempotent [`insert`](WindowAccumulator::insert) (a window observed
 //!   twice — e.g. replayed from a write-ahead log after an unacknowledged
 //!   delivery — keeps its first value) and commutative-per-window
-//!   [`merge`](WindowAccumulator::merge);
+//!   [`merge`](WindowAccumulator::merge). It is one flat `Vec` sorted by
+//!   window, not a tree: windows arrive in order, so an insert is a push,
+//!   and a host's week is one allocation to build, encode and free. The
+//!   ordered-map body it replaced is kept as [`oracle::WindowAccumulator`]
+//!   and held equal to it by a property test;
 //! * [`degraded_dataset`] — assembles per-host train/test accumulators
 //!   into a [`DegradedDataset`], so whatever subset of windows survived
 //!   crashes, shedding and quarantine is evaluated with the exact coverage
@@ -22,20 +26,19 @@
 //! [`DegradedDataset::from_masked_series`] with full masks bit-for-bit,
 //! and therefore (at a zero coverage floor) the clean batch evaluation.
 
-use std::collections::BTreeMap;
-
 use flowtab::FeatureKind;
 use tailstats::{EmpiricalDist, KllSketch, QuantileSource};
 
 use crate::degraded::{DegradedDataset, DegradedError};
 
 /// A sparse accumulator of per-window feature counts for one host and one
-/// week. Windows are keyed by index; iteration order is always ascending,
-/// so everything derived from an accumulator is deterministic regardless
-/// of arrival order.
+/// week. Windows are kept as one flat run of `(window, count)` pairs sorted
+/// by window index, so iteration order is always ascending and everything
+/// derived from an accumulator is deterministic regardless of arrival
+/// order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowAccumulator {
-    windows: BTreeMap<u32, u64>,
+    windows: Vec<(u32, u64)>,
 }
 
 impl WindowAccumulator {
@@ -46,15 +49,24 @@ impl WindowAccumulator {
 
     /// Record one window's count. Returns `true` when the window was new;
     /// a window already present keeps its original value (idempotent
-    /// re-apply, the property crash-recovery replay relies on).
+    /// re-apply, the property crash-recovery replay relies on). O(1) when
+    /// `window` is past every recorded window, otherwise a binary search
+    /// plus a shift.
     pub fn insert(&mut self, window: u32, count: u64) -> bool {
-        use std::collections::btree_map::Entry;
-        match self.windows.entry(window) {
-            Entry::Vacant(v) => {
-                v.insert(count);
+        match self.windows.last() {
+            Some(&(last, _)) if window <= last => {
+                match self.windows.binary_search_by_key(&window, |&(w, _)| w) {
+                    Ok(_) => false,
+                    Err(i) => {
+                        self.windows.insert(i, (window, count));
+                        true
+                    }
+                }
+            }
+            _ => {
+                self.windows.push((window, count));
                 true
             }
-            Entry::Occupied(_) => false,
         }
     }
 
@@ -62,7 +74,7 @@ impl WindowAccumulator {
     /// For windows present on both sides, `self` wins — consistent with
     /// [`insert`](WindowAccumulator::insert)'s first-write-wins rule.
     pub fn merge(&mut self, other: &Self) {
-        for (&w, &c) in &other.windows {
+        for &(w, c) in &other.windows {
             self.insert(w, c);
         }
     }
@@ -91,7 +103,7 @@ impl WindowAccumulator {
     /// The coverage mask over an `n_windows`-wide week.
     pub fn mask(&self, n_windows: usize) -> Vec<bool> {
         let mut m = vec![false; n_windows];
-        for &w in self.windows.keys() {
+        for &(w, _) in &self.windows {
             if let Some(slot) = m.get_mut(w as usize) {
                 *slot = true;
             }
@@ -102,12 +114,12 @@ impl WindowAccumulator {
     /// Recorded counts in ascending window order (the covered-window
     /// count vector degraded evaluation consumes).
     pub fn counts(&self) -> Vec<u64> {
-        self.windows.values().copied().collect()
+        self.windows.iter().map(|&(_, c)| c).collect()
     }
 
     /// Recorded `(window, count)` pairs in ascending window order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.windows.iter().map(|(&w, &c)| (w, c))
+        self.windows.iter().copied()
     }
 
     /// Rebuild from `(window, count)` pairs (snapshot load). Duplicate
@@ -127,6 +139,105 @@ impl WindowAccumulator {
             None
         } else {
             Some(EmpiricalDist::from_counts(&self.counts()))
+        }
+    }
+}
+
+/// The ordered-map body [`WindowAccumulator`] had before it became a
+/// flat sorted run, retained as a differential-test oracle. Nothing here
+/// runs on the hot path.
+pub mod oracle {
+    use std::collections::BTreeMap;
+
+    use tailstats::EmpiricalDist;
+
+    /// [`super::WindowAccumulator`] over a `BTreeMap<u32, u64>`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct WindowAccumulator {
+        windows: BTreeMap<u32, u64>,
+    }
+
+    impl WindowAccumulator {
+        /// An empty accumulator.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// First-write-wins insert; `true` when the window was new.
+        pub fn insert(&mut self, window: u32, count: u64) -> bool {
+            use std::collections::btree_map::Entry;
+            match self.windows.entry(window) {
+                Entry::Vacant(v) => {
+                    v.insert(count);
+                    true
+                }
+                Entry::Occupied(_) => false,
+            }
+        }
+
+        /// Merge `other` in; `self` wins on shared windows.
+        pub fn merge(&mut self, other: &Self) {
+            for (&w, &c) in &other.windows {
+                self.insert(w, c);
+            }
+        }
+
+        /// Number of windows recorded.
+        pub fn len(&self) -> usize {
+            self.windows.len()
+        }
+
+        /// Whether nothing has been recorded.
+        pub fn is_empty(&self) -> bool {
+            self.windows.is_empty()
+        }
+
+        /// Fraction of an `n_windows`-wide week that has been recorded.
+        pub fn coverage(&self, n_windows: usize) -> f64 {
+            if n_windows == 0 {
+                1.0
+            } else {
+                self.windows.len().min(n_windows) as f64 / n_windows as f64
+            }
+        }
+
+        /// The coverage mask over an `n_windows`-wide week.
+        pub fn mask(&self, n_windows: usize) -> Vec<bool> {
+            let mut m = vec![false; n_windows];
+            for &w in self.windows.keys() {
+                if let Some(slot) = m.get_mut(w as usize) {
+                    *slot = true;
+                }
+            }
+            m
+        }
+
+        /// Recorded counts in ascending window order.
+        pub fn counts(&self) -> Vec<u64> {
+            self.windows.values().copied().collect()
+        }
+
+        /// Recorded `(window, count)` pairs in ascending window order.
+        pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+            self.windows.iter().map(|(&w, &c)| (w, c))
+        }
+
+        /// Rebuild from pairs; duplicate windows keep the first occurrence.
+        pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
+            let mut acc = Self::new();
+            for (w, c) in pairs {
+                acc.insert(w, c);
+            }
+            acc
+        }
+
+        /// Empirical distribution over the recorded windows.
+        pub fn dist(&self) -> Option<EmpiricalDist> {
+            if self.windows.is_empty() {
+                None
+            } else {
+                Some(EmpiricalDist::from_counts(&self.counts()))
+            }
         }
     }
 }

@@ -44,7 +44,11 @@
 # degradation, DNS case-folding, and parser totality (pinned hostile
 # corpus + property suites). The `repro ingest` smoke re-runs the
 # identity self-check and a seeded flood at a fixed severity, with the
-# ingest_* metric families asserted present in the exported snapshot.
+# ingest_* metric families asserted present in the exported snapshot. A
+# second `repro ingest` run at 1000 hosts holds the same self-checks at the
+# scale where checkpoint cost used to grow quadratically with the fleet
+# (fleetd now checkpoints on log volume, DESIGN.md §9) and where a
+# fault-corrupted datagram once decoded into a batch the daemon rejects.
 #
 # The control-plane stages are the operator-surface gate: the root
 # `tests/control.rs` suite asserts reject-and-keep-old reloads, the two
@@ -178,6 +182,12 @@ for family in ingest_datagrams_total ingest_malformed_total \
     }
 done
 check_log "$ingest_log" ingest \
+    "ingest identity check: severity-0 hosts CSV identical" "ingest flood check:"
+ingest_scale_log="target/ci-ingest-1000.log"
+rm -f "$ingest_scale_log"
+cargo run -q --release -p experiments --bin repro -- \
+    --users 1000 --weeks 2 ingest 2> "$ingest_scale_log" > /dev/null
+check_log "$ingest_scale_log" "ingest (1000 hosts)" \
     "ingest identity check: severity-0 hosts CSV identical" "ingest flood check:"
 control_metrics="target/ci-control.prom"
 control_log="target/ci-control.log"
