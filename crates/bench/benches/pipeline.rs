@@ -8,7 +8,8 @@
 //! decoded into flows, folded into per-window features, shipped over the
 //! hardened syslog/CEF wire (hostile envelope, so the sanitizer's
 //! rebuild path runs for real) and swept through the grouping policies.
-//! `repro pipeline` records the same figure in `BENCH_pipeline.json`.
+//! `repro pipeline` prints the same figure on its `pipeline throughput:`
+//! stderr line.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

@@ -6,8 +6,8 @@
 //! runs `all`.
 //!
 //! Prints each artifact as an aligned table and, when `--out` is given,
-//! writes the underlying data as CSV for external plotting plus a
-//! `BENCH_repro.json` with per-experiment wall-clock timings.
+//! writes the underlying data as CSV for external plotting. Each
+//! experiment's wall-clock time goes to stderr as a `[timing]` line.
 //!
 //! `--threads N` (or the `REPRO_THREADS` env var) pins the worker-thread
 //! count of the parallel evaluation engine; output is identical at any
@@ -73,7 +73,7 @@ fn usage() -> String {
      (--ingest-rate/--ingest-burst tune the per-source token bucket);\n\
      pipeline (run only when named; not part of `all`) renders synthetic weeks to real pcap and\n\
      drives them end to end — pcap → lossy decode → sanitize → features → threshold sweep — with\n\
-     per-stage timings and identity checks, recording BENCH_pipeline.json under --out;\n\
+     per-stage timings and identity checks;\n\
      scale experiments (run only when named; not part of `all`): megafleet sketchablate cluster\n\
      megafleet streams --users hosts through bounded-memory rank sketches (--sketch-eps, default 0.01);\n\
      sketchablate quantifies sketch-vs-exact error on the corpus;\n\
@@ -298,91 +298,6 @@ fn write_metrics(path: &PathBuf, metrics: &mut hids_metrics::Registry) {
     }
 }
 
-/// `BENCH_megafleet.json`: wall time plus the bounded-memory evidence.
-fn megafleet_json(args: &Args, r: &megafleet::MegafleetResult, secs: f64) -> String {
-    format!(
-        "{{\n  \"users\": {},\n  \"sketch_eps\": {},\n  \"threads\": {},\n  \"wall_secs\": {:.3},\n  \
-         \"peak_host_state_bytes\": {},\n  \"total_sketch_bytes\": {},\n  \"total_compactions\": {},\n  \
-         \"max_rank_error_ppm\": {},\n  \"mean_utility\": {:.6},\n  \"hosts_csv_fnv64\": \"{:016x}\"\n}}\n",
-        args.users,
-        args.sketch_eps,
-        hids_core::current_threads(),
-        secs,
-        r.peak_host_state_bytes,
-        r.total_sketch_bytes,
-        r.total_compactions,
-        r.max_rank_error_ppm,
-        r.mean_utility,
-        r.hosts_csv_hash(),
-    )
-}
-
-/// `BENCH_ingest.json`: decode throughput plus the conservation evidence.
-fn ingest_json(
-    args: &Args,
-    clean: &experiments::ingest::IngestRun,
-    faulted: &experiments::ingest::IngestRun,
-    events_per_sec: f64,
-    sanitize_dirty_bytes_per_sec: f64,
-    sanitize_dirty_ns_per_line: f64,
-) -> String {
-    format!(
-        "{{\n  \"users\": {},\n  \"ingest_rate\": {},\n  \"ingest_burst\": {},\n  \
-         \"fault_severity\": {},\n  \"threads\": {},\n  \"decode_events_per_sec_core\": {:.0},\n  \
-         \"sanitize_dirty_bytes_per_sec_core\": {:.0},\n  \
-         \"sanitize_dirty_ns_per_line\": {:.0},\n  \
-         \"clean\": {{ \"received\": {}, \"accepted\": {}, \"shed\": {}, \"malformed\": {} }},\n  \
-         \"faulted\": {{ \"received\": {}, \"accepted\": {}, \"shed\": {}, \"malformed\": {}, \
-         \"flood_latched\": {} }}\n}}\n",
-        args.users,
-        args.ingest_rate,
-        args.ingest_burst,
-        args.fault_severity,
-        hids_core::current_threads(),
-        events_per_sec,
-        sanitize_dirty_bytes_per_sec,
-        sanitize_dirty_ns_per_line,
-        clean.stats.received,
-        clean.stats.accepted,
-        clean.stats.shed,
-        clean.stats.malformed,
-        faulted.stats.received,
-        faulted.stats.accepted,
-        faulted.stats.shed,
-        faulted.stats.malformed,
-        faulted.stats.flood_latched,
-    )
-}
-
-/// `BENCH_pipeline.json`: the first end-to-end pcap→decode→sanitize→
-/// features→sweep figure, with per-stage wall-clock.
-fn pipeline_json(args: &Args, r: &experiments::pipeline::PipelineReport) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"users\": {},\n  \"windows_per_week\": {},\n  \
-         \"threads\": {},\n  \"frames\": {},\n  \"flows\": {},\n  \"pcap_bytes\": {},\n  \
-         \"wire_datagrams\": {},\n  \"wire_bytes\": {},\n  \
-         \"stage_secs\": {{ \"render\": {:.6}, \"capture\": {:.6}, \"features\": {:.6}, \
-         \"wire\": {:.6}, \"sweep\": {:.6} }},\n  \"total_secs\": {:.6},\n  \
-         \"end_to_end_events_per_sec\": {:.0}\n}}\n",
-        args.seed,
-        r.users,
-        r.span,
-        hids_core::current_threads(),
-        r.frames_written,
-        r.flows_rendered,
-        r.bytes_written,
-        r.wire_datagrams,
-        r.wire_bytes,
-        r.secs.render,
-        r.secs.capture,
-        r.secs.features,
-        r.secs.wire,
-        r.secs.sweep,
-        r.secs.total(),
-        r.events_per_sec,
-    )
-}
-
 /// Drive the live admin endpoint over real TCP: open a daemon at `dir`,
 /// bind on `port`, serve from this thread while a client thread issues one
 /// request per probe, and return the `(label, raw response)` pairs.
@@ -451,26 +366,6 @@ fn admin_probe(
     }
 }
 
-/// Serialise the timing ledger as JSON by hand (no serializer dependency).
-fn timings_json(args: &Args, timings: &[(String, f64)], total_secs: f64) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"users\": {},\n  \"weeks\": {},\n  \"seed\": {},\n  \"threads\": {},\n",
-        args.users,
-        args.weeks,
-        args.seed,
-        hids_core::current_threads()
-    ));
-    s.push_str("  \"timings_secs\": {\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        s.push_str(&format!("    \"{name}\": {secs:.3}{comma}\n"));
-    }
-    s.push_str("  },\n");
-    s.push_str(&format!("  \"total_secs\": {total_secs:.3}\n}}\n"));
-    s
-}
-
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -498,7 +393,6 @@ fn main() -> ExitCode {
     // stable key order), so the rendered text is a pure function of the
     // work performed — byte-identical at any --threads setting.
     let mut metrics = hids_metrics::Registry::new();
-    let mut pre_timings: Vec<(String, f64)> = Vec::new();
 
     if named("megafleet") {
         // Streams every host (no corpus materialisation), so it runs
@@ -524,15 +418,10 @@ fn main() -> ExitCode {
             eprintln!("warning: megafleet invariant violated: {e}");
         }
         r.export_metrics(&mut metrics);
-        pre_timings.push(("megafleet".to_string(), secs));
         if let Some(dir) = &args.out {
             let write = || -> std::io::Result<()> {
                 use std::io::Write as _;
                 std::fs::create_dir_all(dir)?;
-                std::fs::write(
-                    dir.join("BENCH_megafleet.json"),
-                    megafleet_json(&args, &r, secs),
-                )?;
                 let mut f = std::io::BufWriter::new(std::fs::File::create(
                     dir.join("megafleet_hosts.csv"),
                 )?);
@@ -598,15 +487,6 @@ fn main() -> ExitCode {
                     }
                     Err(e) => eprintln!("warning: pipeline invariant FAILED: {e}"),
                 }
-                pre_timings.push(("pipeline".to_string(), secs));
-                if let Some(dir) = &args.out {
-                    let json = pipeline_json(&args, &r);
-                    if let Err(e) = std::fs::create_dir_all(dir)
-                        .and_then(|()| std::fs::write(dir.join("BENCH_pipeline.json"), json))
-                    {
-                        eprintln!("warning: failed to write BENCH_pipeline.json: {e}");
-                    }
-                }
                 if args.experiments.iter().all(|e| e == "pipeline") {
                     // Sole experiment: skip corpus generation entirely.
                     if let Some(path) = &args.metrics_out {
@@ -637,10 +517,7 @@ fn main() -> ExitCode {
     let corpus_secs = t0.elapsed().as_secs_f64();
     eprintln!("corpus ready in {corpus_secs:.1}s");
 
-    let mut timings: Vec<(String, f64)> = pre_timings;
-    timings.push(("corpus".to_string(), corpus_secs));
-
-    // Run one experiment under the wall-clock ledger.
+    // Run one experiment, timing it on stderr.
     macro_rules! experiment {
         ($name:literal, $body:block) => {
             experiment!($name, wants($name), $body)
@@ -651,7 +528,6 @@ fn main() -> ExitCode {
                 $body
                 let secs = t.elapsed().as_secs_f64();
                 eprintln!("[timing] {}: {:.2}s", $name, secs);
-                timings.push(($name.to_string(), secs));
             }
         };
     }
@@ -1032,26 +908,6 @@ fn main() -> ExitCode {
             ),
             None => eprintln!("ingest flood check: host {flooded_host} fully dark (no state)"),
         }
-
-        // Throughput: events/sec for one core through the hardened
-        // parser, recorded as a tracked benchmark artifact.
-        let events_per_sec = experiments::ingest::measure_decode_throughput(200_000);
-        eprintln!("ingest decode throughput: {events_per_sec:.0} events/sec/core");
-        let (sanitize_bps, sanitize_ns) =
-            experiments::ingest::measure_sanitize_dirty_throughput(200_000);
-        eprintln!(
-            "ingest sanitize dirty-path throughput: {sanitize_bps:.0} bytes/sec/core \
-             ({sanitize_ns:.0} ns/line)"
-        );
-        if let Some(dir) = &args.out {
-            let json =
-                ingest_json(&args, &clean, &faulted, events_per_sec, sanitize_bps, sanitize_ns);
-            if let Err(e) = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(dir.join("BENCH_ingest.json"), json))
-            {
-                eprintln!("warning: failed to write BENCH_ingest.json: {e}");
-            }
-        }
     });
 
     experiment!("rollout", {
@@ -1416,14 +1272,6 @@ fn main() -> ExitCode {
     }
 
     let total_secs = t0.elapsed().as_secs_f64();
-    if let Some(dir) = &args.out {
-        let json = timings_json(&args, &timings, total_secs);
-        if let Err(e) = std::fs::create_dir_all(dir)
-            .and_then(|()| std::fs::write(dir.join("BENCH_repro.json"), json))
-        {
-            eprintln!("warning: failed to write BENCH_repro.json: {e}");
-        }
-    }
     eprintln!("done in {total_secs:.1}s");
     ExitCode::SUCCESS
 }

@@ -30,17 +30,17 @@ use std::path::Path;
 
 use faultsim::{ClusterKillPoint, LinkFaultLog};
 use fleetd::{
-    Cluster, ClusterConfig, ClusterKillSwitch, ClusterStats, DaemonError, DarkEpisode, HostState,
-    WindowBatch, WireStats,
+    Cluster, ClusterConfig, ClusterKillSwitch, ClusterStats, DarkEpisode, HostState, WindowBatch,
+    WireStats,
 };
 use flowtab::FeatureKind;
 use hids_core::degraded::DegradedEvaluation;
 use hids_metrics::{Registry, RenderOptions};
 use itconsole::{DeliveryConfig, DeliveryStats};
 
-use crate::daemon::{evaluate_hosts, hosts_table_titled, RunError};
+use crate::daemon::{evaluate_hosts, hosts_table_titled, RecoveryTotals, RunError};
 use crate::report::Table;
-use crate::stopwait::StopAndWait;
+use crate::stopwait::{Restarts, StopAndWait};
 
 /// Everything a cluster run needs besides the corpus and a directory.
 #[derive(Debug, Clone)]
@@ -107,14 +107,9 @@ pub struct ClusterRecoveryTotals {
     pub journal_events: u64,
     /// Torn cluster-journal tail bytes tolerated across recoveries.
     pub journal_torn_bytes: u64,
-    /// Node snapshots successfully loaded across recoveries.
-    pub node_snapshots_loaded: u32,
-    /// Damaged node snapshots skipped across recoveries.
-    pub node_snapshots_discarded: u32,
-    /// Node WAL frames replayed into state across recoveries.
-    pub node_wal_replayed: u64,
-    /// Torn node WAL tail bytes truncated across recoveries.
-    pub node_wal_torn_bytes: u64,
+    /// Node daemon recovery reports, summed over nodes and lifetimes (its
+    /// `lifetimes` and `kills` are the process's).
+    pub nodes: RecoveryTotals,
 }
 
 /// The result of driving one cluster scenario to quiescence.
@@ -188,54 +183,27 @@ pub fn run(
         .into_iter()
         .collect();
 
-    let mut node_kills = Vec::new();
-    let mut process_kills = Vec::new();
-    for k in kills {
-        match *k {
-            ClusterKillPoint::Node { node, at_tick } => node_kills.push((node, at_tick)),
-            ClusterKillPoint::Process(p) => process_kills.push(p),
-        }
-    }
-    let mut kill = ClusterKillSwitch::new(node_kills);
-    let mut kill_iter = process_kills.into_iter();
-    kill.process.rearm(kill_iter.next());
-
-    let mut recovery = ClusterRecoveryTotals::default();
+    let mut kill = ClusterKillSwitch::new(kills);
+    // Cluster-journal recovery; the node reports fold into the restart
+    // loop's totals.
+    let mut journal = ClusterRecoveryTotals::default();
     let mut dark_episodes: Vec<DarkEpisode> = Vec::new();
     let mut dark_evaluation: Option<(u64, DegradedEvaluation)> = None;
     let mut node_deaths_total = 0u64;
     let mut rebalances_total = 0u64;
     let mut hosts_moved_total = 0u64;
-    let mut rounds = 0u64;
 
-    'lifetime: loop {
-        recovery.lifetimes += 1;
-        if recovery.lifetimes > scenario.max_lifetimes {
-            return Err(RunError::Stalled("lifetime budget exhausted"));
-        }
-        let (mut cluster, rec) = match Cluster::open(dir, scenario.cluster, &universe, &mut kill) {
-            Ok(x) => x,
-            // The bootstrap journal append is itself killable.
-            Err(DaemonError::Killed) => {
-                recovery.kills += 1;
-                kill.process.rearm(kill_iter.next());
-                continue 'lifetime;
-            }
-            Err(e) => return Err(e.into()),
-        };
+    Restarts::new(scenario.max_rounds, scenario.max_lifetimes).run(|r| {
+        // The bootstrap journal append is itself killable.
+        let (mut cluster, rec) = Cluster::open(dir, scenario.cluster, &universe, &mut kill)?;
         if rec.snapshot_seq.is_some() {
-            recovery.cluster_snapshots_loaded += 1;
+            journal.cluster_snapshots_loaded += 1;
         }
-        recovery.cluster_snapshots_discarded += rec.snapshots_discarded;
-        recovery.journal_events += rec.journal_events;
-        recovery.journal_torn_bytes += rec.journal_torn_bytes;
+        journal.cluster_snapshots_discarded += rec.snapshots_discarded;
+        journal.journal_events += rec.journal_events;
+        journal.journal_torn_bytes += rec.journal_torn_bytes;
         for (_, report) in &rec.node_reports {
-            if report.snapshot_seq.is_some() {
-                recovery.node_snapshots_loaded += 1;
-            }
-            recovery.node_snapshots_discarded += report.snapshots_discarded;
-            recovery.node_wal_replayed += report.wal_replayed;
-            recovery.node_wal_torn_bytes += report.wal_torn_bytes;
+            r.totals.fold(report);
         }
 
         // Unlike the single-daemon harness, completions do NOT persist
@@ -248,10 +216,7 @@ pub fn run(
         sw.begin_lifetime();
 
         loop {
-            rounds += 1;
-            if rounds > scenario.max_rounds {
-                return Err(RunError::Stalled("round budget exhausted"));
-            }
+            r.round()?;
             let host_side_quiet = sw.feed(|_| false);
             // A silently-killed node is invisible to the coordinator until
             // its heartbeat timeout expires; quiescing inside that window
@@ -259,11 +224,7 @@ pub fn run(
             // harness has the god view the coordinator lacks, so it keeps
             // ticking until every fired kill has been detected (and the
             // resulting rebalance redelivered the moved hosts).
-            let undetected_kill = cluster
-                .assign()
-                .live
-                .iter()
-                .any(|&n| kill.node_is_dead(n));
+            let undetected_kill = cluster.assign().live.iter().any(|&n| kill.node_is_dead(n));
             if host_side_quiet
                 && cluster.queued_total() == 0
                 && cluster.settled()
@@ -275,6 +236,12 @@ pub fn run(
                 node_deaths_total += s.node_deaths;
                 rebalances_total += s.rebalances;
                 hosts_moved_total += s.hosts_moved;
+                let recovery = ClusterRecoveryTotals {
+                    lifetimes: r.totals.lifetimes,
+                    kills: r.totals.kills,
+                    nodes: r.totals,
+                    ..journal
+                };
                 let hosts = merged_hosts(&cluster, &universe);
                 let n_windows = scenario.cluster.node.n_windows;
                 let evaluation = evaluate_hosts(
@@ -299,8 +266,8 @@ pub fn run(
                     recovery,
                     wire: cluster.wire_stats(),
                     links: cluster.link_log(),
-                    dark_episodes,
-                    dark_evaluation,
+                    dark_episodes: std::mem::take(&mut dark_episodes),
+                    dark_evaluation: dark_evaluation.take(),
                     node_deaths_total,
                     rebalances_total,
                     hosts_moved_total,
@@ -324,19 +291,14 @@ pub fn run(
             });
 
             // Advance the cluster one tick; a fired kill switch ends this
-            // lifetime and recovery takes it from the top.
-            match cluster.tick(&mut kill) {
-                Ok(()) => {}
-                Err(DaemonError::Killed) => {
-                    recovery.kills += 1;
-                    kill.process.rearm(kill_iter.next());
-                    let s = cluster.stats();
-                    node_deaths_total += s.node_deaths;
-                    rebalances_total += s.rebalances;
-                    hosts_moved_total += s.hosts_moved;
-                    continue 'lifetime;
-                }
-                Err(e) => return Err(e.into()),
+            // lifetime (its counters with it) and recovery takes it from
+            // the top.
+            if let Err(e) = cluster.tick(&mut kill) {
+                let s = cluster.stats();
+                node_deaths_total += s.node_deaths;
+                rebalances_total += s.rebalances;
+                hosts_moved_total += s.hosts_moved;
+                return Err(e.into());
             }
 
             // Acknowledge: coordinator-confirmed completions retire the
@@ -379,7 +341,7 @@ pub fn run(
 
             sw.tick();
         }
-    }
+    })
 }
 
 /// The merged host table over the full universe: live-node state where a
@@ -426,8 +388,8 @@ fn export_cluster_recovery_totals(rec: &ClusterRecoveryTotals, reg: &mut Registr
         ),
         (
             "node",
-            rec.node_snapshots_loaded,
-            rec.node_snapshots_discarded,
+            rec.nodes.snapshots_loaded,
+            rec.nodes.snapshots_discarded,
         ),
     ] {
         reg.counter_add(
@@ -466,7 +428,7 @@ fn export_cluster_recovery_totals(rec: &ClusterRecoveryTotals, reg: &mut Registr
     reg.counter_add(
         "fleetd_cluster_harness_node_wal_replayed_total",
         &[],
-        rec.node_wal_replayed,
+        rec.nodes.wal_replayed,
     );
     reg.register_counter(
         "fleetd_cluster_harness_node_wal_torn_bytes_total",
@@ -475,7 +437,7 @@ fn export_cluster_recovery_totals(rec: &ClusterRecoveryTotals, reg: &mut Registr
     reg.counter_add(
         "fleetd_cluster_harness_node_wal_torn_bytes_total",
         &[],
-        rec.node_wal_torn_bytes,
+        rec.nodes.wal_torn_bytes,
     );
 }
 
@@ -535,11 +497,11 @@ pub fn ops_table(run: &ClusterRun) -> Table {
         ),
         (
             "node_wal_replayed",
-            run.recovery.node_wal_replayed.to_string(),
+            run.recovery.nodes.wal_replayed.to_string(),
         ),
         (
             "node_wal_torn_bytes",
-            run.recovery.node_wal_torn_bytes.to_string(),
+            run.recovery.nodes.wal_torn_bytes.to_string(),
         ),
         ("final_life_batches_sent", s.batches_sent.to_string()),
         ("final_life_unroutable", s.unroutable.to_string()),

@@ -36,7 +36,7 @@ use itconsole::{DeliveryConfig, DeliveryStats};
 
 use crate::daemon::{RecoveryTotals, RunError};
 use crate::report::Table;
-use crate::stopwait::{open_daemon, sum_delivery, StopAndWait};
+use crate::stopwait::{sum_delivery, Restarts, StopAndWait};
 
 /// Everything the control-plane scenario needs besides a directory.
 #[derive(Debug, Clone)]
@@ -324,43 +324,27 @@ pub fn run(
         .map(|seg| StopAndWait::new(seg, scenario.delivery))
         .collect();
 
-    let mut kill = KillSwitch::none();
-    let mut kill_iter = kills.iter().copied();
-    kill.rearm(kill_iter.next());
-
+    let mut kill = KillSwitch::scheduled(kills.iter().copied());
     let mut evidence = ControlEvidence::default();
-    let mut recovery = RecoveryTotals::default();
-    let mut rounds = 0u64;
 
     // The operator-script cursor: survives lifetimes; actions are only
     // re-issued when their durable effect is absent.
     let mut stage_idx = 0usize;
     let mut action_idx = 0usize;
 
-    'lifetime: loop {
-        let mut daemon = open_daemon(dir, scenario.daemon, &mut recovery, scenario.max_lifetimes)?;
+    Restarts::new(scenario.max_rounds, scenario.max_lifetimes).run(|r| {
+        let mut daemon = r.open_daemon(dir, scenario.daemon)?;
 
         while stage_idx < segs.len() {
             // Deliver this segment to quiescence on a fresh link.
             let sw = &mut drivers[stage_idx];
             sw.begin_lifetime();
             loop {
-                rounds += 1;
-                if rounds > scenario.max_rounds {
-                    return Err(RunError::Stalled("round budget exhausted"));
-                }
+                r.round()?;
                 if sw.feed(|_| false) && daemon.queued_total() == 0 {
                     break;
                 }
-                match sw.deliver_round(&mut daemon, &mut kill) {
-                    Ok(_) => {}
-                    Err(DaemonError::Killed) => {
-                        recovery.kills += 1;
-                        kill.rearm(kill_iter.next());
-                        continue 'lifetime;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                sw.deliver_round(&mut daemon, &mut kill)?;
             }
 
             // Quiescent barrier reached: run this stage's remaining
@@ -369,15 +353,7 @@ pub fn run(
             while action_idx < actions[stage_idx].len() {
                 let action = &actions[stage_idx][action_idx];
                 if !action_done(&daemon, action) {
-                    match issue(&mut daemon, &mut kill, scenario, action, &mut evidence) {
-                        Ok(()) => {}
-                        Err(DaemonError::Killed) => {
-                            recovery.kills += 1;
-                            kill.rearm(kill_iter.next());
-                            continue 'lifetime;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+                    issue(&mut daemon, &mut kill, scenario, action, &mut evidence)?;
                 }
                 action_idx += 1;
             }
@@ -386,14 +362,11 @@ pub fn run(
         }
 
         // Every segment delivered, every action landed: collect.
-        evidence.rollback_operator = daemon.epoch_state().history.first().is_some_and(|r| {
-            r.outcome == EpochOutcome::RolledBack(RollbackReason::Operator)
-        });
-        let hosts: Vec<(u32, HostState)> = daemon
-            .hosts()
-            .into_iter()
-            .map(|(h, s)| (h, s.clone()))
-            .collect();
+        evidence.rollback_operator =
+            daemon.epoch_state().history.first().is_some_and(|rec| {
+                rec.outcome == EpochOutcome::RolledBack(RollbackReason::Operator)
+            });
+        let hosts = crate::daemon::host_states(&daemon);
         let evaluation = crate::daemon::evaluate_hosts(
             &hosts,
             scenario.feature,
@@ -410,13 +383,13 @@ pub fn run(
         if let Some(eval) = &evaluation {
             eval.export_metrics(&mut metrics);
         }
-        return Ok(ControlRun {
+        Ok(ControlRun {
             hosts,
             evaluation,
             stats: *daemon.stats(),
             delivery,
-            recovery,
-            evidence,
+            recovery: r.totals,
+            evidence: std::mem::take(&mut evidence),
             lost_batches: drivers.iter().map(StopAndWait::lost_batches).sum(),
             total_applied: kill.applied_batches(),
             total_wal_bytes: kill.wal_bytes(),
@@ -424,8 +397,8 @@ pub fn run(
             n_windows: scenario.daemon.n_windows,
             min_coverage: scenario.min_coverage,
             metrics,
-        });
-    }
+        })
+    })
 }
 
 /// The per-host output table — the byte-identity witness shared (column

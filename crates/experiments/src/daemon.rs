@@ -34,7 +34,7 @@ use itconsole::{DeliveryConfig, DeliveryStats};
 
 use crate::data::Corpus;
 use crate::report::Table;
-use crate::stopwait::{open_daemon, StopAndWait};
+use crate::stopwait::{Restarts, StopAndWait};
 
 /// Everything a daemon run needs besides the corpus and a directory.
 #[derive(Debug, Clone)]
@@ -108,38 +108,48 @@ pub fn build_batches_for(
     batch_windows: usize,
     poison_hosts: &[u32],
 ) -> Vec<WindowBatch> {
+    let weeks: Vec<(Vec<u64>, Vec<u64>)> = (0..corpus.n_users())
+        .map(|host| {
+            let week = |w| corpus.series(host, w).feature(feature);
+            (week(0), week(1))
+        })
+        .collect();
+    batch_stream(&weeks, batch_windows, poison_hosts)
+}
+
+/// The stream shape every window-batch harness ingests: host `h` is
+/// `weeks[h]`, its (training, test) week counts split into
+/// `batch_windows`-wide batches with per-host sequence numbers from 1,
+/// interleaved round-robin across hosts. The first test-week batch of each
+/// host in `poison_hosts` is poisoned.
+pub(crate) fn batch_stream<C: AsRef<[u64]>>(
+    weeks: &[(C, C)],
+    batch_windows: usize,
+    poison_hosts: &[u32],
+) -> Vec<WindowBatch> {
     let width = batch_windows.max(1);
-    let mut per_host: Vec<Vec<WindowBatch>> = Vec::with_capacity(corpus.n_users());
-    for host in 0..corpus.n_users() {
-        let mut seq = 0u64;
-        let mut batches = Vec::new();
-        for (week_idx, week) in [Week::Train, Week::Test].into_iter().enumerate() {
-            let counts = corpus.series(host, week_idx).feature(feature);
-            for chunk_start in (0..counts.len()).step_by(width) {
-                let end = (chunk_start + width).min(counts.len());
-                seq += 1;
-                let poison = week == Week::Test
-                    && chunk_start == 0
-                    && poison_hosts.contains(&(host as u32));
-                batches.push(WindowBatch {
-                    host: host as u32,
-                    seq,
+    let mut per_host: Vec<std::vec::IntoIter<WindowBatch>> = Vec::with_capacity(weeks.len());
+    for (host, (train, test)) in (0u32..).zip(weeks) {
+        let mut list = Vec::new();
+        for (week, counts) in [(Week::Train, train.as_ref()), (Week::Test, test.as_ref())] {
+            for start in (0..counts.len()).step_by(width) {
+                list.push(WindowBatch {
+                    host,
+                    seq: list.len() as u64 + 1,
                     week,
-                    start: chunk_start as u32,
-                    counts: counts[chunk_start..end].to_vec(),
-                    poison,
+                    start: start as u32,
+                    counts: counts[start..(start + width).min(counts.len())].to_vec(),
+                    poison: week == Week::Test && start == 0 && poison_hosts.contains(&host),
                 });
             }
         }
-        per_host.push(batches);
+        per_host.push(list.into_iter());
     }
-    let max_len = per_host.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::new();
-    for i in 0..max_len {
-        for batches in &per_host {
-            if let Some(b) = batches.get(i) {
-                out.push(b.clone());
-            }
+    let total = per_host.iter().map(ExactSizeIterator::len).sum();
+    let mut out = Vec::with_capacity(total);
+    while out.len() < total {
+        for batches in &mut per_host {
+            out.extend(batches.next());
         }
     }
     out
@@ -241,41 +251,33 @@ pub fn run(
     kills: &[KillPoint],
 ) -> Result<DaemonRun, RunError> {
     let mut sw = StopAndWait::new(batches, scenario.delivery);
-    let mut kill = KillSwitch::none();
-    let mut kill_iter = kills.iter().copied();
-    kill.rearm(kill_iter.next());
-
-    let mut recovery = RecoveryTotals::default();
+    let mut kill = KillSwitch::scheduled(kills.iter().copied());
     let mut max_queue_depth = 0usize;
-    let mut rounds = 0u64;
-
-    'lifetime: loop {
-        let mut daemon = open_daemon(dir, scenario.daemon, &mut recovery, scenario.max_lifetimes)?;
+    Restarts::new(scenario.max_rounds, scenario.max_lifetimes).run(|r| {
+        let mut daemon = r.open_daemon(dir, scenario.daemon)?;
         sw.begin_lifetime();
         loop {
-            rounds += 1;
-            if rounds > scenario.max_rounds {
-                return Err(RunError::Stalled("round budget exhausted"));
-            }
+            r.round()?;
             if sw.feed(|_| false) && daemon.queued_total() == 0 {
                 // Quiescent: every batch has a terminal outcome.
                 max_queue_depth = max_queue_depth.max(daemon.max_queue_depth());
-                return Ok(finish(&daemon, scenario, &sw, recovery, max_queue_depth, &kill));
+                return Ok(finish(
+                    &daemon,
+                    scenario,
+                    &sw,
+                    r.totals,
+                    max_queue_depth,
+                    &kill,
+                ));
             }
-            // A fired kill switch ends this lifetime and recovery takes
-            // it from the top.
-            match sw.deliver_round(&mut daemon, &mut kill) {
-                Ok(_) => {}
-                Err(DaemonError::Killed) => {
-                    recovery.kills += 1;
-                    kill.rearm(kill_iter.next());
-                    max_queue_depth = max_queue_depth.max(daemon.max_queue_depth());
-                    continue 'lifetime;
-                }
-                Err(e) => return Err(e.into()),
+            if let Err(e) = sw.deliver_round(&mut daemon, &mut kill) {
+                // A kill ends this lifetime; its queue high water still
+                // counts toward the run's.
+                max_queue_depth = max_queue_depth.max(daemon.max_queue_depth());
+                return Err(e.into());
             }
         }
-    }
+    })
 }
 
 /// Collect a quiescent run's result from its final daemon lifetime.
@@ -287,12 +289,13 @@ fn finish(
     max_queue_depth: usize,
     kill: &KillSwitch,
 ) -> DaemonRun {
-    let hosts: Vec<(u32, HostState)> = daemon
-        .hosts()
-        .into_iter()
-        .map(|(h, s)| (h, s.clone()))
-        .collect();
-    let evaluation = evaluate(&hosts, scenario);
+    let hosts = host_states(daemon);
+    let evaluation = evaluate_hosts(
+        &hosts,
+        scenario.feature,
+        scenario.daemon.n_windows as usize,
+        scenario.min_coverage,
+    );
     let delivery = sw.delivery();
     let mut metrics = Registry::new();
     daemon.export_metrics(&mut metrics);
@@ -361,19 +364,15 @@ fn export_recovery_totals(rec: &RecoveryTotals, reg: &mut Registry) {
     );
 }
 
-fn evaluate(hosts: &[(u32, HostState)], scenario: &DaemonScenario) -> Option<DegradedEvaluation> {
-    evaluate_hosts(
-        hosts,
-        scenario.feature,
-        scenario.daemon.n_windows as usize,
-        scenario.min_coverage,
-    )
+/// A daemon's host table, owned and in host order.
+pub(crate) fn host_states(daemon: &Daemon) -> Vec<(u32, HostState)> {
+    daemon.hosts().into_iter().map(|(h, s)| (h, s.clone())).collect()
 }
 
-/// [`evaluate`] without a [`DaemonScenario`]: the shared degraded-mode
-/// evaluation every streaming harness (single daemon or cluster) runs over
-/// its final host table. Keeping one implementation is what makes the
-/// cross-harness byte-identity claims meaningful.
+/// The shared degraded-mode evaluation every streaming harness (single
+/// daemon or cluster) runs over its final host table. Keeping one
+/// implementation is what makes the cross-harness byte-identity claims
+/// meaningful.
 pub(crate) fn evaluate_hosts(
     hosts: &[(u32, HostState)],
     feature: FeatureKind,
@@ -680,6 +679,44 @@ mod tests {
             st.train.len() + st.test.len() < 2 * 672 && st.last_seq == last_seq[h]
         });
         assert!(moved_on.count() > 0, "no host got past a lost batch");
+    }
+
+    #[test]
+    fn too_few_rounds_is_a_round_budget_stall() {
+        let mut scenario = tiny_scenario();
+        scenario.max_rounds = 5;
+        let batches = build_batches(&tiny_corpus(), &scenario);
+        let dir = unique_run_dir("round-budget");
+        let err =
+            run(&dir, &scenario, &batches, &[]).expect_err("72 batches need more than 5 rounds");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            matches!(err, RunError::Stalled("round budget exhausted")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn kill_schedule_longer_than_the_lifetime_budget_is_a_stall() {
+        let mut scenario = tiny_scenario();
+        let batches = build_batches(&tiny_corpus(), &scenario);
+        // Each point fires one batch into its lifetime: three kills need
+        // a fourth lifetime.
+        let kills = [1, 2, 3].map(KillPoint::AfterBatches);
+        scenario.max_lifetimes = 3;
+        let dir = unique_run_dir("lifetime-budget");
+        let err = run(&dir, &scenario, &batches, &kills).expect_err("3 kills need 4 lifetimes");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            matches!(err, RunError::Stalled("lifetime budget exhausted")),
+            "{err}"
+        );
+
+        scenario.max_lifetimes = 4;
+        let dir = unique_run_dir("lifetime-budget-ok");
+        let done = run(&dir, &scenario, &batches, &kills).expect("4 lifetimes suffice");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!((done.recovery.kills, done.recovery.lifetimes), (3, 4));
     }
 
     #[test]

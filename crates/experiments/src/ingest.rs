@@ -26,7 +26,6 @@
 //! distinct-contacts counts must reflect case-folded names.
 
 use std::path::Path;
-use std::time::Instant;
 
 use faultsim::{DatagramFaultLog, DatagramFaults};
 use fleetd::{
@@ -270,80 +269,6 @@ pub fn sweep_table(rows: &[(f64, &IngestRun)]) -> Table {
     t
 }
 
-/// Decode throughput of the hardened parser, single-threaded: events/sec
-/// for one core, measured over `n_events` decodes of a representative
-/// datagram. Wall-clock, so *not* part of any determinism contract —
-/// it feeds `BENCH_ingest.json` only.
-pub fn measure_decode_throughput(n_events: u64) -> f64 {
-    let batch = WindowBatch {
-        host: 17,
-        seq: 3,
-        week: Week::Test,
-        start: 96,
-        counts: (0..96u64).collect(),
-        poison: false,
-    };
-    let wire = encode_batch_datagram(&batch, "host0017", "hids-agent");
-    let config = IngestConfig::default();
-    let t = Instant::now();
-    let mut decoded = 0u64;
-    for _ in 0..n_events {
-        if fleetd::decode_batch_datagram(&wire, &config).is_ok() {
-            decoded += 1;
-        }
-    }
-    let secs = t.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(decoded, n_events, "benchmark datagram failed to decode");
-    n_events as f64 / secs
-}
-
-/// Sanitize throughput on the dirty path, single-threaded: bytes/sec
-/// over `n_lines` rebuilds of a representative escape-laden line (ANSI
-/// CSI color codes plus BEL controls — the kind of console-hostile
-/// telemetry [`fleetd::sanitize`] exists to strip). Wall-clock, feeds
-/// `BENCH_ingest.json` only.
-pub fn measure_sanitize_dirty_throughput(n_lines: u64) -> (f64, f64) {
-    // Mirrors the `dirty_ansi_rebuilt` criterion bench line: a CSI color
-    // code every 16 chars and a BEL every 37, woven through a clean
-    // ~230-byte CEF-in-syslog line.
-    let clean = {
-        let counts: String = (0..24).map(|i| format!("{},", i * 7 % 97)).collect();
-        format!(
-            "<134>1 2009-04-07T12:00:00Z host042 hids - - - \
-             CEF:0|fleet|hids|1.0|batch|window batch|3|host=42 seq=9 week=test start=96 counts={}",
-            counts.trim_end_matches(',')
-        )
-    };
-    let mut line = String::new();
-    for (i, c) in clean.chars().enumerate() {
-        line.push(c);
-        if i % 16 == 0 {
-            line.push_str("\u{1b}[31m");
-        }
-        if i % 37 == 0 {
-            line.push('\u{7}');
-        }
-    }
-    let bytes_per_line = line.len() as u64;
-    // Best of several passes: a single pass is at the mercy of scheduler
-    // noise; the fastest pass is the closest estimate of the true per-line
-    // cost (same rationale as criterion's warmup + min-tracking).
-    let mut best_secs = f64::MAX;
-    for _ in 0..4 {
-        let t = Instant::now();
-        let mut total = 0usize;
-        for _ in 0..n_lines {
-            total += fleetd::sanitize(std::hint::black_box(&line), 8192).len();
-        }
-        let secs = t.elapsed().as_secs_f64().max(1e-9);
-        assert!(total > 0, "sanitize produced no output");
-        best_secs = best_secs.min(secs);
-    }
-    let bytes_per_sec = (n_lines * bytes_per_line) as f64 / best_secs;
-    let ns_per_line = best_secs * 1e9 / n_lines as f64;
-    (bytes_per_sec, ns_per_line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,10 +380,5 @@ mod tests {
         assert!(err.contains("altered no datagram"), "{err}");
         r.fault_log.corrupted = 1;
         r.check().expect("a corrupted datagram may be rejected");
-    }
-
-    #[test]
-    fn throughput_probe_decodes() {
-        assert!(measure_decode_throughput(100) > 0.0);
     }
 }

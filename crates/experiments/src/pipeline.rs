@@ -24,8 +24,8 @@
 //!
 //! [`PipelineReport::check`] asserts the cross-stage laws (loss-free
 //! capture, feature identity, wire identity, finite utilities);
-//! `repro pipeline` prints the table and records the first end-to-end
-//! throughput figure in `BENCH_pipeline.json`.
+//! `repro pipeline` prints the table and the end-to-end throughput
+//! figure.
 
 use std::time::Instant;
 

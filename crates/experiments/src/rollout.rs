@@ -39,8 +39,8 @@ use std::path::Path;
 
 use faultsim::{poisoned_hosts, KillPoint, RampInject};
 use fleetd::{
-    DaemonConfig, DaemonError, DaemonStats, EpochOutcome, EpochState, HostState, KillSwitch,
-    QueueConfig, Week, WindowBatch,
+    DaemonConfig, DaemonStats, EpochOutcome, EpochState, HostState, KillSwitch, QueueConfig, Week,
+    WindowBatch,
 };
 use hids_core::{DriftConfig, Grouping, PartialMethod, Policy, ThresholdHeuristic};
 use itconsole::{
@@ -51,7 +51,7 @@ use tailstats::EmpiricalDist;
 
 use crate::daemon::{RecoveryTotals, RunError};
 use crate::report::Table;
-use crate::stopwait::{open_daemon, StopAndWait};
+use crate::stopwait::{Restarts, StopAndWait};
 
 /// Everything a rollout run needs besides a scratch directory.
 #[derive(Debug, Clone)]
@@ -254,38 +254,10 @@ pub fn build_input(s: &RolloutScenario) -> RolloutInput {
         test.insert(host, test_counts);
     }
 
-    // Batch both weeks per host, then interleave round-robin (as in
-    // `crate::daemon::build_batches`, over synthetic streams).
-    let width = s.batch_windows.max(1) as usize;
-    let mut per_host: Vec<Vec<WindowBatch>> = Vec::new();
-    for host in 0..s.n_hosts {
-        let mut seq = 0u64;
-        let mut list = Vec::new();
-        for (week, counts) in [(Week::Train, &train[&host]), (Week::Test, &test[&host])] {
-            for chunk_start in (0..counts.len()).step_by(width) {
-                let end = (chunk_start + width).min(counts.len());
-                seq += 1;
-                list.push(WindowBatch {
-                    host,
-                    seq,
-                    week,
-                    start: chunk_start as u32,
-                    counts: counts[chunk_start..end].to_vec(),
-                    poison: false,
-                });
-            }
-        }
-        per_host.push(list);
-    }
-    let max_len = per_host.iter().map(Vec::len).max().unwrap_or(0);
-    let mut batches = Vec::new();
-    for i in 0..max_len {
-        for list in &per_host {
-            if let Some(b) = list.get(i) {
-                batches.push(b.clone());
-            }
-        }
-    }
+    let weeks: Vec<(&[u64], &[u64])> = (0..s.n_hosts)
+        .map(|h| (&train[&h][..], &test[&h][..]))
+        .collect();
+    let batches = crate::daemon::batch_stream(&weeks, s.batch_windows as usize, &[]);
     RolloutInput {
         batches,
         train,
@@ -363,10 +335,7 @@ pub fn run(
 ) -> Result<RolloutRun, RunError> {
     let mut sw = StopAndWait::new(&input.batches, s.delivery);
     let soak_start = s.soak_start();
-
-    let mut kill = KillSwitch::none();
-    let mut kill_iter = kills.iter().copied();
-    kill.rearm(kill_iter.next());
+    let mut kill = KillSwitch::scheduled(kills.iter().copied());
 
     // Console-side planner state, which must survive daemon restarts the
     // way a real console process outlives a daemon crash: counts feed
@@ -379,11 +348,8 @@ pub fn run(
     let mut submitted = false;
     let mut decided = false;
 
-    let mut recovery = RecoveryTotals::default();
-    let mut rounds = 0u64;
-
-    'lifetime: loop {
-        let mut daemon = open_daemon(dir, s.daemon, &mut recovery, s.max_lifetimes)?;
+    Restarts::new(s.max_rounds, s.max_lifetimes).run(|r| {
+        let mut daemon = r.open_daemon(dir, s.daemon)?;
 
         // Reconcile the orchestrator with what the daemon made durable:
         // a journaled decision ends the lifecycle; a journaled Begin
@@ -402,10 +368,7 @@ pub fn run(
         sw.begin_lifetime();
 
         loop {
-            rounds += 1;
-            if rounds > s.max_rounds {
-                return Err(RunError::Stalled("round budget exhausted"));
-            }
+            r.round()?;
 
             // Plan: once the pre-soak prefix is fully applied fleet-wide
             // the monitor's verdicts are final, and the soak windows are
@@ -415,19 +378,16 @@ pub fn run(
                     proposal = planner.propose(soak_start);
                 }
                 if let Some(p) = &proposal {
-                    match daemon.begin_rollout(p.soak_start, p.soak_end, p.plan.thresholds.clone(), &mut kill) {
-                        Ok(_) => {
-                            submitted = true;
-                            planner.mark_submitted();
-                        }
-                        Err(DaemonError::Killed) => {
-                            submitted = true; // resolved against durable state on reopen
-                            recovery.kills += 1;
-                            kill.rearm(kill_iter.next());
-                            continue 'lifetime;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+                    // A kill mid-submission is resolved against durable
+                    // state on reopen.
+                    submitted = true;
+                    daemon.begin_rollout(
+                        p.soak_start,
+                        p.soak_end,
+                        p.plan.thresholds.clone(),
+                        &mut kill,
+                    )?;
+                    planner.mark_submitted();
                 }
             }
 
@@ -438,19 +398,15 @@ pub fn run(
             let held =
                 |b: &WindowBatch| holdback_active && b.week == Week::Test && b.start >= soak_start;
             if sw.feed(held) && daemon.queued_total() == 0 {
-                let hosts: Vec<(u32, HostState)> = daemon
-                    .hosts()
-                    .into_iter()
-                    .map(|(h, st)| (h, st.clone()))
-                    .collect();
+                let hosts = crate::daemon::host_states(&daemon);
                 let (fn_effective, fn_stale) = count_misses(&hosts, &input.attacks);
                 return Ok(RolloutRun {
                     hosts,
                     epoch: daemon.epoch_state().clone(),
-                    proposal,
+                    proposal: proposal.take(),
                     stats: *daemon.stats(),
                     delivery: sw.delivery(),
-                    recovery,
+                    recovery: r.totals,
                     lost_batches: sw.lost_batches(),
                     n_attacks: input.attacks.len() as u64,
                     fn_effective,
@@ -463,15 +419,7 @@ pub fn run(
 
             // Deliver: backpressure and the canary barrier both read as
             // "not now, retry later" to the link.
-            let completions = match sw.deliver_round(&mut daemon, &mut kill) {
-                Ok(c) => c,
-                Err(DaemonError::Killed) => {
-                    recovery.kills += 1;
-                    kill.rearm(kill_iter.next());
-                    continue 'lifetime;
-                }
-                Err(e) => return Err(e.into()),
-            };
+            let completions = sw.deliver_round(&mut daemon, &mut kill)?;
             if s.attempt_rollout && !decided && !daemon.epoch_state().history.is_empty() {
                 decided = true;
             }
@@ -494,7 +442,7 @@ pub fn run(
                 }
             }
         }
-    }
+    })
 }
 
 /// Misses over the injected attacks under (a) each host's final

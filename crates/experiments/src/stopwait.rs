@@ -12,12 +12,16 @@
 //!
 //! One round is `feed` → (quiescent? stop) → `pump` → target tick →
 //! `complete` each completion → `tick`. [`StopAndWait::deliver_round`]
-//! runs the last four steps against a [`Daemon`].
+//! runs the last four steps against a [`Daemon`]. Around the rounds,
+//! [`Restarts`] runs the lifetimes: it counts rounds and lifetimes against
+//! their budgets, restarts after each kill, and folds recovery reports.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use fleetd::{Admit, Completion, Daemon, DaemonConfig, DaemonError, KillSwitch, WindowBatch};
+use fleetd::{
+    Admit, Completion, Daemon, DaemonConfig, DaemonError, KillSwitch, RecoveryReport, WindowBatch,
+};
 use itconsole::{DeliveryConfig, DeliveryQueue, DeliveryStats};
 
 use crate::daemon::{RecoveryTotals, RunError};
@@ -270,24 +274,119 @@ pub(crate) fn sum_delivery(mut acc: DeliveryStats, s: DeliveryStats) -> Delivery
     acc
 }
 
-/// Open the next daemon lifetime at `dir` and fold its recovery report
-/// into `totals`; more than `max_lifetimes` lifetimes is a stall.
-pub(crate) fn open_daemon(
-    dir: &Path,
-    config: DaemonConfig,
-    totals: &mut RecoveryTotals,
+/// The restart loop every streaming harness shares. A lifetime ends when
+/// the kill switch fires; the kill is counted and the next lifetime starts
+/// over from durable state. The round and lifetime budgets are checked
+/// here, and every daemon recovery report is folded into one set of
+/// totals. The kill schedule itself lives in the switch, which arms its
+/// next point as one fires.
+pub(crate) struct Restarts {
+    max_rounds: u64,
     max_lifetimes: u32,
-) -> Result<Daemon, RunError> {
-    totals.lifetimes += 1;
-    if totals.lifetimes > max_lifetimes {
-        return Err(RunError::Stalled("lifetime budget exhausted"));
+    rounds: u64,
+    /// Lifetimes, kills and folded recovery reports so far.
+    pub(crate) totals: RecoveryTotals,
+}
+
+impl Restarts {
+    pub(crate) fn new(max_rounds: u64, max_lifetimes: u32) -> Self {
+        Self {
+            max_rounds,
+            max_lifetimes,
+            rounds: 0,
+            totals: RecoveryTotals::default(),
+        }
     }
-    let (daemon, rec) = Daemon::open(dir, config)?;
-    if rec.snapshot_seq.is_some() {
-        totals.snapshots_loaded += 1;
+
+    /// Run `lifetime` until it ends other than by a kill: `Err(Killed)`
+    /// counts the kill and starts the next lifetime, and anything else is
+    /// the run's result. More than `max_lifetimes` lifetimes is a stall.
+    pub(crate) fn run<T>(
+        &mut self,
+        mut lifetime: impl FnMut(&mut Self) -> Result<T, RunError>,
+    ) -> Result<T, RunError> {
+        loop {
+            self.totals.lifetimes += 1;
+            if self.totals.lifetimes > self.max_lifetimes {
+                return Err(RunError::Stalled("lifetime budget exhausted"));
+            }
+            match lifetime(self) {
+                Err(RunError::Daemon(DaemonError::Killed)) => self.totals.kills += 1,
+                done => return done,
+            }
+        }
     }
-    totals.snapshots_discarded += rec.snapshots_discarded;
-    totals.wal_replayed += rec.wal_replayed;
-    totals.wal_torn_bytes += rec.wal_torn_bytes;
-    Ok(daemon)
+
+    /// Count one harness round; more than `max_rounds` is a stall.
+    pub(crate) fn round(&mut self) -> Result<(), RunError> {
+        self.rounds += 1;
+        if self.rounds > self.max_rounds {
+            return Err(RunError::Stalled("round budget exhausted"));
+        }
+        Ok(())
+    }
+
+    /// Open this lifetime's daemon at `dir`, folding its recovery report.
+    pub(crate) fn open_daemon(
+        &mut self,
+        dir: &Path,
+        config: DaemonConfig,
+    ) -> Result<Daemon, RunError> {
+        let (daemon, rec) = Daemon::open(dir, config)?;
+        self.totals.fold(&rec);
+        Ok(daemon)
+    }
+}
+
+impl RecoveryTotals {
+    /// Add one daemon's recovery report.
+    pub(crate) fn fold(&mut self, rec: &RecoveryReport) {
+        if rec.snapshot_seq.is_some() {
+            self.snapshots_loaded += 1;
+        }
+        self.snapshots_discarded += rec.snapshots_discarded;
+        self.wal_replayed += rec.wal_replayed;
+        self.wal_torn_bytes += rec.wal_torn_bytes;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn restarts_count_kills_and_end_on_any_other_outcome() {
+        let mut restarts = Restarts::new(100, 8);
+        let mut calls = 0;
+        let out: Result<(), RunError> = restarts.run(|_| {
+            calls += 1;
+            if calls < 3 {
+                Err(DaemonError::Killed.into())
+            } else {
+                Err(DaemonError::Config("not a kill").into())
+            }
+        });
+        assert!(matches!(
+            out,
+            Err(RunError::Daemon(DaemonError::Config("not a kill")))
+        ));
+        assert_eq!((restarts.totals.lifetimes, restarts.totals.kills), (3, 2));
+    }
+
+    #[test]
+    fn rounds_are_counted_across_lifetimes() {
+        let mut restarts = Restarts::new(5, 8);
+        let out: Result<(), RunError> = restarts.run(|r| {
+            r.round()?;
+            r.round()?;
+            Err(DaemonError::Killed.into())
+        });
+        // Rounds 1-2 and 3-4 end in kills; the third lifetime stalls at
+        // round 6.
+        assert!(matches!(
+            out,
+            Err(RunError::Stalled("round budget exhausted"))
+        ));
+        assert_eq!((restarts.totals.lifetimes, restarts.totals.kills), (3, 2));
+    }
 }

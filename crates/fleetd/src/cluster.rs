@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use faultsim::{LinkFaults, LinkSim};
+use faultsim::{ClusterKillPoint, LinkFaults, LinkSim};
 use hids_metrics::Registry;
 
 use crate::codec::{put_u32, put_u64, CodecError, FrameDefect, Reader, WindowBatch};
@@ -507,17 +507,25 @@ pub struct ClusterKillSwitch {
 impl ClusterKillSwitch {
     /// No deaths of either kind.
     pub fn none() -> Self {
-        Self::new(Vec::new())
+        Self::new(&[])
     }
 
-    /// Arm the given `(node, at_tick)` silent deaths. The process switch
-    /// starts disarmed; arm it via `self.process.rearm(..)`.
-    pub fn new(kills: Vec<(u32, u64)>) -> Self {
-        let fired = vec![false; kills.len()];
+    /// Arm `kills`: each [`ClusterKillPoint::Node`] is a silent death due
+    /// at its tick, and the [`ClusterKillPoint::Process`] points, in
+    /// order, are the process switch's schedule.
+    pub fn new(kills: &[ClusterKillPoint]) -> Self {
+        let mut nodes = Vec::new();
+        let mut process = Vec::new();
+        for k in kills {
+            match *k {
+                ClusterKillPoint::Node { node, at_tick } => nodes.push((node, at_tick)),
+                ClusterKillPoint::Process(p) => process.push(p),
+            }
+        }
         Self {
-            process: KillSwitch::none(),
-            kills,
-            fired,
+            process: KillSwitch::scheduled(process),
+            fired: vec![false; nodes.len()],
+            kills: nodes,
             ticks: 0,
         }
     }
@@ -1615,6 +1623,34 @@ mod tests {
     }
 
     #[test]
+    fn cluster_kill_switch_routes_node_and_process_points() {
+        use faultsim::KillPoint;
+        let mut kill = ClusterKillSwitch::new(&[
+            ClusterKillPoint::Node {
+                node: 2,
+                at_tick: 3,
+            },
+            ClusterKillPoint::Process(KillPoint::AfterBatches(1)),
+            ClusterKillPoint::Node {
+                node: 1,
+                at_tick: 1,
+            },
+            ClusterKillPoint::Process(KillPoint::AfterBatches(2)),
+        ]);
+        // Node deaths are due by tick, in any order of the list.
+        assert_eq!(kill.tick_and_due(), vec![1]);
+        assert!(kill.node_is_dead(1) && !kill.node_is_dead(2));
+        assert!(kill.tick_and_due().is_empty());
+        assert_eq!(kill.tick_and_due(), vec![2]);
+        assert!(kill.node_is_dead(2));
+        // Process points form the process switch's schedule, in order.
+        assert!(kill.process.after_batch_applied());
+        assert!(kill.process.after_batch_applied());
+        assert!(!kill.process.after_batch_applied());
+        assert_eq!(kill.ticks(), 3);
+    }
+
+    #[test]
     fn silent_node_kill_goes_dark_then_rebalances_to_same_table() {
         let hosts: Vec<u32> = (0..6).collect();
         let baseline = drive_clean(
@@ -1625,7 +1661,10 @@ mod tests {
 
         let dir = tmpdir("kill");
         let cfg = ClusterConfig::default();
-        let mut kill = ClusterKillSwitch::new(vec![(1, 3)]);
+        let mut kill = ClusterKillSwitch::new(&[ClusterKillPoint::Node {
+            node: 1,
+            at_tick: 3,
+        }]);
         let (mut cluster, _) = Cluster::open(&dir, cfg, &hosts, &mut kill).expect("open");
         let per_host: Vec<Vec<WindowBatch>> = hosts
             .iter()

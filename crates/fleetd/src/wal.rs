@@ -27,6 +27,7 @@
 //! not the meter), so a seeded schedule can name "die 3 bytes into the
 //! frame that crosses lifetime offset 40 000" and hit it reproducibly.
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -91,11 +92,14 @@ impl WalRecord {
 /// Cooperative crash injector threaded through the daemon.
 ///
 /// Owned by the harness, not the daemon, so its byte/batch meters span
-/// restarts: re-open the daemon with the same switch (re-armed or not) and
-/// offsets keep counting from where the previous incarnation died.
+/// restarts: re-open the daemon with the same switch and offsets keep
+/// counting from where the previous incarnation died. The switch holds an
+/// ordered schedule of kill points and arms them one at a time: when the
+/// armed point fires, the next one is armed in its place.
 #[derive(Debug)]
 pub struct KillSwitch {
-    point: Option<KillPoint>,
+    /// Points not yet fired, in order; the first one is armed.
+    schedule: VecDeque<KillPoint>,
     fired: bool,
     /// Lifetime bytes the WAL writer has attempted to append.
     wal_bytes: u64,
@@ -122,8 +126,19 @@ pub enum KillVerdict {
 impl KillSwitch {
     /// A switch that never fires (production behavior).
     pub fn none() -> Self {
+        Self::scheduled([])
+    }
+
+    /// A switch armed with one kill point.
+    pub fn armed(point: KillPoint) -> Self {
+        Self::scheduled([point])
+    }
+
+    /// A switch that fires at each of `points` in turn. A point that never
+    /// fires holds back every point after it.
+    pub fn scheduled(points: impl IntoIterator<Item = KillPoint>) -> Self {
         Self {
-            point: None,
+            schedule: points.into_iter().collect(),
             fired: false,
             wal_bytes: 0,
             applied: 0,
@@ -132,24 +147,25 @@ impl KillSwitch {
         }
     }
 
-    /// A switch armed with one kill point.
-    pub fn armed(point: KillPoint) -> Self {
-        Self {
-            point: Some(point),
-            ..Self::none()
-        }
-    }
-
-    /// Re-arm (or disarm, with `None`) while keeping the lifetime meters,
-    /// so multi-kill scenarios keep a single coherent byte timeline.
+    /// Replace the schedule with `point` (or disarm, with `None`) while
+    /// keeping the lifetime meters, so multi-kill scenarios keep a single
+    /// coherent byte timeline.
     pub fn rearm(&mut self, point: Option<KillPoint>) {
-        self.point = point;
+        self.schedule = point.into_iter().collect();
         self.fired = false;
     }
 
-    /// Whether the armed point has fired.
+    /// Whether a point has fired since the switch was built or re-armed.
     pub fn fired(&self) -> bool {
         self.fired
+    }
+
+    /// Fire the armed point if `due` says so, arming the next one.
+    fn fire_if(&mut self, due: impl FnOnce(KillPoint) -> bool) -> Option<KillPoint> {
+        let point = *self.schedule.front().filter(|&&p| due(p))?;
+        self.schedule.pop_front();
+        self.fired = true;
+        Some(point)
     }
 
     /// Lifetime WAL bytes metered so far.
@@ -176,17 +192,16 @@ impl KillSwitch {
     /// the writer dies inside it.
     pub(crate) fn before_wal_append(&mut self, frame_len: u64) -> KillVerdict {
         let start = self.wal_bytes;
-        let verdict = match self.point {
-            Some(KillPoint::AtWalByte { offset, torn })
-                if !self.fired && start <= offset && offset < start + frame_len =>
-            {
-                self.fired = true;
-                // Leave strictly less than the whole frame so the tail is
-                // genuinely torn (a complete frame would just be a valid
-                // record).
-                let torn = torn.min((frame_len - 1) as u32);
-                KillVerdict::Kill { torn }
-            }
+        let crossed = |p| {
+            matches!(p, KillPoint::AtWalByte { offset, .. } if start <= offset && offset < start + frame_len)
+        };
+        let verdict = match self.fire_if(crossed) {
+            // Leave strictly less than the whole frame so the tail is
+            // genuinely torn (a complete frame would just be a valid
+            // record).
+            Some(KillPoint::AtWalByte { torn, .. }) => KillVerdict::Kill {
+                torn: torn.min((frame_len - 1) as u32),
+            },
             _ => KillVerdict::Proceed,
         };
         self.wal_bytes += match verdict {
@@ -201,13 +216,9 @@ impl KillSwitch {
     /// applied but never acked — redelivery must resolve to a duplicate).
     pub(crate) fn after_batch_applied(&mut self) -> bool {
         self.applied += 1;
-        match self.point {
-            Some(KillPoint::AfterBatches(n)) if !self.fired && self.applied >= n => {
-                self.fired = true;
-                true
-            }
-            _ => false,
-        }
+        let applied = self.applied;
+        self.fire_if(|p| matches!(p, KillPoint::AfterBatches(n) if applied >= n))
+            .is_some()
     }
 
     /// Meter one durable rollout transition record; returns `true` when
@@ -216,13 +227,9 @@ impl KillSwitch {
     /// the durable transition and converge to the same epoch state).
     pub(crate) fn after_rollout_event(&mut self) -> bool {
         self.rollout_events += 1;
-        match self.point {
-            Some(KillPoint::AfterRolloutEvents(n)) if !self.fired && self.rollout_events >= u64::from(n) => {
-                self.fired = true;
-                true
-            }
-            _ => false,
-        }
+        let events = self.rollout_events;
+        self.fire_if(|p| matches!(p, KillPoint::AfterRolloutEvents(n) if events >= u64::from(n)))
+            .is_some()
     }
 
     /// Meter one durable operator-command record; returns `true` when the
@@ -232,13 +239,9 @@ impl KillSwitch {
     /// apply and ack" class of the control-plane sweep).
     pub(crate) fn after_command(&mut self) -> bool {
         self.commands += 1;
-        match self.point {
-            Some(KillPoint::AfterCommands(n)) if !self.fired && self.commands >= u64::from(n) => {
-                self.fired = true;
-                true
-            }
-            _ => false,
-        }
+        let commands = self.commands;
+        self.fire_if(|p| matches!(p, KillPoint::AfterCommands(n) if commands >= u64::from(n)))
+            .is_some()
     }
 }
 
@@ -678,6 +681,59 @@ mod tests {
         assert!(!kill.fired());
         assert!(kill.after_batch_applied());
         assert_eq!(kill.applied_batches(), 3);
+    }
+
+    #[test]
+    fn kill_switch_schedule_fires_in_order_on_continuous_meters() {
+        let mut kill = KillSwitch::scheduled([
+            KillPoint::AtWalByte { offset: 5, torn: 2 },
+            KillPoint::AfterBatches(2),
+            KillPoint::AtWalByte {
+                offset: 10,
+                torn: 0,
+            },
+            KillPoint::AfterCommands(1),
+        ]);
+        // Only the head is armed: neither later kind fires yet.
+        assert!(!kill.after_batch_applied());
+        assert!(!kill.after_command());
+        // Bytes [0, 8) cross offset 5: torn after 2 bytes, next armed.
+        assert_eq!(kill.before_wal_append(8), KillVerdict::Kill { torn: 2 });
+        assert_eq!(kill.wal_bytes(), 2);
+        // The batch meter already counts 1, so the second batch fires.
+        assert!(kill.after_batch_applied());
+        assert_eq!(kill.applied_batches(), 2);
+        // The byte meter resumes at 2, not 0: [2, 10) misses offset 10,
+        // [10, 18) crosses it.
+        assert_eq!(kill.before_wal_append(8), KillVerdict::Proceed);
+        assert_eq!(kill.before_wal_append(8), KillVerdict::Kill { torn: 0 });
+        assert_eq!(kill.wal_bytes(), 10);
+        // One command was metered while the head was still armed.
+        assert!(kill.after_command());
+        assert_eq!(kill.commands(), 2);
+        // The schedule is spent.
+        assert!(kill.fired());
+        assert!(!kill.after_batch_applied());
+        assert!(!kill.after_command());
+        assert_eq!(kill.before_wal_append(8), KillVerdict::Proceed);
+    }
+
+    #[test]
+    fn unfireable_point_holds_back_the_rest_of_the_schedule() {
+        let mut kill = KillSwitch::scheduled([
+            KillPoint::AfterBatches(u64::MAX),
+            KillPoint::AfterBatches(1),
+            KillPoint::AtWalByte { offset: 0, torn: 0 },
+            KillPoint::AfterCommands(1),
+        ]);
+        for _ in 0..100 {
+            assert!(!kill.after_batch_applied());
+            assert!(!kill.after_command());
+            assert_eq!(kill.before_wal_append(16), KillVerdict::Proceed);
+        }
+        assert!(!kill.fired());
+        assert_eq!(kill.applied_batches(), 100);
+        assert_eq!(kill.wal_bytes(), 1600);
     }
 
     #[test]
