@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use flowtab::{extract_features, FlowExtractor, FlowTableConfig, Windowing};
+use flowtab::{extract_features, FeatureKind, FlowExtractor, FlowTableConfig, Windowing};
 use hids_core::{AttackSweep, RocCurve, SweepTable, ThresholdHeuristic};
 use netpkt::testutil::{build_tcp_frame, FrameSpec};
 use netpkt::{EthernetFrame, Ipv4Packet, TcpFlags, TcpSegment};
@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use synthgen::{
     render_flows_to_frames, render_window_flows, user_week_series, Population, PopulationConfig,
+    WeekPlan,
 };
 use tailstats::{EmpiricalDist, P2Quantile};
 
@@ -150,6 +151,43 @@ fn generator_layer(c: &mut Criterion) {
                 0,
                 Windowing::FIFTEEN_MIN,
             ))
+        })
+    });
+    // The six-feature generator the week plans replaced, for the
+    // before/after of the layer in one harness.
+    group.bench_function("oracle_user_week", |b| {
+        let mut user = 0usize;
+        b.iter(|| {
+            user = (user + 1) % pop.users.len();
+            black_box(synthgen::counts::oracle::user_week_series(
+                &pop.users[user],
+                pop.config.seed,
+                0,
+                Windowing::FIFTEEN_MIN,
+            ))
+        })
+    });
+    // Megafleet's shape: one plan per host (built outside the timed loop,
+    // as megafleet builds it once for both weeks), one feature column
+    // into a reused buffer.
+    group.bench_function("week_column_tcp", |b| {
+        let plans: Vec<WeekPlan> = pop
+            .users
+            .iter()
+            .map(|u| WeekPlan::new(u, Windowing::FIFTEEN_MIN))
+            .collect();
+        let mut column = Vec::new();
+        let mut user = 0usize;
+        b.iter(|| {
+            user = (user + 1) % plans.len();
+            plans[user].column(
+                pop.config.seed,
+                0,
+                pop.config.weekly_trend,
+                FeatureKind::TcpConnections,
+                &mut column,
+            );
+            black_box(column.len())
         })
     });
     group.bench_function("storm_week", |b| {

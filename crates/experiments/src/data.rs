@@ -3,7 +3,7 @@
 use flowtab::{FeatureKind, FeatureSeries, Windowing};
 use hids_core::FeatureDataset;
 use serde::{Deserialize, Serialize};
-use synthgen::{user_week_series_trended, Population, PopulationConfig, UserProfile};
+use synthgen::{Population, PopulationConfig, UserProfile, WeekPlan};
 
 /// Configuration of a reproduction run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -74,8 +74,9 @@ impl Corpus {
         let trend = population.config.weekly_trend;
 
         let weeks = hids_core::par_map(&population.users, |_, u: &UserProfile| {
+            let plan = WeekPlan::new(u, windowing);
             (0..n_weeks)
-                .map(|w| user_week_series_trended(u, seed, w, windowing, trend))
+                .map(|w| plan.series(seed, w, trend))
                 .collect::<Vec<_>>()
         });
 
@@ -159,9 +160,10 @@ mod tests {
             n_weeks: 2,
             ..CorpusConfig::small()
         });
-        // Parallel generation must equal the sequential per-user streams.
+        // Parallel generation through reused plans must equal the
+        // sequential per-user streams of the original generator.
         let u = &c.population.users[3];
-        let expect = user_week_series_trended(
+        let expect = synthgen::counts::oracle::user_week_series_trended(
             u,
             c.population.config.seed,
             1,

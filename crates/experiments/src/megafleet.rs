@@ -4,8 +4,8 @@
 //! The paper's population is 350 hosts because that is what fit in a
 //! packet trace. This experiment asks what the same per-host methodology
 //! costs at enterprise-fleet scale: every host is generated *streamed*
-//! ([`synthgen::sample_user`] + [`synthgen::user_week_series`], one host
-//! in memory at a time), its train/test weeks are folded into
+//! ([`synthgen::sample_user`] + one [`synthgen::WeekPlan`] column per
+//! week, one host in memory at a time), its train/test weeks are folded into
 //! [`tailstats::KllSketch`]es instead of exact sample vectors, and the
 //! threshold fit + FP/FN/utility scoring run entirely against the
 //! sketches through [`hids_core::ThresholdHeuristic::threshold_source`]
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowtab::FeatureKind;
 use hids_core::{par_map_range, score_source, AttackSweep, ThresholdHeuristic};
-use synthgen::{sample_user, user_week_series, PopulationConfig};
+use synthgen::{sample_user, PopulationConfig, WeekPlan};
 use tailstats::{KllSketch, QuantileSource};
 
 use crate::report::{fnum, Table};
@@ -184,16 +184,17 @@ fn process_shard(
         pooled: None,
     };
     let mut shard_sketches: Vec<KllSketch> = Vec::new();
+    let mut column = Vec::new();
     for id in lo..hi {
-        let profile = sample_user(&pcfg, id as u32);
-        let mut train = KllSketch::new(cfg.sketch_eps);
-        for c in user_week_series(&profile, cfg.seed, 0, windowing).feature(cfg.feature) {
-            train.insert(c);
-        }
-        let mut test = KllSketch::new(cfg.sketch_eps);
-        for c in user_week_series(&profile, cfg.seed, 1, windowing).feature(cfg.feature) {
-            test.insert(c);
-        }
+        let plan = WeekPlan::new(&sample_user(&pcfg, id as u32), windowing);
+        let mut week_sketch = |week| {
+            plan.column(cfg.seed, week, pcfg.weekly_trend, cfg.feature, &mut column);
+            let mut s = KllSketch::new(cfg.sketch_eps);
+            s.extend_from_counts(&column);
+            s
+        };
+        let train = week_sketch(0);
+        let test = week_sketch(1);
 
         let state_bytes = train.state_bytes() + test.state_bytes();
         out.peak_host_bytes = out.peak_host_bytes.max(state_bytes);

@@ -13,148 +13,395 @@
 //! * `syn ≥ tcp` (every initiated connection carries at least one SYN)
 //! * `distinct ≤ tcp + udp + min(dns, 2)` and `distinct ≥ 1` whenever any
 //!   flow exists (DNS flows all target at most two resolver addresses)
+//!
+//! # Week plans
+//!
+//! [`WeekPlan`] is the generator the experiments run. It is built once per
+//! host and holds everything about a week that depends only on the
+//! profile and the windowing: the three session sizes, the integer
+//! threshold `⌈p·2⁵³⌉` of every Bernoulli and regime draw (see
+//! `dist::bernoulli_threshold`), and one slot per window with the
+//! window's regime class and its diurnal base after the 0.15 floor.
+//! [`WeekPlan::series`] produces all six features of a week;
+//! [`WeekPlan::column`] produces one. A column computes only the values
+//! its feature depends on. Every other draw still happens, in the same
+//! order and the same number of times, but only advances the stream: a
+//! Bernoulli sum whose count is not needed, a normal whose value is not
+//! needed (its `u ≤ ε` retries included), and DNS's odd-session noise
+//! when DNS is not the feature. Draws whose *number* depends on a value
+//! (Knuth's Poisson product, the binomial `n ≤ 64` split) keep computing
+//! that value. [`oracle`] keeps the per-window generator the plan
+//! replaced, and `tests/oracle.rs` holds the two byte-equal.
 
 use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, Windowing};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::RngCore;
 
-use crate::dist::{binomial, poisson, poisson_quantile, standard_normal};
-use crate::profile::{stream_rng, UserProfile};
-use crate::schedule::WEEK_SECS;
+use crate::dist::{bernoulli_threshold, poisson, poisson_quantile, standard_normal};
+use crate::profile::{stream_rng, UserId, UserProfile};
+use crate::schedule::{Regime, Schedule, DAY_SECS, WEEK_SECS};
 
-/// Generate the counts for one window at time-of-week `ts`.
-///
-/// `travelling` marks a travel week (sampled once per week upstream).
-pub fn window_counts<R: Rng + ?Sized>(
-    profile: &UserProfile,
-    rng: &mut R,
-    ts: f64,
-    travelling: bool,
-) -> FeatureCounts {
-    window_counts_with_level(profile, rng, ts, travelling, 1.0)
+pub use oracle::{window_counts, window_counts_with_level};
+
+/// Values a week pass computes beyond TCP and UDP, which every pass
+/// needs (their counts set how many draws the binomials on them take).
+const NEED_HTTP: u8 = 1;
+const NEED_SYN: u8 = 2;
+const NEED_DNS: u8 = 4;
+const NEED_DISTINCT: u8 = 8;
+const NEED_ALL: u8 = NEED_HTTP | NEED_SYN | NEED_DNS | NEED_DISTINCT;
+
+/// Regime classes of a window slot, as [`Schedule::sample_regime`]
+/// branches: each class has its own on/off Bernoulli and on-regime.
+const WEEKEND: u8 = 0;
+const CORE: u8 = 1;
+const SHOULDER: u8 = 2;
+const NIGHT: u8 = 3;
+
+/// One window of the week.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// `diurnal_intensity(ts).max(0.15)`.
+    base: f64,
+    /// One of [`WEEKEND`], [`CORE`], [`SHOULDER`], [`NIGHT`].
+    class: u8,
 }
 
-/// [`window_counts`] with an explicit week-level multiplier (drawn once
-/// per week by [`user_week_series`]; heavy users drift more week to week).
-pub fn window_counts_with_level<R: Rng + ?Sized>(
-    profile: &UserProfile,
-    rng: &mut R,
-    ts: f64,
-    travelling: bool,
-    week_level: f64,
-) -> FeatureCounts {
-    let a = profile.schedule.activity(rng, ts, travelling) * week_level;
-    if a == 0.0 {
-        return FeatureCounts::default();
+/// A slot class's on/off draw: the machine is on when the draw's top 53
+/// bits are below `threshold`, and then runs at `intensity`.
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    threshold: u64,
+    intensity: f64,
+}
+
+/// A binomial whose probability is fixed per profile.
+#[derive(Debug, Clone, Copy)]
+struct Bern {
+    /// The probability, clamped to `[0, 1]` as [`crate::dist::binomial`]
+    /// clamps it.
+    p: f64,
+    /// [`bernoulli_threshold`] of `p`.
+    threshold: u64,
+}
+
+impl Bern {
+    fn new(p: f64) -> Self {
+        let p = p.clamp(0.0, 1.0);
+        Self {
+            p,
+            threshold: bernoulli_threshold(p),
+        }
     }
 
-    let sigma = profile.window_sigma;
-
-    // Per-window volatility: one shared shock (the user being busy makes
-    // every feature busy) plus per-feature idiosyncratic shocks.
-    let shared = standard_normal(rng);
-    fn vol<R: Rng + ?Sized>(rng: &mut R, shared: f64, sigma: f64, weight: f64, scale: f64) -> f64 {
-        let idio = standard_normal(rng);
-        let mix = weight * shared + (1.0 - weight * weight).sqrt() * idio;
-        (scale * sigma * mix).exp()
+    /// [`crate::dist::binomial`]`(rng, n, p)`, draw for draw. With
+    /// `value` false it returns 0 and only advances the stream.
+    #[inline(always)]
+    fn draw(&self, rng: &mut StdRng, n: u64, value: bool) -> u64 {
+        if n == 0 || self.p == 0.0 {
+            return 0;
+        }
+        if self.p == 1.0 {
+            return n;
+        }
+        if n <= 64 {
+            let mut k = 0u64;
+            for _ in 0..n {
+                k += u64::from((rng.next_u64() >> 11) < self.threshold);
+            }
+            if value {
+                k
+            } else {
+                0
+            }
+        } else if value {
+            let mean = n as f64 * self.p;
+            let sd = (n as f64 * self.p * (1.0 - self.p)).sqrt();
+            let x = mean + sd * standard_normal(rng) + 0.5;
+            x.clamp(0.0, n as f64).floor() as u64
+        } else {
+            skip_normal(rng);
+            0
+        }
     }
+}
 
-    // Traffic is session-quantised: a window holds a Poisson number of
-    // sessions, each contributing roughly a user-specific number of flows.
-    // Light users' windows therefore land on lumps (0, s, 2s, ...), giving
-    // their empirical 99th percentiles real tie slack; heavy users (many
-    // sessions) smooth out into the continuous regime.
-    #[allow(clippy::too_many_arguments)]
-    fn session_counts<R: Rng + ?Sized>(
-        rng: &mut R,
-        rate: f64,
-        level: f64,
-        weight: f64,
-        a: f64,
-        shared: f64,
-        sigma: f64,
-        size_sigma: f64,
-    ) -> u64 {
-        // Session size calibrated so the ~97th in-use percentile of the
-        // window total sits near `level` (the ~99th over all windows once
-        // off-windows are included). The size is a fixed per-user integer:
-        // a session's flow count is largely app-determined (page loads,
-        // polling cycles), which is what puts *exact repeats* in real
-        // per-window counts and gives empirical 99th percentiles their
-        // sub-nominal false-positive slack (paper Table 3).
+/// Consume exactly the draws of one [`standard_normal`] without forming
+/// its value. `u > ε` there is `(x >> 11)·2⁻⁵³ > 2⁻⁵²`, i.e. `x >> 11 > 2`.
+#[inline(always)]
+fn skip_normal<R: RngCore + ?Sized>(rng: &mut R) {
+    while rng.next_u64() >> 11 <= 2 {}
+    rng.next_u64();
+}
+
+/// One session-quantised feature (TCP, UDP or DNS).
+#[derive(Debug, Clone, Copy)]
+struct Session {
+    /// Mean sessions per window at full activity.
+    rate: f64,
+    /// Flows per session.
+    size: u64,
+    /// Weight of the shared shock in this feature's volatility.
+    weight: f64,
+    /// `√(1 − weight²)`, the idiosyncratic shock's weight.
+    idio_weight: f64,
+}
+
+impl Session {
+    fn new(rate: f64, level: f64, weight: f64) -> Self {
         let n97 = poisson_quantile(rate * 0.7, 0.97).max(1);
-        let size = (level / n97 as f64).round().max(1.0) as u64;
-        let lam = rate * a * vol(rng, shared, sigma, weight, 0.75);
+        Self {
+            rate,
+            size: (level / n97 as f64).round().max(1.0) as u64,
+            weight,
+            idio_weight: (1.0 - weight * weight).sqrt(),
+        }
+    }
+}
+
+/// One host's week generator: built once per host, reused for every week.
+///
+/// Produces exactly what [`oracle::user_week_series_trended`] produces for
+/// the same profile, windowing, seed, week and trend.
+#[derive(Debug, Clone)]
+pub struct WeekPlan {
+    id: UserId,
+    windowing: Windowing,
+    /// [`bernoulli_threshold`] of the travel propensity.
+    travel: u64,
+    week_sigma: f64,
+    /// `0.75 · window_sigma`, the volatility exponent's scale.
+    vol_scale: f64,
+    size_sigma: f64,
+    /// Gates by slot class in an ordinary week, and in a travel week.
+    home_gates: [Gate; 4],
+    travel_gates: [Gate; 4],
+    tcp: Session,
+    udp: Session,
+    dns: Session,
+    http: Bern,
+    syn: Bern,
+    novel_tcp: Bern,
+    novel_udp: Bern,
+    slots: Vec<Slot>,
+}
+
+impl WeekPlan {
+    /// Build the plan for one host.
+    pub fn new(profile: &UserProfile, windowing: Windowing) -> Self {
+        let sched = &profile.schedule;
+        let gate = |p: f64, regime: Regime| Gate {
+            threshold: bernoulli_threshold(p),
+            intensity: regime.intensity(),
+        };
+        let home_gates = [
+            gate(sched.home_uptime * 0.7, Regime::Home),
+            gate(sched.work_uptime, Regime::Work),
+            gate(sched.home_uptime, Regime::Home),
+            gate(0.03, Regime::Home),
+        ];
+        let mut travel_gates = home_gates;
+        travel_gates[CORE as usize] = gate(0.5, Regime::Travel);
+        let slots = (0..windowing.windows_per_week())
+            .map(|w| {
+                let ts = (w as f64 + 0.5) * windowing.width_secs;
+                debug_assert!(ts < WEEK_SECS);
+                let hour = hour_of_day(ts, sched.phase_hours);
+                let class = if is_weekend(ts) {
+                    WEEKEND
+                } else if (9.0..18.0).contains(&hour) {
+                    CORE
+                } else if (7.0..9.0).contains(&hour) || (18.0..23.0).contains(&hour) {
+                    SHOULDER
+                } else {
+                    NIGHT
+                };
+                Slot {
+                    base: Schedule::diurnal_at_hour(hour).max(0.15),
+                    class,
+                }
+            })
+            .collect();
+        Self {
+            id: profile.id,
+            windowing,
+            travel: bernoulli_threshold(sched.travel_propensity),
+            week_sigma: profile.week_sigma,
+            vol_scale: 0.75 * profile.window_sigma,
+            size_sigma: profile.sess_size_sigma,
+            home_gates,
+            travel_gates,
+            tcp: Session::new(profile.sess_rate_tcp, profile.levels.tcp, 0.7),
+            udp: Session::new(profile.sess_rate_udp, profile.levels.udp, 0.45),
+            dns: Session::new(profile.sess_rate_tcp, profile.levels.dns, 0.6),
+            http: Bern::new(profile.p_http),
+            syn: Bern::new(profile.syn_mult - 1.0),
+            novel_tcp: Bern::new(profile.dest_novelty_tcp),
+            novel_udp: Bern::new(profile.dest_novelty_udp),
+            slots,
+        }
+    }
+
+    /// All six features of one week.
+    pub fn series(&self, seed: u64, week: usize, weekly_trend: f64) -> FeatureSeries {
+        let mut windows = Vec::with_capacity(self.slots.len());
+        self.walk::<NEED_ALL>(seed, week, weekly_trend, |c| windows.push(c));
+        FeatureSeries {
+            windowing: self.windowing,
+            windows,
+        }
+    }
+
+    /// One feature of one week into `out` (cleared first): equal to
+    /// `self.series(seed, week, weekly_trend).feature(feature)`.
+    pub fn column(
+        &self,
+        seed: u64,
+        week: usize,
+        weekly_trend: f64,
+        feature: FeatureKind,
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        out.reserve(self.slots.len());
+        let i = feature.index();
+        let push = |c: FeatureCounts| out.push(c.0[i]);
+        match feature {
+            FeatureKind::TcpConnections | FeatureKind::UdpConnections => {
+                self.walk::<0>(seed, week, weekly_trend, push)
+            }
+            FeatureKind::TcpSyn => self.walk::<NEED_SYN>(seed, week, weekly_trend, push),
+            FeatureKind::HttpConnections => self.walk::<NEED_HTTP>(seed, week, weekly_trend, push),
+            FeatureKind::DnsConnections => self.walk::<NEED_DNS>(seed, week, weekly_trend, push),
+            FeatureKind::DistinctConnections => {
+                self.walk::<NEED_ALL>(seed, week, weekly_trend, push)
+            }
+        }
+    }
+
+    /// Run one week's stream, handing each window's counts to `emit`.
+    /// Only TCP, UDP and the features in `NEED` are meaningful.
+    #[inline(always)]
+    fn walk<const NEED: u8>(
+        &self,
+        seed: u64,
+        week: usize,
+        weekly_trend: f64,
+        mut emit: impl FnMut(FeatureCounts),
+    ) {
+        let mut rng = stream_rng(seed, self.id, week);
+        let travelling = (rng.next_u64() >> 11) < self.travel;
+        let week_level =
+            (self.week_sigma * standard_normal(&mut rng)).exp() * weekly_trend.powi(week as i32);
+        let gates = if travelling {
+            &self.travel_gates
+        } else {
+            &self.home_gates
+        };
+        for slot in &self.slots {
+            let gate = gates[slot.class as usize];
+            let activity = if (rng.next_u64() >> 11) < gate.threshold {
+                gate.intensity * slot.base
+            } else {
+                0.0
+            };
+            let a = activity * week_level;
+            emit(if a == 0.0 {
+                FeatureCounts::default()
+            } else {
+                self.on_window::<NEED>(&mut rng, a)
+            });
+        }
+    }
+
+    /// The body of [`oracle::window_counts_with_level`] after the regime
+    /// draw, for activity `a ≠ 0`.
+    #[inline(always)]
+    fn on_window<const NEED: u8>(&self, rng: &mut StdRng, a: f64) -> FeatureCounts {
+        let shared = standard_normal(rng);
+        let tcp = self.session(rng, &self.tcp, a, shared, true);
+        let http = self.http.draw(rng, tcp, NEED & NEED_HTTP != 0);
+        let syn = tcp + self.syn.draw(rng, tcp, NEED & NEED_SYN != 0);
+        let udp = self.session(rng, &self.udp, a, shared, true);
+        let dns = self.session(rng, &self.dns, a, shared, NEED & NEED_DNS != 0);
+        let distinct_needed = NEED & NEED_DISTINCT != 0;
+        let new_tcp = self.novel_tcp.draw(rng, tcp, distinct_needed);
+        let new_udp = self.novel_udp.draw(rng, udp, distinct_needed);
+        let mut counts = FeatureCounts::default();
+        if distinct_needed {
+            let resolvers = dns.min(2);
+            let total_flows = tcp + udp + dns;
+            let max_distinct = tcp + udp + resolvers;
+            *counts.get_mut(FeatureKind::DistinctConnections) = if total_flows == 0 {
+                0
+            } else {
+                (new_tcp + new_udp + resolvers).clamp(1, max_distinct)
+            };
+        }
+        *counts.get_mut(FeatureKind::TcpConnections) = tcp;
+        *counts.get_mut(FeatureKind::TcpSyn) = syn;
+        *counts.get_mut(FeatureKind::HttpConnections) = http;
+        *counts.get_mut(FeatureKind::UdpConnections) = udp;
+        *counts.get_mut(FeatureKind::DnsConnections) = dns;
+        counts
+    }
+
+    /// The oracle's `session_counts`, draw for draw. With `value` false
+    /// it returns 0, and the odd session's noise only advances the
+    /// stream.
+    #[inline(always)]
+    fn session(&self, rng: &mut StdRng, s: &Session, a: f64, shared: f64, value: bool) -> u64 {
+        let idio = standard_normal(rng);
+        let mix = s.weight * shared + s.idio_weight * idio;
+        let lam = s.rate * a * (self.vol_scale * mix).exp();
         let n_sess = poisson(rng, lam).min(100_000);
         if n_sess == 0 {
             return 0;
         }
-        // Occasional odd session (different app) keeps the lattice from
-        // being perfectly rigid without destroying the ties.
-        let odd = if size_sigma > 0.0 && n_sess > 0 {
-            let noise = (size_sigma * standard_normal(rng)).exp();
-            ((size as f64) * noise).round().max(1.0) as u64
+        let odd = if self.size_sigma > 0.0 {
+            if !value {
+                skip_normal(rng);
+                return 0;
+            }
+            let noise = (self.size_sigma * standard_normal(rng)).exp();
+            ((s.size as f64) * noise).round().max(1.0) as u64
         } else {
-            size
+            s.size
         };
-        (n_sess - 1) * size + odd
+        if value {
+            (n_sess - 1) * s.size + odd
+        } else {
+            0
+        }
     }
+}
 
-    let tcp = session_counts(
-        rng,
-        profile.sess_rate_tcp,
-        profile.levels.tcp,
-        0.7,
-        a,
-        shared,
-        sigma,
-        profile.sess_size_sigma,
-    );
-    let http = binomial(rng, tcp, profile.p_http);
-    let syn = tcp + binomial(rng, tcp, (profile.syn_mult - 1.0).clamp(0.0, 1.0));
-
-    let udp = session_counts(
-        rng,
-        profile.sess_rate_udp,
-        profile.levels.udp,
-        0.45,
-        a,
-        shared,
-        sigma,
-        profile.sess_size_sigma,
-    );
-
-    // DNS lookups ride on the same session structure (each browsing
-    // session triggers a batch of lookups for its new destinations).
-    let dns = session_counts(
-        rng,
-        profile.sess_rate_tcp,
-        profile.levels.dns,
-        0.6,
-        a,
-        shared,
-        sigma,
-        profile.sess_size_sigma,
-    );
-
-    let resolvers = dns.min(2);
-    let new_tcp = binomial(rng, tcp, profile.dest_novelty_tcp);
-    let new_udp = binomial(rng, udp, profile.dest_novelty_udp);
-    let total_flows = tcp + udp + dns;
-    let max_distinct = tcp + udp + resolvers;
-    let distinct = if total_flows == 0 {
-        0
+/// `((ts / 3600) − phase_hours).rem_euclid(24)`, bit for bit, without
+/// `fmod`. Below 192 each `h − 24` is exact (the difference is a multiple
+/// of `h`'s ulp and smaller than `h`), so the loop stops at `fmod`'s exact
+/// remainder.
+fn hour_of_day(ts: f64, phase_hours: f64) -> f64 {
+    let x = (ts / 3600.0) - phase_hours;
+    if (0.0..192.0).contains(&x) {
+        let mut h = x;
+        while h >= 24.0 {
+            h -= 24.0;
+        }
+        h
     } else {
-        (new_tcp + new_udp + resolvers).clamp(1, max_distinct)
-    };
+        x.rem_euclid(24.0)
+    }
+}
 
-    let mut counts = FeatureCounts::default();
-    *counts.get_mut(FeatureKind::TcpConnections) = tcp;
-    *counts.get_mut(FeatureKind::TcpSyn) = syn;
-    *counts.get_mut(FeatureKind::HttpConnections) = http;
-    *counts.get_mut(FeatureKind::UdpConnections) = udp;
-    *counts.get_mut(FeatureKind::DnsConnections) = dns;
-    *counts.get_mut(FeatureKind::DistinctConnections) = distinct;
-    counts
+/// [`Schedule::is_weekend`], skipping `rem_euclid(7)` where it is the
+/// identity.
+fn is_weekend(ts: f64) -> bool {
+    let day = ts / DAY_SECS;
+    if (0.0..7.0).contains(&day) {
+        day >= 5.0
+    } else {
+        Schedule::is_weekend(ts)
+    }
 }
 
 /// Generate one user's feature series for one week.
@@ -171,7 +418,9 @@ pub fn user_week_series(
 }
 
 /// [`user_week_series`] with an explicit population-wide weekly activity
-/// trend (see `PopulationConfig::weekly_trend`).
+/// trend (see `PopulationConfig::weekly_trend`). Builds a one-off
+/// [`WeekPlan`]; callers generating several weeks of one host should keep
+/// the plan.
 pub fn user_week_series_trended(
     profile: &UserProfile,
     seed: u64,
@@ -179,18 +428,7 @@ pub fn user_week_series_trended(
     windowing: Windowing,
     weekly_trend: f64,
 ) -> FeatureSeries {
-    let mut rng = stream_rng(seed, profile.id, week);
-    let travelling = rng.random::<f64>() < profile.schedule.travel_propensity;
-    let week_level = (profile.week_sigma * standard_normal(&mut rng)).exp()
-        * weekly_trend.powi(week as i32);
-    let n = windowing.windows_per_week();
-    let mut series = FeatureSeries::zeros(windowing, n);
-    for (w, counts) in series.windows.iter_mut().enumerate() {
-        let ts = (w as f64 + 0.5) * windowing.width_secs;
-        debug_assert!(ts < WEEK_SECS);
-        *counts = window_counts_with_level(profile, &mut rng, ts, travelling, week_level);
-    }
-    series
+    WeekPlan::new(profile, windowing).series(seed, week, weekly_trend)
 }
 
 /// Check the structural invariants of a window (used by tests and debug
@@ -208,6 +446,191 @@ pub fn invariants_hold(c: &FeatureCounts) -> bool {
         && (tcp > 0 || syn == 0)
         && distinct <= tcp + udp + dns.min(2)
         && (total == 0) == (distinct == 0)
+}
+
+/// The per-window generator as first written: one call per window, every
+/// draw through the generic samplers in [`crate::dist`]. [`WeekPlan`]
+/// must reproduce it byte for byte; `tests/oracle.rs` holds the two
+/// equal.
+pub mod oracle {
+    use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, Windowing};
+    use rand::Rng;
+
+    use crate::dist::{binomial, poisson, poisson_quantile, standard_normal};
+    use crate::profile::{stream_rng, UserProfile};
+    use crate::schedule::WEEK_SECS;
+
+    /// Generate the counts for one window at time-of-week `ts`.
+    ///
+    /// `travelling` marks a travel week (sampled once per week upstream).
+    pub fn window_counts<R: Rng + ?Sized>(
+        profile: &UserProfile,
+        rng: &mut R,
+        ts: f64,
+        travelling: bool,
+    ) -> FeatureCounts {
+        window_counts_with_level(profile, rng, ts, travelling, 1.0)
+    }
+
+    /// [`window_counts`] with an explicit week-level multiplier (drawn once
+    /// per week by [`user_week_series`]; heavy users drift more week to week).
+    pub fn window_counts_with_level<R: Rng + ?Sized>(
+        profile: &UserProfile,
+        rng: &mut R,
+        ts: f64,
+        travelling: bool,
+        week_level: f64,
+    ) -> FeatureCounts {
+        let a = profile.schedule.activity(rng, ts, travelling) * week_level;
+        if a == 0.0 {
+            return FeatureCounts::default();
+        }
+
+        let sigma = profile.window_sigma;
+
+        // Per-window volatility: one shared shock (the user being busy makes
+        // every feature busy) plus per-feature idiosyncratic shocks.
+        let shared = standard_normal(rng);
+        fn vol<R: Rng + ?Sized>(rng: &mut R, shared: f64, sigma: f64, weight: f64, scale: f64) -> f64 {
+            let idio = standard_normal(rng);
+            let mix = weight * shared + (1.0 - weight * weight).sqrt() * idio;
+            (scale * sigma * mix).exp()
+        }
+
+        // Traffic is session-quantised: a window holds a Poisson number of
+        // sessions, each contributing roughly a user-specific number of flows.
+        // Light users' windows therefore land on lumps (0, s, 2s, ...), giving
+        // their empirical 99th percentiles real tie slack; heavy users (many
+        // sessions) smooth out into the continuous regime.
+        #[allow(clippy::too_many_arguments)]
+        fn session_counts<R: Rng + ?Sized>(
+            rng: &mut R,
+            rate: f64,
+            level: f64,
+            weight: f64,
+            a: f64,
+            shared: f64,
+            sigma: f64,
+            size_sigma: f64,
+        ) -> u64 {
+            // Session size calibrated so the ~97th in-use percentile of the
+            // window total sits near `level` (the ~99th over all windows once
+            // off-windows are included). The size is a fixed per-user integer:
+            // a session's flow count is largely app-determined (page loads,
+            // polling cycles), which is what puts *exact repeats* in real
+            // per-window counts and gives empirical 99th percentiles their
+            // sub-nominal false-positive slack (paper Table 3).
+            let n97 = poisson_quantile(rate * 0.7, 0.97).max(1);
+            let size = (level / n97 as f64).round().max(1.0) as u64;
+            let lam = rate * a * vol(rng, shared, sigma, weight, 0.75);
+            let n_sess = poisson(rng, lam).min(100_000);
+            if n_sess == 0 {
+                return 0;
+            }
+            // Occasional odd session (different app) keeps the lattice from
+            // being perfectly rigid without destroying the ties.
+            let odd = if size_sigma > 0.0 && n_sess > 0 {
+                let noise = (size_sigma * standard_normal(rng)).exp();
+                ((size as f64) * noise).round().max(1.0) as u64
+            } else {
+                size
+            };
+            (n_sess - 1) * size + odd
+        }
+
+        let tcp = session_counts(
+            rng,
+            profile.sess_rate_tcp,
+            profile.levels.tcp,
+            0.7,
+            a,
+            shared,
+            sigma,
+            profile.sess_size_sigma,
+        );
+        let http = binomial(rng, tcp, profile.p_http);
+        let syn = tcp + binomial(rng, tcp, (profile.syn_mult - 1.0).clamp(0.0, 1.0));
+
+        let udp = session_counts(
+            rng,
+            profile.sess_rate_udp,
+            profile.levels.udp,
+            0.45,
+            a,
+            shared,
+            sigma,
+            profile.sess_size_sigma,
+        );
+
+        // DNS lookups ride on the same session structure (each browsing
+        // session triggers a batch of lookups for its new destinations).
+        let dns = session_counts(
+            rng,
+            profile.sess_rate_tcp,
+            profile.levels.dns,
+            0.6,
+            a,
+            shared,
+            sigma,
+            profile.sess_size_sigma,
+        );
+
+        let resolvers = dns.min(2);
+        let new_tcp = binomial(rng, tcp, profile.dest_novelty_tcp);
+        let new_udp = binomial(rng, udp, profile.dest_novelty_udp);
+        let total_flows = tcp + udp + dns;
+        let max_distinct = tcp + udp + resolvers;
+        let distinct = if total_flows == 0 {
+            0
+        } else {
+            (new_tcp + new_udp + resolvers).clamp(1, max_distinct)
+        };
+
+        let mut counts = FeatureCounts::default();
+        *counts.get_mut(FeatureKind::TcpConnections) = tcp;
+        *counts.get_mut(FeatureKind::TcpSyn) = syn;
+        *counts.get_mut(FeatureKind::HttpConnections) = http;
+        *counts.get_mut(FeatureKind::UdpConnections) = udp;
+        *counts.get_mut(FeatureKind::DnsConnections) = dns;
+        *counts.get_mut(FeatureKind::DistinctConnections) = distinct;
+        counts
+    }
+
+    /// Generate one user's feature series for one week.
+    ///
+    /// Deterministic in `(seed, profile.id, week)`; independent of every other
+    /// user and week, so callers may parallelise freely.
+    pub fn user_week_series(
+        profile: &UserProfile,
+        seed: u64,
+        week: usize,
+        windowing: Windowing,
+    ) -> FeatureSeries {
+        user_week_series_trended(profile, seed, week, windowing, 0.97)
+    }
+
+    /// [`user_week_series`] with an explicit population-wide weekly activity
+    /// trend (see `PopulationConfig::weekly_trend`).
+    pub fn user_week_series_trended(
+        profile: &UserProfile,
+        seed: u64,
+        week: usize,
+        windowing: Windowing,
+        weekly_trend: f64,
+    ) -> FeatureSeries {
+        let mut rng = stream_rng(seed, profile.id, week);
+        let travelling = rng.random::<f64>() < profile.schedule.travel_propensity;
+        let week_level = (profile.week_sigma * standard_normal(&mut rng)).exp()
+            * weekly_trend.powi(week as i32);
+        let n = windowing.windows_per_week();
+        let mut series = FeatureSeries::zeros(windowing, n);
+        for (w, counts) in series.windows.iter_mut().enumerate() {
+            let ts = (w as f64 + 0.5) * windowing.width_secs;
+            debug_assert!(ts < WEEK_SECS);
+            *counts = window_counts_with_level(profile, &mut rng, ts, travelling, week_level);
+        }
+        series
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +744,67 @@ mod tests {
             "top decile mostly heavy users: {heavy_in_top}/{}",
             top.len()
         );
+    }
+
+    /// A generator that replays a fixed script of raw draws.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
+        }
+    }
+
+    #[test]
+    fn skip_normal_takes_the_retries_standard_normal_takes() {
+        // `x >> 11` of 0, 1 and 2 is `u ≤ ε` (a retry); 3 is accepted.
+        let tiny: Vec<u64> = (0..=3u64).map(|m| m << 11).collect();
+        for start in 0..tiny.len() {
+            let mut script: Vec<u64> = tiny[start..].to_vec();
+            script.extend([0x5555_5555_5555_5555, 42]);
+            let mut a = Script(script.clone().into_iter());
+            let mut b = Script(script.into_iter());
+            let _ = standard_normal(&mut a);
+            skip_normal(&mut b);
+            assert_eq!(a.next_u64(), 42, "standard_normal from {start}");
+            assert_eq!(b.next_u64(), 42, "skip_normal from {start}");
+        }
+    }
+
+    #[test]
+    fn hour_and_weekend_match_rem_euclid() {
+        let mut phases = vec![0.0, -3.0, 3.0, 0.125, -0.0, 23.999, -24.0, 30.0, -30.0];
+        let mut rng = stream_rng(1, 2, 3);
+        phases.extend((0..200).map(|_| 60.0 * (rand::Rng::random::<f64>(&mut rng) - 0.5)));
+        for windowing in [
+            Windowing::FIFTEEN_MIN,
+            Windowing::FIVE_MIN,
+            Windowing { width_secs: 1234.5 },
+        ] {
+            for w in 0..windowing.windows_per_week() {
+                let ts = (w as f64 + 0.5) * windowing.width_secs;
+                assert_eq!(is_weekend(ts), Schedule::is_weekend(ts), "ts {ts}");
+                for &phase in &phases {
+                    let want = ((ts / 3600.0) - phase).rem_euclid(24.0);
+                    let got = hour_of_day(ts, phase);
+                    assert_eq!(got.to_bits(), want.to_bits(), "ts {ts} phase {phase}");
+                }
+            }
+        }
+        // Exactly at the loop's edges.
+        for x in [
+            0.0,
+            24.0,
+            48.0,
+            191.99999999999997,
+            24f64.next_down(),
+            24f64.next_up(),
+        ] {
+            assert_eq!(
+                hour_of_day(x * 3600.0, 0.0).to_bits(),
+                (x * 3600.0 / 3600.0).rem_euclid(24.0).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -97,20 +97,56 @@ pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     }
 }
 
-/// Exact Poisson quantile: smallest `k` with `CDF(k) >= q`.
+/// Exact Poisson quantile: smallest `k` with `CDF(k) >= q`, capped at
+/// 100 000.
+///
+/// Up to λ = 700 the terms come from the product recurrence
+/// `p_k = p_{k-1}·λ/k` starting at `e^{-λ}`. Above that `e^{-λ}` is
+/// subnormal or zero, so the terms are carried as logarithms instead,
+/// where nothing can underflow; a term that is too small to add to the
+/// CDF simply contributes zero.
 pub fn poisson_quantile(lambda: f64, q: f64) -> u64 {
+    const CAP: u64 = 100_000;
     if lambda <= 0.0 {
         return 0;
     }
-    let mut p = (-lambda).exp();
-    let mut cdf = p;
     let mut k = 0u64;
-    while cdf < q && k < 100_000 {
-        k += 1;
-        p *= lambda / k as f64;
-        cdf += p;
+    if lambda <= 700.0 {
+        let mut p = (-lambda).exp();
+        let mut cdf = p;
+        while cdf < q && k < CAP {
+            k += 1;
+            p *= lambda / k as f64;
+            cdf += p;
+        }
+    } else {
+        let mut ln_p = -lambda;
+        let mut cdf = ln_p.exp();
+        while cdf < q && k < CAP {
+            k += 1;
+            ln_p += (lambda / k as f64).ln();
+            cdf += ln_p.exp();
+        }
     }
     k
+}
+
+/// The integer form of a Bernoulli(`p`) trial on one draw `x`:
+/// `random::<f64>() < p` is exactly `(x >> 11) < bernoulli_threshold(p)`.
+///
+/// `random::<f64>()` is `(x >> 11)·2⁻⁵³`, and scaling by a power of two
+/// is exact, so `m·2⁻⁵³ < p ⇔ m < p·2⁵³ ⇔ m < ⌈p·2⁵³⌉` for the integer
+/// `m = x >> 11`. A NaN or non-positive `p` never fires (threshold 0);
+/// `p ≥ 1` always does (threshold 2⁵³, above every `m`).
+pub(crate) fn bernoulli_threshold(p: f64) -> u64 {
+    const ONE: u64 = 1 << 53;
+    if p.is_nan() || p <= 0.0 {
+        0
+    } else if p >= 1.0 {
+        ONE
+    } else {
+        (p * ONE as f64).ceil() as u64
+    }
 }
 
 /// Sample an Exponential(rate) waiting time.
@@ -309,6 +345,131 @@ mod tests {
             let k = z.sample(&mut r);
             assert!((1..=100).contains(&k));
         }
+    }
+
+    /// `poisson_quantile` as it was before the log-space branch.
+    fn poisson_quantile_product(lambda: f64, q: f64) -> u64 {
+        if lambda <= 0.0 {
+            return 0;
+        }
+        let mut p = (-lambda).exp();
+        let mut cdf = p;
+        let mut k = 0u64;
+        while cdf < q && k < 100_000 {
+            k += 1;
+            p *= lambda / k as f64;
+            cdf += p;
+        }
+        k
+    }
+
+    /// Reference Poisson quantile that never forms `e^{-λ}`: terms are
+    /// taken relative to the mode by ratio recurrences in both directions
+    /// (all of them normal floats within ±40σ), summed in extended
+    /// precision by compensated summation, and normalised by their total.
+    fn poisson_quantile_reference(lambda: f64, q: f64) -> u64 {
+        let mode = lambda.floor() as u64;
+        let span = (40.0 * lambda.sqrt()).ceil() as u64;
+        let lo = mode.saturating_sub(span);
+        let hi = mode + span;
+        let mut rel = vec![0.0f64; (hi - lo + 1) as usize];
+        rel[(mode - lo) as usize] = 1.0;
+        for k in (lo..mode).rev() {
+            // p_k = p_{k+1}·(k+1)/λ
+            rel[(k - lo) as usize] = rel[(k + 1 - lo) as usize] * (k + 1) as f64 / lambda;
+        }
+        for k in mode + 1..=hi {
+            rel[(k - lo) as usize] = rel[(k - 1 - lo) as usize] * lambda / k as f64;
+        }
+        // Running compensated (Kahan) sums: `prefix[i]` = Σ rel[..=i].
+        let mut prefix = Vec::with_capacity(rel.len());
+        let (mut sum, mut c) = (0.0f64, 0.0f64);
+        for &x in &rel {
+            let y = x - c;
+            let t = sum + y;
+            c = (t - sum) - y;
+            sum = t;
+            prefix.push(sum);
+        }
+        let k = prefix
+            .iter()
+            .position(|&s| s / sum >= q)
+            .unwrap_or(rel.len() - 1);
+        lo + k as u64
+    }
+
+    #[test]
+    fn poisson_quantile_large_lambda_matches_reference() {
+        for &lambda in &[744.0, 746.0, 800.0, 5000.0] {
+            // (q, its standard normal quantile z)
+            for &(q, z) in &[(0.5, 0.0), (0.97, 1.8808), (0.999, 3.0902)] {
+                let got = poisson_quantile(lambda, q);
+                assert_eq!(
+                    got,
+                    poisson_quantile_reference(lambda, q),
+                    "λ={lambda} q={q}"
+                );
+                // Normal approximation sanity: within a few units of it.
+                let approx = lambda + z * lambda.sqrt();
+                assert!((got as f64 - approx).abs() < 4.0, "λ={lambda} q={q}: {got}");
+            }
+        }
+        // The product loop this replaces above λ = 700.
+        assert_eq!(poisson_quantile_product(744.0, 0.97), 763);
+        assert_eq!(poisson_quantile_product(746.0, 0.97), 100_000);
+    }
+
+    #[test]
+    fn poisson_quantile_unchanged_up_to_700() {
+        let mut lambda = 0.0f64;
+        while lambda <= 700.0 {
+            for &q in &[0.01, 0.5, 0.9, 0.97, 0.99, 0.999_999] {
+                assert_eq!(
+                    poisson_quantile(lambda, q),
+                    poisson_quantile_product(lambda, q),
+                    "λ={lambda} q={q}"
+                );
+            }
+            lambda += 0.37;
+        }
+        for &lambda in &[699.9, 700.0] {
+            assert_eq!(
+                poisson_quantile(lambda, 0.97),
+                poisson_quantile_product(lambda, 0.97)
+            );
+        }
+    }
+
+    #[test]
+    fn bernoulli_threshold_is_the_float_compare() {
+        fn via_float(m: u64, p: f64) -> bool {
+            (m as f64) * (1.0 / (1u64 << 53) as f64) < p
+        }
+        let mut ps = vec![0.0, -0.5, 1.0, 1.5, f64::NAN, f64::INFINITY, 2f64.powi(-60)];
+        for e in 1..=53 {
+            let p = 2f64.powi(-e);
+            ps.extend([
+                p,
+                p.next_up(),
+                p.next_down(),
+                3.0 * p,
+                (3.0 * p).next_down(),
+            ]);
+        }
+        ps.extend([0.03, 0.5, 0.7 * 0.35, 1f64.next_down(), f64::MIN_POSITIVE]);
+        for &p in &ps {
+            let t = bernoulli_threshold(p);
+            // Probe the boundary: the compare flips exactly at t.
+            let probes = [0, 1, 2, t.saturating_sub(1), t, t + 1, (1 << 53) - 1];
+            for &m in &probes {
+                let m = m.min((1 << 53) - 1);
+                assert_eq!(m < t, via_float(m, p), "p={p:e} m={m} t={t}");
+            }
+        }
+        assert_eq!(bernoulli_threshold(2f64.powi(-60)), 1);
+        assert_eq!(bernoulli_threshold(0.5), 1 << 52);
+        assert_eq!(bernoulli_threshold(0.5f64.next_up()), (1 << 52) + 1);
+        assert_eq!(bernoulli_threshold(0.5f64.next_down()), 1 << 52);
     }
 
     #[test]

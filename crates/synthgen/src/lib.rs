@@ -44,7 +44,9 @@ pub mod schedule;
 pub mod storm;
 pub mod validate;
 
-pub use counts::{invariants_hold, user_week_series, user_week_series_trended, window_counts};
+pub use counts::{
+    invariants_hold, user_week_series, user_week_series_trended, window_counts, WeekPlan,
+};
 pub use export::{export_user_week_to_file, export_user_windows, ExportStats};
 pub use profile::{
     mix_seed, sample_user, stream_rng, Population, PopulationConfig, TailLevels, UserId,
@@ -74,13 +76,14 @@ pub struct UserTrace {
 pub fn generate_traces(pop: &Population, n_weeks: usize, windowing: Windowing) -> Vec<UserTrace> {
     pop.users
         .iter()
-        .map(|u| UserTrace {
-            user: u.id,
-            weeks: (0..n_weeks)
-                .map(|w| {
-                    user_week_series_trended(u, pop.config.seed, w, windowing, pop.config.weekly_trend)
-                })
-                .collect(),
+        .map(|u| {
+            let plan = WeekPlan::new(u, windowing);
+            UserTrace {
+                user: u.id,
+                weeks: (0..n_weeks)
+                    .map(|w| plan.series(pop.config.seed, w, pop.config.weekly_trend))
+                    .collect(),
+            }
         })
         .collect()
 }

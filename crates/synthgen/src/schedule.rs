@@ -68,7 +68,12 @@ impl Schedule {
     /// Smooth diurnal intensity in `[0, 1]` for a time-of-day, peaking
     /// mid-morning and mid-afternoon with a lunch dip.
     pub fn diurnal_intensity(&self, ts: f64) -> f64 {
-        let hour = ((ts / 3600.0) - self.phase_hours).rem_euclid(24.0);
+        Self::diurnal_at_hour(((ts / 3600.0) - self.phase_hours).rem_euclid(24.0))
+    }
+
+    /// [`diurnal_intensity`](Self::diurnal_intensity) at a phase-adjusted
+    /// hour of day in `[0, 24)`.
+    pub(crate) fn diurnal_at_hour(hour: f64) -> f64 {
         // Piecewise curve: night trough, morning ramp, lunch dip, evening tail.
         let base: f64 = match hour {
             h if h < 6.0 => 0.02,
