@@ -9,7 +9,7 @@
 //!
 //! * `megafleet_host`: a 672-sample ε 0.01 train and test week, answering
 //!   the host's threshold (`quantile_discrete(0.99)`), q90/q95/q99
-//!   (`quantile`), and `score_source`'s 65 test-week queries (one
+//!   (`quantile`), and `UserPerf::score`'s 65 test-week queries (one
 //!   `exceedance`, 64 sweep `below`s).
 //! * `megafleet_pool`: pooling 256 shard sketches, each itself pooled
 //!   from eight such host weeks.
@@ -21,7 +21,7 @@ use hids_core::AttackSweep;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tailstats::sketch::oracle;
-use tailstats::{EmpiricalDist, KllSketch, QuantileSource};
+use tailstats::{EmpiricalDist, KllSketch};
 
 const EPS: f64 = 0.01;
 const STREAM: usize = 100_000;
@@ -97,8 +97,7 @@ fn query(c: &mut Criterion) {
     for &v in &data {
         sk.insert(v);
     }
-    let sketch_src = QuantileSource::Sketch(sk);
-    let exact_src = QuantileSource::Exact(EmpiricalDist::from_counts(&data));
+    let exact = EmpiricalDist::from_counts(&data);
     let qs = [0.5, 0.9, 0.95, 0.99, 0.999];
     let mut group = c.benchmark_group("sketch_query");
     group.throughput(Throughput::Elements(qs.len() as u64));
@@ -106,7 +105,7 @@ fn query(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for &q in black_box(&qs) {
-                acc += sketch_src.quantile(q);
+                acc += sk.quantile(q);
             }
             black_box(acc)
         })
@@ -115,7 +114,7 @@ fn query(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for &q in black_box(&qs) {
-                acc += exact_src.quantile(q);
+                acc += exact.quantile(q);
             }
             black_box(acc)
         })

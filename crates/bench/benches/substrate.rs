@@ -14,7 +14,7 @@ use synthgen::{
     render_flows_to_frames, render_window_flows, user_week_series, Population, PopulationConfig,
     WeekPlan,
 };
-use tailstats::{EmpiricalDist, P2Quantile};
+use tailstats::EmpiricalDist;
 
 fn packet_layer(c: &mut Criterion) {
     let frame = build_tcp_frame(
@@ -107,7 +107,6 @@ fn flow_layer(c: &mut Criterion) {
 fn stats_layer(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let samples: Vec<u64> = (0..672).map(|_| rng.random_range(0..5_000)).collect();
-    let big: Vec<f64> = (0..100_000).map(|_| rng.random::<f64>() * 1e4).collect();
 
     let mut group = c.benchmark_group("tailstats");
     group.bench_function("empirical_dist_build_672", |b| {
@@ -119,16 +118,6 @@ fn stats_layer(c: &mut Criterion) {
     });
     group.bench_function("exceedance_lookup", |b| {
         b.iter(|| black_box(dist.exceedance(2_500.0)))
-    });
-    group.throughput(Throughput::Elements(big.len() as u64));
-    group.bench_function("p2_stream_100k", |b| {
-        b.iter(|| {
-            let mut p2 = P2Quantile::new(0.99);
-            for &x in &big {
-                p2.observe(x);
-            }
-            black_box(p2.estimate())
-        })
     });
     group.finish();
 }

@@ -8,8 +8,9 @@
 //! week, one host in memory at a time), its train/test weeks are folded into
 //! [`tailstats::KllSketch`]es instead of exact sample vectors, and the
 //! threshold fit + FP/FN/utility scoring run entirely against the
-//! sketches through [`hids_core::ThresholdHeuristic::threshold_source`]
-//! and [`hids_core::score_source`]. Per-host state is therefore
+//! sketches through [`hids_core::ThresholdHeuristic::threshold`] and
+//! [`hids_core::UserPerf::score`], the same fit and score the exact
+//! paper suite runs. Per-host state is therefore
 //! `O(log(n)/eps)` integers rather than `O(windows)` — the figure
 //! [`MegafleetResult::peak_host_state_bytes`] reports.
 //!
@@ -26,9 +27,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use flowtab::FeatureKind;
-use hids_core::{par_map_range, score_source, AttackSweep, ThresholdHeuristic};
+use hids_core::{par_map_range, AttackSweep, ThresholdHeuristic, UserPerf};
 use synthgen::{sample_user, PopulationConfig, WeekPlan};
-use tailstats::{KllSketch, QuantileSource};
+use tailstats::KllSketch;
 
 use crate::report::{fnum, Table};
 
@@ -205,15 +206,13 @@ fn process_shard(
         // A short, per-host attack sweep keeps scoring O(1) per host
         // while exercising the full sketch-backed FN path.
         let sweep = AttackSweep::new(train.max().max(1.0), 64);
-        let train_src = QuantileSource::Sketch(train);
-        let threshold = heuristic.threshold_source(&train_src);
+        let threshold = heuristic.threshold(&train);
         let (q90, q95, q99) = (
-            train_src.quantile(0.90),
-            train_src.quantile(0.95),
-            train_src.quantile(0.99),
+            train.quantile(0.90),
+            train.quantile(0.95),
+            train.quantile(0.99),
         );
-        let test_src = QuantileSource::Sketch(test);
-        let perf = score_source(&test_src, threshold, &sweep, cfg.w);
+        let perf = UserPerf::score(&test, threshold, &sweep, cfg.w);
 
         let row = HostRow {
             id: id as u32,
@@ -247,9 +246,7 @@ fn process_shard(
         out.fp_sum += perf.fp;
         out.alarms += perf.false_alarms;
         out.n_hosts += 1;
-        if let QuantileSource::Sketch(s) = train_src {
-            shard_sketches.push(s);
-        }
+        shard_sketches.push(train);
 
         let total = done.fetch_add(1, Ordering::Relaxed) + 1;
         if cfg.progress_every > 0 && total % cfg.progress_every == 0 {

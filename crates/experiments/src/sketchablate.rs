@@ -16,8 +16,8 @@
 //! criterion CI enforces at reduced scale.
 
 use flowtab::FeatureKind;
-use hids_core::{par_map_range, score_source, AttackSweep, ThresholdHeuristic};
-use tailstats::{EmpiricalDist, KllSketch, QuantileSource};
+use hids_core::{par_map_range, AttackSweep, ThresholdHeuristic, UserPerf};
+use tailstats::KllSketch;
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
@@ -112,20 +112,18 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, eps: f64) -> AblateResult {
             rank_dev[i] = (sk_train.cdf(v) - exact_train.cdf(v)).abs();
         }
 
-        let src_train = QuantileSource::Sketch(sk_train);
-        let src_test = QuantileSource::Sketch(sk_test);
         let per_h = hs
             .iter()
             .map(|(_, h)| {
                 let te = h.threshold(exact_train);
-                let ts = h.threshold_source(&src_train);
-                let pe = score_exact(exact_test, te, &sweep, w);
-                let ps = score_source(&src_test, ts, &sweep, w);
+                let ts = h.threshold(&sk_train);
+                let pe = UserPerf::score(exact_test, te, &sweep, w);
+                let ps = UserPerf::score(&sk_test, ts, &sweep, w);
                 (
                     (ts - te).abs() / te.max(1.0),
-                    (ps.fp - pe.0).abs(),
-                    (ps.fn_rate - pe.1).abs(),
-                    (ps.utility - pe.2).abs(),
+                    (ps.fp - pe.fp).abs(),
+                    (ps.fn_rate - pe.fn_rate).abs(),
+                    (ps.utility - pe.utility).abs(),
                 )
             })
             .collect();
@@ -164,14 +162,6 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, eps: f64) -> AblateResult {
         worst_rank_dev: max_rank_dev.iter().fold(0.0f64, |m, &d| m.max(d)),
         heuristics,
     }
-}
-
-/// Exact-backend (fp, fn, utility) at threshold `t` — the historical
-/// float expressions, for a like-for-like comparison.
-fn score_exact(test: &EmpiricalDist, t: f64, sweep: &AttackSweep, w: f64) -> (f64, f64, f64) {
-    let fp = test.exceedance(t);
-    let fn_rate = sweep.mean_fn(test, t);
-    (fp, fn_rate, hids_core::utility_of(w, fp, fn_rate))
 }
 
 impl AblateResult {

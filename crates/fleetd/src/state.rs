@@ -208,8 +208,8 @@ impl HostState {
                 Some(_) => self
                     .train_sketch
                     .as_ref()
-                    .and_then(SketchAccumulator::source)
-                    .map(|s| s.quantile(cfg.threshold_q)),
+                    .filter(|acc| !acc.is_empty())
+                    .map(|acc| acc.sketch().quantile(cfg.threshold_q)),
             };
         }
 

@@ -27,10 +27,9 @@
 
 use flowtab::{FeatureKind, FeatureSeries};
 use serde::{Deserialize, Serialize};
-use tailstats::{EmpiricalDist, QuantileSource};
+use tailstats::EmpiricalDist;
 
 use crate::eval::{EvalConfig, UserPerf};
-use crate::threshold::AttackSweep;
 use crate::{Policy, PolicyOutcome};
 
 /// Why a degraded dataset or evaluation could not be produced.
@@ -93,7 +92,7 @@ pub struct DegradedDataset {
     pub train: Vec<Option<EmpiricalDist>>,
     /// Per-user test distributions over covered windows.
     pub test: Vec<Option<EmpiricalDist>>,
-    /// Covered test window counts per user (alarm counting).
+    /// Covered test window counts per user, in window order.
     pub test_counts: Vec<Vec<u64>>,
     /// Fraction of training windows covered, per user.
     pub train_coverage: Vec<f64>,
@@ -336,37 +335,6 @@ impl DegradedEvaluation {
     }
 }
 
-/// The paper's per-user utility `U = 1 − [w·FN + (1−w)·FP]` — the one
-/// scoring formula every evaluation path (exact, degraded, sketch-backed)
-/// shares.
-#[inline]
-pub fn utility_of(w: f64, fp: f64, fn_rate: f64) -> f64 {
-    1.0 - (w * fn_rate + (1.0 - w) * fp)
-}
-
-/// Score one host's already-fitted threshold against its test-week
-/// quantile backend — the per-host kernel of the evaluation loop, exposed
-/// for fleet-scale callers that hold [`QuantileSource::Sketch`] state
-/// instead of stored samples.
-///
-/// `false_alarms` is derived as `round(exceedance · n)`: on the exact
-/// backend this equals the stored-count tally the batch path computes,
-/// and on the sketch backend it is the same quantity within the sketch's
-/// rank-error bound.
-pub fn score_source(test: &QuantileSource, threshold: f64, sweep: &AttackSweep, w: f64) -> UserPerf {
-    let fp = test.exceedance(threshold);
-    let fn_rate = sweep.mean_fn_source(test, threshold);
-    let utility = utility_of(w, fp, fn_rate);
-    let false_alarms = (fp * test.len() as f64).round() as u64;
-    UserPerf {
-        threshold,
-        fp,
-        fn_rate,
-        utility,
-        false_alarms,
-    }
-}
-
 /// Configure `policy` on the evaluable hosts' available training data and
 /// score them on their available test windows, reporting coverage and
 /// exclusion status for every host.
@@ -381,20 +349,22 @@ pub fn evaluate_policy_degraded(
     }
 
     // Classify hosts. A host is evaluable when both weeks have data and
-    // both coverages clear the floor.
+    // both coverages clear the floor; its (train, test) pair is borrowed
+    // as it is classified.
     let mut status = Vec::with_capacity(n);
     let mut evaluated_hosts = Vec::new();
+    let mut evaluable: Vec<(&EmpiricalDist, &EmpiricalDist)> = Vec::new();
     for u in 0..n {
-        let dark = dataset.train[u].is_none() || dataset.test[u].is_none();
         let covered = dataset.train_coverage[u] >= config.min_coverage
             && dataset.test_coverage[u] >= config.min_coverage;
-        let s = if dark {
-            HostStatus::Dark
-        } else if !covered {
-            HostStatus::LowCoverage
-        } else {
-            evaluated_hosts.push(u);
-            HostStatus::Evaluated
+        let s = match (&dataset.train[u], &dataset.test[u]) {
+            (Some(train), Some(test)) if covered => {
+                evaluated_hosts.push(u);
+                evaluable.push((train, test));
+                HostStatus::Evaluated
+            }
+            (Some(_), Some(_)) => HostStatus::LowCoverage,
+            _ => HostStatus::Dark,
         };
         status.push(s);
     }
@@ -404,30 +374,14 @@ pub fn evaluate_policy_degraded(
 
     // Configure on the evaluable sub-population only: thresholds are
     // computed from the data that actually arrived.
-    let sub_train: Vec<EmpiricalDist> = evaluated_hosts
-        .iter()
-        .map(|&u| dataset.train[u].clone().expect("evaluated host has train"))
-        .collect();
+    let sub_train: Vec<&EmpiricalDist> = evaluable.iter().map(|&(train, _)| train).collect();
     let outcome = policy
         .try_configure(&sub_train)
         .map_err(|_| DegradedError::NoEvaluableHosts)?;
 
     // Score the evaluable hosts in parallel (deterministic order).
     let perfs = crate::par::par_map(&outcome.thresholds, |i, &t| {
-        let u = evaluated_hosts[i];
-        let test = dataset.test[u].as_ref().expect("evaluated host has test");
-        let counts = &dataset.test_counts[u];
-        let fp = test.exceedance(t);
-        let fn_rate = config.base.sweep.mean_fn(test, t);
-        let utility = utility_of(config.base.w, fp, fn_rate);
-        let false_alarms = counts.iter().filter(|&&c| c as f64 > t).count() as u64;
-        UserPerf {
-            threshold: t,
-            fp,
-            fn_rate,
-            utility,
-            false_alarms,
-        }
+        UserPerf::score(evaluable[i].1, t, &config.base.sweep, config.base.w)
     });
 
     let mut perf_of = vec![None; n];
@@ -729,36 +683,5 @@ mod tests {
             assert_eq!(ds.test_counts[u].len(), kept);
             assert!((ds.test_coverage[u] - kept as f64 / 200.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn score_source_exact_arm_matches_batch_scoring() {
-        let counts: Vec<u64> = (0..300u64).map(|i| (i * 17) % 83).collect();
-        let d = EmpiricalDist::from_counts(&counts);
-        let sweep = AttackSweep::up_to(200.0);
-        let w = 0.4;
-        let t = 70.0;
-        let perf = score_source(&QuantileSource::Exact(d.clone()), t, &sweep, w);
-        // The batch closure's formulas, inlined.
-        assert_eq!(perf.fp, d.exceedance(t));
-        assert_eq!(perf.fn_rate, sweep.mean_fn(&d, t));
-        assert_eq!(perf.utility, utility_of(w, perf.fp, perf.fn_rate));
-        let tally = counts.iter().filter(|&&c| c as f64 > t).count() as u64;
-        assert_eq!(perf.false_alarms, tally);
-    }
-
-    #[test]
-    fn score_source_sketch_arm_stays_within_rank_bound() {
-        let counts: Vec<u64> = (0..2000u64).map(|i| (i * 29) % 1223).collect();
-        let d = EmpiricalDist::from_counts(&counts);
-        let sweep = AttackSweep::up_to(1500.0);
-        let src = QuantileSource::sketch_from_counts(0.01, &counts);
-        let t = d.quantile_discrete(0.95);
-        let exact = score_source(&QuantileSource::Exact(d), t, &sweep, 0.5);
-        let sketched = score_source(&src, t, &sweep, 0.5);
-        let eps = 0.01 + 1.0 / counts.len() as f64;
-        assert!((exact.fp - sketched.fp).abs() <= eps);
-        assert!((exact.fn_rate - sketched.fn_rate).abs() <= eps);
-        assert!((exact.utility - sketched.utility).abs() <= eps);
     }
 }

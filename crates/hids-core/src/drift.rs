@@ -39,7 +39,7 @@
 
 use std::collections::VecDeque;
 
-use tailstats::{EmpiricalDist, Ewma, KllSketch, QuantileSource};
+use tailstats::{EmpiricalDist, Ewma};
 
 /// Tunables for a [`DriftTracker`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,20 +120,8 @@ pub struct DriftTracker {
 impl DriftTracker {
     /// Build a tracker for one host from its training distribution.
     pub fn new(train: &EmpiricalDist, cfg: DriftConfig) -> Self {
-        Self::with_onset(train.quantile(cfg.onset_q), cfg)
-    }
-
-    /// Build a tracker from either quantile backend. The exact arm reads
-    /// the same `quantile(onset_q)` as [`new`](Self::new), so it is
-    /// bit-identical; the sketch arm reads the baseline off the summary,
-    /// letting a fleet-scale daemon track drift without stored samples.
-    pub fn from_source(train: &QuantileSource, cfg: DriftConfig) -> Self {
-        Self::with_onset(train.quantile(cfg.onset_q), cfg)
-    }
-
-    fn with_onset(train_onset: f64, cfg: DriftConfig) -> Self {
         Self {
-            train_onset,
+            train_onset: train.quantile(cfg.onset_q),
             recent: VecDeque::with_capacity(cfg.window.max(1)),
             ewma: Ewma::new(cfg.alpha),
             smoothed: None,
@@ -252,21 +240,6 @@ impl DriftTracker {
         self.trigger_window
             .as_ref()
             .map(|w| EmpiricalDist::from_counts(w))
-    }
-
-    /// Sketch-backed variant of [`refit_dist`](Self::refit_dist): the
-    /// frozen trigger window streamed into a fresh [`KllSketch`] with
-    /// budget `eps`. Subject to the same poisoning-guard refusal — a
-    /// suspect host gets `None`.
-    pub fn refit_source(&self, eps: f64) -> Option<QuantileSource> {
-        if self.suspect {
-            return None;
-        }
-        self.trigger_window.as_ref().map(|w| {
-            let mut s = KllSketch::new(eps);
-            s.extend_from_counts(w);
-            QuantileSource::Sketch(s)
-        })
     }
 
     /// Clear the drift latch and guard state after a rollout consumed
@@ -394,51 +367,6 @@ mod tests {
         assert_eq!(t.state(), DriftState::Stable);
         assert!(!t.suspect());
         assert!(t.refit_dist().is_none());
-    }
-
-    #[test]
-    fn from_source_exact_arm_matches_new_bitwise() {
-        let d = train(100);
-        let src = QuantileSource::Exact(d.clone());
-        let stream: Vec<u64> = (0..120u64).map(|i| 100 + (i * 31 % 41)).collect();
-        let mut a = DriftTracker::new(&d, cfg());
-        let mut b = DriftTracker::from_source(&src, cfg());
-        for &c in &stream {
-            assert_eq!(a.observe(c), b.observe(c));
-        }
-        assert_eq!(a.score().to_bits(), b.score().to_bits());
-    }
-
-    #[test]
-    fn refit_source_streams_trigger_window_and_honours_guard() {
-        let mut t = DriftTracker::new(&train(100), cfg());
-        for i in 0..30u64 {
-            t.observe(100 + (i % 7));
-        }
-        for i in 0..60u64 {
-            t.observe(50 + (i % 5));
-        }
-        assert_eq!(t.state(), DriftState::Drifted);
-        let exact = t.refit_dist().expect("benign drift refits");
-        let sketched = t.refit_source(0.001).expect("benign drift refits");
-        // Tight eps on a 16-bin window: the sketch is uncompacted and
-        // answers identically to the exact refit.
-        assert_eq!(sketched.quantile(0.99), exact.quantile(0.99));
-        assert_eq!(sketched.len(), exact.len() as u64);
-
-        // Suspect hosts are refused by both forms.
-        let mut p = DriftTracker::new(&train(100), cfg());
-        for i in 0..30u64 {
-            p.observe(100 + (i % 7));
-        }
-        let mut level = 100f64;
-        for _ in 0..120 {
-            level *= 1.01;
-            p.observe(level as u64);
-        }
-        assert!(p.suspect());
-        assert!(p.refit_dist().is_none());
-        assert!(p.refit_source(0.001).is_none());
     }
 
     #[test]

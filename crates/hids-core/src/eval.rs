@@ -3,7 +3,7 @@
 
 use flowtab::{FeatureKind, FeatureSeries};
 use serde::{Deserialize, Serialize};
-use tailstats::EmpiricalDist;
+use tailstats::{EmpiricalDist, QuantileBackend, QuantileSource};
 
 pub use crate::threshold::AttackSweep;
 use crate::{Policy, PolicyOutcome};
@@ -17,8 +17,9 @@ pub struct FeatureDataset {
     pub train: Vec<EmpiricalDist>,
     /// Per-user test distributions (week *n+1*).
     pub test: Vec<EmpiricalDist>,
-    /// Raw per-user test window counts (needed for alarm counting and
-    /// attack-window injection).
+    /// Raw per-user test window counts, in window order (attack-window
+    /// injection and per-window alarm views; `test` holds the same
+    /// values sorted).
     pub test_counts: Vec<Vec<u64>>,
 }
 
@@ -148,6 +149,47 @@ pub struct UserPerf {
     pub false_alarms: u64,
 }
 
+/// The paper's per-user utility `U = 1 − [w·FN + (1−w)·FP]`, shared by
+/// the optimising threshold heuristics and every evaluation path.
+#[inline]
+pub fn utility_of(w: f64, fp: f64, fn_rate: f64) -> f64 {
+    1.0 - (w * fn_rate + (1.0 - w) * fp)
+}
+
+impl UserPerf {
+    /// Score one host's already-fitted `threshold` against its test week,
+    /// held by either quantile backend — the one per-host scoring body
+    /// behind [`evaluate_policy`], degraded evaluation and the
+    /// sketch-backed fleet paths.
+    ///
+    /// `false_alarms` is `round(fp · n)`: on the exact backend this is the
+    /// stored-count tally `#{c > threshold}` (the rounding only undoes the
+    /// float division inside `fp`); on the sketch backend it is the same
+    /// quantity within the sketch's rank-error bound.
+    pub fn score<Q: QuantileBackend + ?Sized>(
+        test: &Q,
+        threshold: f64,
+        sweep: &AttackSweep,
+        w: f64,
+    ) -> Self {
+        let fp = test.exceedance(threshold);
+        let fn_rate = sweep.mean_fn(test, threshold);
+        UserPerf {
+            threshold,
+            fp,
+            fn_rate,
+            utility: utility_of(w, fp, fn_rate),
+            false_alarms: (fp * test.len() as f64).round() as u64,
+        }
+    }
+}
+
+/// [`UserPerf::score`] over a [`QuantileSource`]; kept for the benchmark
+/// harness, which still wraps its sketches.
+pub fn score_source(test: &QuantileSource, threshold: f64, sweep: &AttackSweep, w: f64) -> UserPerf {
+    UserPerf::score(test.as_backend(), threshold, sweep, w)
+}
+
 /// A policy's evaluation over a whole population.
 #[derive(Debug, Clone)]
 pub struct PolicyEvaluation {
@@ -198,19 +240,7 @@ pub fn evaluate_policy(
 ) -> PolicyEvaluation {
     let outcome = policy.configure(&dataset.train);
     let users = crate::par::par_map(&outcome.thresholds, |i, &t| {
-        let test = &dataset.test[i];
-        let counts = &dataset.test_counts[i];
-        let fp = test.exceedance(t);
-        let fn_rate = config.sweep.mean_fn(test, t);
-        let utility = 1.0 - (config.w * fn_rate + (1.0 - config.w) * fp);
-        let false_alarms = counts.iter().filter(|&&c| c as f64 > t).count() as u64;
-        UserPerf {
-            threshold: t,
-            fp,
-            fn_rate,
-            utility,
-            false_alarms,
-        }
+        UserPerf::score(&dataset.test[i], t, &config.sweep, config.w)
     });
     PolicyEvaluation {
         outcome,
@@ -338,6 +368,24 @@ mod tests {
             let rate = manual as f64 / counts.len() as f64;
             assert!((rate - perf.fp).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn sketch_scores_stay_within_rank_bound() {
+        let counts: Vec<u64> = (0..2000u64).map(|i| (i * 29) % 1223).collect();
+        let d = EmpiricalDist::from_counts(&counts);
+        let mut sk = tailstats::KllSketch::new(0.01);
+        sk.extend_from_counts(&counts);
+        let sweep = AttackSweep::up_to(1500.0);
+        let t = d.quantile_discrete(0.95);
+        let exact = UserPerf::score(&d, t, &sweep, 0.5);
+        let sketched = UserPerf::score(&sk, t, &sweep, 0.5);
+        let eps = 0.01 + 1.0 / counts.len() as f64;
+        assert!((exact.fp - sketched.fp).abs() <= eps);
+        assert!((exact.fn_rate - sketched.fn_rate).abs() <= eps);
+        assert!((exact.utility - sketched.utility).abs() <= eps);
+        let alarm_slack = (eps * counts.len() as f64).ceil() as u64;
+        assert!(exact.false_alarms.abs_diff(sketched.false_alarms) <= alarm_slack);
     }
 
     #[test]

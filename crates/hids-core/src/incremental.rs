@@ -27,7 +27,7 @@
 //! and therefore (at a zero coverage floor) the clean batch evaluation.
 
 use flowtab::FeatureKind;
-use tailstats::{EmpiricalDist, KllSketch, QuantileSource};
+use tailstats::{EmpiricalDist, KllSketch};
 
 use crate::degraded::{DegradedDataset, DegradedError};
 
@@ -250,7 +250,7 @@ pub mod oracle {
 /// after a crash cannot double-count a window) and exact coverage
 /// accounting. Unlike `WindowAccumulator` the original per-window counts
 /// are *not* recoverable; only rank/tail queries (through
-/// [`source`](SketchAccumulator::source)) are supported, which is all
+/// [`sketch`](SketchAccumulator::sketch)) are supported, which is all
 /// threshold fitting needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchAccumulator {
@@ -338,17 +338,6 @@ impl SketchAccumulator {
     /// Borrow the window bitmap (snapshot encode).
     pub fn seen_words(&self) -> &[u64] {
         &self.seen
-    }
-
-    /// Quantile source over the recorded windows; `None` when no window
-    /// has been recorded (a dark week), mirroring
-    /// [`WindowAccumulator::dist`].
-    pub fn source(&self) -> Option<QuantileSource> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(QuantileSource::Sketch(self.sketch.clone()))
-        }
     }
 }
 
@@ -551,9 +540,8 @@ mod tests {
         assert!(acc.contains(3) && acc.contains(70) && !acc.contains(4));
         assert_eq!(acc.coverage(100), 0.02);
         // The replayed count never entered the sketch.
-        let src = acc.source().expect("non-empty");
-        assert_eq!(src.len(), 2);
-        assert_eq!(src.max(), 20.0);
+        assert_eq!(acc.sketch().len(), 2);
+        assert_eq!(acc.sketch().max(), 20.0);
     }
 
     #[test]
@@ -573,9 +561,8 @@ mod tests {
         assert_eq!(sk.len(), exact.len());
         assert_eq!(sk.coverage(64), exact.coverage(64));
         let d = exact.dist().expect("non-empty");
-        let src = sk.source().expect("non-empty");
         for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(src.quantile_discrete(q), d.quantile_discrete(q));
+            assert_eq!(sk.sketch().quantile_discrete(q), d.quantile_discrete(q));
         }
     }
 

@@ -57,12 +57,15 @@ pub mod threshold;
 pub use adaptive::{realized_fp_series, AdaptiveThreshold, UpdateStrategy};
 pub use bundle::PolicyBundle;
 pub use degraded::{
-    evaluate_policy_degraded, score_source, utility_of, DegradedDataset, DegradedError,
-    DegradedEvalConfig, DegradedEvaluation, DegradedUserPerf, HostStatus,
+    evaluate_policy_degraded, DegradedDataset, DegradedError, DegradedEvalConfig,
+    DegradedEvaluation, DegradedUserPerf, HostStatus,
 };
 pub use detector::{Alert, Detector};
 pub use drift::{DriftConfig, DriftState, DriftTracker};
-pub use eval::{AttackSweep, DatasetError, EvalConfig, FeatureDataset, PolicyEvaluation, UserPerf};
+pub use eval::{
+    score_source, utility_of, AttackSweep, DatasetError, EvalConfig, FeatureDataset,
+    PolicyEvaluation, UserPerf,
+};
 pub use incremental::{degraded_dataset, SketchAccumulator, WindowAccumulator};
 pub use multi::{evaluate_multi, multi_detection, MultiEvaluation, MultiPolicy, MultiUserPerf};
 pub use par::{current_threads, par_map, par_map_range, set_threads};

@@ -1,5 +1,7 @@
 //! Grouping policies: monoculture, full diversity, partial diversity.
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 use tailstats::{kmeans_1d, EmpiricalDist};
 
@@ -118,20 +120,24 @@ impl std::error::Error for ConfigureError {}
 
 impl Policy {
     /// Configure a population: assign groups and compute per-user
-    /// thresholds from the users' training distributions.
+    /// thresholds from the users' training distributions, owned
+    /// (`&[EmpiricalDist]`) or borrowed (`&[&EmpiricalDist]`).
     ///
     /// # Panics
     /// Panics when `train` is empty; degraded-mode callers whose
     /// population may have dropped out entirely should use
     /// [`Policy::try_configure`].
-    pub fn configure(&self, train: &[EmpiricalDist]) -> PolicyOutcome {
+    pub fn configure<D: Borrow<EmpiricalDist> + Sync>(&self, train: &[D]) -> PolicyOutcome {
         self.try_configure(train)
             .expect("need at least one user")
     }
 
     /// Fallible variant of [`Policy::configure`]: returns an error instead
     /// of panicking when the population is empty.
-    pub fn try_configure(&self, train: &[EmpiricalDist]) -> Result<PolicyOutcome, ConfigureError> {
+    pub fn try_configure<D: Borrow<EmpiricalDist> + Sync>(
+        &self,
+        train: &[D],
+    ) -> Result<PolicyOutcome, ConfigureError> {
         if train.is_empty() {
             return Err(ConfigureError::EmptyPopulation);
         }
@@ -149,9 +155,9 @@ impl Policy {
         // Under full diversity this is the per-user threshold fan-out.
         let group_thresholds: Vec<f64> = crate::par::par_map(&members, |_, m| match m.len() {
             0 => f64::NAN,
-            1 => self.heuristic.threshold(&train[m[0]]),
+            1 => self.heuristic.threshold(train[m[0]].borrow()),
             _ => {
-                let pooled = EmpiricalDist::pool(m.iter().map(|&u| &train[u]));
+                let pooled = EmpiricalDist::pool(m.iter().map(|&u| train[u].borrow()));
                 self.heuristic.threshold(&pooled)
             }
         });
@@ -166,13 +172,14 @@ impl Policy {
 }
 
 impl Grouping {
-    /// Assign a group index to each user from training data.
-    pub fn assign(&self, train: &[EmpiricalDist]) -> Vec<usize> {
+    /// Assign a group index to each user from training data, owned or
+    /// borrowed.
+    pub fn assign<D: Borrow<EmpiricalDist>>(&self, train: &[D]) -> Vec<usize> {
         match *self {
             Grouping::Homogeneous => vec![0; train.len()],
             Grouping::FullDiversity => (0..train.len()).collect(),
             Grouping::Partial(method) => {
-                let q99: Vec<f64> = train.iter().map(|d| d.quantile(0.99)).collect();
+                let q99: Vec<f64> = train.iter().map(|d| d.borrow().quantile(0.99)).collect();
                 method.assign(&q99)
             }
         }
@@ -369,12 +376,15 @@ mod tests {
             heuristic: ThresholdHeuristic::P99,
         };
         assert_eq!(
-            policy.try_configure(&[]).unwrap_err(),
+            policy.try_configure::<EmpiricalDist>(&[]).unwrap_err(),
             ConfigureError::EmptyPopulation
         );
         // And agrees with the panicking path when the population exists.
         let train = continuum(6);
         assert_eq!(policy.try_configure(&train).unwrap(), policy.configure(&train));
+        // Borrowed distributions configure identically to owned ones.
+        let borrowed: Vec<&EmpiricalDist> = train.iter().collect();
+        assert_eq!(policy.configure(&borrowed), policy.configure(&train));
     }
 
     #[test]

@@ -21,12 +21,17 @@
 //! calling [`AttackSweep::mean_fn`] and `exceedance` per candidate — a
 //! property the equivalence suite in `tests/` asserts over random
 //! distributions.
+//!
+//! [`SweepTable::compute`] is the one entry point for both quantile
+//! backends: the backend's [`RankedView`] selects the sample kernel
+//! (lattice or general merge) for stored samples, or the weighted kernel
+//! for a sketch's `(value, weight)` summary.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use hids_metrics::Registry;
-use tailstats::{EmpiricalDist, QuantileSource};
+use tailstats::{QuantileBackend, RankedView};
 
 use crate::threshold::AttackSweep;
 
@@ -52,7 +57,8 @@ static ACCUMULATE_NANOS: AtomicU64 = AtomicU64::new(0);
 /// * `hids_sweep_tables_total` — [`SweepTable::compute`] calls;
 /// * `hids_sweep_candidates_total` — candidate thresholds scored;
 /// * `hids_sweep_size_passes_total` — per-attack-size accumulation passes;
-/// * `hids_sweep_path_total{path}` — lattice fast path vs general merge.
+/// * `hids_sweep_path_total{path}` — lattice fast path vs general merge
+///   vs weighted (sketch) kernel.
 ///
 /// Volatile (excluded from the deterministic render):
 /// * `hids_sweep_phase_nanos{phase}` — wall-clock per kernel phase.
@@ -141,11 +147,20 @@ pub struct SweepTable {
 }
 
 impl SweepTable {
-    /// Score every candidate threshold — each distinct observed value of
-    /// `dist` plus one step above its maximum — against `sweep`.
-    pub fn compute(dist: &EmpiricalDist, sweep: &AttackSweep) -> Self {
+    /// Score every candidate threshold — each distinct value of `dist`
+    /// plus one step above its maximum — against `sweep`, with whichever
+    /// kernel fits the backend's [`RankedView`].
+    pub fn compute<Q: QuantileBackend + ?Sized>(dist: &Q, sweep: &AttackSweep) -> Self {
+        match dist.ranked() {
+            RankedView::Samples(samples) => Self::from_samples(samples, sweep),
+            RankedView::Weighted(items) => Self::from_weighted(&items, sweep),
+        }
+    }
+
+    /// The sample kernel over every stored sample, ascending (non-empty,
+    /// as an `EmpiricalDist` guarantees).
+    fn from_samples(samples: &[f64], sweep: &AttackSweep) -> Self {
         let prepare_started = Instant::now();
-        let samples = dist.samples();
         let n = samples.len();
 
         // Ascending distinct values + (max + 1); alongside each, the
@@ -158,7 +173,7 @@ impl SweepTable {
                 le_counts.push(i + 1);
             }
         }
-        thresholds.push(dist.max() + 1.0);
+        thresholds.push(samples[n - 1] + 1.0);
         le_counts.push(n);
         let m = thresholds.len();
 
@@ -268,17 +283,6 @@ impl SweepTable {
         }
     }
 
-    /// Score every candidate threshold of a [`QuantileSource`]: the exact
-    /// backend takes the historical bit-identical [`compute`](Self::compute)
-    /// path; the sketch backend runs the weighted kernel over its
-    /// `(value, weight)` summary.
-    pub fn compute_source(source: &QuantileSource, sweep: &AttackSweep) -> Self {
-        match source {
-            QuantileSource::Exact(d) => Self::compute(d, sweep),
-            QuantileSource::Sketch(s) => Self::compute_weighted(&s.weighted_items(), sweep),
-        }
-    }
-
     /// The weighted-sample kernel: candidates are the distinct summary
     /// values (ascending) plus one step above the maximum, with FP and
     /// mean-FN computed from cumulative *weights* instead of raw sample
@@ -286,10 +290,10 @@ impl SweepTable {
     /// stream length the sketch summarises.
     ///
     /// `items` must be ascending in value with positive weights (the shape
-    /// [`tailstats::KllSketch::weighted_items`] returns). An empty summary
-    /// yields the one-candidate table `{t: 1.0, fp: 0, fn: 0}` rather than
-    /// panicking, honouring the workspace no-panic bar.
-    pub fn compute_weighted(items: &[(u64, u64)], sweep: &AttackSweep) -> Self {
+    /// [`RankedView::Weighted`] carries). An empty summary yields the
+    /// one-candidate table `{t: 1.0, fp: 0, fn: 0}` rather than panicking,
+    /// honouring the workspace no-panic bar.
+    fn from_weighted(items: &[(u64, u64)], sweep: &AttackSweep) -> Self {
         let prepare_started = Instant::now();
         let total: u64 = items.iter().map(|&(_, w)| w).sum();
         if total == 0 {
@@ -356,8 +360,8 @@ impl SweepTable {
         self.thresholds.len()
     }
 
-    /// Whether the table is empty (never, for a constructible
-    /// `EmpiricalDist`).
+    /// Whether the table is empty (never: every table holds at least the
+    /// candidate above the maximum).
     pub fn is_empty(&self) -> bool {
         self.thresholds.is_empty()
     }
@@ -398,6 +402,7 @@ impl SweepTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tailstats::{EmpiricalDist, KllSketch};
 
     fn uniform_counts(n: u64) -> EmpiricalDist {
         EmpiricalDist::from_counts(&(0..n).collect::<Vec<_>>())
@@ -496,7 +501,7 @@ mod tests {
                 _ => items.push((v, 1)),
             }
         }
-        let weighted = SweepTable::compute_weighted(&items, &sweep);
+        let weighted = SweepTable::from_weighted(&items, &sweep);
         assert_eq!(exact.thresholds(), weighted.thresholds());
         assert_eq!(exact.fp(), weighted.fp());
         assert_eq!(exact.mean_fn(), weighted.mean_fn());
@@ -504,23 +509,21 @@ mod tests {
 
     #[test]
     fn weighted_kernel_empty_summary_is_safe() {
-        let table = SweepTable::compute_weighted(&[], &AttackSweep::up_to(10.0));
+        let table = SweepTable::compute(&KllSketch::new(0.1), &AttackSweep::up_to(10.0));
         assert_eq!(table.len(), 1);
         assert_eq!(table.best_by(|fp, f| 1.0 - fp - f), 1.0);
     }
 
     #[test]
-    fn compute_source_dispatches_both_backends() {
+    fn compute_serves_both_backends() {
         let counts: Vec<u64> = (0..150u64).map(|i| i % 31).collect();
         let sweep = AttackSweep::up_to(50.0);
-        let exact_src = QuantileSource::exact_from_counts(&counts);
-        let exact = SweepTable::compute_source(&exact_src, &sweep);
         let d = EmpiricalDist::from_counts(&counts);
         let reference = SweepTable::compute(&d, &sweep);
-        assert_eq!(exact, reference);
         // Uncompacted sketch holds the exact multiset: identical table.
-        let sketch_src = QuantileSource::sketch_from_counts(0.001, &counts);
-        let sketched = SweepTable::compute_source(&sketch_src, &sweep);
+        let mut sk = KllSketch::new(0.001);
+        sk.extend_from_counts(&counts);
+        let sketched = SweepTable::compute(&sk, &sweep);
         assert_eq!(sketched.thresholds(), reference.thresholds());
         assert_eq!(sketched.fp(), reference.fp());
     }

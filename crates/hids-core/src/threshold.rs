@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use tailstats::{EmpiricalDist, QuantileSource};
+use tailstats::{QuantileBackend, QuantileSource};
 
+use crate::eval::utility_of;
 use crate::sweep::SweepTable;
 
 /// Parameters of the synthetic attack-size sweep used by the optimising
@@ -13,8 +14,9 @@ use crate::sweep::SweepTable;
 /// The paper sweeps "the entire range of possible attack sizes", capping at
 /// the largest per-window value any user ever produced ("clearly any attack
 /// larger than this will stand out on every user's HIDS"). The scalar FN a
-/// heuristic optimises averages over `n_points` sizes uniformly spaced in
-/// `[1, b_max]` — the averaging the paper leaves implicit (DESIGN.md §5).
+/// heuristic optimises averages over [`n_points`](Self::n_points) sizes
+/// uniformly spaced in `[1, b_max]` — the averaging the paper leaves
+/// implicit (DESIGN.md §5).
 ///
 /// The sizes are materialised once at construction and shared (`Arc`) by
 /// clones: heuristics query `mean_fn` for every candidate threshold of
@@ -23,22 +25,19 @@ use crate::sweep::SweepTable;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttackSweep {
     b_max: f64,
-    n_points: usize,
     sizes: Arc<[f64]>,
 }
 
 impl AttackSweep {
     /// Build a sweep of `n_points` sizes uniformly spaced in `[1, b_max]`.
+    /// A sweep has at least two points (its two ends), so `n_points < 2`
+    /// builds the same two-point grid as `n_points = 2`.
     pub fn new(b_max: f64, n_points: usize) -> Self {
         let n = n_points.max(2);
         let sizes: Arc<[f64]> = (0..n)
             .map(|i| 1.0 + (b_max - 1.0) * i as f64 / (n - 1) as f64)
             .collect();
-        Self {
-            b_max,
-            n_points,
-            sizes,
-        }
+        Self { b_max, sizes }
     }
 
     /// Build a sweep capped at the population maximum feature value.
@@ -51,9 +50,9 @@ impl AttackSweep {
         self.b_max
     }
 
-    /// Number of sweep points.
+    /// Number of sweep points (the length of [`sizes`](Self::sizes)).
     pub fn n_points(&self) -> usize {
-        self.n_points
+        self.sizes.len()
     }
 
     /// The attack sizes, uniformly spaced in `[1, b_max]` (ascending).
@@ -67,16 +66,8 @@ impl AttackSweep {
     /// Point query for a single already-chosen threshold. To evaluate
     /// *every candidate* threshold of a distribution, use [`SweepTable`],
     /// which computes all of them in one pass.
-    pub fn mean_fn(&self, dist: &EmpiricalDist, t: f64) -> f64 {
+    pub fn mean_fn<Q: QuantileBackend + ?Sized>(&self, dist: &Q, t: f64) -> f64 {
         let sum: f64 = self.sizes.iter().map(|&b| dist.below(t - b)).sum();
-        sum / self.sizes.len() as f64
-    }
-
-    /// [`mean_fn`](Self::mean_fn) over either quantile backend. The exact
-    /// arm performs the identical accumulation (same sizes, same `below`
-    /// values, same order), so it is bit-identical to `mean_fn`.
-    pub fn mean_fn_source(&self, source: &QuantileSource, t: f64) -> f64 {
-        let sum: f64 = self.sizes.iter().map(|&b| source.below(t - b)).sum();
         sum / self.sizes.len() as f64
     }
 }
@@ -109,83 +100,58 @@ pub enum ThresholdHeuristic {
     },
 }
 
+/// F-measure of a threshold with false-positive rate `fpr` and mean
+/// false-negative rate `fn_rate`, when a `prevalence` fraction of windows
+/// is attacked; 0 where precision or recall is undefined.
+fn f_measure(prevalence: f64, fpr: f64, fn_rate: f64) -> f64 {
+    let recall = 1.0 - fn_rate;
+    let tp = prevalence * recall;
+    let fp = (1.0 - prevalence) * fpr;
+    if tp + fp == 0.0 {
+        return 0.0;
+    }
+    let precision = tp / (tp + fp);
+    if precision + recall == 0.0 {
+        0.0
+    } else {
+        2.0 * precision * recall / (precision + recall)
+    }
+}
+
 impl ThresholdHeuristic {
     /// The paper's default operator heuristic.
     pub const P99: ThresholdHeuristic = ThresholdHeuristic::Percentile(0.99);
 
-    /// Compute a threshold from a training distribution.
+    /// Compute a threshold from a training distribution held by either
+    /// quantile backend (`&EmpiricalDist` or `&KllSketch`).
     ///
     /// The optimising variants (`UtilityMax`, `FMeasure`) score every
     /// candidate threshold — each distinct observed training value plus
     /// one step above the maximum — via a single [`SweepTable`] pass and
     /// return the argmax. Ties break towards the *lower* threshold
     /// (favouring detection).
-    pub fn threshold(&self, train: &EmpiricalDist) -> f64 {
+    pub fn threshold<Q: QuantileBackend + ?Sized>(&self, train: &Q) -> f64 {
         match self {
             ThresholdHeuristic::Percentile(q) => train.quantile_discrete(*q),
             ThresholdHeuristic::MeanSigma(k) => train.mean() + k * train.stddev(),
             ThresholdHeuristic::UtilityMax { w, sweep } => SweepTable::compute(train, sweep)
-                .best_by(|fp, fn_rate| 1.0 - (w * fn_rate + (1.0 - w) * fp)),
+                .best_by(|fp, fn_rate| utility_of(*w, fp, fn_rate)),
             ThresholdHeuristic::FMeasure { prevalence, sweep } => SweepTable::compute(train, sweep)
-                .best_by(|fpr, fn_rate| {
-                    let recall = 1.0 - fn_rate;
-                    let tp = prevalence * recall;
-                    let fp = (1.0 - prevalence) * fpr;
-                    if tp + fp == 0.0 {
-                        0.0
-                    } else {
-                        let precision = tp / (tp + fp);
-                        if precision + recall == 0.0 {
-                            0.0
-                        } else {
-                            2.0 * precision * recall / (precision + recall)
-                        }
-                    }
-                }),
+                .best_by(|fpr, fn_rate| f_measure(*prevalence, fpr, fn_rate)),
         }
     }
 
-    /// Compute a threshold from either quantile backend.
-    ///
-    /// The exact arm delegates to [`threshold`](Self::threshold) outright,
-    /// so the default path stays bit-identical to the historical behavior;
-    /// the sketch arm reads the same statistics off the summary (discrete
-    /// quantile, moment sums, or the weighted [`SweepTable`] kernel).
+    /// [`threshold`](Self::threshold) over a [`QuantileSource`]; kept for
+    /// the benchmark harness, which still wraps its sketches.
     pub fn threshold_source(&self, train: &QuantileSource) -> f64 {
-        if let QuantileSource::Exact(d) = train {
-            return self.threshold(d);
-        }
-        match self {
-            ThresholdHeuristic::Percentile(q) => train.quantile_discrete(*q),
-            ThresholdHeuristic::MeanSigma(k) => train.mean() + k * train.stddev(),
-            ThresholdHeuristic::UtilityMax { w, sweep } => {
-                SweepTable::compute_source(train, sweep)
-                    .best_by(|fp, fn_rate| 1.0 - (w * fn_rate + (1.0 - w) * fp))
-            }
-            ThresholdHeuristic::FMeasure { prevalence, sweep } => {
-                SweepTable::compute_source(train, sweep).best_by(|fpr, fn_rate| {
-                    let recall = 1.0 - fn_rate;
-                    let tp = prevalence * recall;
-                    let fp = (1.0 - prevalence) * fpr;
-                    if tp + fp == 0.0 {
-                        0.0
-                    } else {
-                        let precision = tp / (tp + fp);
-                        if precision + recall == 0.0 {
-                            0.0
-                        } else {
-                            2.0 * precision * recall / (precision + recall)
-                        }
-                    }
-                })
-            }
-        }
+        self.threshold(train.as_backend())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tailstats::{EmpiricalDist, KllSketch};
 
     fn uniform_counts(n: u64) -> EmpiricalDist {
         EmpiricalDist::from_counts(&(0..n).collect::<Vec<_>>())
@@ -276,38 +242,25 @@ mod tests {
     }
 
     #[test]
-    fn threshold_source_exact_arm_is_bit_identical() {
-        let counts: Vec<u64> = (0..400).map(|i| (i * 11) % 257).collect();
-        let d = EmpiricalDist::from_counts(&counts);
-        let src = QuantileSource::Exact(d.clone());
-        let sweep = AttackSweep::up_to(500.0);
-        for h in [
-            ThresholdHeuristic::P99,
-            ThresholdHeuristic::MeanSigma(3.0),
-            ThresholdHeuristic::UtilityMax {
-                w: 0.4,
-                sweep: sweep.clone(),
-            },
-            ThresholdHeuristic::FMeasure {
-                prevalence: 0.01,
-                sweep: sweep.clone(),
-            },
-        ] {
-            assert_eq!(h.threshold(&d), h.threshold_source(&src), "{h:?}");
+    fn n_points_is_the_grid_length() {
+        for n in [0, 1, 2, 3, 10, 256] {
+            let sweep = AttackSweep::new(10.0, n);
+            assert_eq!(sweep.n_points(), sweep.sizes().len(), "n = {n}");
         }
-        assert_eq!(
-            sweep.mean_fn(&d, 123.0),
-            sweep.mean_fn_source(&src, 123.0)
-        );
+        // Below two points every request builds the same [1, b_max] grid,
+        // so the sweeps are equal too.
+        assert_eq!(AttackSweep::new(10.0, 0), AttackSweep::new(10.0, 2));
+        assert_eq!(AttackSweep::new(10.0, 1).sizes(), &[1.0, 10.0]);
     }
 
     #[test]
-    fn threshold_source_sketch_arm_tracks_exact() {
+    fn sketch_thresholds_track_exact() {
         // At paper-ish scale with a 1% budget the sketch thresholds land
         // within the rank bound of the exact ones for every heuristic.
         let counts: Vec<u64> = (0..2000u64).map(|i| (i * i) % 997).collect();
         let d = EmpiricalDist::from_counts(&counts);
-        let src = QuantileSource::sketch_from_counts(0.01, &counts);
+        let mut sk = KllSketch::new(0.01);
+        sk.extend_from_counts(&counts);
         let sweep = AttackSweep::up_to(1500.0);
         for h in [
             ThresholdHeuristic::P99,
@@ -318,7 +271,7 @@ mod tests {
             },
         ] {
             let exact = h.threshold(&d);
-            let sketched = h.threshold_source(&src);
+            let sketched = h.threshold(&sk);
             // Rank-space check: the exact CDF at the two thresholds must
             // agree within eps plus one discrete step.
             let drift = (d.cdf(exact) - d.cdf(sketched)).abs();

@@ -4,11 +4,15 @@
 //! descending `>=`-argmax threshold pick. Property-tested over random
 //! integer-lattice distributions (the fast path), real-valued samples (the
 //! merge path), offset and wide-range lattices, and the degenerate shapes.
+//!
+//! The shared fit and score (`ThresholdHeuristic::threshold` and
+//! `UserPerf::score`, generic over the quantile backend) are held to the
+//! per-call-site expressions they replaced the same way.
 
 use proptest::prelude::*;
 
-use hids_core::{AttackSweep, SweepTable, ThresholdHeuristic};
-use tailstats::EmpiricalDist;
+use hids_core::{AttackSweep, SweepTable, ThresholdHeuristic, UserPerf};
+use tailstats::{EmpiricalDist, QuantileSource};
 
 /// The pre-kernel reference: candidates are the distinct sample values
 /// plus one past the maximum; each is scored independently.
@@ -202,6 +206,85 @@ proptest! {
             }
         });
         prop_assert_eq!(fmeasure.to_bits(), naive_f.to_bits());
+    }
+}
+
+/// The per-host scoring the evaluation closures used to inline:
+/// `(fp, fn_rate, utility, false_alarms)` with alarms tallied over the
+/// stored counts.
+fn historical_score(
+    test: &EmpiricalDist,
+    counts: &[u64],
+    t: f64,
+    sweep: &AttackSweep,
+    w: f64,
+) -> (f64, f64, f64, u64) {
+    let fp = test.exceedance(t);
+    let fn_rate = sweep.mean_fn(test, t);
+    let utility = 1.0 - (w * fn_rate + (1.0 - w) * fp);
+    let false_alarms = counts.iter().filter(|&&c| c as f64 > t).count() as u64;
+    (fp, fn_rate, utility, false_alarms)
+}
+
+/// A threshold near the data: an observed count, shifted by nothing, by
+/// a half step, by one, or by an arbitrary real (so `t` lands on,
+/// between, below and above the stored values).
+fn pick_threshold(counts: &[u64], idx: proptest::sample::Index, shift: f64) -> f64 {
+    counts[idx.index(counts.len())] as f64 + shift
+}
+
+fn arb_shift() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(0.5), Just(-1.0), Just(1.0), -6000.0f64..6000.0]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `UserPerf::score` over an `EmpiricalDist` reproduces the inline
+    /// expressions bit for bit, and its `round(fp·n)` alarm count equals
+    /// the stored-count tally.
+    #[test]
+    fn score_matches_historical_inline_expressions(
+        counts in proptest::collection::vec(0u64..5_000, 1..700),
+        idx in any::<proptest::sample::Index>(),
+        shift in arb_shift(),
+        w in 0.0f64..=1.0,
+        sweep in arb_sweep(),
+    ) {
+        let test = EmpiricalDist::from_counts(&counts);
+        let t = pick_threshold(&counts, idx, shift);
+        let perf = UserPerf::score(&test, t, &sweep, w);
+        let (fp, fn_rate, utility, false_alarms) = historical_score(&test, &counts, t, &sweep, w);
+        prop_assert_eq!(perf.threshold.to_bits(), t.to_bits());
+        prop_assert_eq!(perf.fp.to_bits(), fp.to_bits());
+        prop_assert_eq!(perf.fn_rate.to_bits(), fn_rate.to_bits());
+        prop_assert_eq!(perf.utility.to_bits(), utility.to_bits());
+        prop_assert_eq!(perf.false_alarms, false_alarms);
+    }
+
+    /// Every heuristic fits the same threshold, bit for bit, whether the
+    /// exact backend is passed directly or wrapped in `QuantileSource`.
+    #[test]
+    fn threshold_over_source_matches_direct(
+        counts in proptest::collection::vec(0u64..3_000, 1..400),
+        q in 0.0f64..=1.0,
+        k in 0.0f64..5.0,
+        w in 0.0f64..=1.0,
+        prevalence in 0.001f64..0.5,
+        sweep in arb_sweep(),
+    ) {
+        let d = EmpiricalDist::from_counts(&counts);
+        let src = QuantileSource::Exact(d.clone());
+        for h in [
+            ThresholdHeuristic::Percentile(q),
+            ThresholdHeuristic::MeanSigma(k),
+            ThresholdHeuristic::UtilityMax { w, sweep: sweep.clone() },
+            ThresholdHeuristic::FMeasure { prevalence, sweep: sweep.clone() },
+        ] {
+            let direct = h.threshold(&d);
+            prop_assert_eq!(direct.to_bits(), h.threshold(src.as_backend()).to_bits(), "{:?}", h);
+            prop_assert_eq!(direct.to_bits(), h.threshold_source(&src).to_bits(), "{:?}", h);
+        }
     }
 }
 

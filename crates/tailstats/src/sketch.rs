@@ -92,7 +92,7 @@ const PPM: u64 = 1_000_000;
 ///
 /// See the [module docs](self) for the design and determinism argument.
 /// The boundary/NaN contract of the quantile queries is pinned (and
-/// tested) in one place: [`crate::source::QuantileSource`].
+/// tested) in one place: the [`crate::source`] module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KllSketch {
     /// Error budget in parts-per-million of total weight (ε·10⁶).
@@ -476,7 +476,7 @@ impl KllSketch {
     /// (Hyndman–Fan type 7) — the same formula as
     /// [`EmpiricalDist::quantile`](crate::EmpiricalDist::quantile), so an
     /// uncompacted sketch answers bit-identically to the exact path.
-    /// Boundary/NaN contract: see [`crate::source::QuantileSource`].
+    /// Boundary/NaN contract: see the [`crate::source`] module docs.
     /// Returns 0.0 on an empty sketch.
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantile_by(q, Self::value_at_rank)

@@ -1,11 +1,19 @@
-//! A single quantile-query facade over the exact and sketched backends.
+//! One rank-query surface over the exact and sketched backends.
 //!
-//! Threshold fitting in `hids-core` only ever needs rank queries
-//! (`quantile`, `quantile_discrete`), tail probabilities (`cdf`,
-//! `exceedance`, `below`) and the first two moments. [`QuantileSource`]
-//! exposes exactly that surface over either an exact
-//! [`EmpiricalDist`] (the default — bit-identical to the historical
-//! behavior) or a [`KllSketch`] (bounded memory for fleet scale).
+//! Threshold fitting, sweeping and scoring in `hids-core` only ever need
+//! rank queries (`quantile`, `quantile_discrete`), tail probabilities
+//! (`exceedance`, `below`), the first two moments, and — for the
+//! whole-distribution sweep kernel — the sorted data itself.
+//! [`QuantileBackend`] is exactly that surface. [`EmpiricalDist`] (exact,
+//! stored samples) and [`KllSketch`] (bounded memory for fleet scale)
+//! both implement it, so a caller is written once, generic over the
+//! backend, and the choice of backend lives here rather than in early
+//! returns at every call site.
+//!
+//! [`QuantileBackend::ranked`] is the one place a backend's shape shows:
+//! it hands a kernel either every stored sample ([`RankedView::Samples`])
+//! or the sketch's aggregated `(value, weight)` summary
+//! ([`RankedView::Weighted`]).
 //!
 //! # The boundary contract (pinned here, for both backends)
 //!
@@ -13,8 +21,8 @@
 //! behavior; the `boundary_contract_*` tests below hold both backends to
 //! it, and neither backend documents a divergent rule.
 //!
-//! * `q` is clamped to `[0, 1]`: `quantile(0.0) == min()`,
-//!   `quantile(1.0) == max()`, `q < 0` behaves as `0`, `q > 1` as `1`.
+//! * `q` is clamped to `[0, 1]`: `quantile(0.0)` is the minimum sample,
+//!   `quantile(1.0)` the maximum, `q < 0` behaves as `0`, `q > 1` as `1`.
 //! * `quantile_discrete(q)` returns a value that actually occurred; its
 //!   rank is `clamp(ceil(q·n), 1, n)`, so `q = 0.0` also yields the
 //!   minimum.
@@ -27,136 +35,145 @@
 //!   [`KllSketch::insert_f64`] returns `false` without panicking —
 //!   non-finite values carry no rank information and never enter state.
 //! * Queries on an *empty* sketch return `0.0` (an empty
-//!   `EmpiricalDist` is unconstructible, so the enum's exact arm is
-//!   always non-empty).
+//!   `EmpiricalDist` is unconstructible).
 
 use crate::edf::EmpiricalDist;
 use crate::sketch::KllSketch;
 
-/// Either an exact empirical distribution or a mergeable rank sketch,
-/// answering the same quantile/tail-probability queries.
-///
-/// The exact arm stays the workspace default; the sketch arm is selected
-/// explicitly (fleet-scale runs, `--sketch-eps`). See the
-/// [module docs](self) for the boundary contract both arms honour.
+/// The sorted data behind a backend's rank queries, for kernels that
+/// score every candidate threshold of a distribution in one pass.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RankedView<'a> {
+    /// Every stored sample, ascending (the exact backend).
+    Samples(&'a [f64]),
+    /// Stored values aggregated by value, ascending, with positive
+    /// weights summing to `len()` (the sketch backend; see
+    /// [`KllSketch::weighted_items`]).
+    Weighted(Vec<(u64, u64)>),
+}
+
+/// Rank queries, tail probabilities and moments over one distribution,
+/// answered by whichever backend holds it. See the
+/// [module docs](self) for the boundary contract every backend honours.
+pub trait QuantileBackend {
+    /// Number of samples represented (total weight for the sketch).
+    fn len(&self) -> u64;
+
+    /// Whether no samples are represented.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Hyndman–Fan type-7 interpolated quantile.
+    fn quantile(&self, q: f64) -> f64;
+
+    /// The smallest observed value with rank at least `ceil(q·n)`.
+    fn quantile_discrete(&self, q: f64) -> f64;
+
+    /// Sample mean (exact in both backends; the sketch keeps integer
+    /// moment sums).
+    fn mean(&self) -> f64;
+
+    /// Unbiased sample standard deviation. Exact backend: cached
+    /// two-pass value; sketch: from exact integer moment sums (equal in
+    /// value up to float association, not guaranteed bitwise).
+    fn stddev(&self) -> f64;
+
+    /// Fraction of samples strictly greater than `x` (false-positive rate
+    /// of threshold `x`).
+    fn exceedance(&self, x: f64) -> f64;
+
+    /// Fraction of samples strictly below `x` (the paper's
+    /// false-negative rate via `below(T - b)`).
+    fn below(&self, x: f64) -> f64;
+
+    /// The sorted data a whole-distribution kernel scans.
+    fn ranked(&self) -> RankedView<'_>;
+}
+
+// Each backend forwards to its inherent method of the same name
+// (`Type::name` resolves to the inherent method before the trait's).
+
+impl QuantileBackend for EmpiricalDist {
+    fn len(&self) -> u64 {
+        EmpiricalDist::len(self) as u64
+    }
+    fn quantile(&self, q: f64) -> f64 {
+        EmpiricalDist::quantile(self, q)
+    }
+    fn quantile_discrete(&self, q: f64) -> f64 {
+        EmpiricalDist::quantile_discrete(self, q)
+    }
+    fn mean(&self) -> f64 {
+        EmpiricalDist::mean(self)
+    }
+    fn stddev(&self) -> f64 {
+        EmpiricalDist::stddev(self)
+    }
+    fn exceedance(&self, x: f64) -> f64 {
+        EmpiricalDist::exceedance(self, x)
+    }
+    fn below(&self, x: f64) -> f64 {
+        EmpiricalDist::below(self, x)
+    }
+    fn ranked(&self) -> RankedView<'_> {
+        RankedView::Samples(self.samples())
+    }
+}
+
+impl QuantileBackend for KllSketch {
+    fn len(&self) -> u64 {
+        KllSketch::len(self)
+    }
+    fn quantile(&self, q: f64) -> f64 {
+        KllSketch::quantile(self, q)
+    }
+    fn quantile_discrete(&self, q: f64) -> f64 {
+        KllSketch::quantile_discrete(self, q)
+    }
+    fn mean(&self) -> f64 {
+        KllSketch::mean(self)
+    }
+    fn stddev(&self) -> f64 {
+        KllSketch::stddev(self)
+    }
+    fn exceedance(&self, x: f64) -> f64 {
+        KllSketch::exceedance(self, x)
+    }
+    fn below(&self, x: f64) -> f64 {
+        KllSketch::below(self, x)
+    }
+    fn ranked(&self) -> RankedView<'_> {
+        RankedView::Weighted(self.weighted_items())
+    }
+}
+
+/// Either backend by value, for callers that hold one behind a single
+/// type. Every workspace path is generic over [`QuantileBackend`] and
+/// passes `&EmpiricalDist` or `&KllSketch` directly; this enum remains
+/// only for the benchmark harness's existing calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuantileSource {
-    /// Exact stored-sample backend (bit-identical to historical paths).
+    /// Exact stored-sample backend.
     Exact(EmpiricalDist),
     /// Bounded-memory deterministic sketch backend.
     Sketch(KllSketch),
 }
 
 impl QuantileSource {
-    /// Build an exact source from integer counts.
-    pub fn exact_from_counts(counts: &[u64]) -> Self {
-        Self::Exact(EmpiricalDist::from_counts(counts))
+    /// The held backend, for generic code (`&dyn QuantileBackend` is
+    /// itself a [`QuantileBackend`]).
+    pub fn as_backend(&self) -> &dyn QuantileBackend {
+        match self {
+            Self::Exact(d) => d,
+            Self::Sketch(s) => s,
+        }
     }
 
-    /// Build a sketch source with budget `eps` from integer counts.
-    pub fn sketch_from_counts(eps: f64, counts: &[u64]) -> Self {
-        let mut s = KllSketch::new(eps);
-        s.extend_from_counts(counts);
-        Self::Sketch(s)
-    }
-
-    /// Hyndman–Fan type-7 interpolated quantile.
+    /// Hyndman–Fan type-7 interpolated quantile (inherent, so callers
+    /// need not import [`QuantileBackend`]).
     pub fn quantile(&self, q: f64) -> f64 {
-        match self {
-            Self::Exact(d) => d.quantile(q),
-            Self::Sketch(s) => s.quantile(q),
-        }
-    }
-
-    /// The smallest observed value with rank at least `ceil(q·n)`.
-    pub fn quantile_discrete(&self, q: f64) -> f64 {
-        match self {
-            Self::Exact(d) => d.quantile_discrete(q),
-            Self::Sketch(s) => s.quantile_discrete(q),
-        }
-    }
-
-    /// Number of samples represented (total weight for the sketch).
-    pub fn len(&self) -> u64 {
-        match self {
-            Self::Exact(d) => d.len() as u64,
-            Self::Sketch(s) => s.len(),
-        }
-    }
-
-    /// Whether no samples are represented.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Smallest sample (exact in both backends).
-    pub fn min(&self) -> f64 {
-        match self {
-            Self::Exact(d) => d.min(),
-            Self::Sketch(s) => s.min(),
-        }
-    }
-
-    /// Largest sample (exact in both backends).
-    pub fn max(&self) -> f64 {
-        match self {
-            Self::Exact(d) => d.max(),
-            Self::Sketch(s) => s.max(),
-        }
-    }
-
-    /// Sample mean (exact in both backends; the sketch keeps integer
-    /// moment sums).
-    pub fn mean(&self) -> f64 {
-        match self {
-            Self::Exact(d) => d.mean(),
-            Self::Sketch(s) => s.mean(),
-        }
-    }
-
-    /// Unbiased sample standard deviation. Exact backend: cached
-    /// two-pass value; sketch: from exact integer moment sums (equal in
-    /// value up to float association, not guaranteed bitwise).
-    pub fn stddev(&self) -> f64 {
-        match self {
-            Self::Exact(d) => d.stddev(),
-            Self::Sketch(s) => s.stddev(),
-        }
-    }
-
-    /// Fraction of samples `≤ x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        match self {
-            Self::Exact(d) => d.cdf(x),
-            Self::Sketch(s) => s.cdf(x),
-        }
-    }
-
-    /// Fraction of samples strictly greater than `x` (false-positive rate
-    /// of threshold `x`).
-    pub fn exceedance(&self, x: f64) -> f64 {
-        match self {
-            Self::Exact(d) => d.exceedance(x),
-            Self::Sketch(s) => s.exceedance(x),
-        }
-    }
-
-    /// Fraction of samples strictly below `x` (the paper's
-    /// false-negative rate via `below(T - b)`).
-    pub fn below(&self, x: f64) -> f64 {
-        match self {
-            Self::Exact(d) => d.below(x),
-            Self::Sketch(s) => s.below(x),
-        }
-    }
-
-    /// The worst-case rank-error bound: 0 for the exact backend, the
-    /// sketch's ledger otherwise.
-    pub fn rank_error_bound(&self) -> u64 {
-        match self {
-            Self::Exact(_) => 0,
-            Self::Sketch(s) => s.rank_error_bound(),
-        }
+        self.as_backend().quantile(q)
     }
 }
 
@@ -166,21 +183,20 @@ mod tests {
 
     const VALS: &[u64] = &[10, 20, 20, 30, 40, 50, 60, 70, 80, 90];
 
-    fn both() -> (QuantileSource, QuantileSource) {
-        (
-            QuantileSource::exact_from_counts(VALS),
-            // Tight eps on a small stream keeps buffers roomy (capacity
-            // grows as 1/eps), so the sketch never compacts and the two
-            // backends must agree exactly — the contract tests below then
-            // pin identical boundary behavior.
-            QuantileSource::sketch_from_counts(0.05, VALS),
-        )
+    fn both() -> (EmpiricalDist, KllSketch) {
+        // Tight eps on a small stream keeps buffers roomy (capacity grows
+        // as 1/eps), so the sketch never compacts and the two backends
+        // must agree exactly — the contract tests below then pin
+        // identical boundary behavior.
+        let mut s = KllSketch::new(0.05);
+        s.extend_from_counts(VALS);
+        (EmpiricalDist::from_counts(VALS), s)
     }
 
     #[test]
     fn boundary_contract_q_zero_is_min() {
         let (e, s) = both();
-        for src in [&e, &s] {
+        for src in [&e as &dyn QuantileBackend, &s] {
             assert_eq!(src.quantile(0.0), 10.0);
             assert_eq!(src.quantile_discrete(0.0), 10.0);
         }
@@ -189,7 +205,7 @@ mod tests {
     #[test]
     fn boundary_contract_q_one_is_max() {
         let (e, s) = both();
-        for src in [&e, &s] {
+        for src in [&e as &dyn QuantileBackend, &s] {
             assert_eq!(src.quantile(1.0), 90.0);
             assert_eq!(src.quantile_discrete(1.0), 90.0);
         }
@@ -198,7 +214,7 @@ mod tests {
     #[test]
     fn boundary_contract_q_clamped_outside_unit_interval() {
         let (e, s) = both();
-        for src in [&e, &s] {
+        for src in [&e as &dyn QuantileBackend, &s] {
             assert_eq!(src.quantile(-0.5), src.quantile(0.0));
             assert_eq!(src.quantile(1.5), src.quantile(1.0));
             assert_eq!(src.quantile_discrete(-0.5), src.quantile_discrete(0.0));
@@ -209,7 +225,7 @@ mod tests {
     #[test]
     fn boundary_contract_nan_q_returns_min_in_both_backends() {
         let (e, s) = both();
-        for src in [&e, &s] {
+        for src in [&e as &dyn QuantileBackend, &s] {
             assert_eq!(src.quantile(f64::NAN), 10.0);
             assert_eq!(src.quantile_discrete(f64::NAN), 10.0);
         }
@@ -234,37 +250,32 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_exactly_when_uncompacted() {
-        let (e, s) = both();
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
-            assert_eq!(e.quantile(q), s.quantile(q), "q={q}");
-            assert_eq!(e.quantile_discrete(q), s.quantile_discrete(q), "q={q}");
-        }
-        for x in [5.0, 10.0, 20.0, 55.0, 90.0, 1000.0] {
-            assert_eq!(e.cdf(x), s.cdf(x));
-            assert_eq!(e.exceedance(x), s.exceedance(x));
-            assert_eq!(e.below(x), s.below(x));
-        }
-        assert_eq!(e.min(), s.min());
-        assert_eq!(e.max(), s.max());
-        assert_eq!(e.mean(), s.mean());
-        assert_eq!(e.len(), s.len());
-    }
-
-    #[test]
-    fn empty_sketch_source_queries_return_zero() {
-        let src = QuantileSource::Sketch(KllSketch::new(0.05));
-        assert!(src.is_empty());
+    fn empty_sketch_queries_return_zero() {
+        let src = KllSketch::new(0.05);
+        assert!(QuantileBackend::is_empty(&src));
         assert_eq!(src.quantile(0.5), 0.0);
         assert_eq!(src.quantile_discrete(0.99), 0.0);
         assert_eq!(src.mean(), 0.0);
         assert_eq!(src.exceedance(1.0), 0.0);
+        assert_eq!(src.ranked(), RankedView::Weighted(Vec::new()));
     }
 
     #[test]
-    fn rank_error_bound_zero_for_exact() {
+    fn ranked_views_expose_each_backends_data() {
         let (e, s) = both();
-        assert_eq!(e.rank_error_bound(), 0);
-        assert_eq!(s.rank_error_bound(), 0); // uncompacted
+        assert_eq!(e.ranked(), RankedView::Samples(e.samples()));
+        assert_eq!(s.ranked(), RankedView::Weighted(s.weighted_items()));
+    }
+
+    #[test]
+    fn source_enum_answers_as_the_backend_it_holds() {
+        let (e, s) = both();
+        let (se, ss) = (QuantileSource::Exact(e.clone()), QuantileSource::Sketch(s.clone()));
+        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            assert_eq!(se.quantile(q).to_bits(), e.quantile(q).to_bits());
+            assert_eq!(ss.quantile(q).to_bits(), s.quantile(q).to_bits());
+        }
+        assert_eq!(se.as_backend().ranked(), e.ranked());
+        assert_eq!(ss.as_backend().ranked(), s.ranked());
     }
 }

@@ -6,15 +6,17 @@
 # only the root package's suites and skip every crate's unit tests and
 # `crates/fleetd/tests/golden.rs`), then smoke-runs every criterion bench
 # routine once (`-- --test` executes each benchmark body without timing it,
-# catching bit-rot in the bench harnesses).
+# catching bit-rot in the bench harnesses). The workspace pass includes the
+# root package's own suites (`tests/*.rs`), so each root suite the stages
+# below name runs exactly once, there.
 #
 # The fault-injection smoke stage runs the chaos experiment at a fixed
 # seed and severity; `repro` prints a warning on any conservation-law
 # violation (which we grep for, as for every `repro` smoke below: see
-# check_log), and the root `tests/chaos.rs` suite (run by `cargo test`)
-# asserts the same laws hard. The clippy gate holds every workspace crate's
-# library code to the no-unwrap/no-panic bar the fleetd supervisor model
-# promises (test code is exempt: the gate is --lib only).
+# check_log), and the root `tests/chaos.rs` suite (run by the workspace
+# test pass) asserts the same laws hard. The clippy gate holds every
+# workspace crate's library code to the no-unwrap/no-panic bar the fleetd
+# supervisor model promises (test code is exempt: the gate is --lib only).
 #
 # The daemon stages are the crash-safety gate: the root `tests/daemon.rs`
 # suite replays >=20 seeded kill points (including torn WAL tails) and
@@ -34,9 +36,9 @@
 #
 # The metrics smoke stage writes a deterministic Prometheus snapshot via
 # `--metrics-out` and greps for one metric family per instrumented
-# subsystem; the root `tests/metrics.rs` suite (run by `cargo test`)
-# asserts the stronger contracts (byte-identical across thread counts,
-# conservation laws).
+# subsystem; the root `tests/metrics.rs` suite (run by the workspace test
+# pass) asserts the stronger contracts (byte-identical across thread
+# counts, conservation laws).
 #
 # The ingest stages are the wire-hardening gate: the root `tests/ingest.rs`
 # suite asserts severity-0 byte-identity to the synthetic path across
@@ -108,13 +110,6 @@ check_log() {
 
 cargo build --release
 cargo test -q --workspace
-cargo test -q --test daemon
-cargo test -q --test rollout
-cargo test -q --test cluster
-cargo test -q --test metrics
-cargo test -q --test ingest
-cargo test -q --test pipeline
-cargo test -q --test control
 cargo clippy -q \
     -p netpkt -p flowtab -p tailstats -p synthgen -p hids-core \
     -p attacksim -p itconsole -p faultsim -p fleetd -p experiments -p bench \
