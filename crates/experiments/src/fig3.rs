@@ -11,20 +11,13 @@
 
 use flowtab::FeatureKind;
 use hids_core::{
-    eval::evaluate_policy, EvalConfig, FeatureDataset, Grouping, PartialMethod, Policy,
-    ThresholdHeuristic,
+    eval::evaluate_policy, EvalConfig, FeatureDataset, Grouping, Policy, ThresholdHeuristic,
 };
 use tailstats::{bootstrap_ci, FiveNumber};
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
-
-/// The three policies of the figure, in display order.
-pub const POLICIES: [(&str, Grouping); 3] = [
-    ("Homogeneous", Grouping::Homogeneous),
-    ("Full-Diversity", Grouping::FullDiversity),
-    ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
-];
+use crate::POLICIES;
 
 /// Per-policy utility distribution (Figure 3(a)).
 #[derive(Debug, Clone)]

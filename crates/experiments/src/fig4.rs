@@ -6,18 +6,12 @@
 
 use attacksim::{detection_curve, hidden_traffic, omniscient_population, total_capacity, NaiveAttack};
 use flowtab::FeatureKind;
-use hids_core::{Grouping, PartialMethod, Policy, ThresholdHeuristic};
+use hids_core::{Grouping, Policy, ThresholdHeuristic};
 use tailstats::FiveNumber;
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
-
-/// The three policies compared, in display order.
-pub const POLICIES: [(&str, Grouping); 3] = [
-    ("Homogeneous", Grouping::Homogeneous),
-    ("Full-Diversity", Grouping::FullDiversity),
-    ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
-];
+use crate::POLICIES;
 
 /// Figure 4(a): detection curves.
 #[derive(Debug, Clone)]

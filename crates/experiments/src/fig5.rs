@@ -8,10 +8,11 @@
 
 use attacksim::{replay_population, ReplayPerf};
 use flowtab::FeatureKind;
-use hids_core::{Grouping, PartialMethod, Policy, ThresholdHeuristic};
+use hids_core::{Policy, ThresholdHeuristic};
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
+use crate::POLICIES;
 use synthgen::{storm_week_series, StormConfig};
 
 /// Per-policy replay scatter.
@@ -70,25 +71,21 @@ pub fn run(corpus: &Corpus, week: usize, storm: &StormConfig) -> Fig5Result {
     let zombie = storm_week_series(storm, corpus.config.windowing(), 0);
     let zombie_distinct = zombie.feature(feature);
 
-    let scatters = [
-        ("Homogeneous", Grouping::Homogeneous),
-        ("Full-Diversity", Grouping::FullDiversity),
-        ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
-    ]
-    .iter()
-    .map(|&(label, grouping)| {
-        let thresholds = Policy {
-            grouping,
-            heuristic: ThresholdHeuristic::P99,
-        }
-        .configure(&ds.train)
-        .thresholds;
-        ReplayScatter {
-            policy: label,
-            points: replay_population(&ds.test_counts, &zombie_distinct, &thresholds),
-        }
-    })
-    .collect();
+    let scatters = POLICIES
+        .iter()
+        .map(|&(label, grouping)| {
+            let thresholds = Policy {
+                grouping,
+                heuristic: ThresholdHeuristic::P99,
+            }
+            .configure(&ds.train)
+            .thresholds;
+            ReplayScatter {
+                policy: label,
+                points: replay_population(&ds.test_counts, &zombie_distinct, &thresholds),
+            }
+        })
+        .collect();
 
     Fig5Result {
         scatters,

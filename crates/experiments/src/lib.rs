@@ -61,3 +61,15 @@ pub mod tab3;
 
 pub use data::{Corpus, CorpusConfig};
 pub use report::{Table, write_csv};
+
+use hids_core::{Grouping, PartialMethod};
+
+/// The paper's three groupings with their CSV labels, in display order:
+/// Homogeneous, Full-Diversity and 8-Partial. `chaos` and `pipeline` keep
+/// their own lists, whose "Full Diversity" label is part of their CSV
+/// bytes.
+pub const POLICIES: [(&str, Grouping); 3] = [
+    ("Homogeneous", Grouping::Homogeneous),
+    ("Full-Diversity", Grouping::FullDiversity),
+    ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
+];

@@ -9,14 +9,12 @@
 //! corroborate claws most of the FP back.
 
 use flowtab::{FeatureKind, FeatureSeries};
-use hids_core::{
-    evaluate_multi, multi_detection, Grouping, MultiPolicy, PartialMethod, Policy,
-    ThresholdHeuristic,
-};
+use hids_core::{evaluate_multi, multi_detection, MultiPolicy, Policy, ThresholdHeuristic};
 use synthgen::{storm_week_series, StormConfig};
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
+use crate::POLICIES;
 
 /// One row: a policy × feature-set combination.
 #[derive(Debug, Clone)]
@@ -61,11 +59,7 @@ pub fn run(corpus: &Corpus, train_week: usize, storm: &StormConfig) -> MultiFeat
     let zombie = storm_week_series(storm, corpus.config.windowing(), 0);
 
     let mut rows = Vec::new();
-    for (label, grouping) in [
-        ("Homogeneous", Grouping::Homogeneous),
-        ("Full-Diversity", Grouping::FullDiversity),
-        ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
-    ] {
+    for (label, grouping) in POLICIES {
         let policy = Policy {
             grouping,
             heuristic: ThresholdHeuristic::P99,

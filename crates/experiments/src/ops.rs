@@ -8,14 +8,15 @@
 
 use flowtab::FeatureKind;
 use hids_core::{
-    eval::evaluate_policy, realized_fp_series, EvalConfig, Grouping, PartialMethod, Policy,
-    ThresholdHeuristic, UpdateStrategy,
+    eval::evaluate_policy, realized_fp_series, EvalConfig, Policy, ThresholdHeuristic,
+    UpdateStrategy,
 };
 use itconsole::{simulate_week, TriageConfig};
 use tailstats::FiveNumber;
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
+use crate::POLICIES;
 
 /// Triage simulation across the three policies.
 pub fn triage_table(corpus: &Corpus, feature: FeatureKind, config: &TriageConfig) -> Table {
@@ -40,11 +41,7 @@ pub fn triage_table(corpus: &Corpus, feature: FeatureKind, config: &TriageConfig
             "within SLA",
         ],
     );
-    for (label, grouping) in [
-        ("Homogeneous", Grouping::Homogeneous),
-        ("Full-Diversity", Grouping::FullDiversity),
-        ("8-Partial", Grouping::Partial(PartialMethod::EIGHT_PARTIAL)),
-    ] {
+    for (label, grouping) in POLICIES {
         let eval = evaluate_policy(
             &ds,
             &Policy {

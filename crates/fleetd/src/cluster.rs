@@ -18,11 +18,11 @@
 //! * **Assignment** is consistent-hash ([`HashRing`]) over the original
 //!   membership, plus an explicit override table for hosts moved off dead
 //!   nodes. Every assignment change is one [`AssignEvent`] appended to a
-//!   dedicated journal (`cluster.wal`, `WLR1` frames via
-//!   [`WalWriter::append_raw`]) *before* it takes effect in memory, and
-//!   periodically folded into a `CSN1` snapshot ([`ClusterSnapshot`],
-//!   kept by the daemon's snapshot store: atomic tmp+rename, keep-two,
-//!   newest-valid-wins). Recovery replays snapshot + journal suffix;
+//!   dedicated journal (`cluster.wal`, `WLR1` frames written by the
+//!   daemon WAL's one append, [`WalWriter::append`]) *before* it takes
+//!   effect in memory, and periodically folded into a `CSN1` snapshot
+//!   ([`ClusterSnapshot`], kept by the daemon's snapshot store: atomic
+//!   tmp+rename, keep-two, newest-valid-wins). Recovery replays snapshot + journal suffix;
 //!   the epoch guard in [`AssignState::apply`] makes replay
 //!   idempotent. The journal is never truncated, so a damaged
 //!   newest snapshot falls back to an older one plus a longer replay.
@@ -57,7 +57,7 @@ use crate::daemon::{Completion, Daemon, DaemonConfig, DaemonError, RecoveryRepor
 use crate::queue::Admit;
 use crate::snapshot::{self, decode_image, encode_image, EncodeImage, Image};
 use crate::state::HostState;
-use crate::wal::{KillSwitch, WalWriter};
+use crate::wal::{KillSwitch, LogRecord, WalWriter};
 use crate::wire::{frame_msg, ClusterMsg, WireDecoder, WireStats};
 
 /// Magic for cluster assignment snapshots.
@@ -140,9 +140,9 @@ pub enum AssignEvent {
     },
 }
 
-impl AssignEvent {
-    /// Serialise into `out`: tag byte + body.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+impl LogRecord for AssignEvent {
+    /// Tag byte + body. Assignment events meter journal bytes only.
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             AssignEvent::Bootstrap { n_nodes, vnodes } => {
                 out.push(0);
@@ -166,7 +166,9 @@ impl AssignEvent {
             }
         }
     }
+}
 
+impl AssignEvent {
     /// Decode one event; must consume `buf` exactly.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         let mut r = Reader::new(buf);
@@ -754,12 +756,7 @@ impl Cluster {
                 n_nodes: cfg.n_nodes,
                 vnodes: cfg.vnodes,
             };
-            let mut payload = Vec::new();
-            ev.encode(&mut payload);
-            match journal.append_raw(&payload, &mut kill.process)? {
-                crate::wal::AppendOutcome::Appended => {}
-                crate::wal::AppendOutcome::Killed => return Err(DaemonError::Killed),
-            }
+            journal.append(&ev, &mut kill.process)?;
             snapshot::write_image(dir, &assign.to_snapshot(next_snap_seq))?;
             next_snap_seq += 1;
         }
@@ -821,15 +818,9 @@ impl Cluster {
         ev: &AssignEvent,
         kill: &mut ClusterKillSwitch,
     ) -> Result<(), DaemonError> {
-        let mut payload = Vec::new();
-        ev.encode(&mut payload);
-        match self.journal.append_raw(&payload, &mut kill.process)? {
-            crate::wal::AppendOutcome::Appended => {
-                self.stats.journal_events += 1;
-                Ok(())
-            }
-            crate::wal::AppendOutcome::Killed => Err(DaemonError::Killed),
-        }
+        self.journal.append(ev, &mut kill.process)?;
+        self.stats.journal_events += 1;
+        Ok(())
     }
 
     fn send_down(&mut self, node: u32, frame: &[u8]) {
@@ -1379,7 +1370,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::codec::Week;
-    use crate::wal::frame_raw;
+    use crate::wal::{frame, RecordKind};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1644,9 +1635,9 @@ mod tests {
         assert_eq!(kill.tick_and_due(), vec![2]);
         assert!(kill.node_is_dead(2));
         // Process points form the process switch's schedule, in order.
-        assert!(kill.process.after_batch_applied());
-        assert!(kill.process.after_batch_applied());
-        assert!(!kill.process.after_batch_applied());
+        assert!(kill.process.after_append(RecordKind::Batch));
+        assert!(kill.process.after_append(RecordKind::Batch));
+        assert!(!kill.process.after_append(RecordKind::Batch));
         assert_eq!(kill.ticks(), 3);
     }
 
@@ -1770,13 +1761,9 @@ mod tests {
             AssignEvent::Bootstrap { n_nodes: 4, vnodes: cfg.vnodes },
             dead.clone(),
         ] {
-            let mut p = Vec::new();
-            ev.encode(&mut p);
-            journal.extend_from_slice(&frame_raw(&p));
+            journal.extend_from_slice(&frame(&ev));
         }
-        let mut p = Vec::new();
-        reb.encode(&mut p);
-        let reb_frame = frame_raw(&p);
+        let reb_frame = frame(&reb);
         journal.extend_from_slice(&reb_frame[..reb_frame.len() / 2]);
         fs::write(dir.join("cluster.wal"), &journal).expect("write journal");
 

@@ -175,13 +175,6 @@ pub struct ControlStats {
     pub undrains: u64,
 }
 
-impl ControlStats {
-    /// Commands journaled and applied, across kinds.
-    pub fn commands_applied(&self) -> u64 {
-        self.force_rollbacks + self.pins + self.drains + self.undrains
-    }
-}
-
 /// Validate a [`DaemonConfig`]: the single source of truth shared by
 /// `Daemon::open`, `Daemon::reload`, the [`FleetConfig`] parser, and the
 /// `repro` CLI flags. `Err` carries the first failing range check.

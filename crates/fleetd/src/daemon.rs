@@ -23,6 +23,15 @@
 //!
 //! Every window is covered by at-least-once redelivery plus idempotent
 //! apply, which is the whole recovery argument in one line.
+//!
+//! Every mutation is one [`WalRecord`]: a batch, a rollout transition or
+//! an operator command. Each reaches the log through one append,
+//! [`WalWriter::append`], which also runs the kill switch, and each is
+//! applied by one step, `Daemon::apply`, whether it was just appended or
+//! is being replayed by [`Daemon::open`] — Raft's log-then-apply
+//! discipline, so replay converges to live state by construction. A batch
+//! applies before its append (a poison batch never reaches the log);
+//! rollout transitions and commands are appended first (write-ahead).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,9 +47,9 @@ use crate::epoch::{
 };
 use crate::queue::{Admit, Popped, QueueConfig, ShardQueue};
 use crate::snapshot::{self, SnapshotView};
-use crate::state::{ApplyConfig, ApplyOutcome, HostState, ShadowCtx, ShardState};
+use crate::state::{ApplyConfig, ApplyError, ApplyOutcome, HostState, ShadowCtx};
 use crate::supervisor::{SupervisorConfig, Worker, WorkerStatus};
-use crate::wal::{AppendOutcome, KillSwitch, WalRecord, WalWriter};
+use crate::wal::{KillSwitch, WalRecord, WalWriter};
 
 /// Full daemon configuration.
 #[derive(Debug, Clone, Copy)]
@@ -233,10 +242,16 @@ pub struct RecoveryReport {
 struct Shard {
     queue: ShardQueue,
     worker: Worker,
-    state: ShardState,
+    /// Hosts routed here (`host % n_shards`), ordered for deterministic
+    /// iteration.
+    hosts: BTreeMap<u32, HostState>,
     /// Panic strikes per (host, seq) batch identity.
     strikes: BTreeMap<(u32, u64), u32>,
 }
+
+/// What applying one batch did: its outcome, or the caught panic of a
+/// poison batch.
+type BatchOutcome = std::thread::Result<Result<ApplyOutcome, ApplyError>>;
 
 /// The crash-safe streaming evaluation daemon.
 pub struct Daemon {
@@ -293,108 +308,6 @@ fn expected_soak_windows(
     canary_hosts * span
 }
 
-/// Mutate epoch (and, on promotion, host) state for one durable rollout
-/// transition. Called both on the live path (right after the record is
-/// appended) and on WAL replay, so the two converge by construction.
-fn apply_rollout(
-    epoch: &mut EpochState,
-    shards: &mut [Shard],
-    n_shards: usize,
-    canary: usize,
-    ev: &RolloutEvent,
-) {
-    match ev {
-        RolloutEvent::Begin {
-            epoch: e,
-            soak_start,
-            soak_end,
-            thresholds,
-        } => {
-            let span = u64::from(*soak_end) - u64::from(*soak_start);
-            epoch.last_epoch = epoch.last_epoch.max(*e);
-            epoch.candidate = Some(CandidateState {
-                epoch: *e,
-                soak_start: *soak_start,
-                soak_end: *soak_end,
-                expected_windows: expected_soak_windows(thresholds, n_shards, canary, span),
-                thresholds: thresholds.clone(),
-                stats: GateStats::default(),
-            });
-        }
-        RolloutEvent::Promote { .. } => {
-            if let Some(c) = epoch.candidate.take() {
-                for shard in shards.iter_mut() {
-                    for (h, st) in shard.state.hosts.iter_mut() {
-                        if let Some(&t) = c.thresholds.get(h) {
-                            st.promoted = Some((c.soak_end, t));
-                        }
-                    }
-                }
-                epoch.history.push(EpochRecord {
-                    epoch: c.epoch,
-                    outcome: EpochOutcome::Promoted,
-                    stats: c.stats,
-                    expected_windows: c.expected_windows,
-                });
-            }
-        }
-        RolloutEvent::Rollback { reason, .. } => {
-            // The incumbent thresholds were never touched during the
-            // canary, so discarding the candidate IS the rollback.
-            if let Some(c) = epoch.candidate.take() {
-                epoch.history.push(EpochRecord {
-                    epoch: c.epoch,
-                    outcome: EpochOutcome::RolledBack(*reason),
-                    stats: c.stats,
-                    expected_windows: c.expected_windows,
-                });
-            }
-        }
-    }
-}
-
-/// Mutate daemon state for one durable operator command. Called both on
-/// the live path (right after the command record is appended) and on WAL
-/// replay, so the two converge by construction — the same discipline as
-/// [`apply_rollout`]. Total over any decodable command: out-of-range
-/// shard ids (possible only via deliberate log corruption, since the
-/// live path validates before journaling) are ignored rather than
-/// panicking.
-fn apply_command(
-    epoch: &mut EpochState,
-    shards: &mut [Shard],
-    drained: &mut BTreeSet<u32>,
-    n_shards: usize,
-    canary: usize,
-    cmd: &ControlCommand,
-) {
-    match cmd {
-        ControlCommand::ForceRollback => {
-            if let Some(c) = epoch.candidate.as_ref() {
-                let ev = RolloutEvent::Rollback {
-                    epoch: c.epoch,
-                    reason: RollbackReason::Operator,
-                };
-                apply_rollout(epoch, shards, n_shards, canary, &ev);
-            }
-        }
-        ControlCommand::PinThreshold { host, t } => {
-            let idx = *host as usize % n_shards;
-            if let Some(shard) = shards.get_mut(idx) {
-                shard.state.hosts.entry(*host).or_default().pinned = Some(*t);
-            }
-        }
-        ControlCommand::DrainShard { shard } => {
-            if (*shard as usize) < n_shards {
-                drained.insert(*shard);
-            }
-        }
-        ControlCommand::UndrainShard { shard } => {
-            drained.remove(shard);
-        }
-    }
-}
-
 /// Count soak-span test windows of a batch lost to shedding or
 /// quarantine on a canary shard, toward the candidate's loss meter.
 fn note_soak_loss(epoch: &mut EpochState, canary: usize, shard_idx: usize, batch: &WindowBatch) {
@@ -421,91 +334,76 @@ impl Daemon {
         let mut report = RecoveryReport::default();
         let (snap, discarded) = snapshot::load_newest::<snapshot::Snapshot>(dir)?;
         report.snapshots_discarded = discarded;
-
-        let mut shards: Vec<Shard> = (0..cfg.n_shards)
-            .map(|_| Shard {
-                queue: ShardQueue::new(cfg.queue),
-                worker: Worker::new(),
-                state: ShardState::default(),
-                strikes: BTreeMap::new(),
-            })
-            .collect();
-
-        let mut next_snapshot_seq = 1;
-        let mut epoch = EpochState::default();
-        let mut drained: BTreeSet<u32> = BTreeSet::new();
-        let mut last_image_bytes = 0;
-        if let Some((snap, image_bytes)) = snap {
-            if snap.n_windows != cfg.n_windows {
-                return Err(DaemonError::Config(
-                    "snapshot was written with a different n_windows",
-                ));
-            }
-            report.snapshot_seq = Some(snap.seq);
-            next_snapshot_seq = snap.seq + 1;
-            last_image_bytes = image_bytes;
-            epoch = snap.epoch;
-            drained = snap.drained.into_iter().collect();
-            for (host, st) in snap.hosts {
-                let idx = host as usize % cfg.n_shards;
-                shards[idx].state.hosts.insert(host, st);
-            }
+        if snap
+            .as_ref()
+            .is_some_and(|(img, _)| img.n_windows != cfg.n_windows)
+        {
+            return Err(DaemonError::Config(
+                "snapshot was written with a different n_windows",
+            ));
         }
 
         let (wal, replay) = WalWriter::open(&dir.join("wal.bin"), WalRecord::decode)?;
         report.wal_torn_bytes = replay.torn_bytes;
-        let apply_cfg = ApplyConfig {
-            n_windows: cfg.n_windows,
-            threshold_q: cfg.threshold_q,
-            sketch_eps: cfg.sketch_eps,
+        let mut daemon = Self {
+            dir: dir.to_path_buf(),
+            wal,
+            shards: (0..cfg.n_shards)
+                .map(|_| Shard {
+                    queue: ShardQueue::new(cfg.queue),
+                    worker: Worker::new(),
+                    hosts: BTreeMap::new(),
+                    strikes: BTreeMap::new(),
+                })
+                .collect(),
+            tick: 0,
+            next_snapshot_seq: 1,
+            applied_since_snapshot: 0,
+            last_image_bytes: 0,
+            stats: DaemonStats::default(),
+            completions: Vec::new(),
+            epoch: EpochState::default(),
+            drained: BTreeSet::new(),
+            config_generation: 1,
+            control_stats: ControlStats::default(),
+            cfg,
+            events: EventRing::default(),
         };
-        let canary = effective_canary(&cfg);
-        for record in &replay.records {
-            match record {
-                WalRecord::Batch(batch) => {
-                    report.wal_batches += 1;
-                    let idx = batch.host as usize % cfg.n_shards;
-                    let shard = &mut shards[idx];
-                    let mut shadow = match epoch.candidate.as_mut() {
-                        Some(c) if idx < canary => {
-                            c.thresholds.get(&batch.host).copied().map(|t| ShadowCtx {
-                                soak_start: c.soak_start,
-                                soak_end: c.soak_end,
-                                candidate: t,
-                                stats: &mut c.stats,
-                            })
-                        }
-                        _ => None,
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        shard.state.apply_shadowed(batch, &apply_cfg, shadow.as_mut())
-                    }));
-                    match outcome {
-                        Ok(Ok(ApplyOutcome::Applied)) => report.wal_replayed += 1,
-                        Ok(Ok(ApplyOutcome::Duplicate)) => report.wal_duplicates += 1,
-                        Ok(Err(_)) => report.wal_rejected += 1,
-                        Err(_) => report.wal_quarantined += 1,
-                    }
-                }
-                WalRecord::Rollout(ev) => {
-                    report.wal_rollout_events += 1;
-                    apply_rollout(&mut epoch, &mut shards, cfg.n_shards, canary, ev);
-                }
-                WalRecord::Command(cmd) => {
-                    report.wal_commands += 1;
-                    apply_command(
-                        &mut epoch,
-                        &mut shards,
-                        &mut drained,
-                        cfg.n_shards,
-                        canary,
-                        cmd,
-                    );
-                }
+        if let Some((snap, image_bytes)) = snap {
+            report.snapshot_seq = Some(snap.seq);
+            daemon.next_snapshot_seq = snap.seq + 1;
+            daemon.last_image_bytes = image_bytes;
+            daemon.epoch = snap.epoch;
+            daemon.drained = snap.drained.into_iter().collect();
+            for (host, st) in snap.hosts {
+                daemon.shards[host as usize % cfg.n_shards]
+                    .hosts
+                    .insert(host, st);
             }
         }
 
-        let mut events = EventRing::default();
+        // Replay through the same apply step the live path uses.
+        for record in &replay.records {
+            match record {
+                WalRecord::Batch(_) => report.wal_batches += 1,
+                WalRecord::Rollout(_) => report.wal_rollout_events += 1,
+                WalRecord::Command(_) => report.wal_commands += 1,
+            }
+            match daemon.apply(record) {
+                None => {}
+                Some(Ok(Ok(ApplyOutcome::Applied))) => report.wal_replayed += 1,
+                Some(Ok(Ok(ApplyOutcome::Duplicate))) => report.wal_duplicates += 1,
+                Some(Ok(Err(_))) => report.wal_rejected += 1,
+                Some(Err(_)) => report.wal_quarantined += 1,
+            }
+        }
+        // Count the replayed backlog toward the next snapshot, and keep
+        // the replayed log and the loaded image's length, so the cadence
+        // rule reads the same state it would have read had the process not
+        // restarted: a crash loop cannot grow the WAL without bound.
+        daemon.applied_since_snapshot = report.wal_replayed;
+
+        let events = &mut daemon.events;
         if report.wal_torn_bytes > 0 {
             events.push(
                 "fleetd.wal",
@@ -538,28 +436,6 @@ impl Daemon {
             );
         }
 
-        let daemon = Self {
-            dir: dir.to_path_buf(),
-            wal,
-            shards,
-            tick: 0,
-            next_snapshot_seq,
-            // Count the replayed backlog toward the next snapshot, and
-            // keep the replayed log and the loaded image's length, so the
-            // cadence rule reads the same state it would have read had
-            // the process not restarted: a crash loop cannot grow the WAL
-            // without bound.
-            applied_since_snapshot: report.wal_replayed,
-            last_image_bytes,
-            stats: DaemonStats::default(),
-            completions: Vec::new(),
-            epoch,
-            drained,
-            config_generation: 1,
-            control_stats: ControlStats::default(),
-            cfg,
-            events,
-        };
         Ok((daemon, report))
     }
 
@@ -634,11 +510,6 @@ impl Daemon {
         self.tick += 1;
         let tick = self.tick;
         let quantum = self.cfg.queue.quantum;
-        let apply_cfg = ApplyConfig {
-            n_windows: self.cfg.n_windows,
-            threshold_q: self.cfg.threshold_q,
-            sketch_eps: self.cfg.sketch_eps,
-        };
         let sup = self.cfg.supervisor;
         let canary = effective_canary(&self.cfg);
         let mut applied_this_tick = false;
@@ -651,12 +522,12 @@ impl Daemon {
             self.decide_rollout(kill)?;
         }
 
-        'shards: for (idx, shard) in self.shards.iter_mut().enumerate() {
-            if !shard.worker.poll_running(tick) {
+        'shards: for idx in 0..self.shards.len() {
+            if !self.shards[idx].worker.poll_running(tick) {
                 continue;
             }
             for _ in 0..quantum {
-                let (enq, batch) = match shard.queue.pop(tick) {
+                let (enq, batch) = match self.shards[idx].queue.pop(tick) {
                     None => break,
                     Some(Popped::Stale(b)) => {
                         self.stats.shed_overload += 1;
@@ -666,73 +537,49 @@ impl Daemon {
                             seq: b.seq,
                             disposition: Disposition::ShedOverload,
                         });
-                        if self.epoch.candidate.as_ref().is_some_and(|c| c.soak_complete()) {
+                        if self.soak_ready() {
                             break 'shards;
                         }
                         continue;
                     }
                     Some(Popped::Fresh(enq, b)) => (enq, b),
                 };
-                let outcome = {
-                    let mut shadow = match self.epoch.candidate.as_mut() {
-                        Some(c) if idx < canary => {
-                            c.thresholds.get(&batch.host).copied().map(|t| ShadowCtx {
-                                soak_start: c.soak_start,
-                                soak_end: c.soak_end,
-                                candidate: t,
-                                stats: &mut c.stats,
-                            })
-                        }
-                        _ => None,
-                    };
-                    catch_unwind(AssertUnwindSafe(|| {
-                        shard.state.apply_shadowed(&batch, &apply_cfg, shadow.as_mut())
-                    }))
+                let outcome = self.apply_batch(&batch);
+                let shard = &mut self.shards[idx];
+                let completion = |disposition| Completion {
+                    host: batch.host,
+                    seq: batch.seq,
+                    disposition,
                 };
                 match outcome {
                     Ok(Ok(ApplyOutcome::Applied)) => {
-                        if self.wal.append_batch(&batch, kill)? == AppendOutcome::Killed {
-                            return Err(DaemonError::Killed);
-                        }
+                        let done = completion(Disposition::Applied);
+                        // A kill on the append suppresses the ack: the
+                        // batch may be durable, but the source never
+                        // hears so and must rediscover that via
+                        // redelivery.
+                        self.wal.append(&WalRecord::Batch(batch), kill)?;
                         shard.worker.note_success();
                         self.stats.applied += 1;
                         self.applied_since_snapshot += 1;
                         applied_this_tick = true;
-                        if kill.after_batch_applied() {
-                            // Die with the ack suppressed: the batch is
-                            // durable but the source never hears so, and
-                            // must rediscover that via redelivery.
-                            return Err(DaemonError::Killed);
-                        }
-                        self.completions.push(Completion {
-                            host: batch.host,
-                            seq: batch.seq,
-                            disposition: Disposition::Applied,
-                        });
+                        self.completions.push(done);
                         // Decide the instant the last expected soak
                         // window is in: remaining shards wait a tick so
                         // the gate sees the same stats in every timeline.
-                        if self.epoch.candidate.as_ref().is_some_and(|c| c.soak_complete()) {
+                        if self.soak_ready() {
                             break 'shards;
                         }
                     }
                     Ok(Ok(ApplyOutcome::Duplicate)) => {
                         shard.worker.note_success();
                         self.stats.duplicates += 1;
-                        self.completions.push(Completion {
-                            host: batch.host,
-                            seq: batch.seq,
-                            disposition: Disposition::Duplicate,
-                        });
+                        self.completions.push(completion(Disposition::Duplicate));
                     }
                     Ok(Err(_)) => {
                         shard.worker.note_success();
                         self.stats.rejected += 1;
-                        self.completions.push(Completion {
-                            host: batch.host,
-                            seq: batch.seq,
-                            disposition: Disposition::Rejected,
-                        });
+                        self.completions.push(completion(Disposition::Rejected));
                     }
                     Err(_) => {
                         let key = (batch.host, batch.seq);
@@ -751,11 +598,7 @@ impl Daemon {
                                 ],
                             );
                             note_soak_loss(&mut self.epoch, canary, idx, &batch);
-                            self.completions.push(Completion {
-                                host: batch.host,
-                                seq: batch.seq,
-                                disposition: Disposition::Quarantined,
-                            });
+                            self.completions.push(completion(Disposition::Quarantined));
                         } else {
                             shard.queue.push_front(enq, batch);
                         }
@@ -816,31 +659,20 @@ impl Daemon {
         let Some(c) = self.epoch.candidate.as_ref() else {
             return Ok(());
         };
-        let ev = match self.cfg.rollout.gate.decide(&c.stats, c.expected_windows) {
-            Ok(()) => RolloutEvent::Promote { epoch: c.epoch },
-            Err(reason) => RolloutEvent::Rollback {
-                epoch: c.epoch,
-                reason,
-            },
+        let epoch = c.epoch;
+        let verdict = self.cfg.rollout.gate.decide(&c.stats, c.expected_windows);
+        let ev = match verdict {
+            Ok(()) => RolloutEvent::Promote { epoch },
+            Err(reason) => RolloutEvent::Rollback { epoch, reason },
         };
-        if self.wal.append_rollout(&ev, kill)? == AppendOutcome::Killed {
-            return Err(DaemonError::Killed);
-        }
-        let canary = effective_canary(&self.cfg);
-        apply_rollout(
-            &mut self.epoch,
-            &mut self.shards,
-            self.cfg.n_shards,
-            canary,
-            &ev,
-        );
-        match &ev {
-            RolloutEvent::Promote { epoch } => self.events.push(
+        self.journal(&WalRecord::Rollout(ev), kill)?;
+        match verdict {
+            Ok(()) => self.events.push(
                 "fleetd.rollout",
                 "promoted",
                 &[("epoch", &epoch.to_string())],
             ),
-            RolloutEvent::Rollback { epoch, reason } => self.events.push(
+            Err(reason) => self.events.push(
                 "fleetd.rollout",
                 "rolled_back",
                 &[
@@ -848,10 +680,6 @@ impl Daemon {
                     ("reason", &reason.to_string()),
                 ],
             ),
-            RolloutEvent::Begin { .. } => {}
-        }
-        if kill.after_rollout_event() {
-            return Err(DaemonError::Killed);
         }
         Ok(())
     }
@@ -893,16 +721,7 @@ impl Daemon {
             soak_end,
             thresholds,
         };
-        if self.wal.append_rollout(&ev, kill)? == AppendOutcome::Killed {
-            return Err(DaemonError::Killed);
-        }
-        apply_rollout(
-            &mut self.epoch,
-            &mut self.shards,
-            self.cfg.n_shards,
-            canary,
-            &ev,
-        );
+        self.journal(&WalRecord::Rollout(ev), kill)?;
         self.events.push(
             "fleetd.rollout",
             "begun",
@@ -912,9 +731,6 @@ impl Daemon {
                 ("soak_end", &soak_end.to_string()),
             ],
         );
-        if kill.after_rollout_event() {
-            return Err(DaemonError::Killed);
-        }
         Ok(epoch_num)
     }
 
@@ -947,18 +763,7 @@ impl Daemon {
                 }
             }
         }
-        if self.wal.append_command(&cmd, kill)? == AppendOutcome::Killed {
-            return Err(DaemonError::Killed);
-        }
-        let canary = effective_canary(&self.cfg);
-        apply_command(
-            &mut self.epoch,
-            &mut self.shards,
-            &mut self.drained,
-            self.cfg.n_shards,
-            canary,
-            &cmd,
-        );
+        self.journal(&WalRecord::Command(cmd), kill)?;
         match cmd {
             ControlCommand::ForceRollback => self.control_stats.force_rollbacks += 1,
             ControlCommand::PinThreshold { .. } => self.control_stats.pins += 1,
@@ -970,10 +775,133 @@ impl Daemon {
             "command_applied",
             &[("command", cmd.name())],
         );
-        if kill.after_command() {
-            return Err(DaemonError::Killed);
-        }
         Ok(())
+    }
+
+    /// Journal `record`, then apply it: the write-ahead step of rollout
+    /// transitions and operator commands. A kill inside the append (torn
+    /// record, or right after it is durable) returns before any in-memory
+    /// effect; recovery replays a durable record through the same
+    /// [`apply`](Self::apply).
+    fn journal(&mut self, record: &WalRecord, kill: &mut KillSwitch) -> Result<(), DaemonError> {
+        self.wal.append(record, kill)?;
+        self.apply(record);
+        Ok(())
+    }
+
+    /// Apply one record to in-memory state: the one mutation step of both
+    /// WAL replay and the live path, so the two converge by construction.
+    /// Returns the batch outcome for a batch record. Total over any
+    /// decodable record: out-of-range shard ids (possible only via
+    /// deliberate log corruption, since the live path validates before
+    /// journaling) are ignored rather than panicking.
+    fn apply(&mut self, record: &WalRecord) -> Option<BatchOutcome> {
+        let n_shards = self.cfg.n_shards;
+        match record {
+            WalRecord::Batch(batch) => return Some(self.apply_batch(batch)),
+            WalRecord::Rollout(RolloutEvent::Begin {
+                epoch,
+                soak_start,
+                soak_end,
+                thresholds,
+            }) => {
+                let span = u64::from(*soak_end) - u64::from(*soak_start);
+                let canary = effective_canary(&self.cfg);
+                self.epoch.last_epoch = self.epoch.last_epoch.max(*epoch);
+                self.epoch.candidate = Some(CandidateState {
+                    epoch: *epoch,
+                    soak_start: *soak_start,
+                    soak_end: *soak_end,
+                    expected_windows: expected_soak_windows(thresholds, n_shards, canary, span),
+                    thresholds: thresholds.clone(),
+                    stats: GateStats::default(),
+                });
+            }
+            WalRecord::Rollout(ev) => {
+                // Promote or rollback. The incumbent thresholds were never
+                // touched during the canary, so discarding the candidate
+                // IS the rollback.
+                let c = self.epoch.candidate.take()?;
+                let outcome = match ev {
+                    RolloutEvent::Rollback { reason, .. } => EpochOutcome::RolledBack(*reason),
+                    _ => {
+                        for shard in &mut self.shards {
+                            for (h, st) in &mut shard.hosts {
+                                if let Some(&t) = c.thresholds.get(h) {
+                                    st.promoted = Some((c.soak_end, t));
+                                }
+                            }
+                        }
+                        EpochOutcome::Promoted
+                    }
+                };
+                self.epoch.history.push(EpochRecord {
+                    epoch: c.epoch,
+                    outcome,
+                    stats: c.stats,
+                    expected_windows: c.expected_windows,
+                });
+            }
+            WalRecord::Command(ControlCommand::ForceRollback) => {
+                let epoch = self.epoch.candidate.as_ref()?.epoch;
+                let reason = RollbackReason::Operator;
+                self.apply(&WalRecord::Rollout(RolloutEvent::Rollback {
+                    epoch,
+                    reason,
+                }));
+            }
+            WalRecord::Command(ControlCommand::PinThreshold { host, t }) => {
+                let shard = &mut self.shards[*host as usize % n_shards];
+                shard.hosts.entry(*host).or_default().pinned = Some(*t);
+            }
+            WalRecord::Command(ControlCommand::DrainShard { shard }) => {
+                if (*shard as usize) < n_shards {
+                    self.drained.insert(*shard);
+                }
+            }
+            WalRecord::Command(ControlCommand::UndrainShard { shard }) => {
+                self.drained.remove(shard);
+            }
+        }
+        None
+    }
+
+    /// Apply one batch to its host, shadow-evaluating the in-flight
+    /// candidate on canary shards and catching a poison batch's panic:
+    /// the one batch-apply step of replay and [`tick`](Self::tick).
+    fn apply_batch(&mut self, batch: &WindowBatch) -> BatchOutcome {
+        let idx = batch.host as usize % self.cfg.n_shards;
+        let cfg = ApplyConfig {
+            n_windows: self.cfg.n_windows,
+            threshold_q: self.cfg.threshold_q,
+            sketch_eps: self.cfg.sketch_eps,
+        };
+        let mut shadow = match self.epoch.candidate.as_mut() {
+            Some(c) if idx < effective_canary(&self.cfg) => {
+                c.thresholds.get(&batch.host).copied().map(|t| ShadowCtx {
+                    soak_start: c.soak_start,
+                    soak_end: c.soak_end,
+                    candidate: t,
+                    stats: &mut c.stats,
+                })
+            }
+            _ => None,
+        };
+        // A host joins the table with its first applied batch, which is
+        // the first batch replay sees: a rejected, duplicate or poison
+        // first contact leaves no blank entry behind.
+        let hosts = &mut self.shards[idx].hosts;
+        let mut fresh = HostState::default();
+        let known = hosts.get_mut(&batch.host);
+        let is_new = known.is_none();
+        let host = known.unwrap_or(&mut fresh);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            host.apply_shadowed(batch, &cfg, shadow.as_mut())
+        }));
+        if is_new && matches!(outcome, Ok(Ok(ApplyOutcome::Applied))) {
+            hosts.insert(batch.host, fresh);
+        }
+        outcome
     }
 
     /// Why `new` cannot be hot-applied over the current config, if it
@@ -1152,11 +1080,6 @@ impl Daemon {
         out
     }
 
-    /// Current rollout phase.
-    pub fn epoch_phase(&self) -> Phase {
-        self.epoch.phase()
-    }
-
     /// Full rollout lifecycle state: in-flight candidate plus history.
     pub fn epoch_state(&self) -> &EpochState {
         &self.epoch
@@ -1176,7 +1099,9 @@ impl Daemon {
         Ok(self.queued_total() == 0)
     }
 
-    /// Force a snapshot now (clean shutdown).
+    /// Checkpoint now, regardless of the cadence rule: a clean shutdown,
+    /// or the operator's pre-maintenance "make recovery cheap" lever
+    /// (drains make this useful — a drained fleet checkpoints small).
     pub fn checkpoint(&mut self) -> Result<(), DaemonError> {
         self.write_snapshot()
     }
@@ -1252,7 +1177,7 @@ impl Daemon {
     pub fn hosts(&self) -> BTreeMap<u32, &HostState> {
         let mut out = BTreeMap::new();
         for shard in &self.shards {
-            for (&h, st) in &shard.state.hosts {
+            for (&h, st) in &shard.hosts {
                 out.insert(h, st);
             }
         }
@@ -1268,13 +1193,6 @@ impl Daemon {
     /// control-plane events this lifetime).
     pub fn events(&self) -> &EventRing {
         &self.events
-    }
-
-    /// Checkpoint now, regardless of the cadence rule (the operator's
-    /// pre-maintenance "make recovery cheap" lever; drains make this
-    /// useful — a drained fleet checkpoints small).
-    pub fn force_snapshot(&mut self) -> Result<(), DaemonError> {
-        self.write_snapshot()
     }
 
     /// Current virtual time.
@@ -1751,7 +1669,7 @@ mod tests {
         let frame = cadence_rounds()
             .iter()
             .flatten()
-            .map(|b| crate::wal::frame_batch(b).len() as u64)
+            .map(|b| crate::wal::frame(&WalRecord::Batch(b.clone())).len() as u64)
             .max()
             .unwrap_or(0);
         let per_tick = (cfg.n_shards * cfg.queue.quantum) as u64;
@@ -2014,14 +1932,14 @@ mod tests {
         // Candidate 6.0: soak counts of 5 alarm under neither threshold.
         let epoch = d.begin_rollout(4, 6, candidate(6.0), &mut kill).unwrap();
         assert_eq!(epoch, 1);
-        assert_eq!(d.epoch_phase(), Phase::Canary);
+        assert_eq!(d.epoch_state().phase(), Phase::Canary);
         // Only host 0 sits on the canary shard (0 % 2), so 2 windows.
         assert_eq!(d.epoch_state().candidate.as_ref().unwrap().expected_windows, 2);
         feed(&mut d, &mut kill, &[
             b(0, 4, Week::Test, 4, &[5, 5]),
             b(1, 4, Week::Test, 4, &[5, 5]),
         ]);
-        assert_eq!(d.epoch_phase(), Phase::Idle);
+        assert_eq!(d.epoch_state().phase(), Phase::Idle);
         let hist = &d.epoch_state().history;
         assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].outcome, EpochOutcome::Promoted);
@@ -2054,7 +1972,7 @@ mod tests {
         let (mut with_rollout, mut kill) = prepare_rollout_daemon(&dir_a);
         with_rollout.begin_rollout(4, 6, candidate(1000.0), &mut kill).unwrap();
         feed(&mut with_rollout, &mut kill, &soak);
-        assert_eq!(with_rollout.epoch_phase(), Phase::Idle);
+        assert_eq!(with_rollout.epoch_state().phase(), Phase::Idle);
         let hist = &with_rollout.epoch_state().history;
         assert_eq!(
             hist[0].outcome,
@@ -2083,7 +2001,7 @@ mod tests {
         // Train batches pass the barrier freely.
         assert_ne!(d.offer(b(1, 4, Week::Train, 6, &[5, 5])), Admit::Overflow);
         feed(&mut d, &mut kill, &[b(0, 5, Week::Test, 4, &[5, 5])]);
-        assert_eq!(d.epoch_phase(), Phase::Idle, "soak complete, decided");
+        assert_eq!(d.epoch_state().phase(), Phase::Idle, "soak complete, decided");
         // After the decision the same batch is admitted.
         assert_ne!(d.offer(b(1, 5, Week::Test, 6, &[5, 5])), Admit::Overflow);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2132,11 +2050,11 @@ mod tests {
         drop(d);
         let (mut d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
         assert_eq!(rec.wal_rollout_events, 1);
-        assert_eq!(d.epoch_phase(), Phase::Canary, "durable Begin must replay");
+        assert_eq!(d.epoch_state().phase(), Phase::Canary, "durable Begin must replay");
         // The recovered canary proceeds to a normal decision.
         let mut kill = KillSwitch::none();
         feed(&mut d, &mut kill, &[b(0, 4, Week::Test, 4, &[5, 5])]);
-        assert_eq!(d.epoch_phase(), Phase::Idle);
+        assert_eq!(d.epoch_state().phase(), Phase::Idle);
         assert_eq!(d.epoch_state().history[0].outcome, EpochOutcome::Promoted);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2162,7 +2080,7 @@ mod tests {
         let (d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
         assert!(rec.wal_torn_bytes > 0);
         assert_eq!(rec.wal_rollout_events, 0);
-        assert_eq!(d.epoch_phase(), Phase::Idle, "torn Begin is a lost rollout");
+        assert_eq!(d.epoch_state().phase(), Phase::Idle, "torn Begin is a lost rollout");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2262,7 +2180,7 @@ mod tests {
                 Err(DaemonError::Config("shard id out of range"))
             ));
             // Snapshot while drained: the drain must persist through it.
-            d.force_snapshot().unwrap();
+            d.checkpoint().unwrap();
         }
         let (mut d, rec) = Daemon::open(&dir, small_cfg()).unwrap();
         assert!(rec.snapshot_seq.is_some());
@@ -2293,7 +2211,7 @@ mod tests {
             assert_eq!(d.epoch_state().history.len(), 1);
             d.command(ControlCommand::PinThreshold { host: 1, t: 9.5 }, &mut kill)
                 .unwrap();
-            d.force_snapshot().unwrap();
+            d.checkpoint().unwrap();
         }
         // Restart in sketch mode: hosts 0 and 1 keep their exact-mode
         // state, hosts 2..5 accumulate sketches (host 5 never reaches its
@@ -2309,7 +2227,7 @@ mod tests {
         feed(&mut d, &mut kill, &batches);
         d.command(ControlCommand::DrainShard { shard: 1 }, &mut kill)
             .unwrap();
-        d.force_snapshot().unwrap();
+        d.checkpoint().unwrap();
 
         let hosts = d.hosts();
         assert!(hosts[&0].train_sketch.is_none() && hosts[&0].promoted.is_some());
@@ -2344,11 +2262,11 @@ mod tests {
         with_cmd
             .begin_rollout(4, 6, candidate(6.0), &mut kill)
             .unwrap();
-        assert_eq!(with_cmd.epoch_phase(), Phase::Canary);
+        assert_eq!(with_cmd.epoch_state().phase(), Phase::Canary);
         with_cmd
             .command(ControlCommand::ForceRollback, &mut kill)
             .unwrap();
-        assert_eq!(with_cmd.epoch_phase(), Phase::Idle);
+        assert_eq!(with_cmd.epoch_state().phase(), Phase::Idle);
         let hist = &with_cmd.epoch_state().history;
         assert_eq!(
             hist[0].outcome,

@@ -1095,18 +1095,6 @@ pub fn escape_cef_field(s: &str) -> String {
     out
 }
 
-/// Escape a CEF extension value: `\` → `\\`, `=` → `\=`.
-pub fn escape_cef_ext(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c == '\\' || c == '=' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out
-}
-
 /// Encode a [`WindowBatch`] as the syslog/CEF datagram an agent would
 /// send. Round-trips exactly: `decode_batch_datagram(&encode_batch_datagram(b,
 /// ..), &config) == Ok(b)` for any valid batch within config bounds.

@@ -18,8 +18,6 @@
 //! before the WAL append too — can never enter the log and re-kill
 //! recovery.
 
-use std::collections::BTreeMap;
-
 use hids_core::{SketchAccumulator, WindowAccumulator};
 
 use crate::codec::{Week, WindowBatch};
@@ -269,39 +267,6 @@ impl HostState {
     }
 }
 
-/// One shard's slice of the host table.
-#[derive(Debug, Default)]
-pub struct ShardState {
-    /// Hosts owned by this shard, keyed by host id (ordered for
-    /// deterministic iteration).
-    pub hosts: BTreeMap<u32, HostState>,
-}
-
-impl ShardState {
-    /// Apply a batch to its host (creating the host on first contact).
-    pub fn apply(
-        &mut self,
-        batch: &WindowBatch,
-        cfg: &ApplyConfig,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        self.hosts.entry(batch.host).or_default().apply(batch, cfg)
-    }
-
-    /// [`ShardState::apply`] with shadow evaluation of a candidate
-    /// threshold (see [`HostState::apply_shadowed`]).
-    pub fn apply_shadowed(
-        &mut self,
-        batch: &WindowBatch,
-        cfg: &ApplyConfig,
-        shadow: Option<&mut ShadowCtx<'_>>,
-    ) -> Result<ApplyOutcome, ApplyError> {
-        self.hosts
-            .entry(batch.host)
-            .or_default()
-            .apply_shadowed(batch, cfg, shadow)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,15 +468,5 @@ mod tests {
             .unwrap();
         assert_eq!(h.live_alarms, 2);
         assert_eq!(h.test_sketch.as_ref().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn shard_routes_by_host_and_creates_on_first_contact() {
-        let mut s = ShardState::default();
-        let mut batch = b(1, Week::Train, 0, &[1]);
-        batch.host = 42;
-        s.apply(&batch, &cfg()).unwrap();
-        assert_eq!(s.hosts.len(), 1);
-        assert_eq!(s.hosts[&42].last_seq, 1);
     }
 }

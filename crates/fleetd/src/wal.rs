@@ -12,6 +12,9 @@
 //! byte (0 = window batch, 1 = rollout event, 2 = operator command)
 //! followed by the record body. The cluster coordinator's assignment
 //! journal uses the same frames and writer with its own payload grammar.
+//! Every record of either log is a [`LogRecord`], framed by one function,
+//! [`frame`], and written by one append, [`WalWriter::append`], which also
+//! runs the kill switch's byte and per-kind meters.
 //!
 //! Replay walks frames from the start and stops at the first defect —
 //! truncated header, bad magic, implausible length, short payload, CRC
@@ -36,6 +39,7 @@ use faultsim::KillPoint;
 
 use crate::codec::{check_frame, encode_frame, CodecError, FrameCheck, FrameDefect, WindowBatch};
 use crate::control::ControlCommand;
+use crate::daemon::DaemonError;
 use crate::epoch::RolloutEvent;
 
 /// Frame magic: "WLR1".
@@ -58,9 +62,33 @@ pub enum WalRecord {
     Command(ControlCommand),
 }
 
-impl WalRecord {
-    /// Serialise into `out`: tag byte + record body.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+/// A record one of fleetd's logs journals: the payload it frames, and the
+/// kill-switch meter it advances once durable.
+pub trait LogRecord {
+    /// Serialise the frame payload into `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// The per-kind lifetime meter this record advances once it is on
+    /// disk; `None` (the default) meters its bytes only.
+    fn kind(&self) -> Option<RecordKind> {
+        None
+    }
+}
+
+/// The per-kind meters of a [`KillSwitch`], one per [`WalRecord`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// An applied window batch ([`KillPoint::AfterBatches`]).
+    Batch,
+    /// A rollout transition ([`KillPoint::AfterRolloutEvents`]).
+    Rollout,
+    /// An operator command ([`KillPoint::AfterCommands`]).
+    Command,
+}
+
+impl LogRecord for WalRecord {
+    /// Tag byte + record body.
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Batch(b) => {
                 out.push(0);
@@ -77,6 +105,16 @@ impl WalRecord {
         }
     }
 
+    fn kind(&self) -> Option<RecordKind> {
+        Some(match self {
+            WalRecord::Batch(_) => RecordKind::Batch,
+            WalRecord::Rollout(_) => RecordKind::Rollout,
+            WalRecord::Command(_) => RecordKind::Command,
+        })
+    }
+}
+
+impl WalRecord {
     /// Deserialise from exactly `buf`.
     pub fn decode(buf: &[u8]) -> Result<Self, CodecError> {
         let (&tag, body) = buf.split_first().ok_or(CodecError::Truncated)?;
@@ -211,37 +249,35 @@ impl KillSwitch {
         verdict
     }
 
-    /// Meter one applied batch; returns `true` when the daemon must die
-    /// now, with this batch's completion suppressed (it was durably
-    /// applied but never acked — redelivery must resolve to a duplicate).
-    pub(crate) fn after_batch_applied(&mut self) -> bool {
-        self.applied += 1;
-        let applied = self.applied;
-        self.fire_if(|p| matches!(p, KillPoint::AfterBatches(n) if applied >= n))
-            .is_some()
-    }
-
-    /// Meter one durable rollout transition record; returns `true` when
-    /// the daemon must die now, after the record is on disk but before
-    /// the in-memory state machine observes success (recovery must replay
-    /// the durable transition and converge to the same epoch state).
-    pub(crate) fn after_rollout_event(&mut self) -> bool {
-        self.rollout_events += 1;
-        let events = self.rollout_events;
-        self.fire_if(|p| matches!(p, KillPoint::AfterRolloutEvents(n) if events >= u64::from(n)))
-            .is_some()
-    }
-
-    /// Meter one durable operator-command record; returns `true` when the
-    /// daemon must die now — after the command is on disk and applied,
-    /// but before the caller is acknowledged. Recovery must replay the
-    /// durable command and converge to the same state (the "kill between
-    /// apply and ack" class of the control-plane sweep).
-    pub(crate) fn after_command(&mut self) -> bool {
-        self.commands += 1;
-        let commands = self.commands;
-        self.fire_if(|p| matches!(p, KillPoint::AfterCommands(n) if commands >= u64::from(n)))
-            .is_some()
+    /// Meter one durable record of `kind`; returns `true` when the process
+    /// must die now, after the record is on disk but before its caller
+    /// hears success. For a batch that suppresses the completion (durable
+    /// but never acked: redelivery must resolve to a duplicate); for a
+    /// rollout transition or an operator command it models dying before
+    /// the state machine or the operator observes it. Either way recovery
+    /// replays the durable record and converges to the same state.
+    pub(crate) fn after_append(&mut self, kind: RecordKind) -> bool {
+        let n = match kind {
+            RecordKind::Batch => {
+                self.applied += 1;
+                self.applied
+            }
+            RecordKind::Rollout => {
+                self.rollout_events += 1;
+                self.rollout_events
+            }
+            RecordKind::Command => {
+                self.commands += 1;
+                self.commands
+            }
+        };
+        self.fire_if(|p| match (kind, p) {
+            (RecordKind::Batch, KillPoint::AfterBatches(k)) => n >= k,
+            (RecordKind::Rollout, KillPoint::AfterRolloutEvents(k))
+            | (RecordKind::Command, KillPoint::AfterCommands(k)) => n >= u64::from(k),
+            _ => false,
+        })
+        .is_some()
     }
 }
 
@@ -266,43 +302,9 @@ pub struct WalWriter {
     len: u64,
 }
 
-/// Outcome of [`WalWriter::append`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendOutcome {
-    /// Frame fully written.
-    Appended,
-    /// The kill switch fired mid-frame; the process must now "die".
-    Killed,
-}
-
-/// Frame an arbitrary already-encoded payload as a `WLR1` record — the
-/// cluster coordinator's assignment journal appends its events this way.
-pub fn frame_raw(payload: &[u8]) -> Vec<u8> {
-    encode_frame(WAL_MAGIC, |out| out.extend_from_slice(payload))
-}
-
-/// Build the on-disk frame for one batch record.
-pub fn frame_batch(batch: &WindowBatch) -> Vec<u8> {
-    encode_frame(WAL_MAGIC, |out| {
-        out.push(0);
-        batch.encode(out);
-    })
-}
-
-/// Build the on-disk frame for one rollout transition record.
-pub fn frame_rollout(ev: &RolloutEvent) -> Vec<u8> {
-    encode_frame(WAL_MAGIC, |out| {
-        out.push(1);
-        ev.encode(out);
-    })
-}
-
-/// Build the on-disk frame for one operator-command record.
-pub fn frame_command(cmd: &ControlCommand) -> Vec<u8> {
-    encode_frame(WAL_MAGIC, |out| {
-        out.push(2);
-        cmd.encode(out);
-    })
+/// Build the on-disk `WLR1` frame for one record.
+pub fn frame(record: &impl LogRecord) -> Vec<u8> {
+    encode_frame(WAL_MAGIC, |out| record.encode(out))
 }
 
 /// Walk the `WLR1` frames of `bytes`, decoding each CRC-verified payload
@@ -392,71 +394,28 @@ impl WalWriter {
         &self.path
     }
 
-    /// Frame `batch` and append it, consulting `kill` for a mid-frame
-    /// crash. On [`AppendOutcome::Killed`] the torn prefix has been
-    /// flushed and the caller must treat the process as dead.
-    pub fn append_batch(
+    /// Frame `record` and append it: the one write path of both logs. The
+    /// kill switch meters the frame's bytes and, once it is whole on
+    /// disk, the record's kind. A kill mid-frame leaves the torn prefix
+    /// on disk; a kill on either meter returns [`DaemonError::Killed`],
+    /// and the caller must treat the process as dead.
+    pub fn append(
         &mut self,
-        batch: &WindowBatch,
+        record: &impl LogRecord,
         kill: &mut KillSwitch,
-    ) -> std::io::Result<AppendOutcome> {
-        self.append_frame(frame_batch(batch), kill)
-    }
-
-    /// Frame a rollout transition and append it, consulting `kill` for a
-    /// mid-frame crash.
-    pub fn append_rollout(
-        &mut self,
-        ev: &RolloutEvent,
-        kill: &mut KillSwitch,
-    ) -> std::io::Result<AppendOutcome> {
-        self.append_frame(frame_rollout(ev), kill)
-    }
-
-    /// Frame an operator command and append it, consulting `kill` for a
-    /// mid-frame crash. The command must be journaled before any
-    /// in-memory effect (the same write-ahead discipline as batches).
-    pub fn append_command(
-        &mut self,
-        cmd: &ControlCommand,
-        kill: &mut KillSwitch,
-    ) -> std::io::Result<AppendOutcome> {
-        self.append_frame(frame_command(cmd), kill)
-    }
-
-    /// Frame an arbitrary pre-encoded payload and append it, consulting
-    /// `kill` for a mid-frame crash. The payload's structure is the
-    /// caller's contract (the cluster journal appends assignment events
-    /// through this); the framing, CRC, torn-tail, and kill-switch
-    /// discipline is identical to the batch/rollout paths — one byte
-    /// meter covers every append in the process.
-    pub fn append_raw(
-        &mut self,
-        payload: &[u8],
-        kill: &mut KillSwitch,
-    ) -> std::io::Result<AppendOutcome> {
-        self.append_frame(frame_raw(payload), kill)
-    }
-
-    fn append_frame(
-        &mut self,
-        frame: Vec<u8>,
-        kill: &mut KillSwitch,
-    ) -> std::io::Result<AppendOutcome> {
-        match kill.before_wal_append(frame.len() as u64) {
-            KillVerdict::Proceed => {
-                self.file.write_all(&frame)?;
-                self.file.flush()?;
-                self.len += frame.len() as u64;
-                Ok(AppendOutcome::Appended)
-            }
-            KillVerdict::Kill { torn } => {
-                self.file.write_all(&frame[..torn as usize])?;
-                self.file.flush()?;
-                self.len += u64::from(torn);
-                Ok(AppendOutcome::Killed)
-            }
+    ) -> Result<(), DaemonError> {
+        let frame = frame(record);
+        let written = match kill.before_wal_append(frame.len() as u64) {
+            KillVerdict::Proceed => frame.len(),
+            KillVerdict::Kill { torn } => torn as usize,
+        };
+        self.file.write_all(&frame[..written])?;
+        self.file.flush()?;
+        self.len += written as u64;
+        if written < frame.len() || record.kind().is_some_and(|k| kill.after_append(k)) {
+            return Err(DaemonError::Killed);
         }
+        Ok(())
     }
 
     /// Discard all frames (called right after a snapshot makes them
@@ -508,7 +467,7 @@ mod tests {
             assert!(replay.records.is_empty());
             let mut kill = KillSwitch::none();
             for b in &batches {
-                assert_eq!(w.append_batch(b, &mut kill).unwrap(), AppendOutcome::Appended);
+                w.append(&WalRecord::Batch(b.clone()), &mut kill).unwrap();
             }
         }
         let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
@@ -527,9 +486,9 @@ mod tests {
         {
             let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
             let mut kill = KillSwitch::none();
-            w.append_batch(&batch(1, 1, &[3]), &mut kill).unwrap();
-            w.append_rollout(&ev, &mut kill).unwrap();
-            w.append_batch(&batch(1, 2, &[4]), &mut kill).unwrap();
+            w.append(&WalRecord::Batch(batch(1, 1, &[3])), &mut kill).unwrap();
+            w.append(&WalRecord::Rollout(ev.clone()), &mut kill).unwrap();
+            w.append(&WalRecord::Batch(batch(1, 2, &[4])), &mut kill).unwrap();
         }
         let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(
@@ -552,10 +511,13 @@ mod tests {
         {
             let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
             let mut kill = KillSwitch::none();
-            w.append_batch(&batch(1, 1, &[3]), &mut kill).unwrap();
-            w.append_command(&cmd, &mut kill).unwrap();
-            w.append_command(&ControlCommand::DrainShard { shard: 1 }, &mut kill)
-                .unwrap();
+            w.append(&WalRecord::Batch(batch(1, 1, &[3])), &mut kill).unwrap();
+            w.append(&WalRecord::Command(cmd), &mut kill).unwrap();
+            w.append(
+                &WalRecord::Command(ControlCommand::DrainShard { shard: 1 }),
+                &mut kill,
+            )
+            .unwrap();
         }
         let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
         assert_eq!(
@@ -573,13 +535,13 @@ mod tests {
     #[test]
     fn kill_switch_fires_after_commands() {
         let mut kill = KillSwitch::armed(KillPoint::AfterCommands(2));
-        assert!(!kill.after_command());
-        assert!(kill.after_command());
+        assert!(!kill.after_append(RecordKind::Command));
+        assert!(kill.after_append(RecordKind::Command));
         assert!(kill.fired());
         assert_eq!(kill.commands(), 2);
         // Re-arming keeps the lifetime meter, like the other counters.
         kill.rearm(Some(KillPoint::AfterCommands(3)));
-        assert!(kill.after_command());
+        assert!(kill.after_append(RecordKind::Command));
         assert_eq!(kill.commands(), 3);
     }
 
@@ -590,7 +552,7 @@ mod tests {
         // frames wholly inside the prefix.
         let frames: Vec<Vec<u8>> = [batch(1, 1, &[1]), batch(2, 1, &[2, 3]), batch(3, 1, &[])]
             .iter()
-            .map(frame_batch)
+            .map(|b| frame(&WalRecord::Batch(b.clone())))
             .collect();
         let mut all = Vec::new();
         let mut boundaries = vec![0usize];
@@ -612,7 +574,7 @@ mod tests {
     fn corrupt_byte_in_payload_truncates_from_that_frame() {
         let frames: Vec<Vec<u8>> = [batch(1, 1, &[1, 2, 3]), batch(2, 1, &[4])]
             .iter()
-            .map(frame_batch)
+            .map(|b| frame(&WalRecord::Batch(b.clone())))
             .collect();
         let mut all = frames.concat();
         // Flip a payload byte inside frame 0.
@@ -627,8 +589,8 @@ mod tests {
     fn open_truncates_torn_tail_on_disk() {
         let dir = tmpdir("truncate");
         let path = dir.join("wal.bin");
-        let good = frame_batch(&batch(7, 1, &[11, 12]));
-        let torn = &frame_batch(&batch(7, 2, &[13]))[..5];
+        let good = frame(&WalRecord::Batch(batch(7, 1, &[11, 12])));
+        let torn = &frame(&WalRecord::Batch(batch(7, 2, &[13])))[..5];
         let mut bytes = good.clone();
         bytes.extend_from_slice(torn);
         std::fs::write(&path, &bytes).unwrap();
@@ -652,15 +614,18 @@ mod tests {
         let path = dir.join("wal.bin");
         let b1 = batch(1, 1, &[1]);
         let b2 = batch(1, 2, &[2]);
-        let f1_len = frame_batch(&b1).len() as u64;
+        let f1_len = frame(&WalRecord::Batch(b1.clone())).len() as u64;
 
         let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
         let mut kill = KillSwitch::armed(KillPoint::AtWalByte {
             offset: f1_len + 3,
             torn: 7,
         });
-        assert_eq!(w.append_batch(&b1, &mut kill).unwrap(), AppendOutcome::Appended);
-        assert_eq!(w.append_batch(&b2, &mut kill).unwrap(), AppendOutcome::Killed);
+        w.append(&WalRecord::Batch(b1.clone()), &mut kill).unwrap();
+        assert!(matches!(
+            w.append(&WalRecord::Batch(b2), &mut kill),
+            Err(DaemonError::Killed)
+        ));
         assert!(kill.fired());
         drop(w);
 
@@ -673,13 +638,13 @@ mod tests {
     #[test]
     fn kill_switch_meters_survive_rearm() {
         let mut kill = KillSwitch::armed(KillPoint::AfterBatches(2));
-        assert!(!kill.after_batch_applied());
-        assert!(kill.after_batch_applied());
+        assert!(!kill.after_append(RecordKind::Batch));
+        assert!(kill.after_append(RecordKind::Batch));
         assert!(kill.fired());
         assert_eq!(kill.applied_batches(), 2);
         kill.rearm(Some(KillPoint::AfterBatches(3)));
         assert!(!kill.fired());
-        assert!(kill.after_batch_applied());
+        assert!(kill.after_append(RecordKind::Batch));
         assert_eq!(kill.applied_batches(), 3);
     }
 
@@ -695,13 +660,13 @@ mod tests {
             KillPoint::AfterCommands(1),
         ]);
         // Only the head is armed: neither later kind fires yet.
-        assert!(!kill.after_batch_applied());
-        assert!(!kill.after_command());
+        assert!(!kill.after_append(RecordKind::Batch));
+        assert!(!kill.after_append(RecordKind::Command));
         // Bytes [0, 8) cross offset 5: torn after 2 bytes, next armed.
         assert_eq!(kill.before_wal_append(8), KillVerdict::Kill { torn: 2 });
         assert_eq!(kill.wal_bytes(), 2);
         // The batch meter already counts 1, so the second batch fires.
-        assert!(kill.after_batch_applied());
+        assert!(kill.after_append(RecordKind::Batch));
         assert_eq!(kill.applied_batches(), 2);
         // The byte meter resumes at 2, not 0: [2, 10) misses offset 10,
         // [10, 18) crosses it.
@@ -709,12 +674,12 @@ mod tests {
         assert_eq!(kill.before_wal_append(8), KillVerdict::Kill { torn: 0 });
         assert_eq!(kill.wal_bytes(), 10);
         // One command was metered while the head was still armed.
-        assert!(kill.after_command());
+        assert!(kill.after_append(RecordKind::Command));
         assert_eq!(kill.commands(), 2);
         // The schedule is spent.
         assert!(kill.fired());
-        assert!(!kill.after_batch_applied());
-        assert!(!kill.after_command());
+        assert!(!kill.after_append(RecordKind::Batch));
+        assert!(!kill.after_append(RecordKind::Command));
         assert_eq!(kill.before_wal_append(8), KillVerdict::Proceed);
     }
 
@@ -727,8 +692,8 @@ mod tests {
             KillPoint::AfterCommands(1),
         ]);
         for _ in 0..100 {
-            assert!(!kill.after_batch_applied());
-            assert!(!kill.after_command());
+            assert!(!kill.after_append(RecordKind::Batch));
+            assert!(!kill.after_append(RecordKind::Command));
             assert_eq!(kill.before_wal_append(16), KillVerdict::Proceed);
         }
         assert!(!kill.fired());
@@ -742,14 +707,14 @@ mod tests {
         // holds, the append must leave a strictly incomplete frame.
         let dir = tmpdir("clamp");
         let path = dir.join("wal.bin");
-        let b = batch(9, 1, &[]);
-        let frame_len = frame_batch(&b).len() as u64;
+        let b = WalRecord::Batch(batch(9, 1, &[]));
+        let frame_len = frame(&b).len() as u64;
         let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
         let mut kill = KillSwitch::armed(KillPoint::AtWalByte {
             offset: 0,
             torn: u32::MAX,
         });
-        assert_eq!(w.append_batch(&b, &mut kill).unwrap(), AppendOutcome::Killed);
+        assert!(matches!(w.append(&b, &mut kill), Err(DaemonError::Killed)));
         assert_eq!(w.len(), frame_len - 1);
         drop(w);
         let (_, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();

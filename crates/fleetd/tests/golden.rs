@@ -13,9 +13,9 @@ use fleetd::control::ControlCommand;
 use fleetd::epoch::{
     CandidateState, EpochOutcome, EpochRecord, EpochState, GateStats, RollbackReason, RolloutEvent,
 };
-use fleetd::wal::{frame_batch, frame_command, frame_raw, frame_rollout};
+use fleetd::wal::frame;
 use fleetd::wire::{frame_msg, ClusterMsg};
-use fleetd::{Disposition, HostState, Snapshot, Week, WindowBatch};
+use fleetd::{Disposition, HostState, Snapshot, WalRecord, Week, WindowBatch};
 use hids_core::{SketchAccumulator, WindowAccumulator};
 
 fn hex(bytes: &[u8]) -> String {
@@ -121,40 +121,38 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
     let mut thresholds = BTreeMap::new();
     thresholds.insert(3, 12.25);
     thresholds.insert(8, 0.5);
-    let mut rebalance = Vec::new();
-    AssignEvent::Rebalance {
+    let rebalance = AssignEvent::Rebalance {
         epoch: 2,
         from: 1,
         moved: vec![(5, 0), (9, 3)],
-    }
-    .encode(&mut rebalance);
+    };
 
     let hex_cases: [(&str, Vec<u8>, &str); 9] = [
-        ("wal batch", frame_batch(&batch()), "574c52312f00000095087c31002a0000000700000000000000010060000000030000000000000000000000030000000000000040420f0000000000"),
+        ("wal batch", frame(&WalRecord::Batch(batch())), "574c52312f00000095087c31002a0000000700000000000000010060000000030000000000000000000000030000000000000040420f0000000000"),
         (
             "wal rollout begin",
-            frame_rollout(&RolloutEvent::Begin {
+            frame(&WalRecord::Rollout(RolloutEvent::Begin {
                 epoch: 2,
                 soak_start: 200,
                 soak_end: 300,
                 thresholds,
-            }),
+            })),
             "574c52312a0000005c56bbfa010002000000c80000002c0100000200000003000000000000000080284008000000000000000000e03f",
         ),
         (
             "wal rollout rollback",
-            frame_rollout(&RolloutEvent::Rollback {
+            frame(&WalRecord::Rollout(RolloutEvent::Rollback {
                 epoch: 3,
                 reason: RollbackReason::AlarmDrop,
-            }),
+            })),
             "574c523107000000ab5e7aa801020300000003",
         ),
         (
             "wal command",
-            frame_command(&ControlCommand::PinThreshold { host: 4, t: 7.25 }),
+            frame(&WalRecord::Command(ControlCommand::PinThreshold { host: 4, t: 7.25 })),
             "574c52310e0000001c72f5670201040000000000000000001d40",
         ),
-        ("cluster.wal rebalance", frame_raw(&rebalance), "574c52311d0000002cf778f20202000000010000000200000005000000000000000900000003000000"),
+        ("cluster.wal rebalance", frame(&rebalance), "574c52311d0000002cf778f20202000000010000000200000005000000000000000900000003000000"),
         (
             "wire batch",
             frame_msg(&ClusterMsg::Batch {

@@ -121,22 +121,6 @@ pub fn export_metrics(reg: &mut Registry) {
     );
 }
 
-/// Discard any accumulated kernel counters (test isolation).
-pub fn reset_metrics() {
-    for c in [
-        &TABLES,
-        &CANDIDATES,
-        &SIZE_PASSES,
-        &PATH_LATTICE,
-        &PATH_GENERAL,
-        &PATH_WEIGHTED,
-        &PREPARE_NANOS,
-        &ACCUMULATE_NANOS,
-    ] {
-        c.store(0, Relaxed);
-    }
-}
-
 /// The scored candidate thresholds of one distribution under one attack
 /// sweep: ascending thresholds with each one's FP and mean-FN rate.
 #[derive(Debug, Clone, PartialEq)]

@@ -96,14 +96,6 @@ impl Registry {
         Self::default()
     }
 
-    /// Empty registry whose event ring holds at most `events` entries.
-    pub fn with_event_capacity(events: usize) -> Self {
-        Self {
-            events: EventRing::new(events),
-            ..Self::default()
-        }
-    }
-
     /// Declare a counter family (idempotent; help from the first call
     /// wins so shard registries agree).
     pub fn register_counter(&mut self, name: &str, help: &str) {

@@ -8,7 +8,7 @@
 //! cargo run --release --example attacker_duel
 //! ```
 
-use experiments::{fig4, Corpus, CorpusConfig};
+use experiments::{fig4, Corpus, CorpusConfig, POLICIES};
 use flowtab::FeatureKind;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
 
     // Where does each policy reach 90% population detection?
     println!("attack size at which 90% of hosts alarm:");
-    for (p, curve) in fig4::POLICIES.iter().zip(&a.curves) {
+    for (p, curve) in POLICIES.iter().zip(&a.curves) {
         let at = a
             .sizes
             .iter()

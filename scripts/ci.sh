@@ -34,9 +34,9 @@
 # we grep for), with the fleetd_cluster_* metric families asserted
 # present in the exported snapshot.
 #
-# The metrics smoke stage writes a deterministic Prometheus snapshot via
-# `--metrics-out` and greps for one metric family per instrumented
-# subsystem; the root `tests/metrics.rs` suite (run by the workspace test
+# The `repro daemon` smoke also writes a deterministic Prometheus
+# snapshot via `--metrics-out`, and the metrics stage greps it for one
+# metric family per instrumented subsystem; the root `tests/metrics.rs` suite (run by the workspace test
 # pass) asserts the stronger contracts (byte-identical across thread
 # counts, conservation laws).
 #
@@ -118,14 +118,15 @@ cargo clippy -q \
 chaos_log="target/ci-chaos.log"
 daemon_log="target/ci-daemon.log"
 rollout_log="target/ci-rollout.log"
-rm -f "$chaos_log" "$daemon_log" "$rollout_log"
+metrics_out="target/ci-metrics.prom"
+rm -f "$chaos_log" "$daemon_log" "$rollout_log" "$metrics_out"
 cargo run -q --release -p experiments --bin repro -- \
     --users 40 --weeks 2 --fault-seed 64273 --fault-rate 0.2 chaos \
     2> "$chaos_log"
 check_log "$chaos_log" chaos
 cargo run -q --release -p experiments --bin repro -- \
-    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 daemon \
-    2> "$daemon_log"
+    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 \
+    --metrics-out "$metrics_out" daemon 2> "$daemon_log"
 check_log "$daemon_log" daemon "daemon kill-recovery check:"
 cargo run -q --release -p experiments --bin repro -- \
     --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 rollout \
@@ -133,11 +134,6 @@ cargo run -q --release -p experiments --bin repro -- \
 check_log "$rollout_log" rollout \
     "rollout rollback-identity check: hosts CSV identical" \
     "rollout kill-recovery check:"
-metrics_out="target/ci-metrics.prom"
-rm -f "$metrics_out"
-cargo run -q --release -p experiments --bin repro -- \
-    --users 16 --weeks 2 --seed 42 --fault-seed 64273 --fault-rate 0.2 \
-    --metrics-out "$metrics_out" daemon
 for family in fleetd_batches_total fleetd_snapshots_written_total \
     itc_delivery_batches_total hids_degraded_hosts hids_sweep_tables_total \
     fleetd_harness_lifetimes_total; do

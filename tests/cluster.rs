@@ -21,7 +21,7 @@ use experiments::{Corpus, CorpusConfig};
 use faultsim::{cluster_kill_points, ClusterKillPoint, KillPoint, LinkFaults};
 use fleetd::codec::FRAME_HEADER_LEN;
 use fleetd::snapshot::list_images;
-use fleetd::wal::frame_raw;
+use fleetd::wal::frame;
 use fleetd::wire::{frame_msg, ClusterMsg, WireDecoder, MAX_WIRE_PAYLOAD};
 use fleetd::{
     AssignEvent, Cluster, ClusterKillSwitch, ClusterSnapshot, Disposition, Week, WindowBatch,
@@ -313,21 +313,17 @@ fn torn_snapshot_and_torn_journal_recover_to_pre_handoff_assignment() {
     // Now fake the next failure sequence dying mid-handoff: a durable
     // NodeDead(E+1) for node 2, then a Rebalance(E+2) torn mid-frame.
     let moved: Vec<(u32, u32)> = universe.iter().map(|&h| (h, 0)).collect();
-    let mut dead = Vec::new();
-    AssignEvent::NodeDead {
+    let dead = AssignEvent::NodeDead {
         epoch: epoch + 1,
         node: 2,
-    }
-    .encode(&mut dead);
-    let mut rebalance = Vec::new();
-    AssignEvent::Rebalance {
+    };
+    let rebalance = AssignEvent::Rebalance {
         epoch: epoch + 2,
         from: 2,
         moved,
-    }
-    .encode(&mut rebalance);
-    let torn_frame = frame_raw(&rebalance);
-    let mut tail = frame_raw(&dead);
+    };
+    let torn_frame = frame(&rebalance);
+    let mut tail = frame(&dead);
     tail.extend_from_slice(&torn_frame[..torn_frame.len() / 2]);
     let journal = dir.join("cluster.wal");
     let mut bytes = std::fs::read(&journal).unwrap();

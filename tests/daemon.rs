@@ -21,7 +21,7 @@ use experiments::daemon::{
 use experiments::{Corpus, CorpusConfig};
 use faultsim::{ByteFaults, KillPoint};
 use fleetd::codec::FRAME_HEADER_LEN;
-use fleetd::wal::{frame_batch, frame_command, frame_rollout, scan_frames, WAL_MAGIC};
+use fleetd::wal::{frame, scan_frames, WAL_MAGIC};
 use fleetd::{
     Admit, Daemon, DaemonConfig, DaemonError, EpochState, HostState, KillSwitch, QueueConfig,
     Snapshot, SupervisorConfig, WalRecord, Week, WindowBatch,
@@ -519,7 +519,7 @@ fn concat_frames(batches: &[WindowBatch]) -> (Vec<u8>, Vec<usize>) {
     let mut log = Vec::new();
     let mut ends = Vec::new();
     for b in batches {
-        log.extend(frame_batch(b));
+        log.extend(frame(&WalRecord::Batch(b.clone())));
         ends.push(log.len());
     }
     (log, ends)
@@ -557,11 +557,7 @@ proptest! {
         prop_assert!(valid as usize <= bytes.len());
         let mut reframed = Vec::new();
         for r in &records {
-            match r {
-                WalRecord::Batch(b) => reframed.extend(frame_batch(b)),
-                WalRecord::Rollout(ev) => reframed.extend(frame_rollout(ev)),
-                WalRecord::Command(c) => reframed.extend(frame_command(c)),
-            }
+            reframed.extend(frame(r));
         }
         prop_assert_eq!(&reframed[..], &bytes[..valid as usize]);
         if (valid as usize) < bytes.len() {
@@ -666,7 +662,7 @@ fn regression_cut_at_header_boundary() {
         counts: vec![5],
         poison: false,
     };
-    let frame = frame_batch(&batch);
+    let frame = frame(&WalRecord::Batch(batch));
     assert!(frame.len() > FRAME_HEADER_LEN);
     let (batches, valid, defect) = scan_frames(&frame[..FRAME_HEADER_LEN]);
     assert!(batches.is_empty());
@@ -714,7 +710,7 @@ fn regression_empty_batch_roundtrips() {
         counts: Vec::new(),
         poison: true,
     };
-    let frame = frame_batch(&batch);
+    let frame = frame(&WalRecord::Batch(batch.clone()));
     let (records, valid, defect) = scan_frames(&frame);
     assert_eq!(records, vec![WalRecord::Batch(batch)]);
     assert_eq!(valid as usize, frame.len());
