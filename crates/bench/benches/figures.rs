@@ -5,9 +5,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use experiments::{ablation, data::CorpusConfig, drift, fig1, fig2, fig3, fig4, fig5, tab2, tab3, Corpus};
+use experiments::{
+    ablation, data::CorpusConfig, drift, fig1, fig2, fig3, fig4, fig5, multifeat, tab2, tab3,
+    Corpus,
+};
 use flowtab::FeatureKind;
 use synthgen::StormConfig;
+use tailstats::EmpiricalDist;
 
 fn bench_corpus() -> Corpus {
     Corpus::generate(CorpusConfig {
@@ -70,6 +74,14 @@ fn figures(c: &mut Criterion) {
         b.iter(|| black_box(fig5::run(&corpus, 0, &StormConfig::default())))
     });
 
+    group.bench_function("fig4c_omniscient", |b| {
+        b.iter(|| black_box(fig4::run_c(&corpus, tcp, 0)))
+    });
+
+    group.bench_function("multifeat_union", |b| {
+        b.iter(|| black_box(multifeat::run(&corpus, 0, &StormConfig::default())))
+    });
+
     group.bench_function("drift_analysis", |b| {
         b.iter(|| black_box(drift::run(&corpus, tcp)))
     });
@@ -128,5 +140,34 @@ fn policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, figures, policies);
+/// The homogeneous policy's pooled distribution at the benchmark's
+/// scale (200 users × one 672-window week): the merge of sorted runs
+/// `EmpiricalDist::pool` does, against concatenating and sorting again.
+fn pooling(c: &mut Criterion) {
+    let corpus = Corpus::generate(CorpusConfig {
+        n_users: 200,
+        n_weeks: 1,
+        ..Default::default()
+    });
+    let dists = corpus.dists(FeatureKind::TcpConnections, 0);
+
+    let mut group = c.benchmark_group("pool");
+    group.sample_size(20);
+    group.bench_function("edf_pool_200x672", |b| {
+        b.iter(|| black_box(EmpiricalDist::pool(black_box(&dists))))
+    });
+    group.bench_function("edf_concat_sort_200x672", |b| {
+        b.iter(|| {
+            let all: Vec<f64> = black_box(&dists)
+                .iter()
+                .flat_map(|d| d.samples())
+                .copied()
+                .collect();
+            black_box(EmpiricalDist::from_samples(all))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, figures, policies, pooling);
 criterion_main!(benches);

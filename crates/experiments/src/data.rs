@@ -4,6 +4,7 @@ use flowtab::{FeatureKind, FeatureSeries, Windowing};
 use hids_core::FeatureDataset;
 use serde::{Deserialize, Serialize};
 use synthgen::{Population, PopulationConfig, UserProfile, WeekPlan};
+use tailstats::EmpiricalDist;
 
 /// Configuration of a reproduction run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -97,7 +98,19 @@ impl Corpus {
         &self.weeks[user][week]
     }
 
-    /// Train-on-week / test-on-next dataset for one feature.
+    /// Every user's distribution of one feature in one week — the
+    /// training half of [`Corpus::dataset`], for callers that never read
+    /// the test week.
+    pub fn dists(&self, feature: FeatureKind, week: usize) -> Vec<EmpiricalDist> {
+        self.weeks
+            .iter()
+            .map(|w| EmpiricalDist::from_counts(&w[week].feature(feature)))
+            .collect()
+    }
+
+    /// Train-on-week / test-on-next dataset for one feature, built from
+    /// borrowed series. Nothing is cached: an experiment that reads one
+    /// (feature, split) several times builds it once and passes it on.
     ///
     /// The paper trains on week 1 and tests on week 2, then trains on week
     /// 3 and tests on week 4 (`train_week` ∈ {0, 2} in 0-based indexing).
@@ -106,16 +119,8 @@ impl Corpus {
             train_week + 1 < self.config.n_weeks,
             "need a following test week"
         );
-        let train: Vec<FeatureSeries> = self
-            .weeks
-            .iter()
-            .map(|w| w[train_week].clone())
-            .collect();
-        let test: Vec<FeatureSeries> = self
-            .weeks
-            .iter()
-            .map(|w| w[train_week + 1].clone())
-            .collect();
+        let train: Vec<&FeatureSeries> = self.weeks.iter().map(|w| &w[train_week]).collect();
+        let test: Vec<&FeatureSeries> = self.weeks.iter().map(|w| &w[train_week + 1]).collect();
         FeatureDataset::from_series(&train, &test, feature)
     }
 
@@ -131,11 +136,24 @@ impl Corpus {
         }
     }
 
+    /// One dataset per split of [`Corpus::splits`], in split order.
+    ///
+    /// # Panics
+    /// Panics when the corpus is too short for any split.
+    pub fn split_datasets(&self, feature: FeatureKind) -> Vec<FeatureDataset> {
+        let splits = self.splits();
+        assert!(!splits.is_empty(), "corpus too short for train/test");
+        splits
+            .iter()
+            .map(|&week| self.dataset(feature, week))
+            .collect()
+    }
+
     /// Per-user training 99th percentile for a feature (the summary the
     /// grouping policies and Figures 1–2 are built from).
     pub fn q99(&self, feature: FeatureKind, week: usize) -> Vec<f64> {
         hids_core::par_map(&self.weeks, |_, w| {
-            tailstats::EmpiricalDist::from_counts(&w[week].feature(feature)).quantile(0.99)
+            EmpiricalDist::from_counts(&w[week].feature(feature)).quantile(0.99)
         })
     }
 }
@@ -179,6 +197,13 @@ mod tests {
         let ds = c.dataset(FeatureKind::TcpConnections, 0);
         assert_eq!(ds.n_users(), 40);
         assert!(ds.max_observed() >= 1.0);
+    }
+
+    #[test]
+    fn dists_are_the_datasets_training_half() {
+        let c = Corpus::generate(CorpusConfig::small());
+        let ds = c.dataset(FeatureKind::UdpConnections, 0);
+        assert_eq!(c.dists(FeatureKind::UdpConnections, 0), ds.train);
     }
 
     #[test]

@@ -60,18 +60,16 @@ fn utility_policy(grouping: Grouping, w: f64, ds: &FeatureDataset) -> Policy {
     }
 }
 
-/// Per-user utilities for one grouping at one w, averaged over splits.
-fn utilities_for(corpus: &Corpus, feature: FeatureKind, grouping: Grouping, w: f64) -> Vec<f64> {
-    let splits = corpus.splits();
-    assert!(!splits.is_empty(), "corpus too short for train/test");
-    let mut acc = vec![0.0f64; corpus.n_users()];
-    for &train_week in &splits {
-        let ds = corpus.dataset(feature, train_week);
+/// Per-user utilities for one grouping at one w, averaged over the
+/// per-split datasets.
+fn utilities_for(splits: &[FeatureDataset], grouping: Grouping, w: f64) -> Vec<f64> {
+    let mut acc = vec![0.0f64; splits[0].n_users()];
+    for ds in splits {
         let config = EvalConfig {
             w,
             sweep: ds.default_sweep(),
         };
-        let eval = evaluate_policy(&ds, &utility_policy(grouping, w, &ds), &config);
+        let eval = evaluate_policy(ds, &utility_policy(grouping, w, ds), &config);
         for (a, u) in acc.iter_mut().zip(eval.users.iter()) {
             *a += u.utility;
         }
@@ -84,10 +82,11 @@ fn utilities_for(corpus: &Corpus, feature: FeatureKind, grouping: Grouping, w: f
 
 /// Run Figure 3(a): boxplots at w = 0.4.
 pub fn run_a(corpus: &Corpus, feature: FeatureKind, w: f64) -> Fig3aResult {
+    let splits = corpus.split_datasets(feature);
     let boxes = POLICIES
         .iter()
         .map(|&(label, grouping)| {
-            let utilities = utilities_for(corpus, feature, grouping, w);
+            let utilities = utilities_for(&splits, grouping, w);
             let summary = FiveNumber::from_samples(&utilities);
             UtilityBox {
                 policy: label,
@@ -108,8 +107,7 @@ pub fn run_a(corpus: &Corpus, feature: FeatureKind, w: f64) -> Fig3aResult {
 /// utility high; the paper's homogeneous curve instead keeps its FN-heavy
 /// threshold and pays for it as w grows).
 pub fn run_b(corpus: &Corpus, feature: FeatureKind, weights: &[f64]) -> Fig3bResult {
-    let splits = corpus.splits();
-    assert!(!splits.is_empty(), "corpus too short for train/test");
+    let splits = corpus.split_datasets(feature);
     let means = POLICIES
         .iter()
         .map(|&(_, grouping)| {
@@ -120,13 +118,12 @@ pub fn run_b(corpus: &Corpus, feature: FeatureKind, weights: &[f64]) -> Fig3bRes
             // FP and FN are independent of w; evaluate once per split and
             // recombine per weight.
             let mut fp_fn: Vec<(f64, f64)> = vec![(0.0, 0.0); corpus.n_users()];
-            for &train_week in &splits {
-                let ds = corpus.dataset(feature, train_week);
+            for ds in &splits {
                 let config = EvalConfig {
                     w: 0.5,
                     sweep: ds.default_sweep(),
                 };
-                let eval = evaluate_policy(&ds, &policy, &config);
+                let eval = evaluate_policy(ds, &policy, &config);
                 for (acc, u) in fp_fn.iter_mut().zip(&eval.users) {
                     acc.0 += u.fp / splits.len() as f64;
                     acc.1 += u.fn_rate / splits.len() as f64;

@@ -6,7 +6,7 @@
 
 use attacksim::{detection_curve, hidden_traffic, omniscient_population, total_capacity, NaiveAttack};
 use flowtab::FeatureKind;
-use hids_core::{Grouping, Policy, ThresholdHeuristic};
+use hids_core::{FeatureDataset, Grouping, Policy, ThresholdHeuristic};
 use tailstats::FiveNumber;
 
 use crate::data::Corpus;
@@ -34,8 +34,7 @@ pub struct Fig4bResult {
     pub evade_prob: f64,
 }
 
-fn thresholds_for(corpus: &Corpus, feature: FeatureKind, week: usize, grouping: Grouping) -> Vec<f64> {
-    let ds = corpus.dataset(feature, week);
+fn thresholds_for(ds: &FeatureDataset, grouping: Grouping) -> Vec<f64> {
     Policy {
         grouping,
         heuristic: ThresholdHeuristic::P99,
@@ -55,7 +54,7 @@ pub fn run_a(corpus: &Corpus, feature: FeatureKind, week: usize, n_sizes: usize)
     let curves = POLICIES
         .iter()
         .map(|&(_, grouping)| {
-            let thresholds = thresholds_for(corpus, feature, week, grouping);
+            let thresholds = thresholds_for(&ds, grouping);
             detection_curve(&ds.test_counts, &thresholds, &sizes, &attack)
                 .into_iter()
                 .map(|(_, f)| f)
@@ -71,7 +70,7 @@ pub fn run_b(corpus: &Corpus, feature: FeatureKind, week: usize, evade_prob: f64
     let budgets: Vec<Vec<u64>> = POLICIES
         .iter()
         .map(|&(_, grouping)| {
-            let thresholds = thresholds_for(corpus, feature, week, grouping);
+            let thresholds = thresholds_for(&ds, grouping);
             hidden_traffic(&ds.train, &thresholds, evade_prob)
                 .into_iter()
                 .map(|e| e.budget)
@@ -105,7 +104,7 @@ pub fn run_c(corpus: &Corpus, feature: FeatureKind, week: usize) -> Table {
         ],
     );
     for (label, grouping) in POLICIES {
-        let thresholds = thresholds_for(corpus, feature, week, grouping);
+        let thresholds = thresholds_for(&ds, grouping);
         let budgets = omniscient_population(&ds.test_counts, &thresholds);
         let mut per_user: Vec<f64> = budgets.iter().map(|b| b.weekly_total as f64).collect();
         per_user.sort_by(|a, b| a.total_cmp(b));

@@ -9,8 +9,9 @@
 //! corroborate claws most of the FP back.
 
 use flowtab::{FeatureKind, FeatureSeries};
-use hids_core::{evaluate_multi, multi_detection, MultiPolicy, Policy, ThresholdHeuristic};
+use hids_core::{multi_detection, Detector, MultiEvaluation, Policy, ThresholdHeuristic};
 use synthgen::{storm_week_series, StormConfig};
+use tailstats::EmpiricalDist;
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
@@ -49,14 +50,18 @@ const FEATURE_SETS: [&[FeatureKind]; 3] = [
 ];
 
 /// Run the multi-feature experiment on one train→test split.
+///
+/// Each feature's training distributions are built once and each
+/// (feature, policy) pair is configured once; the nine (policy × feature
+/// set) cells then only assemble detectors from those threshold columns
+/// and score them on the borrowed test week.
 pub fn run(corpus: &Corpus, train_week: usize, storm: &StormConfig) -> MultiFeatResult {
-    let train: Vec<FeatureSeries> = corpus.weeks.iter().map(|w| w[train_week].clone()).collect();
-    let test: Vec<FeatureSeries> = corpus
-        .weeks
-        .iter()
-        .map(|w| w[train_week + 1].clone())
-        .collect();
+    let test: Vec<&FeatureSeries> = corpus.weeks.iter().map(|w| &w[train_week + 1]).collect();
     let zombie = storm_week_series(storm, corpus.config.windowing(), 0);
+    let train: Vec<Vec<EmpiricalDist>> = FeatureKind::ALL
+        .iter()
+        .map(|&f| corpus.dists(f, train_week))
+        .collect();
 
     let mut rows = Vec::new();
     for (label, grouping) in POLICIES {
@@ -64,15 +69,23 @@ pub fn run(corpus: &Corpus, train_week: usize, storm: &StormConfig) -> MultiFeat
             grouping,
             heuristic: ThresholdHeuristic::P99,
         };
+        // `thresholds[i][u]`: user `u`'s threshold on `FeatureKind::ALL[i]`.
+        let thresholds: Vec<Vec<f64>> = train
+            .iter()
+            .map(|dists| policy.configure(dists).thresholds)
+            .collect();
         for features in FEATURE_SETS {
-            let multi = MultiPolicy::on(features, policy.clone());
-            let eval = evaluate_multi(&train, &test, &multi);
-            let detections = multi_detection(
-                &eval.detectors,
-                &test,
-                &zombie,
-                FeatureKind::DistinctConnections,
-            );
+            let detectors = (0..test.len())
+                .map(|u| {
+                    let mut det = Detector::new(u as u32);
+                    for &f in features {
+                        det.set_threshold(f, thresholds[f.index()][u]);
+                    }
+                    det
+                })
+                .collect();
+            let eval = MultiEvaluation::score(detectors, features.to_vec(), &test);
+            let detections = multi_detection(&eval.detectors, &test, &zombie);
             rows.push(MultiRow {
                 policy: label,
                 n_features: features.len(),

@@ -8,6 +8,7 @@
 use flowtab::FeatureKind;
 use hids_core::{Grouping, PartialMethod, Policy, ThresholdHeuristic};
 use itconsole::{best_users, sentinel::overlap};
+use tailstats::EmpiricalDist;
 
 use crate::data::Corpus;
 use crate::report::Table;
@@ -41,20 +42,19 @@ pub struct Tab2Result {
 
 /// Run the Table-2 analysis.
 pub fn run(corpus: &Corpus, week: usize, k: usize) -> Tab2Result {
+    // Only the training week is read: build each feature's once.
+    let udp = corpus.dists(FeatureKind::UdpConnections, week);
+    let tcp = corpus.dists(FeatureKind::TcpConnections, week);
     let lists = |grouping: Grouping, label: &'static str| -> BestUsers {
         let policy = Policy {
             grouping,
             heuristic: ThresholdHeuristic::P99,
         };
-        let pick = |feature: FeatureKind| -> Vec<usize> {
-            let ds = corpus.dataset(feature, week);
-            let outcome = policy.configure(&ds.train);
-            best_users(&outcome.thresholds, k)
-        };
+        let pick = |train: &[EmpiricalDist]| best_users(&policy.configure(train).thresholds, k);
         BestUsers {
             policy: label,
-            udp: pick(FeatureKind::UdpConnections),
-            tcp: pick(FeatureKind::TcpConnections),
+            udp: pick(&udp),
+            tcp: pick(&tcp),
         }
     };
     Tab2Result {

@@ -7,10 +7,7 @@
 //! 99th-percentile heuristic 1594/892/482, utility(w=0.4) 3536/1194/2328.
 
 use flowtab::{FeatureKind, Windowing};
-use hids_core::{
-    eval::evaluate_policy, Detector, EvalConfig, FeatureDataset, Grouping, PartialMethod, Policy,
-    ThresholdHeuristic,
-};
+use hids_core::{Detector, FeatureDataset, Grouping, PartialMethod, Policy, ThresholdHeuristic};
 use itconsole::{AlertBatcher, CentralConsole};
 
 use crate::data::Corpus;
@@ -50,23 +47,20 @@ fn heuristic_for(utility: bool, ds: &FeatureDataset) -> ThresholdHeuristic {
 }
 
 /// Count the alarms reaching the console for one policy, by actually
-/// running detectors over the test week and shipping batched alerts.
+/// running detectors over the test week and shipping batched alerts. Only
+/// the configured thresholds are read; no per-user FN/FP score is needed.
 fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) -> u64 {
-    let config = EvalConfig {
-        w: 0.4,
-        sweep: ds.default_sweep(),
-    };
-    let eval = evaluate_policy(ds, policy, &config);
+    let thresholds = policy.configure(&ds.train).thresholds;
     let windowing = Windowing::FIFTEEN_MIN;
     let console = CentralConsole::new(windowing.windows_per_week());
 
     // Each user's detector run is independent: build every user's alert
     // batches in parallel, then ingest them in user order so the console
     // sees a deterministic stream regardless of thread count.
-    let per_user_batches = hids_core::par_map(&eval.users, |user, perf| {
+    let per_user_batches = hids_core::par_map(&thresholds, |user, &threshold| {
         let counts = &ds.test_counts[user];
         let mut detector = Detector::new(user as u32);
-        detector.set_threshold(feature, perf.threshold);
+        detector.set_threshold(feature, threshold);
         let mut batcher = AlertBatcher::new(96); // ship once per day
         let mut batches = Vec::new();
         for (w, &g) in counts.iter().enumerate() {
@@ -91,15 +85,13 @@ fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) ->
 /// Run the Table-3 analysis (averaged over the corpus's train→test splits,
 /// rounded to whole alarms).
 pub fn run(corpus: &Corpus, feature: FeatureKind) -> Tab3Result {
-    let splits = corpus.splits();
-    assert!(!splits.is_empty());
+    let datasets = corpus.split_datasets(feature);
     let labels = [("99th-percentile", false), ("utility, w = 0.4", true)];
     let mut rows = Vec::new();
     for (label, utility) in labels {
         let mut totals = [0u64; 3];
-        for &train_week in &splits {
-            let ds = corpus.dataset(feature, train_week);
-            let heuristic = heuristic_for(utility, &ds);
+        for ds in &datasets {
+            let heuristic = heuristic_for(utility, ds);
             for (slot, grouping) in [
                 Grouping::Homogeneous,
                 Grouping::FullDiversity,
@@ -112,10 +104,10 @@ pub fn run(corpus: &Corpus, feature: FeatureKind) -> Tab3Result {
                     grouping,
                     heuristic: heuristic.clone(),
                 };
-                totals[slot] += console_alarms(&ds, &policy, feature);
+                totals[slot] += console_alarms(ds, &policy, feature);
             }
         }
-        let div = splits.len() as u64;
+        let div = datasets.len() as u64;
         rows.push(HeuristicRow {
             heuristic: label.to_string(),
             homogeneous: totals[0] / div,

@@ -41,7 +41,7 @@ pub enum FeatureKind {
 }
 
 impl FeatureKind {
-    /// All features, in a stable display order.
+    /// All features, in a stable display order that is also `index()` order.
     pub const ALL: [FeatureKind; 6] = [
         FeatureKind::DnsConnections,
         FeatureKind::TcpConnections,
@@ -163,22 +163,6 @@ impl FeatureSeries {
     pub fn feature(&self, k: FeatureKind) -> Vec<u64> {
         self.windows.iter().map(|w| w.get(k)).collect()
     }
-
-    /// Overlay (add) another series window-by-window; the shorter series
-    /// padding with zeros. Used for additive attack injection.
-    pub fn overlay(&self, other: &FeatureSeries) -> FeatureSeries {
-        let n = self.windows.len().max(other.windows.len());
-        let mut windows = Vec::with_capacity(n);
-        for i in 0..n {
-            let a = self.windows.get(i).copied().unwrap_or_default();
-            let b = other.windows.get(i).copied().unwrap_or_default();
-            windows.push(a.saturating_add(&b));
-        }
-        FeatureSeries {
-            windowing: self.windowing,
-            windows,
-        }
-    }
 }
 
 /// Extract a host's [`FeatureSeries`] from its flow records.
@@ -249,9 +233,10 @@ mod tests {
     #[test]
     fn feature_indices_are_dense_and_distinct() {
         let mut seen = [false; 6];
-        for k in FeatureKind::ALL {
+        for (i, k) in FeatureKind::ALL.into_iter().enumerate() {
             assert!(!seen[k.index()]);
             seen[k.index()] = true;
+            assert_eq!(k.index(), i, "ALL lists the features in index order");
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -299,19 +284,6 @@ mod tests {
         let flows = vec![flow(10_000.0, Transport::Tcp, 80, 1, true)];
         let s = extract_features(&flows, host(), Windowing::FIFTEEN_MIN, 2);
         assert!(s.windows.iter().all(|w| *w == FeatureCounts::default()));
-    }
-
-    #[test]
-    fn overlay_adds_and_pads() {
-        let mut a = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 2);
-        *a.windows[0].get_mut(FeatureKind::TcpConnections) = 5;
-        let mut b = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 3);
-        *b.windows[0].get_mut(FeatureKind::TcpConnections) = 7;
-        *b.windows[2].get_mut(FeatureKind::UdpConnections) = 1;
-        let c = a.overlay(&b);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.windows[0].get(FeatureKind::TcpConnections), 12);
-        assert_eq!(c.windows[2].get(FeatureKind::UdpConnections), 1);
     }
 
     #[test]

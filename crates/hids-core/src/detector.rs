@@ -66,6 +66,16 @@ impl Detector {
         self.thresholds.iter().filter(|t| t.is_some()).count()
     }
 
+    /// Number of monitored features whose count strictly exceeds its
+    /// threshold in one window: `evaluate(..).len()` without building the
+    /// alerts.
+    pub fn alarm_count(&self, counts: &FeatureCounts) -> usize {
+        FeatureKind::ALL
+            .iter()
+            .filter(|&&f| self.thresholds[f.index()].is_some_and(|t| counts.get(f) as f64 > t))
+            .count()
+    }
+
     /// Evaluate one window, returning any alerts raised.
     pub fn evaluate(&self, window: usize, counts: &FeatureCounts) -> Vec<Alert> {
         let mut alerts = Vec::new();
@@ -127,6 +137,10 @@ mod tests {
             .set_threshold(FeatureKind::UdpConnections, 5.0);
         let alerts = d.evaluate(3, &counts(11, 6));
         assert_eq!(alerts.len(), 2);
+        for (tcp, udp) in [(11, 6), (11, 5), (10, 6), (10, 5)] {
+            let c = counts(tcp, udp);
+            assert_eq!(d.alarm_count(&c), d.evaluate(0, &c).len());
+        }
     }
 
     #[test]

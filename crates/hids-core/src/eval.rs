@@ -1,6 +1,8 @@
 //! The paper's evaluation methodology: train on week *n*, test on week
 //! *n+1*, measure every user's `⟨FN, FP⟩` and utility.
 
+use std::borrow::Borrow;
+
 use flowtab::{FeatureKind, FeatureSeries};
 use serde::{Deserialize, Serialize};
 use tailstats::{EmpiricalDist, QuantileBackend, QuantileSource};
@@ -51,7 +53,7 @@ impl core::fmt::Display for DatasetError {
 impl std::error::Error for DatasetError {}
 
 impl FeatureDataset {
-    /// Build from per-user train/test feature series.
+    /// Build from per-user train/test feature series, owned or borrowed.
     ///
     /// # Panics
     /// Panics when the two slices differ in length or are empty; callers
@@ -61,8 +63,8 @@ impl FeatureDataset {
     // callers use `try_from_series`.
     #[allow(clippy::panic)]
     pub fn from_series(
-        train: &[FeatureSeries],
-        test: &[FeatureSeries],
+        train: &[impl Borrow<FeatureSeries>],
+        test: &[impl Borrow<FeatureSeries>],
         feature: FeatureKind,
     ) -> Self {
         match Self::try_from_series(train, test, feature) {
@@ -73,8 +75,8 @@ impl FeatureDataset {
 
     /// Fallible variant of [`FeatureDataset::from_series`].
     pub fn try_from_series(
-        train: &[FeatureSeries],
-        test: &[FeatureSeries],
+        train: &[impl Borrow<FeatureSeries>],
+        test: &[impl Borrow<FeatureSeries>],
         feature: FeatureKind,
     ) -> Result<Self, DatasetError> {
         if train.len() != test.len() {
@@ -88,9 +90,9 @@ impl FeatureDataset {
         }
         let train_d = train
             .iter()
-            .map(|s| EmpiricalDist::from_counts(&s.feature(feature)))
+            .map(|s| EmpiricalDist::from_counts(&s.borrow().feature(feature)))
             .collect();
-        let test_counts: Vec<Vec<u64>> = test.iter().map(|s| s.feature(feature)).collect();
+        let test_counts: Vec<Vec<u64>> = test.iter().map(|s| s.borrow().feature(feature)).collect();
         let test_d = test_counts
             .iter()
             .map(|c| EmpiricalDist::from_counts(c))

@@ -10,10 +10,12 @@
 //! features is the union rate — the operational trade-off an IT department
 //! actually faces when turning features on.
 
-use flowtab::{FeatureKind, FeatureSeries};
-use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
-use crate::eval::FeatureDataset;
+use flowtab::{FeatureCounts, FeatureKind, FeatureSeries};
+use serde::{Deserialize, Serialize};
+use tailstats::EmpiricalDist;
+
 use crate::{Detector, Policy};
 
 /// Per-feature policies for the whole detector (commonly the same policy
@@ -74,6 +76,45 @@ pub struct MultiEvaluation {
 }
 
 impl MultiEvaluation {
+    /// Score configured detectors — one per user, each monitoring
+    /// `features` — on their test week: the union and corroborated
+    /// false-positive rates.
+    ///
+    /// # Panics
+    /// Panics when `detectors` and `test` differ in length.
+    pub fn score(
+        detectors: Vec<Detector>,
+        features: Vec<FeatureKind>,
+        test: &[impl Borrow<FeatureSeries>],
+    ) -> Self {
+        assert_eq!(detectors.len(), test.len(), "one test series per detector");
+        let users = detectors
+            .iter()
+            .zip(test)
+            .map(|(det, series)| {
+                let series = series.borrow();
+                let mut any = 0u64;
+                let mut corroborated = 0u64;
+                for counts in &series.windows {
+                    let alarms = det.alarm_count(counts);
+                    any += u64::from(alarms >= 1);
+                    corroborated += u64::from(alarms >= 2);
+                }
+                let n = series.len().max(1) as f64;
+                MultiUserPerf {
+                    fp_any: any as f64 / n,
+                    fp_corroborated: corroborated as f64 / n,
+                    alarm_windows: any,
+                }
+            })
+            .collect();
+        Self {
+            detectors,
+            users,
+            features,
+        }
+    }
+
     /// Population-mean union FP rate.
     pub fn mean_fp_any(&self) -> f64 {
         self.users.iter().map(|u| u.fp_any).sum::<f64>() / self.users.len().max(1) as f64
@@ -89,88 +130,71 @@ impl MultiEvaluation {
 /// Configure per-user detectors for every monitored feature and evaluate
 /// the union false-positive rate on the test week.
 ///
-/// `train`/`test` are the per-user full feature series (all six features);
-/// each feature's thresholds are computed by its own policy over the
-/// per-user training distributions of that feature.
+/// `train`/`test` are the per-user full feature series (all six features),
+/// owned or borrowed; each feature's thresholds are computed by its own
+/// policy over the per-user training distributions of that feature.
 ///
 /// # Panics
 /// Panics when `train` and `test` differ in length or are empty.
 pub fn evaluate_multi(
-    train: &[FeatureSeries],
-    test: &[FeatureSeries],
+    train: &[impl Borrow<FeatureSeries>],
+    test: &[impl Borrow<FeatureSeries>],
     policy: &MultiPolicy,
 ) -> MultiEvaluation {
     assert_eq!(train.len(), test.len(), "one train and one test per user");
     assert!(!train.is_empty(), "need at least one user");
-    let n_users = train.len();
 
-    let mut detectors: Vec<Detector> = (0..n_users).map(|u| Detector::new(u as u32)).collect();
+    let mut detectors: Vec<Detector> = (0..train.len()).map(|u| Detector::new(u as u32)).collect();
     let mut features = Vec::with_capacity(policy.per_feature.len());
     for (feature, feature_policy) in &policy.per_feature {
         features.push(*feature);
-        let ds = FeatureDataset::from_series(train, test, *feature);
-        let outcome = feature_policy.configure(&ds.train);
+        let dists: Vec<EmpiricalDist> = train
+            .iter()
+            .map(|s| EmpiricalDist::from_counts(&s.borrow().feature(*feature)))
+            .collect();
+        let outcome = feature_policy.configure(&dists);
         for (det, &t) in detectors.iter_mut().zip(&outcome.thresholds) {
             det.set_threshold(*feature, t);
         }
     }
-
-    let users = detectors
-        .iter()
-        .zip(test)
-        .map(|(det, series)| {
-            let mut any = 0u64;
-            let mut corroborated = 0u64;
-            for (w, counts) in series.windows.iter().enumerate() {
-                let alerts = det.evaluate(w, counts);
-                if !alerts.is_empty() {
-                    any += 1;
-                }
-                if alerts.len() >= 2 {
-                    corroborated += 1;
-                }
-            }
-            let n = series.len().max(1) as f64;
-            MultiUserPerf {
-                fp_any: any as f64 / n,
-                fp_corroborated: corroborated as f64 / n,
-                alarm_windows: any,
-            }
-        })
-        .collect();
-
-    MultiEvaluation {
-        detectors,
-        users,
-        features,
-    }
+    MultiEvaluation::score(detectors, features, test)
 }
 
-/// Detection rate of an additive attack on `target` feature when the whole
-/// detector (all monitored features) is running: fraction of attacked
-/// windows in which any feature alarms. With single-feature attacks this
-/// equals the target feature's detection, but correlated features (SYN
-/// rises with TCP, distinct with both) corroborate.
+/// Detection rate of an additive attack when the whole detector (all
+/// monitored features) is running: per user, the fraction of attacked
+/// windows in which any feature alarms on benign plus attack traffic.
+/// With single-feature attacks this equals the target feature's detection,
+/// but correlated features (SYN rises with TCP, distinct with both)
+/// corroborate.
+///
+/// Window alignment: window `w` of a user's test series receives `overlay`
+/// window `w mod overlay.len()` — the overlay is cycled when shorter than
+/// the series, as `attacksim::replay_attack` cycles its zombie trace — and
+/// is attacked when that overlay window is nonzero. Only the test series'
+/// own windows are scored. An empty overlay attacks no window, so every
+/// user scores 0.
 pub fn multi_detection(
     detectors: &[Detector],
-    test: &[FeatureSeries],
+    test: &[impl Borrow<FeatureSeries>],
     overlay: &FeatureSeries,
-    _target: FeatureKind,
 ) -> Vec<f64> {
     detectors
         .iter()
         .zip(test)
         .map(|(det, series)| {
-            let attacked = series.overlay(overlay);
             let mut windows = 0u64;
             let mut detected = 0u64;
-            for (w, counts) in attacked.windows.iter().enumerate() {
-                let zombie = overlay.windows.get(w % overlay.len()).copied().unwrap_or_default();
-                if zombie == flowtab::FeatureCounts::default() {
+            for (counts, zombie) in series
+                .borrow()
+                .windows
+                .iter()
+                .zip(overlay.windows.iter().cycle())
+            {
+                if *zombie == FeatureCounts::default() {
                     continue;
                 }
                 windows += 1;
-                if !det.evaluate(w, counts).is_empty() {
+                if det.alarm_count(&counts.saturating_add(zombie)) > 0 {
                     detected += 1;
                 }
             }
@@ -187,7 +211,7 @@ pub fn multi_detection(
 mod tests {
     use super::*;
     use crate::{Grouping, ThresholdHeuristic};
-    use flowtab::{FeatureCounts, Windowing};
+    use flowtab::Windowing;
 
     fn series(tcp: &[u64], udp: &[u64]) -> FeatureSeries {
         let mut s = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, tcp.len());
@@ -286,19 +310,64 @@ mod tests {
         for w in (0..50).step_by(2) {
             *overlay.windows[w].get_mut(FeatureKind::TcpConnections) = 500;
         }
-        let det = multi_detection(
-            &eval.detectors,
-            &test,
-            &overlay,
-            FeatureKind::TcpConnections,
-        );
-        assert_eq!(det, vec![1.0]);
+        assert_eq!(multi_detection(&eval.detectors, &test, &overlay), vec![1.0]);
         // A zero overlay has no attacked windows.
         let silent = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 50);
-        assert_eq!(
-            multi_detection(&eval.detectors, &test, &silent, FeatureKind::TcpConnections),
-            vec![0.0]
+        assert_eq!(multi_detection(&eval.detectors, &test, &silent), vec![0.0]);
+    }
+
+    #[test]
+    fn multi_detection_empty_overlay_attacks_nothing() {
+        let test = vec![series(&[10; 8], &[5; 8])];
+        let eval = evaluate_multi(&test, &test, &MultiPolicy::uniform(p99_full()));
+        let empty = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 0);
+        assert_eq!(multi_detection(&eval.detectors, &test, &empty), vec![0.0]);
+    }
+
+    #[test]
+    fn multi_detection_cycles_a_short_overlay() {
+        // Six benign windows, a two-window overlay that attacks every
+        // even window: windows 0, 2 and 4 all carry the attack, and all
+        // three cross the threshold.
+        let test = vec![series(&[10; 6], &[5; 6])];
+        let eval = evaluate_multi(
+            &test,
+            &test,
+            &MultiPolicy::on(&[FeatureKind::TcpConnections], p99_full()),
         );
-        let _ = FeatureCounts::default();
+        let mut overlay = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 2);
+        *overlay.windows[0].get_mut(FeatureKind::TcpConnections) = 500;
+        assert_eq!(multi_detection(&eval.detectors, &test, &overlay), vec![1.0]);
+        // The cycled overlay scores like the full-length one it repeats.
+        let mut full = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, 6);
+        for w in (0..6).step_by(2) {
+            *full.windows[w].get_mut(FeatureKind::TcpConnections) = 500;
+        }
+        assert_eq!(
+            multi_detection(&eval.detectors, &test, &full),
+            multi_detection(&eval.detectors, &test, &overlay)
+        );
+    }
+
+    #[test]
+    fn score_matches_alert_counting() {
+        let train = vec![series(&[10; 20], &[5; 20])];
+        let mut tcp = vec![10u64; 20];
+        let mut udp = vec![5u64; 20];
+        tcp[3] = 99;
+        udp[3] = 99;
+        udp[7] = 99;
+        let test = vec![series(&tcp, &udp)];
+        let eval = evaluate_multi(&train, &test, &MultiPolicy::uniform(p99_full()));
+        let by_alerts = |min: usize| {
+            test[0]
+                .windows
+                .iter()
+                .enumerate()
+                .filter(|(w, c)| eval.detectors[0].evaluate(*w, c).len() >= min)
+                .count() as u64
+        };
+        assert_eq!(eval.users[0].alarm_windows, by_alerts(1));
+        assert_eq!(eval.users[0].fp_corroborated, by_alerts(2) as f64 / 20.0);
     }
 }

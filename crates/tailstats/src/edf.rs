@@ -27,16 +27,23 @@ impl EmpiricalDist {
             "samples must be finite"
         );
         samples.sort_by(|a, b| a.total_cmp(b));
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n as f64;
+        Self::from_sorted(samples)
+    }
+
+    /// Build from samples already in `total_cmp` order, summing the mean
+    /// and the squared deviations in that order.
+    fn from_sorted(sorted: Vec<f64>) -> Self {
+        assert!(!sorted.is_empty(), "empirical distribution needs samples");
+        let n = sorted.len();
+        let mean = sorted.iter().sum::<f64>() / n as f64;
         let stddev = if n < 2 {
             0.0
         } else {
-            let ss: f64 = samples.iter().map(|x| (x - mean).powi(2)).sum();
+            let ss: f64 = sorted.iter().map(|x| (x - mean).powi(2)).sum();
             (ss / (n - 1) as f64).sqrt()
         };
         Self {
-            sorted: samples,
+            sorted,
             mean,
             stddev,
         }
@@ -168,19 +175,63 @@ impl EmpiricalDist {
     /// Merge several distributions into the pooled ("ensembled") global
     /// distribution the homogeneous policy computes at the IT console.
     ///
+    /// Every member is already sorted, so this merges the sorted runs
+    /// pairwise, round by round, instead of sorting their concatenation.
+    /// `total_cmp` is a total order on finite values in which ties are
+    /// bit-identical, so the result — samples, mean and stddev — is
+    /// exactly what [`EmpiricalDist::from_samples`] gives on the
+    /// concatenation.
+    ///
     /// # Panics
     /// Panics if `dists` is empty.
     pub fn pool<'a>(dists: impl IntoIterator<Item = &'a EmpiricalDist>) -> EmpiricalDist {
-        let mut all: Vec<f64> = Vec::new();
+        let mut src: Vec<f64> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
         for d in dists {
-            all.extend_from_slice(&d.sorted);
+            src.extend_from_slice(&d.sorted);
+            ends.push(src.len());
         }
-        EmpiricalDist::from_samples(all)
+        let mut dst = vec![0.0; src.len()];
+        while ends.len() > 1 {
+            let mut start = 0;
+            for pair in ends.chunks(2) {
+                let end = pair[pair.len() - 1];
+                let out = &mut dst[start..end];
+                match *pair {
+                    [mid, _] => merge_runs(&src[start..mid], &src[mid..end], out),
+                    _ => out.copy_from_slice(&src[start..end]),
+                }
+                start = end;
+            }
+            ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
+            std::mem::swap(&mut src, &mut dst);
+        }
+        EmpiricalDist::from_sorted(src)
     }
+}
+
+/// Merge two `total_cmp`-sorted runs into `out` (`a.len() + b.len()` long).
+fn merge_runs(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        if b[j].total_cmp(&a[i]).is_lt() {
+            out[k] = b[j];
+            j += 1;
+        } else {
+            out[k] = a[i];
+            i += 1;
+        }
+        k += 1;
+    }
+    let rest_a = a.len() - i;
+    out[k..k + rest_a].copy_from_slice(&a[i..]);
+    out[k + rest_a..].copy_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn dist(v: &[f64]) -> EmpiricalDist {
@@ -252,6 +303,75 @@ mod tests {
         let pooled = EmpiricalDist::pool([&a, &b]);
         assert_eq!(pooled.len(), 4);
         assert_eq!(pooled.samples(), &[1.0, 2.0, 5.0, 10.0]);
+    }
+
+    /// The pre-merge `pool` body: concatenate and sort again.
+    fn pool_oracle(dists: &[EmpiricalDist]) -> EmpiricalDist {
+        let mut all = Vec::new();
+        for d in dists {
+            all.extend_from_slice(d.samples());
+        }
+        EmpiricalDist::from_samples(all)
+    }
+
+    fn assert_bitwise_eq(a: &EmpiricalDist, b: &EmpiricalDist) {
+        let bits = |d: &EmpiricalDist| d.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
+        assert_eq!(a.stddev().to_bits(), b.stddev().to_bits());
+    }
+
+    #[test]
+    fn pool_merges_edge_shapes_like_the_oracle() {
+        let one = vec![dist(&[3.0, 1.0, 2.0])];
+        let singles: Vec<EmpiricalDist> = [4.0, 0.0, -0.0, 4.0, -2.5]
+            .iter()
+            .map(|&x| dist(&[x]))
+            .collect();
+        let skewed = vec![
+            dist(&[7.0]),
+            EmpiricalDist::from_counts(&(0..500u64).map(|i| i % 37).collect::<Vec<_>>()),
+            dist(&[0.0, 7.0]),
+        ];
+        for dists in [one, singles, skewed] {
+            assert_bitwise_eq(&EmpiricalDist::pool(&dists), &pool_oracle(&dists));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs samples")]
+    fn pooling_nothing_rejected() {
+        let _ = EmpiricalDist::pool(std::iter::empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The merged pool equals concatenate-and-sort bit for bit, over
+        /// runs with duplicates, single-sample members and skewed lengths.
+        #[test]
+        fn pool_merge_matches_concat_and_sort(
+            runs in proptest::collection::vec(
+                prop_oneof![
+                    proptest::collection::vec(0u64..40, 1..4),
+                    proptest::collection::vec(0u64..40, 1..30),
+                    proptest::collection::vec(0u64..5000, 200..700),
+                ],
+                1..24,
+            ),
+            scale in prop_oneof![Just(1.0f64), Just(0.37), Just(-2.5)],
+        ) {
+            let dists: Vec<EmpiricalDist> = runs
+                .iter()
+                .map(|r: &Vec<u64>| {
+                    EmpiricalDist::from_samples(r.iter().map(|&c| c as f64 * scale).collect())
+                })
+                .collect();
+            let merged = EmpiricalDist::pool(&dists);
+            let oracle = pool_oracle(&dists);
+            prop_assert_eq!(merged.len(), oracle.len());
+            assert_bitwise_eq(&merged, &oracle);
+        }
     }
 
     #[test]

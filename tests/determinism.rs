@@ -1,6 +1,6 @@
 //! Reproducibility guarantees: everything is a pure function of the seed.
 
-use experiments::{fig1, fig4, tab3, Corpus, CorpusConfig};
+use experiments::{fig1, fig3, fig4, multifeat, tab2, tab3, Corpus, CorpusConfig};
 use flowtab::FeatureKind;
 
 fn cfg(seed: u64) -> CorpusConfig {
@@ -73,6 +73,17 @@ fn experiment_csvs_identical_across_thread_counts() {
             )
             .to_csv(),
             experiments::ablation::roc_headroom(&corpus, tcp).to_csv(),
+            multifeat::table(&multifeat::run(
+                &corpus,
+                0,
+                &synthgen::StormConfig::default(),
+            ))
+            .to_csv(),
+            fig3::table_a(&fig3::run_a(&corpus, tcp, 0.4)).to_csv(),
+            fig3::table_b(&fig3::run_b(&corpus, tcp, &fig3::paper_weights())).to_csv(),
+            tab2::table(&tab2::run(&corpus, 0, 10)).to_csv(),
+            fig4::table_a(&fig4::run_a(&corpus, tcp, 0, 64)).to_csv(),
+            fig4::run_c(&corpus, tcp, 0).to_csv(),
         ];
         out
     };
