@@ -40,19 +40,34 @@ fn stream(seed: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
+/// Sketch ingest one sample at a time (`insert`, the oracle) and in one
+/// batch (`extend_from_counts`), over a 100 000-sample stream and over
+/// one megafleet host week, plus the exact backend's sort for scale.
 fn update(c: &mut Criterion) {
     let data = stream(7, STREAM);
+    let week = stream(11, WEEK);
     let mut group = c.benchmark_group("sketch_update");
+    for xs in [&data, &week] {
+        let n = xs.len();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(format!("kll_insert_{n}"), |b| {
+            b.iter(|| {
+                let mut s = KllSketch::new(EPS);
+                for &v in black_box(xs) {
+                    s.insert(v);
+                }
+                black_box(s.len())
+            })
+        });
+        group.bench_function(format!("kll_extend_{n}"), |b| {
+            b.iter(|| {
+                let mut s = KllSketch::new(EPS);
+                s.extend_from_counts(black_box(xs));
+                black_box(s.len())
+            })
+        });
+    }
     group.throughput(Throughput::Elements(STREAM as u64));
-    group.bench_function(format!("kll_insert_{STREAM}"), |b| {
-        b.iter(|| {
-            let mut s = KllSketch::new(EPS);
-            for &v in black_box(&data) {
-                s.insert(v);
-            }
-            black_box(s.len())
-        })
-    });
     group.bench_function(format!("exact_from_counts_{STREAM}"), |b| {
         b.iter(|| black_box(EmpiricalDist::from_counts(black_box(&data))).len())
     });

@@ -133,7 +133,7 @@ pub struct MegafleetResult {
     /// Compactions across every per-host sketch.
     pub total_compactions: u64,
     /// Worst per-host rank-error ledger, as parts-per-million of that
-    /// host's stream weight (always ≤ `sketch_eps · 1e6` by
+    /// host's stream weight (always ≤ the sketches' `eps_ppm()` by
     /// construction).
     pub max_rank_error_ppm: u64,
     /// Fleet mean utility.
@@ -457,7 +457,9 @@ impl MegafleetResult {
                 self.n_hosts, self.cfg.n_users
             ));
         }
-        let budget_ppm = (self.cfg.sketch_eps * 1e6) as u64;
+        // The budget the sketches hold themselves to, not `ε·10⁶`
+        // truncated: the two differ by a ppm for some ε.
+        let budget_ppm = u64::from(KllSketch::new(self.cfg.sketch_eps).eps_ppm());
         if self.max_rank_error_ppm > budget_ppm {
             return Err(format!(
                 "rank error {} ppm exceeds budget {} ppm",
@@ -526,6 +528,35 @@ mod tests {
             ..small(50)
         });
         assert_eq!(a.hosts_csv(), b.hosts_csv());
+    }
+
+    #[test]
+    fn check_takes_the_budget_the_sketch_holds() {
+        // 0.000249·10⁶ is 248.99999999999997: truncated it would be 248.
+        let cfg = MegafleetConfig {
+            sketch_eps: 0.000249,
+            ..small(1)
+        };
+        assert_eq!(KllSketch::new(cfg.sketch_eps).eps_ppm(), 249);
+        let result = |max_rank_error_ppm| MegafleetResult {
+            cfg: cfg.clone(),
+            shard_csvs: Vec::new(),
+            rows: Vec::new(),
+            n_hosts: 1,
+            peak_host_state_bytes: 1,
+            total_sketch_bytes: 1,
+            total_compactions: 0,
+            max_rank_error_ppm,
+            mean_utility: 0.0,
+            mean_fp: 0.0,
+            total_false_alarms: 0,
+            global: None,
+            merge_order_ok: true,
+        };
+        result(249)
+            .check()
+            .expect("249 ppm is within a 249 ppm budget");
+        assert!(result(250).check().is_err());
     }
 
     #[test]

@@ -214,12 +214,9 @@ impl HostState {
         match batch.week {
             Week::Train => {
                 if let Some(eps) = cfg.sketch_eps {
-                    let acc = self
-                        .train_sketch
-                        .get_or_insert_with(|| SketchAccumulator::new(eps));
-                    for (i, &c) in batch.counts.iter().enumerate() {
-                        acc.insert(batch.start + i as u32, c);
-                    }
+                    self.train_sketch
+                        .get_or_insert_with(|| SketchAccumulator::new(eps))
+                        .extend(batch.start, &batch.counts);
                 } else {
                     for (i, &c) in batch.counts.iter().enumerate() {
                         self.train.insert(batch.start + i as u32, c);

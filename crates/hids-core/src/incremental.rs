@@ -287,6 +287,30 @@ impl SketchAccumulator {
     /// a window already present is ignored entirely (idempotent re-apply —
     /// the count does not enter the sketch a second time).
     pub fn insert(&mut self, window: u32, count: u64) -> bool {
+        let fresh = self.mark(window);
+        if fresh {
+            self.sketch.insert(count);
+        }
+        fresh
+    }
+
+    /// Record `counts[i]` as window `start + i`, with
+    /// [`insert`](Self::insert)'s first-write-wins rule, and feed the new
+    /// windows' counts to the sketch in one
+    /// [`KllSketch::extend_from_counts`] call. The state equals that of
+    /// an `insert` loop over the same windows.
+    pub fn extend(&mut self, start: u32, counts: &[u64]) {
+        let mut fresh = Vec::with_capacity(counts.len());
+        for (i, &count) in counts.iter().enumerate() {
+            if self.mark(start + i as u32) {
+                fresh.push(count);
+            }
+        }
+        self.sketch.extend_from_counts(&fresh);
+    }
+
+    /// Set `window`'s bit; `true` when it was not set before.
+    fn mark(&mut self, window: u32) -> bool {
         let slot = (window / 64) as usize;
         let bit = 1u64 << (window % 64);
         if slot >= self.seen.len() {
@@ -297,7 +321,6 @@ impl SketchAccumulator {
         }
         self.seen[slot] |= bit;
         self.n_seen += 1;
-        self.sketch.insert(count);
         true
     }
 
@@ -564,6 +587,33 @@ mod tests {
         for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
             assert_eq!(sk.sketch().quantile_discrete(q), d.quantile_discrete(q));
         }
+    }
+
+    #[test]
+    fn sketch_accumulator_extend_matches_insert_loop() {
+        // Overlapping, re-applied and out-of-order windows, long enough
+        // at ε 0.01 for several compactions.
+        let batches: Vec<(u32, Vec<u64>)> = vec![
+            (0, (0..300).map(|w| (w * 7919) % 101).collect()),
+            (200, (0..250).map(|w| w % 13).collect()),
+            (0, vec![99; 40]),
+            (700, (0..400).map(|w| (w * w) % 977).collect()),
+            (450, (0..300).map(|w| 1000 + w).collect()),
+            (450, Vec::new()),
+            (1099, vec![5]),
+        ];
+        let mut looped = SketchAccumulator::new(0.01);
+        let mut batched = SketchAccumulator::new(0.01);
+        for (start, counts) in &batches {
+            for (w, &c) in (*start..).zip(counts) {
+                looped.insert(w, c);
+            }
+            batched.extend(*start, counts);
+            assert_eq!(batched, looped);
+        }
+        assert_eq!(batched.len(), 1100);
+        assert!(batched.sketch().compactions() > 0);
+        assert_eq!(batched.sketch().to_bytes(), looped.sketch().to_bytes());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! stream in bounded memory while answering rank/quantile queries with a
 //! **guaranteed, explicitly-ledgered** rank error — the property the
 //! paper's percentile threshold heuristics need at fleet scale, where
-//! storing every sample per host is the memory wall (ROADMAP item 1).
+//! storing every sample per host is the memory wall.
 //!
 //! # Design
 //!
@@ -71,6 +71,10 @@
 //!   allocation).
 //! * [`merge`](KllSketch::merge) and compaction fold one sorted run into
 //!   another with a backward in-place linear merge (no scratch buffer).
+//! * [`extend_from_counts`](KllSketch::extend_from_counts) sorts a batch
+//!   in runs that end where the one-at-a-time [`insert`](KllSketch::insert)
+//!   loop would first compact, and merges each run into level 0, with
+//!   the loop's bytes.
 //! * [`pool`](KllSketch::pool) appends levels unsorted while it folds,
 //!   sorts a level only when compaction halves it, and sorts every level
 //!   once before returning. Compaction decides only from level lengths
@@ -129,9 +133,13 @@ impl KllSketch {
             eps.is_finite() && eps > 0.0 && eps < 1.0,
             "sketch eps must lie in (0, 1)"
         );
-        // Round up so the realized budget never exceeds the requested one
-        // is the wrong direction — round *down* the permissiveness: a
-        // smaller eps_ppm is strictly tighter. Use ceil to avoid 0.
+        // The budget is the float product `ε·10⁶` rounded up to a whole
+        // ppm, so any ε > 0 gets at least 1 ppm. Where the product lands
+        // just below an integer (0.000249·10⁶ is 248.99999999999997) that
+        // integer is taken; where it lands just above one (0.000123·10⁶ is
+        // 123.00000000000001) the next ppm is, so the realized budget can
+        // exceed the requested one by under 1 ppm. Read it back with
+        // `eps_ppm()`, not by recomputing it from ε.
         let ppm = (eps * PPM as f64).ceil() as u64;
         Self::with_eps_ppm(ppm.clamp(1, PPM - 1) as u32)
     }
@@ -245,11 +253,70 @@ impl KllSketch {
         true
     }
 
-    /// Ingest a batch of integer counts.
+    /// Ingest a batch of integer counts. The result is byte-identical to
+    /// calling [`insert`](Self::insert) on each count in turn, compaction
+    /// count included.
+    ///
+    /// The slice goes in as runs, each as long as the number of inserts
+    /// before `compress` could first act (or what is left of the slice).
+    /// A run is sorted once, merged into level 0 and then compressed
+    /// once. No insert inside a run would have let `compress` act, so
+    /// that one pass compacts exactly what the per-sample loop would have
+    /// compacted at the run's last weight (DESIGN.md §12, "Batched
+    /// ingest").
     pub fn extend_from_counts(&mut self, counts: &[u64]) {
-        for &c in counts {
-            self.insert(c);
+        if counts.is_empty() {
+            return;
         }
+        if self.levels.is_empty() {
+            self.levels.push(Vec::new());
+            self.parities.push(false);
+        }
+        let mut run = Vec::new();
+        let mut rest = counts;
+        while !rest.is_empty() {
+            let k = self.inserts_before_compaction().min(rest.len());
+            let (head, tail) = rest.split_at(k);
+            run.clear();
+            run.extend_from_slice(head);
+            run.sort_unstable();
+            for &v in &run {
+                self.sum = self.sum.saturating_add(v as u128);
+                self.sum_sq = self.sum_sq.saturating_add((v as u128) * (v as u128));
+            }
+            self.weight = self.weight.saturating_add(k as u64);
+            self.min = self.min.min(run[0]);
+            self.max = self.max.max(run[k - 1]);
+            merge_run(&mut self.levels[0], run.iter().copied());
+            self.compress();
+            rest = tail;
+        }
+    }
+
+    /// The least `k ≥ 1` such that `compress` would act after `k` more
+    /// inserts: some level is over capacity and its compaction fits the
+    /// budget `⌊(W+k)·ε⌋`. Until then an insert changes only level 0's
+    /// length and the weight, so the least such `k` over the levels is
+    /// exact. Saturates at `usize::MAX`; needs at least one level.
+    fn inserts_before_compaction(&self) -> usize {
+        let cap = self.capacity(self.levels.len()) as u128;
+        let mut first = u128::MAX;
+        for (l, items) in self.levels.iter().enumerate() {
+            let len = items.len() as u128;
+            let over_cap = if l == 0 {
+                (cap + 1).saturating_sub(len).max(1)
+            } else if len > cap {
+                1
+            } else {
+                continue;
+            };
+            // `err + 2^l ≤ ⌊W'·ε⌋` ⇔ `W' ≥ ⌈(err + 2^l)·10⁶ / ε_ppm⌉`.
+            let cost = self.err.saturating_add(1u64 << l.min(63));
+            let affordable_at = (cost as u128 * PPM as u128).div_ceil(self.eps_ppm as u128);
+            let affordable = affordable_at.saturating_sub(self.weight as u128).max(1);
+            first = first.min(over_cap.max(affordable));
+        }
+        usize::try_from(first).unwrap_or(usize::MAX)
     }
 
     /// Compact overflowing levels while the error ledger stays within the
@@ -1108,6 +1175,30 @@ mod tests {
         assert_eq!(s.quantile_discrete(1.0), 5.0);
         assert_eq!(s.to_bytes(), ok);
         assert!(KllSketch::from_bytes(&image(10_000, 0, 0, &[])).is_ok());
+    }
+
+    #[test]
+    fn extend_from_counts_matches_insert_at_a_saturated_weight() {
+        // One item on each of 64 levels expands to u64::MAX samples;
+        // without level 0's item the weight is u64::MAX − 1, and the
+        // batch crosses saturation after its first sample.
+        for first in [0, 1] {
+            let levels: Vec<(u8, &[u64])> = (0..64)
+                .map(|l| (0, if l < first { &[][..] } else { &[7u64][..] }))
+                .collect();
+            let weight = u64::MAX - first as u64;
+            let start =
+                KllSketch::from_bytes(&image(10_000, weight, 0, &levels)).expect("consistent image");
+            let mut looped = start.clone();
+            for v in [3, 9, 3] {
+                looped.insert(v);
+            }
+            let mut batched = start;
+            batched.extend_from_counts(&[3, 9, 3]);
+            assert_eq!(batched, looped);
+            assert_eq!(batched.to_bytes(), looped.to_bytes());
+            assert_eq!(batched.len(), u64::MAX);
+        }
     }
 
     #[test]

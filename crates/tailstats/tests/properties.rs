@@ -374,3 +374,91 @@ proptest! {
         prop_assert_eq!(fast.to_bytes(), tailstats::sketch::oracle::pool(&refs).to_bytes());
     }
 }
+
+/// Streams for the batch-ingest test: duplicate floods, small and large
+/// counts, and values at the top of the u64 range.
+fn batch_stream() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(
+        prop_oneof![
+            0u64..4,
+            0u64..1_000,
+            0u64..1_000_000_000,
+            (u64::MAX - 16)..=u64::MAX,
+            Just(u64::MAX),
+        ],
+        0..1500,
+    )
+}
+
+/// Budgets for the batch-ingest test: both ends of the ppm range, the
+/// values the workspace runs at, and any other.
+fn any_eps_ppm() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(1u32),
+        Just(999_999u32),
+        Just(10_000u32),
+        Just(50_000u32),
+        Just(200_000u32),
+        1u32..1_000_000,
+    ]
+}
+
+/// A start state for the batch-ingest test: fresh, decoded from the bytes
+/// of an insert-built sketch, or a union of insert-built sketches left
+/// uncompressed, so that levels above 0 can hold over-capacity buffers
+/// the budget has not yet let `compress` halve.
+fn start_state(eps_ppm: u32, prefix: &[u64], shape: u8, parts: usize) -> KllSketch {
+    let built = |xs: &[u64]| {
+        let mut s = KllSketch::with_eps_ppm(eps_ppm);
+        for &v in xs {
+            s.insert(v);
+        }
+        s
+    };
+    match shape % 3 {
+        0 => KllSketch::with_eps_ppm(eps_ppm),
+        1 => KllSketch::from_bytes(&built(prefix).to_bytes()).expect("roundtrip"),
+        _ => {
+            let mut s = KllSketch::with_eps_ppm(eps_ppm);
+            for c in prefix.chunks((prefix.len() / parts).max(1)) {
+                s.merge(&built(c));
+            }
+            s
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `extend_from_counts` over any split of a stream, empty and
+    /// one-sample slices included, leaves the same state as an `insert`
+    /// loop: equal bytes and equal sketches, compaction count included.
+    #[test]
+    fn sketch_extend_matches_insert_loop(
+        xs in batch_stream(),
+        prefix in batch_stream(),
+        cuts in proptest::collection::vec(0usize..1500, 0..8),
+        last in any::<u64>(),
+        eps_ppm in any_eps_ppm(),
+        shape in 0u8..3,
+        parts in 1usize..40,
+    ) {
+        let start = start_state(eps_ppm, &prefix, shape, parts);
+        let mut looped = start.clone();
+        for &v in xs.iter().chain([&last]) {
+            looped.insert(v);
+        }
+        let mut batched = start;
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(xs.len())).collect();
+        cuts.sort_unstable();
+        let mut at = 0;
+        for end in cuts.into_iter().chain([xs.len()]) {
+            batched.extend_from_counts(&xs[at..end]);
+            at = end;
+        }
+        batched.extend_from_counts(&[last]);
+        prop_assert_eq!(batched.to_bytes(), looped.to_bytes());
+        prop_assert_eq!(&batched, &looped);
+    }
+}
