@@ -4,15 +4,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use flowtab::{extract_features, FeatureKind, FlowExtractor, FlowTableConfig, Windowing};
+use flowtab::{
+    extract_features, Endpoint, FeatureCounts, FeatureKind, FiveTuple, FlowExtractor, FlowTable,
+    FlowTableConfig, Transport, Windowing,
+};
 use hids_core::{AttackSweep, RocCurve, SweepTable, ThresholdHeuristic};
 use netpkt::testutil::{build_tcp_frame, FrameSpec};
-use netpkt::{EthernetFrame, Ipv4Packet, TcpFlags, TcpSegment};
+use netpkt::{EthernetFrame, IpProtocol, Ipv4Packet, TcpFlags, TcpSegment, UdpDatagram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use synthgen::{
     render_flows_to_frames, render_window_flows, user_week_series, Population, PopulationConfig,
-    WeekPlan,
+    TimedFrame, UserProfile, WeekPlan,
 };
 use tailstats::EmpiricalDist;
 
@@ -54,8 +57,9 @@ fn packet_layer(c: &mut Criterion) {
     group.finish();
 }
 
-fn flow_layer(c: &mut Criterion) {
-    // Pre-render a realistic window of frames.
+/// A realistic busy window: the week's largest window of a profile with
+/// pinned tail levels. Returns the profile, the window index and its counts.
+fn busy_window() -> (UserProfile, usize, FeatureCounts) {
     let pop = Population::sample(PopulationConfig {
         n_users: 2,
         ..Default::default()
@@ -67,7 +71,6 @@ fn flow_layer(c: &mut Criterion) {
         dns: 60.0,
     };
     let week = user_week_series(&profile, 1, 0, Windowing::FIFTEEN_MIN);
-    let mut rng = StdRng::seed_from_u64(5);
     let (w_idx, counts) = week
         .windows
         .iter()
@@ -75,8 +78,75 @@ fn flow_layer(c: &mut Criterion) {
         .max_by_key(|(_, c)| c.0.iter().sum::<u64>())
         .map(|(i, c)| (i, *c))
         .unwrap();
+    (profile, w_idx, counts)
+}
+
+/// One packet as the flow table takes it.
+type Observation = (f64, FiveTuple, usize, Option<TcpFlags>);
+
+/// Parse rendered frames once, so a bench can time `FlowTable::observe`
+/// without the parsers.
+fn observations(frames: &[TimedFrame]) -> Vec<Observation> {
+    frames
+        .iter()
+        .map(|f| {
+            let eth = EthernetFrame::parse(&f.frame[..]).unwrap();
+            let ip = Ipv4Packet::parse(eth.payload()).unwrap();
+            let (src, dst) = (ip.src(), ip.dst());
+            match ip.protocol() {
+                IpProtocol::Tcp => {
+                    let tcp = TcpSegment::parse(ip.payload()).unwrap();
+                    let tuple = FiveTuple::new(
+                        Endpoint::new(src, tcp.src_port()),
+                        Endpoint::new(dst, tcp.dst_port()),
+                        Transport::Tcp,
+                    );
+                    (f.ts, tuple, tcp.payload().len(), Some(tcp.flags()))
+                }
+                _ => {
+                    let udp = UdpDatagram::parse(ip.payload()).unwrap();
+                    let tuple = FiveTuple::new(
+                        Endpoint::new(src, udp.src_port()),
+                        Endpoint::new(dst, udp.dst_port()),
+                        Transport::Udp,
+                    );
+                    (f.ts, tuple, udp.payload().len(), None)
+                }
+            }
+        })
+        .collect()
+}
+
+fn flow_layer(c: &mut Criterion) {
+    // Pre-render a realistic window of frames.
+    let (profile, w_idx, counts) = busy_window();
+    let mut rng = StdRng::seed_from_u64(5);
     let flows = render_window_flows(&profile, &counts, w_idx, Windowing::FIFTEEN_MIN, &mut rng);
     let frames = render_flows_to_frames(&flows, &mut rng);
+
+    // A UDP/DNS-heavy window: most flows are two-packet exchanges that
+    // stay open, idle, for the 60 s idle timeout, so at any second about a
+    // thousand flows wait to expire (the set the pre-heap sweep rescanned
+    // once per trace-second).
+    let mut udp_counts = FeatureCounts::default();
+    for (kind, n) in [
+        (FeatureKind::TcpConnections, 400),
+        (FeatureKind::TcpSyn, 450),
+        (FeatureKind::HttpConnections, 200),
+        (FeatureKind::UdpConnections, 8_000),
+        (FeatureKind::DnsConnections, 6_000),
+        (FeatureKind::DistinctConnections, 2_000),
+    ] {
+        *udp_counts.get_mut(kind) = n;
+    }
+    let udp_flows = render_window_flows(
+        &profile,
+        &udp_counts,
+        w_idx,
+        Windowing::FIFTEEN_MIN,
+        &mut rng,
+    );
+    let udp_packets = observations(&render_flows_to_frames(&udp_flows, &mut rng));
 
     let mut group = c.benchmark_group("flowtab");
     group.sample_size(20);
@@ -88,6 +158,16 @@ fn flow_layer(c: &mut Criterion) {
                 let _ = ex.push_frame(f.ts, &f.frame);
             }
             black_box(ex.finish().len())
+        })
+    });
+    group.throughput(Throughput::Elements(udp_packets.len() as u64));
+    group.bench_function("observe_udp_heavy", |b| {
+        b.iter(|| {
+            let mut table = FlowTable::new(FlowTableConfig::default());
+            for &(ts, tuple, len, flags) in &udp_packets {
+                table.observe(ts, tuple, len, flags);
+            }
+            black_box(table.drain().len())
         })
     });
     group.throughput(Throughput::Elements(flows.len() as u64));
@@ -129,6 +209,22 @@ fn generator_layer(c: &mut Criterion) {
     });
     let mut group = c.benchmark_group("synthgen");
     group.sample_size(20);
+    // The packet path's render stage, as `synthgen::export_user_windows`
+    // runs it per window: counts to flows to timestamp-sorted frames.
+    let (profile, w_idx, counts) = busy_window();
+    let mut rng = StdRng::seed_from_u64(9);
+    let frames = render_flows_to_frames(
+        &render_window_flows(&profile, &counts, w_idx, Windowing::FIFTEEN_MIN, &mut rng),
+        &mut rng,
+    );
+    group.throughput(Throughput::Elements(frames.len() as u64));
+    group.bench_function("render_window_frames", |b| {
+        b.iter(|| {
+            let flows =
+                render_window_flows(&profile, &counts, w_idx, Windowing::FIFTEEN_MIN, &mut rng);
+            black_box(render_flows_to_frames(&flows, &mut rng).len())
+        })
+    });
     group.throughput(Throughput::Elements(672));
     group.bench_function("user_week_672_windows", |b| {
         let mut user = 0usize;

@@ -43,6 +43,6 @@ pub use conn::{TcpConnState, TcpTracker};
 pub use dnstrack::{DnsStats, DnsTracker, DnsTransaction};
 pub use extract::{ExtractError, ExtractStats, FlowExtractor};
 pub use features::{extract_features, FeatureCounts, FeatureKind, FeatureSeries, Windowing};
-pub use record::{AppProtocol, FlowRecord};
+pub use record::{total_order_key, AppProtocol, FlowRecord};
 pub use table::{FlowTable, FlowTableConfig};
 pub use tuple::{Endpoint, FiveTuple, FlowDirection, Transport};

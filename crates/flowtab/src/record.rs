@@ -115,10 +115,66 @@ impl FlowRecord {
     }
 }
 
+/// The integer that [`f64::total_cmp`] compares: for any `a` and `b`,
+/// `total_order_key(a).cmp(&total_order_key(b)) == a.total_cmp(&b)`.
+///
+/// Timestamp sorts key on it (`sort_by_cached_key`) to compare integers
+/// instead of floats, in the same order.
+pub fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The inverse of [`total_order_key`] (the map is an involution on bits).
+pub(crate) fn from_total_order_key(key: i64) -> f64 {
+    f64::from_bits(total_order_key(f64::from_bits(key as u64)) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1e-310,
+            -1e-310,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(f64::from_bits(x));
+        }
+        for a in &values {
+            assert_eq!(
+                from_total_order_key(total_order_key(*a)).to_bits(),
+                a.to_bits()
+            );
+            for b in &values {
+                assert_eq!(
+                    total_order_key(*a).cmp(&total_order_key(*b)),
+                    a.total_cmp(b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
 
     fn ep(last: u8, port: u16) -> Endpoint {
         Endpoint::new(Ipv4Addr::new(10, 0, 0, last), port)

@@ -1,9 +1,15 @@
 //! The flow table: groups packets into flows and emits [`FlowRecord`]s.
+//!
+//! Each packet costs one hash probe. Expiry visits only flows that can be
+//! due: terminal TCP flows from a list filled as they close, and idle flows
+//! from a min-heap on last-packet time (DESIGN.md §3, "Flow table").
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::conn::TcpTracker;
-use crate::record::{AppProtocol, FlowRecord};
+use crate::record::{from_total_order_key, total_order_key, AppProtocol, FlowRecord};
 use crate::tuple::{FiveTuple, FlowDirection};
 use crate::tuple::FlowKey;
 use netpkt::TcpFlags;
@@ -39,100 +45,20 @@ struct FlowEntry {
     /// the initiator.
     lo_is_initiator: bool,
     tcp: Option<TcpTracker>,
+    /// [`total_order_key`] of this flow's entry in the expiry heap. Never
+    /// above the key of `record.last_ts`.
+    queued: i64,
 }
 
-/// Groups directed packets into bidirectional flows.
-///
-/// Call [`FlowTable::observe`] per packet (in timestamp order), harvesting
-/// any records it returns; call [`FlowTable::drain`] at end of trace.
-#[derive(Debug)]
-pub struct FlowTable {
-    config: FlowTableConfig,
-    flows: HashMap<FlowKey, FlowEntry>,
-    /// Completed records not yet harvested.
-    out: Vec<FlowRecord>,
-    last_sweep: f64,
-}
-
-impl FlowTable {
-    /// Create an empty table.
-    pub fn new(config: FlowTableConfig) -> Self {
-        Self {
-            config,
-            flows: HashMap::new(),
-            out: Vec::new(),
-            last_sweep: 0.0,
-        }
-    }
-
-    /// Number of currently open flows.
-    pub fn open_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Observe one packet.
-    ///
-    /// `payload_len` is the transport payload length; `tcp_flags` is `None`
-    /// for non-TCP packets. Timestamps must be non-decreasing; the table
-    /// sweeps for idle flows once per second of trace time.
-    pub fn observe(
-        &mut self,
+impl FlowEntry {
+    /// A flow whose first packet is this one: its sender is the initiator.
+    fn open(
         ts: f64,
         tuple: FiveTuple,
+        dir_vs_canonical: FlowDirection,
         payload_len: usize,
         tcp_flags: Option<TcpFlags>,
-    ) {
-        if ts - self.last_sweep >= 1.0 {
-            self.sweep(ts);
-            self.last_sweep = ts;
-        }
-
-        let (key, dir_vs_canonical) = tuple.canonical();
-
-        // Active-timeout / terminal-state rollover: if the existing entry is
-        // finished, flush it and start a new flow for this packet.
-        let needs_rollover = self.flows.get(&key).is_some_and(|e| {
-            ts - e.record.first_ts > self.config.active_timeout
-                || e.tcp.as_ref().is_some_and(|t| t.state().is_terminal())
-                    && tcp_flags.is_some_and(|f| f.syn() && !f.ack())
-        });
-        if needs_rollover {
-            if let Some(e) = self.flows.remove(&key) {
-                self.out.push(e.record);
-            }
-        }
-
-        if let Some(entry) = self.flows.get_mut(&key) {
-            let dir = if entry.lo_is_initiator {
-                dir_vs_canonical
-            } else {
-                dir_vs_canonical.reverse()
-            };
-            entry.record.last_ts = ts;
-            match dir {
-                FlowDirection::FromInitiator => {
-                    entry.record.packets_fwd += 1;
-                    entry.record.bytes_fwd += payload_len as u64;
-                }
-                FlowDirection::FromResponder => {
-                    entry.record.packets_rev += 1;
-                    entry.record.bytes_rev += payload_len as u64;
-                }
-            }
-            if let (Some(tracker), Some(flags)) = (entry.tcp.as_mut(), tcp_flags) {
-                tracker.observe(flags, dir);
-                entry.record.initiator_syn = tracker.initiator_syn();
-                entry.record.syn_count = tracker.syn_count();
-                entry.record.tcp_state = Some(tracker.state());
-            }
-            return;
-        }
-
-        if self.flows.len() >= self.config.max_flows {
-            self.evict_stalest();
-        }
-
-        // First packet defines the initiator.
+    ) -> Self {
         let tcp = tcp_flags.map(|f| TcpTracker::new(f, FlowDirection::FromInitiator));
         let record = FlowRecord {
             initiator: tuple.src,
@@ -149,14 +75,150 @@ impl FlowTable {
             syn_count: tcp.as_ref().map_or(0, |t| t.syn_count()),
             tcp_state: tcp.as_ref().map(|t| t.state()),
         };
-        self.flows.insert(
-            key,
-            FlowEntry {
-                record,
-                lo_is_initiator: dir_vs_canonical == FlowDirection::FromInitiator,
-                tcp,
-            },
-        );
+        Self {
+            record,
+            lo_is_initiator: dir_vs_canonical == FlowDirection::FromInitiator,
+            tcp,
+            queued: total_order_key(ts),
+        }
+    }
+
+    fn is_terminal(&self) -> bool {
+        self.tcp.as_ref().is_some_and(|t| t.state().is_terminal())
+    }
+}
+
+/// Groups directed packets into bidirectional flows.
+///
+/// Call [`FlowTable::observe`] per packet (in timestamp order), harvesting
+/// any records it returns; call [`FlowTable::drain`] at end of trace.
+#[derive(Debug)]
+pub struct FlowTable {
+    config: FlowTableConfig,
+    flows: HashMap<FlowKey, FlowEntry>,
+    /// Min-heap of `(time key, flow key)`. Every open flow has the entry
+    /// its `queued` names; other entries are stale and skipped when popped.
+    due: BinaryHeap<Reverse<(i64, FlowKey)>>,
+    /// Keys of flows that turned terminal since the last sweep (stale keys
+    /// included: the sweep rechecks each).
+    closed: Vec<FlowKey>,
+    /// Completed records not yet harvested.
+    out: Vec<FlowRecord>,
+    last_sweep: f64,
+}
+
+impl FlowTable {
+    /// Create an empty table.
+    pub fn new(config: FlowTableConfig) -> Self {
+        Self {
+            config,
+            flows: HashMap::new(),
+            due: BinaryHeap::new(),
+            closed: Vec::new(),
+            out: Vec::new(),
+            last_sweep: 0.0,
+        }
+    }
+
+    /// Number of currently open flows.
+    pub fn open_flows(&self) -> usize {
+        self.flows.len()
+    }
+
+    /// Observe one packet.
+    ///
+    /// `payload_len` is the transport payload length; `tcp_flags` is `None`
+    /// for non-TCP packets. Timestamps are expected in capture order
+    /// (non-decreasing), though an older packet is still accounted
+    /// exactly; the table sweeps for idle flows once per second of trace
+    /// time.
+    pub fn observe(
+        &mut self,
+        ts: f64,
+        tuple: FiveTuple,
+        payload_len: usize,
+        tcp_flags: Option<TcpFlags>,
+    ) {
+        if ts - self.last_sweep >= 1.0 {
+            self.sweep(ts);
+            self.last_sweep = ts;
+        }
+
+        let (key, dir_vs_canonical) = tuple.canonical();
+        let t = total_order_key(ts);
+        let full = self.flows.len() >= self.config.max_flows;
+        match self.flows.entry(key) {
+            Entry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                // Active-timeout / terminal-state rollover: flush the
+                // finished flow and start a new one for this packet, in
+                // place. The new flow inherits the heap entry when that is
+                // not later than this packet.
+                if ts - entry.record.first_ts > self.config.active_timeout
+                    || entry.is_terminal() && tcp_flags.is_some_and(|f| f.syn() && !f.ack())
+                {
+                    let fresh =
+                        FlowEntry::open(ts, tuple, dir_vs_canonical, payload_len, tcp_flags);
+                    let old = std::mem::replace(entry, fresh);
+                    self.out.push(old.record);
+                    if old.queued <= t {
+                        entry.queued = old.queued;
+                    } else {
+                        self.due.push(Reverse((t, key)));
+                    }
+                    if entry.is_terminal() {
+                        self.closed.push(key);
+                    }
+                    return;
+                }
+
+                let dir = if entry.lo_is_initiator {
+                    dir_vs_canonical
+                } else {
+                    dir_vs_canonical.reverse()
+                };
+                entry.record.last_ts = ts;
+                if t < entry.queued {
+                    // Out-of-order packet: requeue at the earlier time.
+                    entry.queued = t;
+                    self.due.push(Reverse((t, key)));
+                }
+                match dir {
+                    FlowDirection::FromInitiator => {
+                        entry.record.packets_fwd += 1;
+                        entry.record.bytes_fwd += payload_len as u64;
+                    }
+                    FlowDirection::FromResponder => {
+                        entry.record.packets_rev += 1;
+                        entry.record.bytes_rev += payload_len as u64;
+                    }
+                }
+                if let (Some(tracker), Some(flags)) = (entry.tcp.as_mut(), tcp_flags) {
+                    let was_terminal = tracker.state().is_terminal();
+                    tracker.observe(flags, dir);
+                    entry.record.initiator_syn = tracker.initiator_syn();
+                    entry.record.syn_count = tracker.syn_count();
+                    entry.record.tcp_state = Some(tracker.state());
+                    if !was_terminal && tracker.state().is_terminal() {
+                        self.closed.push(key);
+                    }
+                }
+            }
+            Entry::Vacant(vacant) => {
+                let entry = FlowEntry::open(ts, tuple, dir_vs_canonical, payload_len, tcp_flags);
+                if entry.is_terminal() {
+                    self.closed.push(key);
+                }
+                if full {
+                    // Rare (scan floods): evict first, then probe again.
+                    self.evict_stalest();
+                    self.flows.insert(key, entry);
+                } else {
+                    vacant.insert(entry);
+                }
+                self.due.push(Reverse((t, key)));
+            }
+        }
     }
 
     /// Harvest records completed so far (closed, reset, idle- or
@@ -166,44 +228,88 @@ impl FlowTable {
     }
 
     /// Flush everything (end of trace) and return all remaining records
-    /// plus anything not yet harvested.
+    /// plus anything not yet harvested, ordered by `first_ts`. Ties keep
+    /// unharvested records first, in emission order, then open flows in
+    /// key order.
     pub fn drain(&mut self) -> Vec<FlowRecord> {
         let mut all = std::mem::take(&mut self.out);
-        all.extend(self.flows.drain().map(|(_, e)| e.record));
-        all.sort_by(|a, b| a.first_ts.total_cmp(&b.first_ts));
+        let mut open: Vec<(FlowKey, FlowRecord)> =
+            self.flows.drain().map(|(k, e)| (k, e.record)).collect();
+        open.sort_unstable_by_key(|&(k, _)| k);
+        all.extend(open.into_iter().map(|(_, r)| r));
+        all.sort_by_cached_key(|r| total_order_key(r.first_ts));
+        self.due.clear();
+        self.closed.clear();
         all
     }
 
+    /// Expire every flow that is terminal or idle for more than
+    /// `idle_timeout` at `now`, emitting records in key order.
+    ///
+    /// Visits only the closed list and the heap entries that are due. Each
+    /// visit is one probe: `remove`, then `insert` back a flow that stays.
     fn sweep(&mut self, now: f64) {
         let idle = self.config.idle_timeout;
-        let mut expired: Vec<FlowKey> = self
-            .flows
-            .iter()
-            .filter(|(_, e)| {
-                now - e.record.last_ts > idle
-                    || e.tcp.as_ref().is_some_and(|t| t.state().is_terminal())
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        // Deterministic output order regardless of hash-map iteration.
-        expired.sort_by_key(|k| (k.lo, k.hi));
-        for key in expired {
-            if let Some(e) = self.flows.remove(&key) {
-                self.out.push(e.record);
+        let is_expired = |e: &FlowEntry| now - e.record.last_ts > idle || e.is_terminal();
+        let mut expired: Vec<(FlowKey, FlowRecord)> = Vec::new();
+        let mut requeue = Vec::new();
+        while let Some(&Reverse((t, key))) = self.due.peek() {
+            // Stop at `age <= idle` rather than go on while `age > idle`:
+            // a NaN age pops, not blocks the entries behind it.
+            if now - from_total_order_key(t) <= idle {
+                break;
+            }
+            self.due.pop();
+            let Some(mut entry) = self.flows.remove(&key) else {
+                continue;
+            };
+            if entry.queued == t {
+                if is_expired(&entry) {
+                    expired.push((key, entry.record));
+                    continue;
+                }
+                // Not due yet: move the entry up to the flow's real time,
+                // after the loop so one sweep pops each entry once.
+                entry.queued = total_order_key(entry.record.last_ts);
+                requeue.push(Reverse((entry.queued, key)));
+            }
+            self.flows.insert(key, entry);
+        }
+        self.due.extend(requeue);
+        for key in self.closed.drain(..) {
+            if let Some(entry) = self.flows.remove(&key) {
+                if is_expired(&entry) {
+                    expired.push((key, entry.record));
+                } else {
+                    self.flows.insert(key, entry);
+                }
             }
         }
+        // Deterministic output order regardless of hash-map iteration.
+        expired.sort_unstable_by_key(|&(k, _)| k);
+        self.out.extend(expired.into_iter().map(|(_, r)| r));
     }
 
+    /// Evict the flow with the smallest `last_ts`, ties to the smaller key.
+    ///
+    /// Every open flow's heap entry is at most its `last_ts`, so the first
+    /// popped entry that equals its flow's `last_ts` is a true minimum;
+    /// entries below that are moved up to their flow's real time.
     fn evict_stalest(&mut self) {
-        if let Some(key) = self
-            .flows
-            .iter()
-            .min_by(|a, b| a.1.record.last_ts.total_cmp(&b.1.record.last_ts))
-            .map(|(k, _)| *k)
-        {
-            if let Some(e) = self.flows.remove(&key) {
-                self.out.push(e.record);
+        while let Some(Reverse((t, key))) = self.due.pop() {
+            let Some(mut entry) = self.flows.remove(&key) else {
+                continue;
+            };
+            if entry.queued == t {
+                let last = total_order_key(entry.record.last_ts);
+                if last == t {
+                    self.out.push(entry.record);
+                    return;
+                }
+                entry.queued = last;
+                self.due.push(Reverse((last, key)));
             }
+            self.flows.insert(key, entry);
         }
     }
 }
@@ -311,6 +417,76 @@ mod tests {
         let harvested = tab.harvest();
         assert_eq!(harvested.len(), 1);
         assert_eq!(harvested[0].initiator.port, 40000, "stalest evicted first");
+    }
+
+    #[test]
+    fn scan_flood_evicts_in_age_order_without_growing_the_heap() {
+        let mut tab = FlowTable::new(FlowTableConfig {
+            max_flows: 64,
+            ..Default::default()
+        });
+        let mut harvested = Vec::new();
+        for i in 0..10_000u32 {
+            let dst = Endpoint::new(Ipv4Addr::from(0x0a01_0000 + i), 80);
+            let tuple = FiveTuple::new(ep(1, 40000), dst, Transport::Tcp);
+            tab.observe(f64::from(i) * 1e-4, tuple, 0, Some(TcpFlags::syn_only()));
+            harvested.extend(tab.harvest());
+            assert!(tab.open_flows() <= 64);
+            assert!(
+                tab.due.len() <= 2 * 64,
+                "heap holds {} entries",
+                tab.due.len()
+            );
+        }
+        assert_eq!(tab.open_flows(), 64);
+        assert_eq!(harvested.len(), 10_000 - 64);
+        for (i, r) in harvested.iter().enumerate() {
+            assert_eq!(
+                r.responder.addr,
+                Ipv4Addr::from(0x0a01_0000 + i as u32),
+                "record {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn record_order_does_not_depend_on_the_hasher() {
+        // TCP/UDP twins on shared endpoints, every packet of a burst at one
+        // time, so only the key can order same-time records.
+        let mut stream = Vec::new();
+        for burst in 0..6u16 {
+            let ts = f64::from(burst) * 40.0;
+            for host in 1..6u8 {
+                for transport in [Transport::Udp, Transport::Tcp] {
+                    let tuple = FiveTuple::new(ep(host, 5000 + burst % 2), ep(9, 53), transport);
+                    let flags = (transport == Transport::Tcp).then_some(if burst % 3 == 2 {
+                        TcpFlags(TcpFlags::RST)
+                    } else {
+                        TcpFlags::syn_only()
+                    });
+                    stream.push((ts, tuple, flags));
+                }
+            }
+        }
+        let run = || {
+            let mut tab = FlowTable::new(FlowTableConfig {
+                idle_timeout: 50.0,
+                max_flows: 12,
+                ..Default::default()
+            });
+            let mut seen = Vec::new();
+            for &(ts, tuple, flags) in &stream {
+                tab.observe(ts, tuple, 1, flags);
+                seen.push(tab.harvest());
+            }
+            seen.push(tab.drain());
+            seen
+        };
+        let first = run();
+        assert!(first.iter().map(Vec::len).sum::<usize>() > 40);
+        for _ in 0..32 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

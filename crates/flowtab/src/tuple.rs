@@ -131,12 +131,48 @@ impl core::fmt::Display for FiveTuple {
 /// Note: the *canonical* orientation (`lo`/`hi`) is a lookup artifact only;
 /// which endpoint actually initiated the flow is recorded on the flow entry
 /// from the first observed packet, not from this ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Keys order by `(lo, hi, transport)`, the order the flow table emits
+/// same-time records in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     pub(crate) lo: Endpoint,
     pub(crate) hi: Endpoint,
     /// Transport protocol.
     pub transport: Transport,
+}
+
+impl FlowKey {
+    /// The key as one integer, most significant field first:
+    /// `lo.addr | lo.port | hi.addr | hi.port | transport` in 32, 16, 32, 16
+    /// and 2 bits. Injective, and its integer order is the field order.
+    fn packed(&self) -> u128 {
+        (u128::from(u32::from(self.lo.addr)) << 66)
+            | (u128::from(self.lo.port) << 50)
+            | (u128::from(u32::from(self.hi.addr)) << 18)
+            | (u128::from(self.hi.port) << 2)
+            | self.transport as u128
+    }
+}
+
+/// Hashes the packed key in one 16-byte write; a derived impl would write
+/// each of the seven fields separately.
+impl core::hash::Hash for FlowKey {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write_u128(self.packed());
+    }
+}
+
+impl Ord for FlowKey {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        self.packed().cmp(&other.packed())
+    }
+}
+
+impl PartialOrd for FlowKey {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +213,34 @@ mod tests {
     fn display_formats() {
         let t = FiveTuple::new(ep(1, 1234), ep(2, 53), Transport::Udp);
         assert_eq!(t.to_string(), "udp 10.0.0.1:1234 -> 10.0.0.2:53");
+    }
+
+    #[test]
+    fn key_order_is_field_order() {
+        let key = |a: u8, ap: u16, b: u8, bp: u16, transport| FlowKey {
+            lo: ep(a, ap),
+            hi: ep(b, bp),
+            transport,
+        };
+        let mut keys = Vec::new();
+        for a in [1, 2, 255] {
+            for ap in [0, 80, u16::MAX] {
+                for b in [0, 3] {
+                    for bp in [1, 443] {
+                        for t in [Transport::Tcp, Transport::Udp, Transport::Icmp] {
+                            keys.push(key(a, ap, b, bp, t));
+                        }
+                    }
+                }
+            }
+        }
+        for x in &keys {
+            for y in &keys {
+                let fields = |k: &FlowKey| (k.lo, k.hi, k.transport);
+                assert_eq!(x.cmp(y), fields(x).cmp(&fields(y)), "{x:?} vs {y:?}");
+                assert_eq!(x == y, x.packed() == y.packed());
+            }
+        }
     }
 
     #[test]

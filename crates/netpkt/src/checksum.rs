@@ -4,13 +4,16 @@ use std::net::Ipv4Addr;
 
 /// Incremental ones-complement sum accumulator.
 ///
+/// Words accumulate in a `u64`, which cannot carry out before 2^48 words
+/// (512 TiB); carries fold into 16 bits only in [`Checksum::finish`].
+///
 /// Feed it byte slices (odd-length slices are handled by padding the final
 /// byte, matching the behaviour of summing the datagram as a sequence of
 /// 16-bit big-endian words) and call [`Checksum::finish`] to obtain the
 /// folded, complemented checksum field value.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
-    sum: u32,
+    sum: u64,
     /// A trailing odd byte from the previous `push`, if any.
     pending: Option<u8>,
 }
@@ -26,7 +29,7 @@ impl Checksum {
         let mut data = data;
         if let Some(hi) = self.pending.take() {
             if let Some((&lo, rest)) = data.split_first() {
-                self.sum += u32::from(u16::from_be_bytes([hi, lo]));
+                self.sum += u64::from(u16::from_be_bytes([hi, lo]));
                 data = rest;
             } else {
                 self.pending = Some(hi);
@@ -35,7 +38,7 @@ impl Checksum {
         }
         let mut chunks = data.chunks_exact(2);
         for chunk in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+            self.sum += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
         }
         if let [last] = chunks.remainder() {
             self.pending = Some(*last);
@@ -50,7 +53,7 @@ impl Checksum {
     /// Fold carries and return the complemented checksum.
     pub fn finish(mut self) -> u16 {
         if let Some(hi) = self.pending.take() {
-            self.sum += u32::from(u16::from_be_bytes([hi, 0]));
+            self.sum += u64::from(u16::from_be_bytes([hi, 0]));
         }
         let mut sum = self.sum;
         while sum >> 16 != 0 {
@@ -133,6 +136,50 @@ mod tests {
         c.push(&data[1..4]);
         c.push(&data[4..]);
         assert_eq!(c.finish(), internet_checksum(&data));
+    }
+
+    /// RFC 1071 by definition: ones-complement 16-bit additions, each
+    /// carry folded back in at once.
+    fn reference_checksum(data: &[u8]) -> u16 {
+        let mut sum: u16 = 0;
+        for chunk in data.chunks(2) {
+            let word = u16::from_be_bytes([chunk[0], chunk.get(1).copied().unwrap_or(0)]);
+            let (s, carry) = sum.overflowing_add(word);
+            sum = s + u16::from(carry);
+        }
+        !sum
+    }
+
+    #[test]
+    fn large_buffers_match_the_reference() {
+        // 0xff words overflowed a u32 accumulator after 65 538 words.
+        assert_eq!(
+            internet_checksum(&[0xff; 200_000]),
+            reference_checksum(&[0xff; 200_000])
+        );
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let data: Vec<u8> = (0..(1 << 20) + 1)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(4) {
+                    0xff
+                } else {
+                    (x >> 56) as u8
+                }
+            })
+            .collect();
+        for buf in [&data[..1 << 20], &data[..], &[0xffu8; 1 << 20][..]] {
+            let oneshot = internet_checksum(buf);
+            assert_eq!(oneshot, reference_checksum(buf), "len {}", buf.len());
+            for split in [1usize, 2, 65_535, 131_073, 1 << 19, buf.len() - 1] {
+                let mut c = Checksum::new();
+                c.push(&buf[..split]);
+                c.push(&buf[split..]);
+                assert_eq!(c.finish(), oneshot, "len {} split at {split}", buf.len());
+            }
+        }
     }
 
     #[test]
