@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the wire-ingest hot path: sanitization (the
 //! scan-first zero-copy fast path against the strip-and-rebuild slow
-//! path) and the full syslog/CEF datagram decode it front-ends.
+//! path), the agent-side syslog/CEF batch encode, and the full datagram
+//! decode the sanitizer front-ends.
 //!
 //! The interesting comparison is `sanitize/clean_*` vs `sanitize/dirty_*`:
 //! clean telemetry — the overwhelmingly common case — must cost a scan
@@ -9,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use fleetd::ingest::{decode_batch_datagram, sanitize};
+use fleetd::ingest::{decode_batch_datagram, encode_batch_datagram, sanitize};
 use fleetd::{IngestConfig, WindowBatch};
 
 const MAX_LEN: usize = 8 * 1024;
@@ -75,19 +76,48 @@ fn bench_sanitize(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decode(c: &mut Criterion) {
-    // A canonical wire datagram, exactly as the flood benchmarks in the
-    // repro `ingest` experiment produce it.
-    let batch = WindowBatch {
+/// A canonical 96-window batch, as the repro `ingest` experiment sends
+/// one per host and week slice.
+fn canonical_batch() -> WindowBatch {
+    WindowBatch {
         host: 42,
         seq: 9,
         week: fleetd::Week::Test,
         start: 96,
         counts: (0..96).map(|i| i * 7 % 97).collect(),
         poison: false,
-    };
+    }
+}
+
+fn bench_encode(c: &mut Criterion) {
+    let batch = canonical_batch();
+    let payload = encode_batch_datagram(&batch, "host042", "hids");
+    assert_eq!(payload, fleetd::ingest::oracle::encode_batch_datagram(&batch, "host042", "hids"));
+
+    let mut group = c.benchmark_group("encode");
+    group.sample_size(60);
+    group.throughput(Throughput::Bytes(payload.len() as u64));
+    group.bench_function("batch_datagram_96", |b| {
+        b.iter(|| black_box(encode_batch_datagram(black_box(&batch), "host042", "hids")))
+    });
+    group.bench_function("oracle_format_96", |b| {
+        b.iter(|| {
+            black_box(fleetd::ingest::oracle::encode_batch_datagram(
+                black_box(&batch),
+                "host042",
+                "hids",
+            ))
+        })
+    });
+    group.finish();
+}
+
+fn bench_decode(c: &mut Criterion) {
+    // A canonical wire datagram, exactly as the flood benchmarks in the
+    // repro `ingest` experiment produce it.
+    let batch = canonical_batch();
     let config = IngestConfig::default();
-    let payload = fleetd::ingest::encode_batch_datagram(&batch, "host042", "hids");
+    let payload = encode_batch_datagram(&batch, "host042", "hids");
     assert!(decode_batch_datagram(&payload, &config).is_ok());
 
     let mut group = c.benchmark_group("decode");
@@ -99,5 +129,5 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sanitize, bench_decode);
+criterion_group!(benches, bench_sanitize, bench_encode, bench_decode);
 criterion_main!(benches);

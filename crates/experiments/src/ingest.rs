@@ -25,6 +25,7 @@
 //! in inconsistent letter case — through real RFC 1035 messages, and the
 //! distinct-contacts counts must reflect case-folded names.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use faultsim::{DatagramFaultLog, DatagramFaults};
@@ -170,6 +171,7 @@ pub fn run(dir: &Path, corpus: &Corpus, scenario: &IngestScenario) -> Result<Ing
     // synthetic batch, in the same round-robin order as the synthetic
     // path. A flooding host spends its slot spraying junk first, so its
     // own real batch meets an empty bucket.
+    let mut hostname = String::new();
     for (slot, b) in batches.iter().enumerate() {
         let tick = slot as u64;
         if b.week == Week::Test && scenario.flood_hosts.contains(&b.host) {
@@ -178,7 +180,9 @@ pub fn run(dir: &Path, corpus: &Corpus, scenario: &IngestScenario) -> Result<Ing
                 ingestor.ingest(tick, b.host, Lane::Syslog, junk.as_bytes());
             }
         }
-        let wire = encode_batch_datagram(b, &format!("host{:04}", b.host), "hids-agent");
+        hostname.clear();
+        let _ = write!(hostname, "host{:04}", b.host);
+        let wire = encode_batch_datagram(b, &hostname, "hids-agent");
         for copy in faults.apply(&wire, scenario.seed, slot as u64, &mut fault_log) {
             if let IngestOutcome::Batch(decoded) =
                 ingestor.ingest(tick, b.host, Lane::Syslog, &copy)

@@ -1083,40 +1083,83 @@ pub fn decode_batch_datagram(
 // Encoders (the honest agent's side, used by harnesses and tests)
 // ---------------------------------------------------------------------------
 
-/// Escape a CEF header field: `\` → `\\`, `|` → `\|`.
-pub fn escape_cef_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if c == '\\' || c == '|' {
-            out.push('\\');
+/// Longest decimal spelling of a `u64` (`u64::MAX` has 20 digits).
+const U64_DIGITS: usize = 20;
+
+/// Append `n` in decimal, formatted in a stack buffer.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; U64_DIGITS];
+    let mut i = U64_DIGITS;
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        out.push(c);
     }
-    out
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Append a syslog HOSTNAME/APP-NAME field, CEF-escaped (`\` → `\\`,
+/// `|` → `\|`) and space-folded (`' '` → `-`) in one byte pass. Exact on
+/// UTF-8: multi-byte sequences never contain an ASCII byte. An empty
+/// field is RFC 5424's NILVALUE `-`.
+fn push_envelope_field(out: &mut Vec<u8>, field: &str) {
+    if field.is_empty() {
+        out.push(b'-');
+        return;
+    }
+    for &b in field.as_bytes() {
+        match b {
+            b'\\' | b'|' => out.extend_from_slice(&[b'\\', b]),
+            b' ' => out.push(b'-'),
+            _ => out.push(b),
+        }
+    }
 }
 
 /// Encode a [`WindowBatch`] as the syslog/CEF datagram an agent would
 /// send. Round-trips exactly: `decode_batch_datagram(&encode_batch_datagram(b,
 /// ..), &config) == Ok(b)` for any valid batch within config bounds.
+///
+/// Writes straight into one buffer sized for the worst case, so a batch
+/// costs one allocation; [`oracle::encode_batch_datagram`] is the
+/// `format!` spelling it must match byte for byte.
 pub fn encode_batch_datagram(batch: &WindowBatch, hostname: &str, app: &str) -> Vec<u8> {
-    let counts = batch
-        .counts
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let week = match batch.week {
-        Week::Train => "train",
-        Week::Test => "test",
-    };
-    let poison = if batch.poison { " poison=1" } else { "" };
-    format!(
-        "<134>1 - {} {} - - - CEF:0|hids|fleetd|1|batch|window batch|3|host={} seq={} week={} start={} counts={}{}",
-        escape_cef_field(hostname).replace(' ', "-"),
-        escape_cef_field(app).replace(' ', "-"),
-        batch.host, batch.seq, week, batch.start, counts, poison,
-    )
-    .into_bytes()
+    const ENVELOPE: &[u8] = b"<134>1 - ";
+    const CEF_HEADER: &[u8] = b" - - - CEF:0|hids|fleetd|1|batch|window batch|3|host=";
+    // 103 bytes of fixed text (with ` poison=1`), two NILVALUEs at most,
+    // 40 digits of host/seq/start, then every count at its widest plus
+    // its separator.
+    let capacity = 145
+        + 2 * (hostname.len() + app.len())
+        + batch.counts.len().saturating_mul(U64_DIGITS + 1);
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(ENVELOPE);
+    push_envelope_field(&mut out, hostname);
+    out.push(b' ');
+    push_envelope_field(&mut out, app);
+    out.extend_from_slice(CEF_HEADER);
+    push_u64(&mut out, u64::from(batch.host));
+    out.extend_from_slice(b" seq=");
+    push_u64(&mut out, batch.seq);
+    out.extend_from_slice(match batch.week {
+        Week::Train => b" week=train start=",
+        Week::Test => b" week=test start=",
+    });
+    push_u64(&mut out, u64::from(batch.start));
+    out.extend_from_slice(b" counts=");
+    for (i, &c) in batch.counts.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(&mut out, c);
+    }
+    if batch.poison {
+        out.extend_from_slice(b" poison=1");
+    }
+    out
 }
 
 /// Encode a DNS A query for `name` as a wire-format RFC 1035 message —
@@ -1310,6 +1353,44 @@ pub mod oracle {
         None
     }
 
+    /// Escape a CEF header field: `\` → `\\`, `|` → `\|`.
+    pub fn escape_cef_field(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            if c == '\\' || c == '|' {
+                out.push('\\');
+            }
+            out.push(c);
+        }
+        out
+    }
+
+    /// The `format!`/`join` spelling of [`super::encode_batch_datagram`]:
+    /// one `String` per count, joined, then escape and space-fold copies
+    /// of each envelope field. The empty-field NILVALUE fix is semantic
+    /// and applies to both sides.
+    pub fn encode_batch_datagram(batch: &WindowBatch, hostname: &str, app: &str) -> Vec<u8> {
+        let nil_if_empty = |field: String| if field.is_empty() { "-".to_string() } else { field };
+        let counts = batch
+            .counts
+            .iter()
+            .map(|c| c.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        let week = match batch.week {
+            Week::Train => "train",
+            Week::Test => "test",
+        };
+        let poison = if batch.poison { " poison=1" } else { "" };
+        format!(
+            "<134>1 - {} {} - - - CEF:0|hids|fleetd|1|batch|window batch|3|host={} seq={} week={} start={} counts={}{}",
+            nil_if_empty(escape_cef_field(hostname).replace(' ', "-")),
+            nil_if_empty(escape_cef_field(app).replace(' ', "-")),
+            batch.host, batch.seq, week, batch.start, counts, poison,
+        )
+        .into_bytes()
+    }
+
     /// Scalar check-then-`parse` number parse (the pre-SWAR
     /// [`super::parse_u64`]/[`super::parse_u32`]).
     pub fn parse_num<T: core::str::FromStr>(s: &str) -> Result<T, DecodeError> {
@@ -1339,11 +1420,16 @@ mod tests {
         }
     }
 
+    /// Empty envelope fields travel as the NILVALUE `-`; an empty
+    /// syslog field would be `Syslog/Malformed`.
     #[test]
     fn batch_datagram_round_trips() {
         let b = sample_batch();
-        let wire = encode_batch_datagram(&b, "host042", "hids-agent");
-        assert_eq!(decode_batch_datagram(&wire, &cfg()), Ok(b));
+        for (host, app) in [("host042", "hids-agent"), ("", "app"), ("h", ""), ("", "")] {
+            let wire = encode_batch_datagram(&b, host, app);
+            assert_eq!(decode_batch_datagram(&wire, &cfg()), Ok(b.clone()), "{host:?} {app:?}");
+        }
+        assert!(encode_batch_datagram(&b, "", "").starts_with(b"<134>1 - - - - - - CEF:0|"));
     }
 
     #[test]
@@ -1423,8 +1509,8 @@ mod tests {
     fn cef_escaping_round_trips_header_fields() {
         let msg = format!(
             "CEF:0|{}|p|1|sig|{}|3|host=1 seq=1 week=train start=0 counts=1",
-            escape_cef_field("acme|corp"),
-            escape_cef_field("pipes \\ and | bars"),
+            oracle::escape_cef_field("acme|corp"),
+            oracle::escape_cef_field("pipes \\ and | bars"),
         );
         let ev = parse_cef(&msg, 256, 4096, 64).unwrap();
         assert_eq!(ev.vendor, "acme|corp");

@@ -92,13 +92,19 @@ impl<W: Write> PcapWriter<W> {
 
     /// Append one packet record.
     pub fn write_packet(&mut self, pkt: &PcapPacket) -> io::Result<()> {
-        let len = u32::try_from(pkt.data.len())
+        self.write_record(pkt.ts_sec, pkt.ts_usec, &pkt.data)
+    }
+
+    /// Append one packet record from borrowed frame bytes, so a caller
+    /// holding the frame elsewhere need not copy it into a [`PcapPacket`].
+    pub fn write_record(&mut self, ts_sec: u32, ts_usec: u32, data: &[u8]) -> io::Result<()> {
+        let len = u32::try_from(data.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "packet too large"))?;
-        self.sink.write_all(&pkt.ts_sec.to_le_bytes())?;
-        self.sink.write_all(&pkt.ts_usec.to_le_bytes())?;
+        self.sink.write_all(&ts_sec.to_le_bytes())?;
+        self.sink.write_all(&ts_usec.to_le_bytes())?;
         self.sink.write_all(&len.to_le_bytes())?; // incl_len
         self.sink.write_all(&len.to_le_bytes())?; // orig_len
-        self.sink.write_all(&pkt.data)?;
+        self.sink.write_all(data)?;
         self.packets_written += 1;
         Ok(())
     }
@@ -524,6 +530,19 @@ mod tests {
         assert_eq!(r.snaplen(), 65535);
         let read: Vec<PcapPacket> = (&mut r).map(|p| p.unwrap()).collect();
         assert_eq!(read, packets);
+    }
+
+    #[test]
+    fn write_record_matches_write_packet() {
+        let packets = sample_packets();
+        let mut owned = PcapWriter::new(Vec::new(), LinkType::Ethernet).unwrap();
+        let mut borrowed = PcapWriter::new(Vec::new(), LinkType::Ethernet).unwrap();
+        for p in &packets {
+            owned.write_packet(p).unwrap();
+            borrowed.write_record(p.ts_sec, p.ts_usec, &p.data).unwrap();
+        }
+        assert_eq!(borrowed.packets_written(), owned.packets_written());
+        assert_eq!(borrowed.finish().unwrap(), owned.finish().unwrap());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::io::{self, Write};
 
 use flowtab::Windowing;
-use netpkt::{LinkType, PcapPacket, PcapWriter};
+use netpkt::{LinkType, PcapWriter};
 
 use crate::counts::user_week_series_trended;
 use crate::profile::{stream_rng, UserProfile};
@@ -69,11 +69,7 @@ pub fn export_user_windows<W: Write>(
         stats.flows += flows.len() as u64;
         let frames = render_flows_to_frames(&flows, &mut rng);
         for f in &frames {
-            writer.write_packet(&PcapPacket {
-                ts_sec: f.ts as u32,
-                ts_usec: (f.ts.fract() * 1e6) as u32,
-                data: f.frame.clone(),
-            })?;
+            writer.write_record(f.ts as u32, (f.ts.fract() * 1e6) as u32, &f.frame)?;
         }
         stats.frames += frames.len() as u64;
     }

@@ -340,9 +340,13 @@ proptest! {
         prop_assert_eq!(sanitize(&once, max_len), once);
     }
 
-    /// Every well-formed batch survives the wire round-trip exactly.
+    /// Every well-formed batch survives the wire round-trip exactly,
+    /// under any hostname and app-name the sanitizer keeps, the empty
+    /// ones (sent as the NILVALUE `-`) included.
     #[test]
     fn batch_roundtrips_through_wire_encoding(
+        hostname in "[a-zA-Z0-9 .=|\\\\é世-]{0,64}",
+        app in "[a-zA-Z0-9 .=|\\\\é世-]{0,64}",
         host in 0u32..100_000,
         seq in 1u64..1_000_000,
         test_week in any::<bool>(),
@@ -358,7 +362,7 @@ proptest! {
             counts,
             poison,
         };
-        let wire = encode_batch_datagram(&batch, "hostX", "hids-agent");
+        let wire = encode_batch_datagram(&batch, &hostname, &app);
         let decoded = decode_batch_datagram(&wire, &IngestConfig::default());
         prop_assert_eq!(decoded.as_ref().ok(), Some(&batch));
     }
@@ -379,6 +383,45 @@ proptest! {
 /// brackets, terminators, controls, DEL, a C1, and multi-byte chars.
 const SANITIZER_HOSTILE: &str = "[\u{0}-\u{9f}\u{1b}\u{1b}\u{1b}\u{7}\u{7}\
      \\[\\[\\]\\]\\\\09AZaz;=|\u{7f}\u{9b}\u{e9}\u{4e16}]{0,64}";
+
+/// Envelope fields weighted toward what the encoder rewrites (`\`, `|`,
+/// space) and what it must pass through (`=`, C0 controls, multi-byte
+/// chars), empty included.
+const ENVELOPE_HOSTILE: &str = "[\\\\\\\\\\\\||||    ==\u{0}\u{9}\u{a}\u{1b}\u{1f}\
+     aZ09\u{e9}\u{4e16}\u{1f600}]{0,32}";
+
+/// Count vectors for the encoder differential. Any length in
+/// `1..=MAX_BATCH_WINDOWS` can be drawn and the bound itself is drawn
+/// often, but most cases stay short so the suite runs in seconds. Values
+/// mix `0`, `u64::MAX`, small counts and full-width ones, from a
+/// splitmix stream so a million-count vector costs no strategy calls.
+fn wire_counts() -> impl Strategy<Value = Vec<u64>> {
+    let max = fleetd::codec::MAX_BATCH_WINDOWS as usize;
+    (0u32..64, 1usize..=128, 1usize..=max, any::<u64>()).prop_map(
+        move |(pick, short, long, mut state)| {
+            let len = match pick {
+                0 => max,
+                1 => long,
+                _ => short,
+            };
+            (0..len)
+                .map(|_| {
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^= z >> 31;
+                    match z % 4 {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => z % 1000,
+                        _ => z,
+                    }
+                })
+                .collect()
+        },
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -415,6 +458,44 @@ proptest! {
         prop_assert_eq!(
             matches!(fast, std::borrow::Cow::Borrowed(_)),
             matches!(slow, std::borrow::Cow::Borrowed(_))
+        );
+    }
+
+    /// The one-buffer batch encoder ≡ its `format!`/`join` oracle, byte
+    /// for byte: counts at both extremes, both weeks, `poison` both ways,
+    /// and envelope fields full of escapes, spaces, controls and
+    /// multi-byte chars.
+    #[test]
+    fn batch_encoder_matches_format_oracle(
+        hostname in ENVELOPE_HOSTILE,
+        app in ENVELOPE_HOSTILE,
+        host in any::<u32>(),
+        seq in any::<u64>(),
+        test_week in any::<bool>(),
+        start in any::<u32>(),
+        counts in wire_counts(),
+        poison in any::<bool>(),
+    ) {
+        let batch = WindowBatch {
+            host,
+            seq,
+            week: if test_week { Week::Test } else { Week::Train },
+            start,
+            counts,
+            poison,
+        };
+        let fast = encode_batch_datagram(&batch, &hostname, &app);
+        let slow = fleetd::ingest::oracle::encode_batch_datagram(&batch, &hostname, &app);
+        // Report the first divergence, not two datagrams that may each
+        // run to megabytes.
+        let at = fast.iter().zip(&slow).take_while(|(a, b)| a == b).count();
+        let near = |v: &[u8]| {
+            String::from_utf8_lossy(&v[at.saturating_sub(24)..v.len().min(at + 24)]).into_owned()
+        };
+        prop_assert!(
+            fast == slow,
+            "encoders diverge at byte {} ({} vs {} bytes): {:?} vs {:?}",
+            at, fast.len(), slow.len(), near(&fast), near(&slow)
         );
     }
 
