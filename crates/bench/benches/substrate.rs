@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use flowtab::{
-    extract_features, Endpoint, FeatureCounts, FeatureKind, FiveTuple, FlowExtractor, FlowTable,
-    FlowTableConfig, Transport, Windowing,
+    extract_features, Endpoint, FeatureCounts, FeatureKind, FiveTuple, FlowExtractor, FlowRecord,
+    FlowTable, FlowTableConfig, Transport, Windowing,
 };
 use hids_core::{AttackSweep, RocCurve, SweepTable, ThresholdHeuristic};
 use netpkt::testutil::{build_tcp_frame, FrameSpec};
@@ -17,6 +17,7 @@ use synthgen::{
     render_flows_to_frames, render_window_flows, user_week_series, Population, PopulationConfig,
     TimedFrame, UserProfile, WeekPlan,
 };
+use synthgen::render::oracle;
 use tailstats::EmpiricalDist;
 
 fn packet_layer(c: &mut Criterion) {
@@ -79,6 +80,44 @@ fn busy_window() -> (UserProfile, usize, FeatureCounts) {
         .map(|(i, c)| (i, *c))
         .unwrap();
     (profile, w_idx, counts)
+}
+
+/// A window of about 4000 frames (400 TCP flows with 80 retransmitted
+/// SYNs, 300 UDP and 250 DNS flows), rendered to flows once; returns the
+/// flows and the RNG state the frame renderer starts from.
+fn frames_window() -> (Vec<FlowRecord>, StdRng) {
+    let (profile, w_idx, _) = busy_window();
+    let mut counts = FeatureCounts::default();
+    for (kind, n) in [
+        (FeatureKind::TcpConnections, 400),
+        (FeatureKind::TcpSyn, 480),
+        (FeatureKind::HttpConnections, 150),
+        (FeatureKind::UdpConnections, 300),
+        (FeatureKind::DnsConnections, 250),
+        (FeatureKind::DistinctConnections, 300),
+    ] {
+        *counts.get_mut(kind) = n;
+    }
+    let mut rng = StdRng::seed_from_u64(13);
+    let flows = render_window_flows(&profile, &counts, w_idx, Windowing::FIFTEEN_MIN, &mut rng);
+    (flows, rng)
+}
+
+/// The frame renderer, templated against its from-scratch oracle, over one
+/// window from the same RNG state.
+fn render_layer(c: &mut Criterion) {
+    let (flows, rng) = frames_window();
+    let frames = render_flows_to_frames(&flows, &mut rng.clone()).len();
+    let mut group = c.benchmark_group("render");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(frames as u64));
+    group.bench_function("frames_window", |b| {
+        b.iter(|| black_box(render_flows_to_frames(&flows, &mut rng.clone()).len()))
+    });
+    group.bench_function("oracle_frames_window", |b| {
+        b.iter(|| black_box(oracle::render_flows_to_frames(&flows, &mut rng.clone()).len()))
+    });
+    group.finish();
 }
 
 /// One packet as the flow table takes it.
@@ -148,8 +187,23 @@ fn flow_layer(c: &mut Criterion) {
     );
     let udp_packets = observations(&render_flows_to_frames(&udp_flows, &mut rng));
 
+    let (window_flows, mut window_rng) = frames_window();
+    let window_frames = render_flows_to_frames(&window_flows, &mut window_rng);
+
     let mut group = c.benchmark_group("flowtab");
     group.sample_size(20);
+    // Parse and flow table together, per frame, as the packet path runs
+    // them on one rendered window.
+    group.throughput(Throughput::Elements(window_frames.len() as u64));
+    group.bench_function("observe", |b| {
+        b.iter(|| {
+            let mut ex = FlowExtractor::new(FlowTableConfig::default());
+            for f in &window_frames {
+                let _ = ex.push_frame(f.ts, &f.frame);
+            }
+            black_box(ex.finish().len())
+        })
+    });
     group.throughput(Throughput::Elements(frames.len() as u64));
     group.bench_function("extract_flows_from_frames", |b| {
         b.iter(|| {
@@ -344,6 +398,7 @@ fn sweep_kernel_layer(c: &mut Criterion) {
 criterion_group!(
     benches,
     packet_layer,
+    render_layer,
     flow_layer,
     stats_layer,
     generator_layer,

@@ -189,24 +189,24 @@ fn run_capture_stage(plan: &FaultPlan, frames: usize) -> CaptureStage {
         frames_rejected: 0,
         reader_rejected: false,
     };
-    let reader = match LossyPcapReader::new(&corrupt) {
+    let mut reader = match LossyPcapReader::new(&corrupt) {
         Ok(r) => r,
         Err(_) => {
             stage.reader_rejected = true;
             return stage;
         }
     };
-    let (packets, loss) = reader.read_all();
-    stage.records_ok = loss.records_ok;
-    stage.records_skipped = loss.records_skipped;
-    stage.bytes_skipped = loss.bytes_skipped;
     let mut ex = FlowExtractor::new(FlowTableConfig::default());
-    for pkt in &packets {
-        match ex.push_pcap(pkt) {
+    while let Some(rec) = reader.next_record() {
+        match ex.push_frame(rec.timestamp(), rec.data) {
             Ok(()) => stage.frames_decoded += 1,
             Err(_) => stage.frames_rejected += 1,
         }
     }
+    let loss = reader.stats();
+    stage.records_ok = loss.records_ok;
+    stage.records_skipped = loss.records_skipped;
+    stage.bytes_skipped = loss.bytes_skipped;
     stage
 }
 

@@ -37,7 +37,7 @@ use hids_core::{
     eval::evaluate_policy, EvalConfig, FeatureDataset, Grouping, PartialMethod, Policy,
     ThresholdHeuristic,
 };
-use netpkt::{LossyPcapReader, PcapPacket};
+use netpkt::LossyPcapReader;
 use synthgen::{export_user_windows, user_week_series_trended, Population, PopulationConfig};
 
 use crate::report::{fnum, Table};
@@ -160,13 +160,18 @@ const DIRTY_HOSTNAME: &str = "\u{1b}[31mhost-\u{1b}]0;owned\u{7}pipeline\u{7f}";
 /// the window its flows start in. The renderer reuses source ports and
 /// destinations in every window; one table spanning the capture would
 /// merge a flow late in one window with a same-5-tuple flow early in the
-/// next. Returns the flow records and the count of rejected frames.
-fn extract_per_window(packets: &[PcapPacket], windowing: Windowing) -> (Vec<FlowRecord>, u64) {
+/// next. Walks the capture's records in place, without copying them.
+/// Returns the flow records and the count of rejected frames.
+fn extract_per_window(
+    reader: &mut LossyPcapReader<'_>,
+    windowing: Windowing,
+) -> (Vec<FlowRecord>, u64) {
     let mut records = Vec::new();
     let mut rejected = 0;
     let mut current: Option<(usize, FlowExtractor)> = None;
-    for pkt in packets {
-        let w = windowing.window_of(pkt.timestamp());
+    while let Some(rec) = reader.next_record() {
+        let ts = rec.timestamp();
+        let w = windowing.window_of(ts);
         if current.as_ref().map(|(cw, _)| *cw) != Some(w) {
             if let Some((_, ex)) = current.take() {
                 records.extend(ex.finish());
@@ -174,7 +179,7 @@ fn extract_per_window(packets: &[PcapPacket], windowing: Windowing) -> (Vec<Flow
             current = Some((w, FlowExtractor::new(FlowTableConfig::default())));
         }
         if let Some((_, ex)) = current.as_mut() {
-            if ex.push_pcap(pkt).is_err() {
+            if ex.push_frame(ts, rec.data).is_err() {
                 rejected += 1;
             }
         }
@@ -244,12 +249,12 @@ pub fn run(scenario: &PipelineScenario) -> Result<PipelineReport, String> {
 
             // Stage 2: read it back through the fault-tolerant reader.
             let t = Instant::now();
-            let reader = LossyPcapReader::new(&capture)
+            let mut reader = LossyPcapReader::new(&capture)
                 .map_err(|e| format!("user {u} week {week}: pcap header: {e}"))?;
-            let (packets, loss) = reader.read_all();
+            let (records, rejected) = extract_per_window(&mut reader, windowing);
+            let loss = reader.stats();
             report.records_ok += loss.records_ok;
             report.records_skipped += loss.records_skipped;
-            let (records, rejected) = extract_per_window(&packets, windowing);
             report.frames_rejected += rejected;
             report.secs.capture += t.elapsed().as_secs_f64();
 

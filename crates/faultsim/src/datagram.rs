@@ -14,6 +14,8 @@
 //! daemon dedups by `seq`); reordering belongs to [`crate::batchfault`],
 //! which attacks the console's resequencing path instead.
 
+use std::borrow::Cow;
+
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::Serialize;
 
@@ -67,31 +69,39 @@ impl DatagramFaults {
 
     /// Fault datagram number `index` of the stream seeded by `seed`.
     /// Returns the 0, 1 or 2 copies that actually arrive (duplicates are
-    /// byte-identical to their faulted original) and updates `log`.
+    /// byte-identical to their faulted original) and updates `log`. A copy
+    /// no fault touched borrows `payload`; only a corrupted or truncated
+    /// one is a new buffer.
     ///
     /// Determinism contract: the outcome depends only on
     /// `(self, seed, index, payload)` — never on other datagrams.
-    pub fn apply(&self, payload: &[u8], seed: u64, index: u64, log: &mut DatagramFaultLog) -> Vec<Vec<u8>> {
+    pub fn apply<'a>(
+        &self,
+        payload: &'a [u8],
+        seed: u64,
+        index: u64,
+        log: &mut DatagramFaultLog,
+    ) -> Vec<Cow<'a, [u8]>> {
         log.offered += 1;
         if self.is_none() {
             log.delivered += 1;
-            return vec![payload.to_vec()];
+            return vec![Cow::Borrowed(payload)];
         }
         let mut rng = StdRng::seed_from_u64(subseed(seed, index.wrapping_add(0xDA7A)));
         if self.drop_rate > 0.0 && rng.random_bool(self.drop_rate) {
             log.dropped += 1;
             return Vec::new();
         }
-        let mut out = payload.to_vec();
+        let mut out = Cow::Borrowed(payload);
         if self.corrupt_rate > 0.0 && !out.is_empty() && rng.random_bool(self.corrupt_rate) {
             let pos = rng.random_range(0..out.len());
             let bit: u8 = rng.random_range(0u8..8);
-            out[pos] ^= 1 << bit;
+            out.to_mut()[pos] ^= 1 << bit;
             log.corrupted += 1;
         }
         if self.truncate_rate > 0.0 && out.len() > 1 && rng.random_bool(self.truncate_rate) {
             let cut = rng.random_range(1..out.len());
-            out.truncate(cut);
+            out.to_mut().truncate(cut);
             log.truncated += 1;
         }
         log.delivered += 1;
@@ -130,7 +140,8 @@ mod tests {
         let mut arrived = Vec::new();
         for i in 0..400u64 {
             let payload = vec![i as u8; 40 + (i % 17) as usize];
-            arrived.extend(faults.apply(&payload, seed, i, &mut log));
+            let copies = faults.apply(&payload, seed, i, &mut log);
+            arrived.extend(copies.into_iter().map(Cow::into_owned));
         }
         (arrived, log)
     }
@@ -189,9 +200,31 @@ mod tests {
         let copies = faults.apply(b"payload", 3, 0, &mut log);
         assert_eq!(copies.len(), 2);
         assert_eq!(copies[0], copies[1]);
-        assert_eq!(copies[0], b"payload");
+        assert_eq!(&*copies[0], b"payload");
         assert_eq!(log.offered, 1);
         assert_eq!(log.delivered, 2);
+    }
+
+    #[test]
+    fn untouched_copies_borrow_the_payload() {
+        let payload = b"clean wire".to_vec();
+        let mut log = DatagramFaultLog::default();
+        let dup_only = DatagramFaults {
+            dup_rate: 1.0,
+            ..DatagramFaults::none()
+        };
+        for faults in [DatagramFaults::none(), dup_only] {
+            for copy in faults.apply(&payload, 3, 0, &mut log) {
+                assert!(matches!(copy, Cow::Borrowed(b) if b.as_ptr() == payload.as_ptr()));
+            }
+        }
+        let corrupt = DatagramFaults {
+            corrupt_rate: 1.0,
+            ..DatagramFaults::none()
+        };
+        let copies = corrupt.apply(&payload, 3, 0, &mut log);
+        assert!(matches!(copies[..], [Cow::Owned(_)]));
+        assert_ne!(&*copies[0], &payload[..]);
     }
 
     #[test]

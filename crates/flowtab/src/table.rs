@@ -5,8 +5,9 @@
 //! from a min-heap on last-packet time (DESIGN.md §3, "Flow table").
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use crate::conn::TcpTracker;
 use crate::record::{from_total_order_key, total_order_key, AppProtocol, FlowRecord};
@@ -88,6 +89,63 @@ impl FlowEntry {
     }
 }
 
+/// The table's hasher: a keyed folded multiply, in the style of foldhash.
+///
+/// Flow keys come from observed traffic, which an attacker can choose, so
+/// the hash stays keyed: each table draws fresh keys from [`RandomState`],
+/// and without them the collisions cannot be planned. [`FlowKey`] hashes
+/// as one `write_u128`, which costs one 64×64→128-bit multiply, plus one
+/// more in `finish` to spread the low bits into the high ones.
+#[derive(Debug, Clone, Copy)]
+struct FoldHashKeys([u64; 3]);
+
+impl FoldHashKeys {
+    fn fresh() -> Self {
+        let state = RandomState::new();
+        Self([0u64, 1, 2].map(|i| state.hash_one(i)))
+    }
+}
+
+impl BuildHasher for FoldHashKeys {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            acc: self.0[0],
+            keys: [self.0[1], self.0[2]],
+        }
+    }
+}
+
+struct FoldHasher {
+    acc: u64,
+    keys: [u64; 2],
+}
+
+/// The 128-bit product of `a` and `b`, its halves folded by xor.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = u128::from(a) * u128::from(b);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+impl Hasher for FoldHasher {
+    fn write_u128(&mut self, x: u128) {
+        self.acc = folded_multiply(x as u64 ^ self.acc, (x >> 64) as u64 ^ self.keys[0]);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(16) {
+            let mut word = [0u8; 16];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u128(u128::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        folded_multiply(self.acc, self.keys[1])
+    }
+}
+
 /// Groups directed packets into bidirectional flows.
 ///
 /// Call [`FlowTable::observe`] per packet (in timestamp order), harvesting
@@ -95,7 +153,7 @@ impl FlowEntry {
 #[derive(Debug)]
 pub struct FlowTable {
     config: FlowTableConfig,
-    flows: HashMap<FlowKey, FlowEntry>,
+    flows: HashMap<FlowKey, FlowEntry, FoldHashKeys>,
     /// Min-heap of `(time key, flow key)`. Every open flow has the entry
     /// its `queued` names; other entries are stale and skipped when popped.
     due: BinaryHeap<Reverse<(i64, FlowKey)>>,
@@ -105,18 +163,28 @@ pub struct FlowTable {
     /// Completed records not yet harvested.
     out: Vec<FlowRecord>,
     last_sweep: f64,
+    /// Sweep scratch, empty between sweeps: flows expired this sweep, and
+    /// heap entries to push back once the sweep's pops are done.
+    expired: Vec<(FlowKey, FlowRecord)>,
+    requeue: Vec<Reverse<(i64, FlowKey)>>,
 }
 
 impl FlowTable {
     /// Create an empty table.
     pub fn new(config: FlowTableConfig) -> Self {
+        Self::with_keys(config, FoldHashKeys::fresh())
+    }
+
+    fn with_keys(config: FlowTableConfig, keys: FoldHashKeys) -> Self {
         Self {
             config,
-            flows: HashMap::new(),
+            flows: HashMap::with_hasher(keys),
             due: BinaryHeap::new(),
             closed: Vec::new(),
             out: Vec::new(),
             last_sweep: 0.0,
+            expired: Vec::new(),
+            requeue: Vec::new(),
         }
     }
 
@@ -251,8 +319,6 @@ impl FlowTable {
     fn sweep(&mut self, now: f64) {
         let idle = self.config.idle_timeout;
         let is_expired = |e: &FlowEntry| now - e.record.last_ts > idle || e.is_terminal();
-        let mut expired: Vec<(FlowKey, FlowRecord)> = Vec::new();
-        let mut requeue = Vec::new();
         while let Some(&Reverse((t, key))) = self.due.peek() {
             // Stop at `age <= idle` rather than go on while `age > idle`:
             // a NaN age pops, not blocks the entries behind it.
@@ -265,29 +331,29 @@ impl FlowTable {
             };
             if entry.queued == t {
                 if is_expired(&entry) {
-                    expired.push((key, entry.record));
+                    self.expired.push((key, entry.record));
                     continue;
                 }
                 // Not due yet: move the entry up to the flow's real time,
                 // after the loop so one sweep pops each entry once.
                 entry.queued = total_order_key(entry.record.last_ts);
-                requeue.push(Reverse((entry.queued, key)));
+                self.requeue.push(Reverse((entry.queued, key)));
             }
             self.flows.insert(key, entry);
         }
-        self.due.extend(requeue);
+        self.due.extend(self.requeue.drain(..));
         for key in self.closed.drain(..) {
             if let Some(entry) = self.flows.remove(&key) {
                 if is_expired(&entry) {
-                    expired.push((key, entry.record));
+                    self.expired.push((key, entry.record));
                 } else {
                     self.flows.insert(key, entry);
                 }
             }
         }
         // Deterministic output order regardless of hash-map iteration.
-        expired.sort_unstable_by_key(|&(k, _)| k);
-        self.out.extend(expired.into_iter().map(|(_, r)| r));
+        self.expired.sort_unstable_by_key(|&(k, _)| k);
+        self.out.extend(self.expired.drain(..).map(|(_, r)| r));
     }
 
     /// Evict the flow with the smallest `last_ts`, ties to the smaller key.
@@ -486,6 +552,69 @@ mod tests {
         assert!(first.iter().map(Vec::len).sum::<usize>() > 40);
         for _ in 0..32 {
             assert_eq!(run(), first);
+        }
+    }
+
+    /// A scan flood past a 64-flow cap, with sweeps: SYNs to fresh
+    /// destinations, every third one answered by a reset.
+    fn scan_flood_records(keys: FoldHashKeys) -> Vec<Vec<FlowRecord>> {
+        let config = FlowTableConfig {
+            max_flows: 64,
+            idle_timeout: 0.5,
+            ..Default::default()
+        };
+        let mut tab = FlowTable::with_keys(config, keys);
+        let mut seen = Vec::new();
+        for i in 0..4_000u32 {
+            let dst = Endpoint::new(Ipv4Addr::from(0x0a01_0000 + i % 1_500), 80 + (i % 7) as u16);
+            let tuple = FiveTuple::new(ep(1, 40000 + (i % 3) as u16), dst, Transport::Tcp);
+            let ts = f64::from(i) * 2e-3;
+            tab.observe(ts, tuple, 0, Some(TcpFlags::syn_only()));
+            if i % 3 == 0 {
+                tab.observe(ts, tuple.reversed(), 0, Some(TcpFlags(TcpFlags::RST)));
+            }
+            seen.push(tab.harvest());
+        }
+        seen.push(tab.drain());
+        seen
+    }
+
+    #[test]
+    fn records_match_under_fresh_and_degenerate_keys() {
+        // All-zero keys hash every flow key to 0: one probe chain.
+        let fixed = scan_flood_records(FoldHashKeys([0; 3]));
+        assert!(fixed.iter().map(Vec::len).sum::<usize>() > 3_000);
+        for _ in 0..4 {
+            assert_eq!(scan_flood_records(FoldHashKeys::fresh()), fixed);
+        }
+    }
+
+    #[test]
+    fn keys_that_collide_under_a_known_key_spread_under_a_fresh_one() {
+        // Keys differing only in `lo.addr` share their low 64-bit half. A
+        // key whose first word is that half zeroes the folded multiply, so
+        // all 4096 hash alike: what an attacker who knew the key could do.
+        let key = |i: u32| FlowKey {
+            lo: Endpoint::new(Ipv4Addr::from(0x0a00_0000 + i), 40000),
+            hi: ep(9, 443),
+            transport: Transport::Tcp,
+        };
+        let hash = |keys: &FoldHashKeys, i| keys.hash_one(key(i));
+        let known = FoldHashKeys([key(0).packed() as u64, 0x5eed, 0xc0ffee]);
+        assert!((1..4096).all(|i| hash(&known, i) == hash(&known, 0)));
+        // Under fresh keys: 4096 keys over 512 buckets (8 per bucket on
+        // average), by the top nine bits (the hash space in 512ths) and by
+        // the bottom nine (the table's bucket index).
+        for _ in 0..8 {
+            let keys = FoldHashKeys::fresh();
+            let (mut top, mut bottom) = ([0u32; 512], [0u32; 512]);
+            for i in 0..4096 {
+                let h = hash(&keys, i);
+                top[(h >> 55) as usize] += 1;
+                bottom[(h & 511) as usize] += 1;
+            }
+            let largest = top.iter().chain(&bottom).max().copied().unwrap_or(0);
+            assert!(largest <= 32, "a bucket holds {largest} of 4096 keys");
         }
     }
 

@@ -146,7 +146,7 @@ impl FlowKey {
     /// The key as one integer, most significant field first:
     /// `lo.addr | lo.port | hi.addr | hi.port | transport` in 32, 16, 32, 16
     /// and 2 bits. Injective, and its integer order is the field order.
-    fn packed(&self) -> u128 {
+    pub(crate) fn packed(&self) -> u128 {
         (u128::from(u32::from(self.lo.addr)) << 66)
             | (u128::from(self.lo.port) << 50)
             | (u128::from(u32::from(self.hi.addr)) << 18)

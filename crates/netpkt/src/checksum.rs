@@ -36,11 +36,9 @@ impl Checksum {
                 return;
             }
         }
-        let mut chunks = data.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.sum += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
-        }
-        if let [last] = chunks.remainder() {
+        let (words, odd) = data.split_at(data.len() & !1);
+        self.sum += word_sum(words);
+        if let [last] = odd {
             self.pending = Some(*last);
         }
     }
@@ -55,12 +53,42 @@ impl Checksum {
         if let Some(hi) = self.pending.take() {
             self.sum += u64::from(u16::from_be_bytes([hi, 0]));
         }
-        let mut sum = self.sum;
-        while sum >> 16 != 0 {
-            sum = (sum & 0xffff) + (sum >> 16);
-        }
-        !(sum as u16)
+        fold_complement(self.sum)
     }
+}
+
+/// The plain integer sum of `data` as big-endian 16-bit words, an odd final
+/// byte padded with zero: what [`Checksum`] accumulates before it folds.
+///
+/// Sums of word-aligned pieces add up to the sum of the whole, so a fixed
+/// header's sum can be computed once and reused (`testutil::FrameTemplate`).
+pub fn word_sum(data: &[u8]) -> u64 {
+    const LOW_WORDS: u64 = 0x0000_ffff_0000_ffff;
+    let mut chunks = data.chunks_exact(8);
+    let mut sum = 0u64;
+    for c in &mut chunks {
+        // Four words at once: two 32-bit lanes of two words each.
+        let x = u64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+        let pairs = (x & LOW_WORDS) + ((x >> 16) & LOW_WORDS);
+        sum += (pairs & 0xffff_ffff) + (pairs >> 32);
+    }
+    let mut words = chunks.remainder().chunks_exact(2);
+    for w in &mut words {
+        sum += u64::from(u16::from_be_bytes([w[0], w[1]]));
+    }
+    if let [last] = words.remainder() {
+        sum += u64::from(*last) << 8;
+    }
+    sum
+}
+
+/// Fold carries of a plain word sum into 16 bits and complement: the
+/// checksum field value for the words summed.
+pub fn fold_complement(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
 }
 
 /// Compute the Internet checksum of a complete buffer.

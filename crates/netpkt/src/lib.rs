@@ -53,7 +53,8 @@ pub use icmp::{IcmpMessage, IcmpType, ICMP_HEADER_LEN};
 pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_MIN_HEADER_LEN};
 pub use ipv6::{Ipv6Packet, IPV6_HEADER_LEN};
 pub use pcap::{
-    LinkType, LossStats, LossyPcapReader, PcapError, PcapPacket, PcapReader, PcapWriter,
+    LinkType, LossStats, LossyPcapReader, PcapError, PcapPacket, PcapReader, PcapRecord,
+    PcapWriter,
 };
 pub use tcp::{TcpFlags, TcpSegment, TCP_MIN_HEADER_LEN};
 pub use tcpopt::{find_mss, TcpOption, TcpOptionIter};

@@ -63,8 +63,31 @@ pub struct PcapPacket {
 impl PcapPacket {
     /// Timestamp as fractional seconds.
     pub fn timestamp(&self) -> f64 {
-        f64::from(self.ts_sec) + f64::from(self.ts_usec) / 1e6
+        timestamp(self.ts_sec, self.ts_usec)
     }
+}
+
+/// One captured packet borrowed from the capture buffer: what
+/// [`LossyPcapReader::next_record`] returns without copying.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PcapRecord<'a> {
+    /// Seconds since the Unix epoch.
+    pub ts_sec: u32,
+    /// Microseconds within the second.
+    pub ts_usec: u32,
+    /// Captured frame bytes.
+    pub data: &'a [u8],
+}
+
+impl PcapRecord<'_> {
+    /// Timestamp as fractional seconds, as [`PcapPacket::timestamp`].
+    pub fn timestamp(&self) -> f64 {
+        timestamp(self.ts_sec, self.ts_usec)
+    }
+}
+
+fn timestamp(ts_sec: u32, ts_usec: u32) -> f64 {
+    f64::from(ts_sec) + f64::from(ts_usec) / 1e6
 }
 
 /// Streaming pcap writer over any [`Write`].
@@ -100,10 +123,12 @@ impl<W: Write> PcapWriter<W> {
     pub fn write_record(&mut self, ts_sec: u32, ts_usec: u32, data: &[u8]) -> io::Result<()> {
         let len = u32::try_from(data.len())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "packet too large"))?;
-        self.sink.write_all(&ts_sec.to_le_bytes())?;
-        self.sink.write_all(&ts_usec.to_le_bytes())?;
-        self.sink.write_all(&len.to_le_bytes())?; // incl_len
-        self.sink.write_all(&len.to_le_bytes())?; // orig_len
+        let mut header = [0u8; 16];
+        header[..4].copy_from_slice(&ts_sec.to_le_bytes());
+        header[4..8].copy_from_slice(&ts_usec.to_le_bytes());
+        header[8..12].copy_from_slice(&len.to_le_bytes()); // incl_len
+        header[12..].copy_from_slice(&len.to_le_bytes()); // orig_len
+        self.sink.write_all(&header)?;
         self.sink.write_all(data)?;
         self.packets_written += 1;
         Ok(())
@@ -433,8 +458,19 @@ impl<'a> LossyPcapReader<'a> {
     }
 
     /// Next decodable packet; `None` at end of capture (clean or not —
-    /// check [`LossyPcapReader::stats`] afterwards).
+    /// check [`LossyPcapReader::stats`] afterwards). The owned form of
+    /// [`LossyPcapReader::next_record`].
     pub fn next_packet(&mut self) -> Option<PcapPacket> {
+        self.next_record().map(|r| PcapPacket {
+            ts_sec: r.ts_sec,
+            ts_usec: r.ts_usec,
+            data: r.data.to_vec(),
+        })
+    }
+
+    /// Next decodable record, borrowed from the capture buffer; `None` at
+    /// end of capture.
+    pub fn next_record(&mut self) -> Option<PcapRecord<'a>> {
         loop {
             let remaining = self.buf.len() - self.pos;
             if remaining == 0 {
@@ -452,11 +488,11 @@ impl<'a> LossyPcapReader<'a> {
                 let ts_usec = self.u32_at(self.pos + 4);
                 let incl_len = self.u32_at(self.pos + 8) as usize;
                 let body = self.pos + 16;
-                let data = self.buf[body..body + incl_len].to_vec();
+                let data = &self.buf[body..body + incl_len];
                 self.pos = body + incl_len;
                 self.stats.records_ok += 1;
                 self.last_ts = Some(ts_sec);
-                return Some(PcapPacket {
+                return Some(PcapRecord {
                     ts_sec,
                     ts_usec,
                     data,
@@ -638,6 +674,27 @@ mod tests {
         assert_eq!(stats.records_ok, 4);
         assert!(stats.records_skipped >= 1);
         assert!(stats.bytes_skipped > 0);
+    }
+
+    #[test]
+    fn borrowed_records_equal_owned_packets() {
+        let (_, mut bytes) = sample_capture();
+        bytes[32..36].copy_from_slice(&0xffff_ffffu32.to_le_bytes());
+        bytes.truncate(bytes.len() - 3);
+        let (owned, owned_stats) = LossyPcapReader::new(&bytes[..]).unwrap().read_all();
+        let mut reader = LossyPcapReader::new(&bytes[..]).unwrap();
+        let mut borrowed = Vec::new();
+        while let Some(r) = reader.next_record() {
+            assert_eq!(r.timestamp().to_bits(), owned[borrowed.len()].timestamp().to_bits());
+            borrowed.push(PcapPacket {
+                ts_sec: r.ts_sec,
+                ts_usec: r.ts_usec,
+                data: r.data.to_vec(),
+            });
+        }
+        assert_eq!(borrowed, owned);
+        assert_eq!(reader.stats(), owned_stats);
+        assert_eq!(owned.len(), 3);
     }
 
     #[test]

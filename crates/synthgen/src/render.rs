@@ -11,13 +11,15 @@
 //! `counts -> flows -> packets -> extract == counts` is what licenses the
 //! population-scale experiments to run at count level (see DESIGN.md §5).
 
+use std::fmt::Write;
 use std::net::Ipv4Addr;
 
 use flowtab::{
     total_order_key, AppProtocol, Endpoint, FeatureCounts, FeatureKind, FlowRecord, Transport,
     Windowing,
 };
-use netpkt::testutil::{build_dns_query_frame, build_tcp_frame, build_udp_frame, FrameSpec};
+use netpkt::dns::DnsRecordType;
+use netpkt::testutil::{FrameSpec, FrameTemplate};
 use netpkt::{MacAddr, TcpFlags};
 use rand::Rng;
 
@@ -192,113 +194,148 @@ pub struct TimedFrame {
 /// Each TCP flow becomes `syn_count` SYNs, a SYN|ACK, the handshake ACK,
 /// one data segment each way and a FIN exchange; each DNS flow a
 /// query/response pair; each other UDP flow a two-packet exchange.
+///
+/// Frames come from one [`FrameTemplate`] per flow direction and are
+/// ordered by `(timestamp, render index)`: the bytes and order of
+/// [`oracle::render_flows_to_frames`], which builds every frame from
+/// scratch and stable-sorts them (DESIGN.md §5).
 pub fn render_flows_to_frames<R: Rng + ?Sized>(flows: &[FlowRecord], rng: &mut R) -> Vec<TimedFrame> {
     let mut frames: Vec<TimedFrame> = Vec::with_capacity(flows.iter().map(frame_count).sum());
     let mut ip_id: u16 = 1;
+    let mut name = String::new();
+    let mut msg = [0u8; 512];
     for flow in flows {
-        let mut id = || {
-            ip_id = ip_id.wrapping_add(1);
-            ip_id
-        };
-        let fwd = FrameSpec {
-            src_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.initiator.addr.octets())),
-            dst_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.responder.addr.octets())),
-            src_ip: flow.initiator.addr,
-            dst_ip: flow.responder.addr,
-            src_port: flow.initiator.port,
-            dst_port: flow.responder.port,
-            ip_id: id(),
-        };
-        let rev = FrameSpec {
-            src_mac: fwd.dst_mac,
-            dst_mac: fwd.src_mac,
-            src_ip: fwd.dst_ip,
-            dst_ip: fwd.src_ip,
-            src_port: fwd.dst_port,
-            dst_port: fwd.src_port,
-            ip_id: id(),
-        };
+        let (fwd, rev) = flow_specs(flow, &mut ip_id);
         let t0 = flow.first_ts;
+        let mut push = |ts, frame| frames.push(TimedFrame { ts, frame });
         match (flow.transport, flow.app) {
             (Transport::Tcp, _) => {
+                let (fwd, rev) = (FrameTemplate::tcp(&fwd), FrameTemplate::tcp(&rev));
                 let mut t = t0;
                 for k in 0..flow.syn_count.max(1) {
-                    frames.push(TimedFrame {
-                        ts: t,
-                        frame: build_tcp_frame(&fwd, TcpFlags::syn_only(), 100 + k, &[]),
-                    });
+                    push(t, fwd.tcp_frame(TcpFlags::syn_only(), 100 + k, &[]));
                     t += 0.05;
                 }
-                frames.push(TimedFrame {
-                    ts: t,
-                    frame: build_tcp_frame(&rev, TcpFlags::syn_ack(), 900, &[]),
-                });
-                frames.push(TimedFrame {
-                    ts: t + 0.01,
-                    frame: build_tcp_frame(&fwd, TcpFlags(TcpFlags::ACK), 101, &[]),
-                });
-                frames.push(TimedFrame {
-                    ts: t + 0.02,
-                    frame: build_tcp_frame(
-                        &fwd,
-                        TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
-                        101,
-                        b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
-                    ),
-                });
-                frames.push(TimedFrame {
-                    ts: t + 0.08,
-                    frame: build_tcp_frame(&rev, TcpFlags(TcpFlags::ACK | TcpFlags::PSH), 901, b"HTTP/1.1 200 OK\r\n\r\n"),
-                });
-                frames.push(TimedFrame {
-                    ts: t + 0.1,
-                    frame: build_tcp_frame(&fwd, TcpFlags(TcpFlags::FIN | TcpFlags::ACK), 130, &[]),
-                });
-                frames.push(TimedFrame {
-                    ts: t + 0.12,
-                    frame: build_tcp_frame(&rev, TcpFlags(TcpFlags::FIN | TcpFlags::ACK), 920, &[]),
-                });
+                let data = TcpFlags(TcpFlags::ACK | TcpFlags::PSH);
+                let fin = TcpFlags(TcpFlags::FIN | TcpFlags::ACK);
+                push(t, rev.tcp_frame(TcpFlags::syn_ack(), 900, &[]));
+                push(t + 0.01, fwd.tcp_frame(TcpFlags(TcpFlags::ACK), 101, &[]));
+                push(t + 0.02, fwd.tcp_frame(data, 101, HTTP_REQUEST));
+                push(t + 0.08, rev.tcp_frame(data, 901, HTTP_RESPONSE));
+                push(t + 0.1, fwd.tcp_frame(fin, 130, &[]));
+                push(t + 0.12, rev.tcp_frame(fin, 920, &[]));
             }
             (Transport::Udp, AppProtocol::Dns) => {
                 let txid = rng.random::<u16>();
-                let name = format!("host{}.corp.example", rng.random_range(0..100_000));
-                frames.push(TimedFrame {
-                    ts: t0,
-                    frame: build_dns_query_frame(&fwd, txid, &name),
-                });
+                name.clear();
+                let _ = write!(name, "host{}.corp.example", rng.random_range(0..100_000));
+                let n = netpkt::dns::emit_query(&mut msg, txid, &name, DnsRecordType::A)
+                    .expect("query fits");
+                let query = FrameSpec { dst_port: 53, ..fwd };
+                push(t0, FrameTemplate::udp(&query).udp_frame(&msg[..n]));
                 // A well-formed A-record response from the resolver.
-                let answer = std::net::Ipv4Addr::new(
-                    172,
-                    rng.random_range(16..32),
-                    rng.random(),
-                    rng.random(),
-                );
-                let mut msg = vec![0u8; 512];
+                let answer =
+                    Ipv4Addr::new(172, rng.random_range(16..32), rng.random(), rng.random());
                 let n = netpkt::dns::emit_a_response(&mut msg, txid, &name, &[answer], 300)
                     .expect("response fits");
-                msg.truncate(n);
-                frames.push(TimedFrame {
-                    ts: t0 + 0.02,
-                    frame: build_udp_frame(&rev, &msg),
-                });
+                push(t0 + 0.02, FrameTemplate::udp(&rev).udp_frame(&msg[..n]));
             }
             (Transport::Udp, _) => {
-                frames.push(TimedFrame {
-                    ts: t0,
-                    frame: build_udp_frame(&fwd, &[0xAB; 64]),
-                });
-                frames.push(TimedFrame {
-                    ts: t0 + 0.03,
-                    frame: build_udp_frame(&rev, &[0xCD; 64]),
-                });
+                push(t0, FrameTemplate::udp(&fwd).udp_frame(&[0xAB; 64]));
+                push(t0 + 0.03, FrameTemplate::udp(&rev).udp_frame(&[0xCD; 64]));
             }
             (Transport::Icmp, _) => {}
         }
     }
-    // A stable sort on the integer key, not `sort_by_cached_key`: its
-    // index array made `pcap-heavy` slower and raised its peak RSS.
-    frames.sort_by_key(|f| total_order_key(f.ts));
-    frames
+    // Order `(key, index)` pairs, not the frames, then move each frame
+    // once into its place.
+    let mut sorted = Vec::with_capacity(frames.len());
+    sorted.extend(time_order(&frames).into_iter().map(|(_, i)| {
+        let f = &mut frames[i as usize];
+        TimedFrame {
+            ts: f.ts,
+            frame: std::mem::take(&mut f.frame),
+        }
+    }));
+    sorted
+}
+
+/// Every frame's `(total_order_key(ts), index)`, ascending. Indices are
+/// unique, so this is a stable sort by time.
+///
+/// A counting pass spreads the pairs, in index order, over about `n / 4`
+/// buckets of equal key range; each bucket is then sorted alone. Bucket
+/// numbers rise with the key, so the buckets concatenate in order. A
+/// window's frames spread evenly over its 15 minutes, so buckets hold a
+/// few frames each, and this costs about half of one `sort_unstable`
+/// over all pairs; a skewed spread only makes some buckets larger.
+fn time_order(frames: &[TimedFrame]) -> Vec<(i64, u32)> {
+    let key = |f: &TimedFrame| total_order_key(f.ts);
+    let (lo, hi) = frames
+        .iter()
+        .map(key)
+        .fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    let buckets = frames.len() / 4 + 2;
+    let span = hi.wrapping_sub(lo) as u64;
+    // At most 63: with two or more buckets, `span >> 63 <= 1` always fits.
+    let shift = (0..64).find(|&s| span >> s < buckets as u64).unwrap_or(63);
+    let bucket = |k: i64| (k.wrapping_sub(lo) as u64 >> shift) as usize;
+    // Counts, then each bucket's next free slot.
+    let mut next = vec![0u32; buckets];
+    for f in frames {
+        next[bucket(key(f))] += 1;
+    }
+    let mut start = 0;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut order = vec![(0i64, 0u32); frames.len()];
+    for (i, f) in frames.iter().enumerate() {
+        let k = key(f);
+        let b = bucket(k);
+        order[next[b] as usize] = (k, i as u32);
+        next[b] += 1;
+    }
+    // Each slot now holds its bucket's end.
+    let mut start = 0;
+    for &end in &next {
+        order[start..end as usize].sort_unstable();
+        start = end as usize;
+    }
+    order
+}
+
+const HTTP_REQUEST: &[u8] = b"GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+const HTTP_RESPONSE: &[u8] = b"HTTP/1.1 200 OK\r\n\r\n";
+
+/// The two directions' frame parameters of `flow`, drawing the forward
+/// then the reverse IP identification from `ip_id`.
+fn flow_specs(flow: &FlowRecord, ip_id: &mut u16) -> (FrameSpec, FrameSpec) {
+    let mut id = || {
+        *ip_id = ip_id.wrapping_add(1);
+        *ip_id
+    };
+    let fwd = FrameSpec {
+        src_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.initiator.addr.octets())),
+        dst_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.responder.addr.octets())),
+        src_ip: flow.initiator.addr,
+        dst_ip: flow.responder.addr,
+        src_port: flow.initiator.port,
+        dst_port: flow.responder.port,
+        ip_id: id(),
+    };
+    let rev = FrameSpec {
+        src_mac: fwd.dst_mac,
+        dst_mac: fwd.src_mac,
+        src_ip: fwd.dst_ip,
+        dst_ip: fwd.src_ip,
+        src_port: fwd.dst_port,
+        dst_port: fwd.src_port,
+        ip_id: id(),
+    };
+    (fwd, rev)
 }
 
 /// The number of frames [`render_flows_to_frames`] renders for `flow`.
@@ -307,6 +344,133 @@ fn frame_count(flow: &FlowRecord) -> usize {
         (Transport::Tcp, _) => flow.syn_count.max(1) as usize + 6,
         (Transport::Udp, _) => 2,
         (Transport::Icmp, _) => 0,
+    }
+}
+
+/// The renderer as first written: every frame built from scratch by
+/// `netpkt::testutil`'s builders, then the frames stable-sorted by time.
+/// [`render_flows_to_frames`] must reproduce it byte for byte;
+/// `tests/oracle.rs` holds the two equal.
+pub mod oracle {
+    use flowtab::{total_order_key, AppProtocol, FlowRecord, Transport};
+    use netpkt::testutil::{build_dns_query_frame, build_tcp_frame, build_udp_frame, FrameSpec};
+    use netpkt::{MacAddr, TcpFlags};
+    use rand::Rng;
+
+    use super::{frame_count, TimedFrame};
+
+    /// Render flow records into a timestamp-sorted packet exchange.
+    ///
+    /// Each TCP flow becomes `syn_count` SYNs, a SYN|ACK, the handshake ACK,
+    /// one data segment each way and a FIN exchange; each DNS flow a
+    /// query/response pair; each other UDP flow a two-packet exchange.
+    pub fn render_flows_to_frames<R: Rng + ?Sized>(flows: &[FlowRecord], rng: &mut R) -> Vec<TimedFrame> {
+        let mut frames: Vec<TimedFrame> = Vec::with_capacity(flows.iter().map(frame_count).sum());
+        let mut ip_id: u16 = 1;
+        for flow in flows {
+            let mut id = || {
+                ip_id = ip_id.wrapping_add(1);
+                ip_id
+            };
+            let fwd = FrameSpec {
+                src_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.initiator.addr.octets())),
+                dst_mac: MacAddr::from_host_id(u32::from_be_bytes(flow.responder.addr.octets())),
+                src_ip: flow.initiator.addr,
+                dst_ip: flow.responder.addr,
+                src_port: flow.initiator.port,
+                dst_port: flow.responder.port,
+                ip_id: id(),
+            };
+            let rev = FrameSpec {
+                src_mac: fwd.dst_mac,
+                dst_mac: fwd.src_mac,
+                src_ip: fwd.dst_ip,
+                dst_ip: fwd.src_ip,
+                src_port: fwd.dst_port,
+                dst_port: fwd.src_port,
+                ip_id: id(),
+            };
+            let t0 = flow.first_ts;
+            match (flow.transport, flow.app) {
+                (Transport::Tcp, _) => {
+                    let mut t = t0;
+                    for k in 0..flow.syn_count.max(1) {
+                        frames.push(TimedFrame {
+                            ts: t,
+                            frame: build_tcp_frame(&fwd, TcpFlags::syn_only(), 100 + k, &[]),
+                        });
+                        t += 0.05;
+                    }
+                    frames.push(TimedFrame {
+                        ts: t,
+                        frame: build_tcp_frame(&rev, TcpFlags::syn_ack(), 900, &[]),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t + 0.01,
+                        frame: build_tcp_frame(&fwd, TcpFlags(TcpFlags::ACK), 101, &[]),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t + 0.02,
+                        frame: build_tcp_frame(
+                            &fwd,
+                            TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
+                            101,
+                            b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+                        ),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t + 0.08,
+                        frame: build_tcp_frame(&rev, TcpFlags(TcpFlags::ACK | TcpFlags::PSH), 901, b"HTTP/1.1 200 OK\r\n\r\n"),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t + 0.1,
+                        frame: build_tcp_frame(&fwd, TcpFlags(TcpFlags::FIN | TcpFlags::ACK), 130, &[]),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t + 0.12,
+                        frame: build_tcp_frame(&rev, TcpFlags(TcpFlags::FIN | TcpFlags::ACK), 920, &[]),
+                    });
+                }
+                (Transport::Udp, AppProtocol::Dns) => {
+                    let txid = rng.random::<u16>();
+                    let name = format!("host{}.corp.example", rng.random_range(0..100_000));
+                    frames.push(TimedFrame {
+                        ts: t0,
+                        frame: build_dns_query_frame(&fwd, txid, &name),
+                    });
+                    // A well-formed A-record response from the resolver.
+                    let answer = std::net::Ipv4Addr::new(
+                        172,
+                        rng.random_range(16..32),
+                        rng.random(),
+                        rng.random(),
+                    );
+                    let mut msg = vec![0u8; 512];
+                    let n = netpkt::dns::emit_a_response(&mut msg, txid, &name, &[answer], 300)
+                        .expect("response fits");
+                    msg.truncate(n);
+                    frames.push(TimedFrame {
+                        ts: t0 + 0.02,
+                        frame: build_udp_frame(&rev, &msg),
+                    });
+                }
+                (Transport::Udp, _) => {
+                    frames.push(TimedFrame {
+                        ts: t0,
+                        frame: build_udp_frame(&fwd, &[0xAB; 64]),
+                    });
+                    frames.push(TimedFrame {
+                        ts: t0 + 0.03,
+                        frame: build_udp_frame(&rev, &[0xCD; 64]),
+                    });
+                }
+                (Transport::Icmp, _) => {}
+            }
+        }
+        // A stable sort on the integer key, not `sort_by_cached_key`: its
+        // index array made `pcap-heavy` slower and raised its peak RSS.
+        frames.sort_by_key(|f| total_order_key(f.ts));
+        frames
     }
 }
 
@@ -409,6 +573,47 @@ mod tests {
         assert_eq!(frames.len(), flows.iter().map(frame_count).sum::<usize>());
         assert_eq!(frames.capacity(), frames.len());
         assert!(frames.windows(2).all(|w| w[0].ts <= w[1].ts));
+    }
+
+    #[test]
+    fn time_order_is_the_stable_sort_for_any_timestamps() {
+        let odd = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e-310,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            900.5,
+        ];
+        let mut rng = stream_rng(8, 1, 8);
+        for len in [0usize, 1, 2, 3, 7, 40, 1000] {
+            for spread in [1.0, 1e-9, 1e300] {
+                let frames: Vec<TimedFrame> = (0..len)
+                    .map(|i| TimedFrame {
+                        ts: if i % 5 == 0 {
+                            odd[rng.random_range(0..odd.len())]
+                        } else {
+                            // Ties: a coarse grid of times.
+                            (rng.random_range(0..50) as f64) * spread
+                        },
+                        frame: Vec::new(),
+                    })
+                    .collect();
+                let mut want: Vec<(i64, u32)> = frames
+                    .iter()
+                    .enumerate()
+                    .map(|(i, f)| (total_order_key(f.ts), i as u32))
+                    .collect();
+                want.sort();
+                assert_eq!(time_order(&frames), want, "len {len}, spread {spread}");
+            }
+        }
     }
 
     #[test]

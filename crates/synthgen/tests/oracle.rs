@@ -1,14 +1,22 @@
-//! The week plan against the generator it replaced: for any profile,
-//! seed, week and windowing, `WeekPlan::series` equals
+//! The fast paths against the code they replaced. The week plan: for any
+//! profile, seed, week and windowing, `WeekPlan::series` equals
 //! `counts::oracle::user_week_series_trended`, and every
-//! `WeekPlan::column` equals the oracle's feature column.
+//! `WeekPlan::column` equals the oracle's feature column. The renderer:
+//! `render_flows_to_frames` equals `render::oracle::render_flows_to_frames`
+//! frame for frame, in timestamp bits and bytes.
+
+use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
+use rand::Rng;
 
-use flowtab::{FeatureKind, FeatureSeries, Windowing};
+use flowtab::{Endpoint, FeatureKind, FeatureSeries, FlowRecord, Transport, Windowing};
 use synthgen::counts::oracle;
 use synthgen::dist::poisson_quantile;
-use synthgen::{Population, Schedule, TailLevels, UserProfile, WeekPlan};
+use synthgen::render::oracle as render_oracle;
+use synthgen::{
+    render_flows_to_frames, stream_rng, Population, Schedule, TailLevels, UserProfile, WeekPlan,
+};
 
 /// Check one (profile, seed, week, windowing, trend) point.
 fn assert_plan_matches_oracle(
@@ -172,4 +180,70 @@ fn heavy_profile_reaches_the_normal_approximations() {
     assert!(big_binomials > 100, "{big_binomials} windows with n > 64");
     // Knuth's method below λ = 30 essentially never yields 60 sessions.
     assert!(max_sessions >= 60, "max {max_sessions} sessions per window");
+}
+
+/// Flows for one window: TCP with 1 to 40 SYNs, plain UDP, DNS and the odd
+/// ICMP flow (no frames, but it takes two IP ids), whose start times fall
+/// on a few shared instants so that frames of different flows tie.
+fn window_flows(seed: u64, n: usize, window: usize) -> Vec<FlowRecord> {
+    let mut rng = stream_rng(seed, 1, window);
+    let base = window as f64 * 900.0;
+    let instants: Vec<f64> = (0..4).map(|_| base + 1.0 + rng.random::<f64>() * 890.0).collect();
+    let host = Ipv4Addr::new(10, 1, (seed >> 8) as u8, seed as u8);
+    (0..n)
+        .map(|i| {
+            let first_ts = if rng.random_bool(0.5) {
+                instants[rng.random_range(0..instants.len())]
+            } else {
+                base + 1.0 + rng.random::<f64>() * 890.0
+            };
+            let src = Endpoint::new(host, 1025 + i as u16);
+            let peer = Ipv4Addr::from(rng.random::<u32>());
+            let (transport, port) = match rng.random_range(0..10) {
+                0..=4 => (Transport::Tcp, [80u16, 443, 22][rng.random_range(0..3)]),
+                5..=6 => (Transport::Udp, [123u16, 500, 4500][rng.random_range(0..3)]),
+                7..=8 => (Transport::Udp, 53),
+                _ => (Transport::Icmp, 0),
+            };
+            let mut flow = FlowRecord::synthetic(
+                src,
+                Endpoint::new(peer, port),
+                transport,
+                first_ts,
+                1.0,
+                4,
+                200,
+                transport == Transport::Tcp,
+            );
+            if transport == Transport::Tcp {
+                flow.syn_count = rng.random_range(1..=40);
+            }
+            flow
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both renderers from one RNG state: the same frames, in the same
+    /// order, and the same RNG state after.
+    #[test]
+    fn templated_render_equals_oracle(
+        seed in any::<u64>(),
+        n in 0usize..80,
+        window in prop_oneof![Just(0usize), Just(671usize), 0usize..672],
+    ) {
+        let flows = window_flows(seed, n, window);
+        let mut rng = stream_rng(seed, 2, window);
+        let mut oracle_rng = rng.clone();
+        let got = render_flows_to_frames(&flows, &mut rng);
+        let want = render_oracle::render_flows_to_frames(&flows, &mut oracle_rng);
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.ts.to_bits(), w.ts.to_bits(), "frame {} of {}", i, want.len());
+            prop_assert!(g.frame == w.frame, "frame {} of {} bytes differ", i, want.len());
+        }
+        prop_assert_eq!(rng, oracle_rng);
+    }
 }
