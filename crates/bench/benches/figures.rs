@@ -11,7 +11,7 @@ use experiments::{
 };
 use flowtab::FeatureKind;
 use synthgen::StormConfig;
-use tailstats::EmpiricalDist;
+use tailstats::{edf, EmpiricalDist};
 
 fn bench_corpus() -> Corpus {
     Corpus::generate(CorpusConfig {
@@ -141,8 +141,10 @@ fn policies(c: &mut Criterion) {
 }
 
 /// The homogeneous policy's pooled distribution at the benchmark's
-/// scale (200 users × one 672-window week): the merge of sorted runs
-/// `EmpiricalDist::pool` does, against concatenating and sorting again.
+/// scale (200 users × one 672-window week): `EmpiricalDist::pool`, which
+/// counts integer-valued runs, against the merge of sorted runs it falls
+/// back to and against concatenating and sorting again; plus one user's
+/// week built from its raw counts.
 fn pooling(c: &mut Criterion) {
     let corpus = Corpus::generate(CorpusConfig {
         n_users: 200,
@@ -150,11 +152,18 @@ fn pooling(c: &mut Criterion) {
         ..Default::default()
     });
     let dists = corpus.dists(FeatureKind::TcpConnections, 0);
+    let counts = corpus.series(0, 0).feature(FeatureKind::TcpConnections);
 
     let mut group = c.benchmark_group("pool");
     group.sample_size(20);
     group.bench_function("edf_pool_200x672", |b| {
         b.iter(|| black_box(EmpiricalDist::pool(black_box(&dists))))
+    });
+    group.bench_function("edf_merge_pool_200x672", |b| {
+        b.iter(|| black_box(edf::oracle::pool(black_box(&dists))))
+    });
+    group.bench_function("from_counts_672", |b| {
+        b.iter(|| black_box(EmpiricalDist::from_counts(black_box(&counts))))
     });
     group.bench_function("edf_concat_sort_200x672", |b| {
         b.iter(|| {

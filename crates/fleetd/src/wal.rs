@@ -26,8 +26,8 @@
 //!
 //! Crash injection is cooperative: [`KillSwitch`] meters every byte the
 //! writer intends to append across the *lifetime* of a scenario (surviving
-//! restarts and snapshot-triggered truncations, which reset the file but
-//! not the meter), so a seeded schedule can name "die 3 bytes into the
+//! restarts and snapshot-triggered resets, which empty the log but not
+//! the meter), so a seeded schedule can name "die 3 bytes into the
 //! frame that crosses lifetime offset 40 000" and hit it reproducibly.
 
 use std::collections::VecDeque;
@@ -420,9 +420,29 @@ impl WalWriter {
 
     /// Discard all frames (called right after a snapshot makes them
     /// redundant).
+    ///
+    /// A fresh empty log is created beside this one (`<path>.new`, any
+    /// stale copy removed first) and renamed over it, so a process death
+    /// leaves either the old log or the empty one. Truncating in place
+    /// would do the same job, but ext4 (`auto_da_alloc`) then flushes the
+    /// file when it is closed; the replaced file is unlinked instead, and
+    /// its pages are dropped unwritten.
     pub fn reset(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
+        let mut fresh = self.path.clone().into_os_string();
+        fresh.push(".new");
+        let fresh = PathBuf::from(fresh);
+        if let Err(e) = std::fs::remove_file(&fresh) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(e);
+            }
+        }
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(&fresh)?;
+        std::fs::rename(&fresh, &self.path)?;
+        self.file = file;
         self.len = 0;
         Ok(())
     }
@@ -475,6 +495,33 @@ mod tests {
         assert_eq!(replay.records, expected);
         assert_eq!(replay.torn_bytes, 0);
         assert!(replay.tail_defect.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reset_leaves_an_empty_log_that_appends_and_replays() {
+        let dir = tmpdir("reset");
+        let path = dir.join("wal.bin");
+        // A reset that died between creating its fresh file and the
+        // rename leaves this behind; it must not block the next one.
+        std::fs::write(dir.join("wal.bin.new"), b"stale").unwrap();
+        let mut kill = KillSwitch::none();
+        let (mut w, _) = WalWriter::open(&path, WalRecord::decode).unwrap();
+        w.append(&WalRecord::Batch(batch(1, 1, &[5, 6])), &mut kill).unwrap();
+        w.reset().unwrap();
+        assert!(w.is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert!(!dir.join("wal.bin.new").exists());
+        let after = batch(2, 1, &[7]);
+        w.append(&WalRecord::Batch(after.clone()), &mut kill).unwrap();
+        drop(w);
+        let (w, replay) = WalWriter::open(&path, WalRecord::decode).unwrap();
+        assert_eq!(replay.records, vec![WalRecord::Batch(after)]);
+        assert_eq!(replay.torn_bytes, 0);
+        assert_eq!(w.len(), replay.valid_bytes);
+        // Snapshot listing ignores a stray fresh log as well.
+        std::fs::write(dir.join("wal.bin.new"), b"stale").unwrap();
+        assert!(crate::snapshot::list_snapshots(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -168,8 +168,10 @@ impl SweepTable {
 
         // mean_fn[i] = mean over sizes b of P(g < t_i − b). Adding each
         // size's `count/n` term per candidate (not summing raw counts)
-        // reproduces the naive float accumulation bit for bit; `frac`
-        // hoists the divisions out of the hot loops.
+        // reproduces the naive float accumulation bit for bit. Each
+        // `k/n` is the same IEEE division wherever it is computed: the
+        // lattice kernel divides at its `range + 2` cut points, and only
+        // the general kernel hoists all `n + 1` of them into `frac`.
         //
         // Two exact shortcuts keep the passes cheap:
         // * candidates with t ≤ b + min(samples) have a below-count of 0,
@@ -179,7 +181,6 @@ impl SweepTable {
         //   sample is integral (and the value range is sane) the per-size
         //   merge collapses to a branchless cumulative-count lookup:
         //   #{g < t − b} = #{g ≤ ⌈t − b⌉ − 1}.
-        let frac: Vec<f64> = (0..=n).map(|k| k as f64 / n as f64).collect();
         let sizes = sweep.sizes();
         let mut acc = vec![0.0f64; m];
         let lo = samples[0];
@@ -202,9 +203,9 @@ impl SweepTable {
             Relaxed,
         );
         if lattice {
-            // cumf[0] = frac[0] (= +0.0) is the explicit "cut at or below
+            // cumf[0] = 0/n (= +0.0) is the explicit "cut at or below
             // lo: nothing strictly below" slot; cumf[j] for j ≥ 1 =
-            // frac[#{samples ≤ lo + j − 1}] — count-below folded straight
+            // #{samples ≤ lo + j − 1}/n — count-below folded straight
             // into its already-divided term.
             let range = (hi - lo) as usize;
             let mut cum = vec![0usize; range + 1];
@@ -212,11 +213,11 @@ impl SweepTable {
                 cum[(s - lo) as usize] += 1;
             }
             let mut cumf: Vec<f64> = Vec::with_capacity(range + 2);
-            cumf.push(frac[0]);
+            cumf.push(0.0);
             let mut running = 0usize;
             for &c in &cum {
                 running += c;
-                cumf.push(frac[running]);
+                cumf.push(running as f64 / n as f64);
             }
             for &b in sizes {
                 // The skip predicate evaluates the same `t − b` the loop
@@ -244,6 +245,7 @@ impl SweepTable {
             // General reals: merge-style two-pointer pass per size — t
             // ascends, so t − b ascends, so the strictly-below pointer
             // only moves forward.
+            let frac: Vec<f64> = (0..=n).map(|k| k as f64 / n as f64).collect();
             for &b in sizes {
                 let start = thresholds.partition_point(|&t| t - b <= lo);
                 let mut ptr = 0usize;

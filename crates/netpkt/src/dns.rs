@@ -189,12 +189,22 @@ impl DnsQuestion {
 
     /// Emit this question at `offset` in `buf`; returns offset past it.
     pub fn emit(&self, buf: &mut [u8], offset: usize) -> Result<usize> {
-        let after_name = emit_name(buf, offset, &self.name)?;
-        check_len(buf, after_name + 4)?;
-        set_u16(buf, after_name, self.qtype.into());
-        set_u16(buf, after_name + 2, 1); // class IN
-        Ok(after_name + 4)
+        emit_question(buf, offset, &self.name, self.qtype)
     }
+}
+
+/// Emit a question for `name` at `offset` in `buf`; returns offset past it.
+fn emit_question(
+    buf: &mut [u8],
+    offset: usize,
+    name: &str,
+    qtype: DnsRecordType,
+) -> Result<usize> {
+    let after_name = emit_name(buf, offset, name)?;
+    check_len(buf, after_name + 4)?;
+    set_u16(buf, after_name, qtype.into());
+    set_u16(buf, after_name + 2, 1); // class IN
+    Ok(after_name + 4)
 }
 
 /// Case-fold a presentation-format domain name for comparison.
@@ -297,11 +307,7 @@ fn parse_name(msg: &[u8], start: usize) -> Result<(String, usize)> {
 /// Build a complete single-question DNS query message; returns bytes written.
 pub fn emit_query(buf: &mut [u8], id: u16, name: &str, qtype: DnsRecordType) -> Result<usize> {
     DnsHeader::emit_query(buf, id)?;
-    let q = DnsQuestion {
-        name: name.to_string(),
-        qtype,
-    };
-    q.emit(buf, DNS_HEADER_LEN)
+    emit_question(buf, DNS_HEADER_LEN, name, qtype)
 }
 
 /// Typed resource-record data (only what the pipeline interprets).
@@ -394,11 +400,7 @@ pub fn emit_a_response(
     set_u16(buf, 6, addrs.len() as u16);
     set_u16(buf, 8, 0);
     set_u16(buf, 10, 0);
-    let q = DnsQuestion {
-        name: name.to_string(),
-        qtype: DnsRecordType::A,
-    };
-    let mut offset = q.emit(buf, DNS_HEADER_LEN)?;
+    let mut offset = emit_question(buf, DNS_HEADER_LEN, name, DnsRecordType::A)?;
     for addr in addrs {
         check_len(buf, offset + 16)?;
         // Compressed owner name: pointer to the question name at offset 12.

@@ -50,12 +50,14 @@ impl EmpiricalDist {
     }
 
     /// Build from integer counts (the common case for feature bins).
-    /// Sorts in the integer domain first — cheaper comparisons than the
-    /// `total_cmp` float sort, which then sees already-ordered input.
+    /// Sorts once, in the integer domain: `u64 → f64` never decreases and
+    /// never yields a non-finite value, so the converted samples are
+    /// already in `total_cmp` order and need neither a second sort nor a
+    /// finiteness check.
     pub fn from_counts(counts: &[u64]) -> Self {
         let mut counts = counts.to_vec();
         counts.sort_unstable();
-        Self::from_samples(counts.iter().map(|&c| c as f64).collect())
+        Self::from_sorted(counts.iter().map(|&c| c as f64).collect())
     }
 
     /// Number of samples.
@@ -175,39 +177,100 @@ impl EmpiricalDist {
     /// Merge several distributions into the pooled ("ensembled") global
     /// distribution the homogeneous policy computes at the IT console.
     ///
-    /// Every member is already sorted, so this merges the sorted runs
-    /// pairwise, round by round, instead of sorting their concatenation.
-    /// `total_cmp` is a total order on finite values in which ties are
-    /// bit-identical, so the result — samples, mean and stddev — is
-    /// exactly what [`EmpiricalDist::from_samples`] gives on the
-    /// concatenation.
+    /// Every member is already sorted. Members on one non-negative
+    /// `lo + ℤ` lattice (feature counts) are pooled by counting in one
+    /// pass; anything else merges the sorted runs pairwise
+    /// ([`oracle::pool`]). Either way the result — samples, mean
+    /// and stddev — is exactly what [`EmpiricalDist::from_samples`] gives
+    /// on the concatenation.
     ///
     /// # Panics
     /// Panics if `dists` is empty.
     pub fn pool<'a>(dists: impl IntoIterator<Item = &'a EmpiricalDist>) -> EmpiricalDist {
-        let mut src: Vec<f64> = Vec::new();
-        let mut ends: Vec<usize> = Vec::new();
-        for d in dists {
-            src.extend_from_slice(&d.sorted);
-            ends.push(src.len());
+        let runs: Vec<&[f64]> = dists.into_iter().map(|d| d.samples()).collect();
+        match pool_by_counting(&runs) {
+            Some(sorted) => EmpiricalDist::from_sorted(sorted),
+            None => merge_pool(&runs),
         }
-        let mut dst = vec![0.0; src.len()];
-        while ends.len() > 1 {
-            let mut start = 0;
-            for pair in ends.chunks(2) {
-                let end = pair[pair.len() - 1];
-                let out = &mut dst[start..end];
-                match *pair {
-                    [mid, _] => merge_runs(&src[start..mid], &src[mid..end], out),
-                    _ => out.copy_from_slice(&src[start..end]),
-                }
-                start = end;
-            }
-            ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
-            std::mem::swap(&mut src, &mut dst);
-        }
-        EmpiricalDist::from_sorted(src)
     }
+}
+
+/// Pool `total_cmp`-sorted runs by counting, or `None` where that cannot
+/// reproduce the merge bit for bit.
+///
+/// Applies when every run starts at or above `+0.0` (so no run holds
+/// `-0.0` or a negative sample), the pooled span `hi − lo` is at most
+/// `4n + 4096`, and every distinct sample `v` is `lo + k` exactly for
+/// `k = (v − lo) as usize`, checked on its bits. Non-negative samples
+/// sort under `total_cmp` in numeric order, `lo + k` never decreases in
+/// `k`, and distinct slots hold distinct values, so emitting each slot's
+/// value as many times as it was counted is the merged sequence.
+fn pool_by_counting(runs: &[&[f64]]) -> Option<Vec<f64>> {
+    let n: usize = runs.iter().map(|r| r.len()).sum();
+    let mut bounds = runs.iter().filter_map(|r| Some((*r.first()?, *r.last()?)));
+    let (mut lo, mut hi) = bounds.next()?;
+    for (first, last) in bounds {
+        lo = lo.min(first);
+        hi = hi.max(last);
+    }
+    let starts_non_negative = runs
+        .iter()
+        .all(|r| r.first().is_none_or(|v| v.total_cmp(&0.0).is_ge()));
+    if !starts_non_negative || hi - lo > 4.0 * n as f64 + 4096.0 {
+        return None;
+    }
+    let mut count = vec![0usize; (hi - lo) as usize + 1];
+    for run in runs {
+        let mut i = 0;
+        while i < run.len() {
+            let v = run[i];
+            let len = run[i..].partition_point(|x| x.to_bits() == v.to_bits());
+            let k = (v - lo) as usize;
+            if (lo + k as f64).to_bits() != v.to_bits() {
+                return None;
+            }
+            count[k] += len;
+            i += len;
+        }
+    }
+    let mut sorted = Vec::with_capacity(n);
+    for (k, &c) in count.iter().enumerate() {
+        if c > 0 {
+            sorted.resize(sorted.len() + c, lo + k as f64);
+        }
+    }
+    Some(sorted)
+}
+
+/// Pool sorted runs by merging them pairwise, round by round. `total_cmp`
+/// is a total order on finite values in which ties are bit-identical, so
+/// this equals sorting the concatenation.
+///
+/// # Panics
+/// Panics if `runs` holds no samples.
+fn merge_pool(runs: &[&[f64]]) -> EmpiricalDist {
+    let mut src: Vec<f64> = Vec::new();
+    let mut ends: Vec<usize> = Vec::new();
+    for run in runs {
+        src.extend_from_slice(run);
+        ends.push(src.len());
+    }
+    let mut dst = vec![0.0; src.len()];
+    while ends.len() > 1 {
+        let mut start = 0;
+        for pair in ends.chunks(2) {
+            let end = pair[pair.len() - 1];
+            let out = &mut dst[start..end];
+            match *pair {
+                [mid, _] => merge_runs(&src[start..mid], &src[mid..end], out),
+                _ => out.copy_from_slice(&src[start..end]),
+            }
+            start = end;
+        }
+        ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
+        std::mem::swap(&mut src, &mut dst);
+    }
+    EmpiricalDist::from_sorted(src)
 }
 
 /// Merge two `total_cmp`-sorted runs into `out` (`a.len() + b.len()` long).
@@ -226,6 +289,22 @@ fn merge_runs(a: &[f64], b: &[f64], out: &mut [f64]) {
     let rest_a = a.len() - i;
     out[k..k + rest_a].copy_from_slice(&a[i..]);
     out[k + rest_a..].copy_from_slice(&b[j..]);
+}
+
+/// The pairwise merge [`EmpiricalDist::pool`] falls back to, callable on
+/// its own as the differential-test and benchmark oracle of the counting
+/// path.
+pub mod oracle {
+    use super::EmpiricalDist;
+
+    /// [`EmpiricalDist::pool`] by merging sorted runs, whatever their values.
+    ///
+    /// # Panics
+    /// Panics if `dists` is empty.
+    pub fn pool<'a>(dists: impl IntoIterator<Item = &'a EmpiricalDist>) -> EmpiricalDist {
+        let runs: Vec<&[f64]> = dists.into_iter().map(|d| d.samples()).collect();
+        super::merge_pool(&runs)
+    }
 }
 
 #[cfg(test)]
@@ -344,33 +423,118 @@ mod tests {
         let _ = EmpiricalDist::pool(std::iter::empty());
     }
 
+    /// The sample value of count `c` under each pooling proptest shape.
+    fn shaped(c: u64, shape: u8) -> f64 {
+        let x = c as f64;
+        match shape {
+            // Integer and half-integer lattices: the counting path.
+            0 => x,
+            1 => x + 0.5,
+            // Off the lattice, and negative: the merge.
+            2 => x * 0.37,
+            3 => x * -2.5,
+            // `-0.0` and `+0.0` among positive counts.
+            4 if c % 3 == 0 => {
+                if c % 2 == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            }
+            4 => x,
+            // Spans wider than the counting bound.
+            5 => x * 1e4,
+            // Offsets at and above 2^53, where the f64 lattice thins out.
+            6 => x * 2.0 + 2f64.powi(53),
+            _ => x + 2f64.powi(60),
+        }
+    }
+
+    #[test]
+    fn counting_pool_takes_lattices_and_leaves_the_rest() {
+        let pooled = |runs: &[&[f64]]| {
+            let dists: Vec<EmpiricalDist> = runs.iter().map(|r| dist(r)).collect();
+            let counted = pool_by_counting(&dists.iter().map(|d| d.samples()).collect::<Vec<_>>());
+            if let Some(sorted) = &counted {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sorted), bits(oracle::pool(&dists).samples()));
+            }
+            counted.is_some()
+        };
+        let big = 2f64.powi(53);
+        // Counted: integers, a half-integer lattice, +0.0, offsets at and
+        // above 2^53, a span right at the bound (n = 2, 4n + 4096), and one
+        // repeated huge value.
+        assert!(pooled(&[&[0.0, 3.0, 3.0], &[1.0, 2.0]]));
+        assert!(pooled(&[&[0.5, 3.5], &[1.5, 1.5, 9.5]]));
+        assert!(pooled(&[&[big, big + 2.0], &[big + 6.0]]));
+        assert!(pooled(&[&[2f64.powi(60)], &[2f64.powi(60) + 256.0]]));
+        assert!(pooled(&[&[7.0], &[7.0 + 4104.0]]));
+        assert!(pooled(&[&[1e300, 1e300], &[1e300]]));
+        // Merged: `-0.0` (alone or beside `+0.0`), negatives, two lattices
+        // at once, a span one past the bound, and fractions.
+        assert!(!pooled(&[&[-0.0, 0.0, 1.0], &[2.0]]));
+        assert!(!pooled(&[&[-0.0]]));
+        assert!(!pooled(&[&[-1.0, 2.0], &[0.0]]));
+        assert!(!pooled(&[&[0.5, 1.5], &[1.0]]));
+        assert!(!pooled(&[&[7.0], &[7.0 + 4105.0]]));
+        assert!(!pooled(&[&[0.0, 0.37, 0.74]]));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The merged pool equals concatenate-and-sort bit for bit, over
-        /// runs with duplicates, single-sample members and skewed lengths.
+        /// The pool equals concatenate-and-sort and the retained merge bit
+        /// for bit, over runs with duplicates, single-sample members and
+        /// skewed lengths, on lattices the counting path takes and shapes
+        /// it must leave to the merge.
         #[test]
         fn pool_merge_matches_concat_and_sort(
-            runs in proptest::collection::vec(
-                prop_oneof![
-                    proptest::collection::vec(0u64..40, 1..4),
-                    proptest::collection::vec(0u64..40, 1..30),
-                    proptest::collection::vec(0u64..5000, 200..700),
-                ],
-                1..24,
-            ),
-            scale in prop_oneof![Just(1.0f64), Just(0.37), Just(-2.5)],
+            runs in prop_oneof![
+                proptest::collection::vec(
+                    prop_oneof![
+                        proptest::collection::vec(0u64..40, 1..4),
+                        proptest::collection::vec(0u64..40, 1..30),
+                        proptest::collection::vec(0u64..5000, 200..700),
+                    ],
+                    1..24,
+                ),
+                proptest::collection::vec(proptest::collection::vec(0u64..60, 1..2), 50..300),
+            ],
+            shape in 0u8..8,
         ) {
+            let runs: Vec<Vec<u64>> = runs;
             let dists: Vec<EmpiricalDist> = runs
                 .iter()
-                .map(|r: &Vec<u64>| {
-                    EmpiricalDist::from_samples(r.iter().map(|&c| c as f64 * scale).collect())
+                .map(|r| {
+                    EmpiricalDist::from_samples(r.iter().map(|&c| shaped(c, shape)).collect())
                 })
                 .collect();
-            let merged = EmpiricalDist::pool(&dists);
-            let oracle = pool_oracle(&dists);
-            prop_assert_eq!(merged.len(), oracle.len());
-            assert_bitwise_eq(&merged, &oracle);
+            let pooled = EmpiricalDist::pool(&dists);
+            let sorted = pool_oracle(&dists);
+            prop_assert_eq!(pooled.len(), sorted.len());
+            assert_bitwise_eq(&pooled, &sorted);
+            assert_bitwise_eq(&oracle::pool(&dists), &sorted);
+        }
+
+        /// Sorting counts once, as integers, gives the distribution that
+        /// converting and sorting as floats gives, up to and including
+        /// `u64::MAX`, where the conversion rounds many counts together.
+        #[test]
+        fn from_counts_matches_from_samples(
+            counts in proptest::collection::vec(
+                prop_oneof![
+                    0u64..50,
+                    (1u64 << 53) - 8..(1u64 << 53) + 64,
+                    any::<u64>(),
+                    Just(u64::MAX),
+                ],
+                1..300,
+            ),
+        ) {
+            let once = EmpiricalDist::from_counts(&counts);
+            let twice = EmpiricalDist::from_samples(counts.iter().map(|&c| c as f64).collect());
+            assert_bitwise_eq(&once, &twice);
         }
     }
 
