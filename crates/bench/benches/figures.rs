@@ -178,5 +178,48 @@ fn pooling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, figures, policies, pooling);
+/// multifeat's two per-window loops for one cell at the benchmark's scale
+/// (200 users × one 672-window test week, all six features monitored at
+/// the full-diversity p99): the union scoring and the Storm detection.
+fn detector(c: &mut Criterion) {
+    use hids_core::{
+        evaluate_multi, multi_detection, Grouping, MultiEvaluation, MultiPolicy, Policy,
+        ThresholdHeuristic,
+    };
+    let corpus = Corpus::generate(CorpusConfig {
+        n_users: 200,
+        n_weeks: 2,
+        ..Default::default()
+    });
+    let train: Vec<_> = corpus.weeks.iter().map(|w| &w[0]).collect();
+    let test: Vec<_> = corpus.weeks.iter().map(|w| &w[1]).collect();
+    let policy = MultiPolicy::uniform(Policy {
+        grouping: Grouping::FullDiversity,
+        heuristic: ThresholdHeuristic::P99,
+    });
+    let detectors = evaluate_multi(&train, &test, &policy).detectors;
+    let zombie = synthgen::storm_week_series(&StormConfig::default(), corpus.config.windowing(), 0);
+
+    let mut group = c.benchmark_group("detector");
+    group.sample_size(20);
+    group.bench_function("multi_detection_200x672", |b| {
+        b.iter(|| black_box(multi_detection(black_box(&detectors), &test, &zombie)))
+    });
+    group.bench_function("multi_score_200x672", |b| {
+        b.iter_batched(
+            || detectors.clone(),
+            |dets| {
+                black_box(MultiEvaluation::score(
+                    dets,
+                    FeatureKind::ALL.to_vec(),
+                    &test,
+                ))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(benches, figures, policies, pooling, detector);
 criterion_main!(benches);

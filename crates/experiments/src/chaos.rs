@@ -21,7 +21,7 @@
 //! `(corpus, ChaosConfig)`.
 
 use faultsim::FaultPlan;
-use flowtab::{FeatureCounts, FeatureKind, FlowExtractor, FlowTableConfig};
+use flowtab::{FeatureKind, FlowExtractor, FlowTableConfig};
 use hids_core::{
     evaluate_policy_degraded, eval::evaluate_policy, DegradedDataset, DegradedEvalConfig,
     Detector, EvalConfig, Grouping, PartialMethod, Policy, ThresholdHeuristic,
@@ -301,17 +301,11 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, cfg: &ChaosConfig) -> ChaosRep
         let mut detector = Detector::new(u as u32);
         detector.set_threshold(feature, *perf);
         let mut batcher = AlertBatcher::new(96);
-        for (w, &g) in counts.iter().enumerate() {
-            if !test_masks[u][w] {
-                continue;
-            }
-            let mut one = FeatureCounts::default();
-            *one.get_mut(feature) = g;
-            for alert in detector.evaluate(w, &one) {
+        for alert in detector.column_alerts(feature, &counts) {
+            if test_masks[u][alert.window] {
                 alerts_emitted += 1;
                 batcher.push(alert);
             }
-            all_batches.extend(batcher.take_ready());
         }
         all_batches.extend(batcher.flush());
         late_alerts += batcher.late_alerts();

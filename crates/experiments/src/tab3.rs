@@ -62,17 +62,10 @@ fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) ->
         let mut detector = Detector::new(user as u32);
         detector.set_threshold(feature, threshold);
         let mut batcher = AlertBatcher::new(96); // ship once per day
-        let mut batches = Vec::new();
-        for (w, &g) in counts.iter().enumerate() {
-            let mut counts_one = flowtab::FeatureCounts::default();
-            *counts_one.get_mut(feature) = g;
-            for alert in detector.evaluate(w, &counts_one) {
-                batcher.push(alert);
-            }
-            batches.extend(batcher.take_ready());
+        for alert in detector.column_alerts(feature, counts) {
+            batcher.push(alert);
         }
-        batches.extend(batcher.flush());
-        batches
+        batcher.flush()
     });
     for batches in &per_user_batches {
         for batch in batches {

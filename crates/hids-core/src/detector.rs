@@ -28,11 +28,53 @@ impl Alert {
 /// A host's behavioural anomaly detector: one optional threshold per
 /// feature; an alert fires when a window's count strictly exceeds the
 /// feature's threshold (`g + b > T` in the paper's notation).
+///
+/// Counts are integers, so each threshold is turned once, in
+/// [`Detector::set_threshold`], into an integer cut: the least count that
+/// fires. Every window is then one `u64` comparison; [`oracle`] keeps the
+/// `f64` comparison it must agree with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Detector {
     /// The host this detector runs on.
     pub user: u32,
     thresholds: [Option<f64>; 6],
+    /// Per feature, the least count `c` with `(c as f64) > t`.
+    cuts: [u64; 6],
+    /// Per feature, whether a threshold is set and some `u64` exceeds it.
+    armed: [bool; 6],
+}
+
+/// `2^64`, the first `f64` no `u64` exceeds.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+/// `2^53`: below it every integer is an `f64`.
+const TWO_POW_53: f64 = 9_007_199_254_740_992.0;
+
+/// The least `c: u64` with `(c as f64) > t`, or `None` when no `u64`
+/// exceeds `t` (NaN, or `t ≥ 2^64`). `u64 → f64` never decreases, so the
+/// counts that exceed `t` are exactly those `≥` the result.
+fn integer_cut(t: f64) -> Option<u64> {
+    if t.is_nan() || t >= TWO_POW_64 {
+        return None;
+    }
+    if t < 0.0 {
+        return Some(0);
+    }
+    if t < TWO_POW_53 {
+        // `⌊t⌋ + 1 ≤ 2^53` is exact, and so is every count up to it.
+        return Some(t.floor() as u64 + 1);
+    }
+    // Every `f64` this large is an integer, so `lo` is `t` itself and does
+    // not exceed it; `hi` does (`u64::MAX as f64` is `2^64`).
+    let (mut lo, mut hi) = (t as u64, u64::MAX);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if mid as f64 > t {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi)
 }
 
 impl Detector {
@@ -41,18 +83,18 @@ impl Detector {
         Self {
             user,
             thresholds: [None; 6],
+            cuts: [0; 6],
+            armed: [false; 6],
         }
     }
 
     /// Set one feature's threshold.
     pub fn set_threshold(&mut self, feature: FeatureKind, t: f64) -> &mut Self {
-        self.thresholds[feature.index()] = Some(t);
-        self
-    }
-
-    /// Remove one feature's threshold.
-    pub fn clear_threshold(&mut self, feature: FeatureKind) -> &mut Self {
-        self.thresholds[feature.index()] = None;
+        let i = feature.index();
+        let cut = integer_cut(t);
+        self.thresholds[i] = Some(t);
+        self.cuts[i] = cut.unwrap_or(0);
+        self.armed[i] = cut.is_some();
         self
     }
 
@@ -66,25 +108,96 @@ impl Detector {
         self.thresholds.iter().filter(|t| t.is_some()).count()
     }
 
+    /// Whether `count` strictly exceeds the feature's threshold (false
+    /// when the feature is unmonitored).
+    pub fn fires(&self, feature: FeatureKind, count: u64) -> bool {
+        let i = feature.index();
+        self.armed[i] & (count >= self.cuts[i])
+    }
+
     /// Number of monitored features whose count strictly exceeds its
     /// threshold in one window: `evaluate(..).len()` without building the
     /// alerts.
     pub fn alarm_count(&self, counts: &FeatureCounts) -> usize {
-        FeatureKind::ALL
+        self.cuts
             .iter()
-            .filter(|&&f| self.thresholds[f.index()].is_some_and(|t| counts.get(f) as f64 > t))
-            .count()
+            .zip(&self.armed)
+            .zip(&counts.0)
+            .map(|((&cut, &armed), &g)| usize::from(armed & (g >= cut)))
+            .sum()
     }
 
     /// Evaluate one window, returning any alerts raised.
     pub fn evaluate(&self, window: usize, counts: &FeatureCounts) -> Vec<Alert> {
+        FeatureKind::ALL
+            .into_iter()
+            .filter(|&f| self.fires(f, counts.get(f)))
+            .map(|feature| self.alert(window, feature, counts.get(feature)))
+            .collect()
+    }
+
+    /// The alerts one feature raises over a column of per-window counts
+    /// (window `w` is `column[w]`), in window order: `evaluate` on each
+    /// window with only that feature counted, without visiting the windows
+    /// that stay quiet.
+    pub fn column_alerts<'a>(
+        &'a self,
+        feature: FeatureKind,
+        column: &'a [u64],
+    ) -> impl Iterator<Item = Alert> + 'a {
+        let i = feature.index();
+        let (live, cut): (&[u64], u64) = if self.armed[i] {
+            (column, self.cuts[i])
+        } else {
+            (&[], 0)
+        };
+        live.iter()
+            .enumerate()
+            .filter(move |&(_, &g)| g >= cut)
+            .map(move |(window, &g)| self.alert(window, feature, g))
+    }
+
+    /// An alert on a feature that fires (so has a threshold).
+    fn alert(&self, window: usize, feature: FeatureKind, observed: u64) -> Alert {
+        Alert {
+            user: self.user,
+            window,
+            feature,
+            observed,
+            threshold: self.thresholds[feature.index()].unwrap_or(f64::NAN),
+        }
+    }
+}
+
+/// The detector as first written: each count converted to `f64` and
+/// compared with the threshold. The integer cuts must agree with it on
+/// every threshold and count (`crates/hids-core/tests/detector_oracle.rs`).
+pub mod oracle {
+    use super::{Alert, Detector};
+    use flowtab::{FeatureCounts, FeatureKind};
+
+    /// Whether `count as f64` strictly exceeds the feature's threshold.
+    pub fn fires(det: &Detector, feature: FeatureKind, count: u64) -> bool {
+        det.threshold(feature).is_some_and(|t| count as f64 > t)
+    }
+
+    /// [`Detector::alarm_count`] by `f64` comparison.
+    pub fn alarm_count(det: &Detector, counts: &FeatureCounts) -> usize {
+        FeatureKind::ALL
+            .iter()
+            .filter(|&&f| fires(det, f, counts.get(f)))
+            .count()
+    }
+
+    /// [`Detector::evaluate`] by `f64` comparison.
+    pub fn evaluate(det: &Detector, window: usize, counts: &FeatureCounts) -> Vec<Alert> {
         let mut alerts = Vec::new();
         for feature in FeatureKind::ALL {
-            if let Some(t) = self.thresholds[feature.index()] {
+            if let Some(t) = det.threshold(feature) {
                 let observed = counts.get(feature);
                 if observed as f64 > t {
                     alerts.push(Alert {
-                        user: self.user,
+                        user: det.user,
                         window,
                         feature,
                         observed,
@@ -141,15 +254,5 @@ mod tests {
             let c = counts(tcp, udp);
             assert_eq!(d.alarm_count(&c), d.evaluate(0, &c).len());
         }
-    }
-
-    #[test]
-    fn clear_threshold_stops_alerts() {
-        let mut d = Detector::new(1);
-        d.set_threshold(FeatureKind::UdpConnections, 1.0);
-        assert_eq!(d.evaluate(0, &counts(0, 5)).len(), 1);
-        d.clear_threshold(FeatureKind::UdpConnections);
-        assert!(d.evaluate(0, &counts(0, 5)).is_empty());
-        assert_eq!(d.threshold(FeatureKind::UdpConnections), None);
     }
 }

@@ -178,24 +178,26 @@ pub fn multi_detection(
     test: &[impl Borrow<FeatureSeries>],
     overlay: &FeatureSeries,
 ) -> Vec<f64> {
+    // 1 where the overlay window carries attack traffic, else 0.
+    let attacked: Vec<u64> = overlay
+        .windows
+        .iter()
+        .map(|z| u64::from(*z != FeatureCounts::default()))
+        .collect();
+    // An empty overlay zips with nothing; `max(1)` only keeps `chunks` legal.
+    let period = overlay.len().max(1);
     detectors
         .iter()
         .zip(test)
         .map(|(det, series)| {
             let mut windows = 0u64;
             let mut detected = 0u64;
-            for (counts, zombie) in series
-                .borrow()
-                .windows
-                .iter()
-                .zip(overlay.windows.iter().cycle())
-            {
-                if *zombie == FeatureCounts::default() {
-                    continue;
-                }
-                windows += 1;
-                if det.alarm_count(&counts.saturating_add(zombie)) > 0 {
-                    detected += 1;
+            // Each chunk lines up with the overlay from its window 0.
+            for chunk in series.borrow().windows.chunks(period) {
+                for ((counts, zombie), &hit) in chunk.iter().zip(&overlay.windows).zip(&attacked) {
+                    let alarmed = det.alarm_count(&counts.saturating_add(zombie)) > 0;
+                    windows += hit;
+                    detected += hit & u64::from(alarmed);
                 }
             }
             if windows == 0 {
@@ -205,6 +207,54 @@ pub fn multi_detection(
             }
         })
         .collect()
+}
+
+/// [`multi_detection`] as first written: the overlay cycled alongside each
+/// series, the attacked test made per window, and each window scored by
+/// [`detector::oracle`](crate::detector::oracle). The chunked walk must agree
+/// with it bit for bit (`crates/hids-core/tests/detector_oracle.rs`).
+pub mod oracle {
+    use std::borrow::Borrow;
+
+    use flowtab::{FeatureCounts, FeatureSeries};
+
+    use crate::{detector, Detector};
+
+    /// Per-user detection rate of `overlay`, by cycling it, with `f64`
+    /// compares.
+    pub fn multi_detection(
+        detectors: &[Detector],
+        test: &[impl Borrow<FeatureSeries>],
+        overlay: &FeatureSeries,
+    ) -> Vec<f64> {
+        detectors
+            .iter()
+            .zip(test)
+            .map(|(det, series)| {
+                let mut windows = 0u64;
+                let mut detected = 0u64;
+                for (counts, zombie) in series
+                    .borrow()
+                    .windows
+                    .iter()
+                    .zip(overlay.windows.iter().cycle())
+                {
+                    if *zombie == FeatureCounts::default() {
+                        continue;
+                    }
+                    windows += 1;
+                    if detector::oracle::alarm_count(det, &counts.saturating_add(zombie)) > 0 {
+                        detected += 1;
+                    }
+                }
+                if windows == 0 {
+                    0.0
+                } else {
+                    detected as f64 / windows as f64
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
