@@ -140,37 +140,87 @@ fn policies(c: &mut Criterion) {
     group.finish();
 }
 
-/// The homogeneous policy's pooled distribution at the benchmark's
-/// scale (200 users × one 672-window week): `EmpiricalDist::pool`, which
-/// counts integer-valued runs, against the merge of sorted runs it falls
-/// back to and against concatenating and sorting again; plus one user's
-/// week built from its raw counts.
+/// The exact-quantile kernels at the benchmark's scale (200 users × one
+/// 672-window week). The homogeneous policy's pooled distribution:
+/// `EmpiricalDist::pool`, which counts runs, against the sorted-sample
+/// `edf::oracle` pool it replaced and against concatenating and sorting
+/// again. Building runs from raw counts: one user's week, and all six
+/// feature columns of every user (against the oracle's sort). Scoring every user's test week at its training
+/// p99 (`UserPerf::score`), and one `SweepTable` per user under the
+/// dataset's attack sweep.
 fn pooling(c: &mut Criterion) {
+    use hids_core::{SweepTable, ThresholdHeuristic, UserPerf};
     let corpus = Corpus::generate(CorpusConfig {
         n_users: 200,
-        n_weeks: 1,
+        n_weeks: 2,
         ..Default::default()
     });
     let dists = corpus.dists(FeatureKind::TcpConnections, 0);
+    let oracle_dists: Vec<edf::oracle::EmpiricalDist> = corpus
+        .weeks
+        .iter()
+        .map(|w| {
+            edf::oracle::EmpiricalDist::from_counts(&w[0].feature(FeatureKind::TcpConnections))
+        })
+        .collect();
     let counts = corpus.series(0, 0).feature(FeatureKind::TcpConnections);
+    let columns: Vec<Vec<u64>> = corpus
+        .weeks
+        .iter()
+        .flat_map(|w| FeatureKind::ALL.map(|f| w[0].feature(f)))
+        .collect();
+    let ds = corpus.dataset(FeatureKind::TcpConnections, 0);
+    let sweep = ds.default_sweep();
+    let p99: Vec<f64> = ds
+        .train
+        .iter()
+        .map(|d| ThresholdHeuristic::P99.threshold(d))
+        .collect();
 
     let mut group = c.benchmark_group("pool");
     group.sample_size(20);
     group.bench_function("edf_pool_200x672", |b| {
         b.iter(|| black_box(EmpiricalDist::pool(black_box(&dists))))
     });
-    group.bench_function("edf_merge_pool_200x672", |b| {
-        b.iter(|| black_box(edf::oracle::pool(black_box(&dists))))
+    group.bench_function("edf_oracle_pool_200x672", |b| {
+        b.iter(|| black_box(edf::oracle::EmpiricalDist::pool(black_box(&oracle_dists))))
     });
     group.bench_function("from_counts_672", |b| {
         b.iter(|| black_box(EmpiricalDist::from_counts(black_box(&counts))))
+    });
+    group.bench_function("runs_from_counts_1200", |b| {
+        b.iter(|| {
+            for col in black_box(&columns) {
+                black_box(EmpiricalDist::from_counts(col));
+            }
+        })
+    });
+    group.bench_function("oracle_from_counts_1200", |b| {
+        b.iter(|| {
+            for col in black_box(&columns) {
+                black_box(edf::oracle::EmpiricalDist::from_counts(col));
+            }
+        })
+    });
+    group.bench_function("score_200x672", |b| {
+        b.iter(|| {
+            for (test, &t) in black_box(&ds.test).iter().zip(&p99) {
+                black_box(UserPerf::score(test, t, &sweep, 0.4));
+            }
+        })
+    });
+    group.bench_function("sweep_table_200x672", |b| {
+        b.iter(|| {
+            for train in black_box(&ds.train) {
+                black_box(SweepTable::compute(train, &sweep));
+            }
+        })
     });
     group.bench_function("edf_concat_sort_200x672", |b| {
         b.iter(|| {
             let all: Vec<f64> = black_box(&dists)
                 .iter()
-                .flat_map(|d| d.samples())
-                .copied()
+                .flat_map(|d| d.samples().copied())
                 .collect();
             black_box(EmpiricalDist::from_samples(all))
         })

@@ -346,9 +346,8 @@ fn generator_layer(c: &mut Criterion) {
 /// binary search per attack size). Kept here as the baseline the batched
 /// [`SweepTable`] kernel is measured against.
 fn naive_utility_threshold(dist: &EmpiricalDist, sweep: &AttackSweep, w: f64) -> f64 {
-    let samples = dist.samples();
-    let mut candidates: Vec<f64> = Vec::with_capacity(samples.len() + 1);
-    for &v in samples {
+    let mut candidates: Vec<f64> = Vec::with_capacity(dist.len() + 1);
+    for &v in dist.samples() {
         if candidates.last() != Some(&v) {
             candidates.push(v);
         }

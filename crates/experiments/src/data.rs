@@ -104,7 +104,7 @@ impl Corpus {
     pub fn dists(&self, feature: FeatureKind, week: usize) -> Vec<EmpiricalDist> {
         self.weeks
             .iter()
-            .map(|w| EmpiricalDist::from_counts(&w[week].feature(feature)))
+            .map(|w| EmpiricalDist::from_count_iter(w[week].column(feature)))
             .collect()
     }
 
@@ -153,7 +153,7 @@ impl Corpus {
     /// grouping policies and Figures 1–2 are built from).
     pub fn q99(&self, feature: FeatureKind, week: usize) -> Vec<f64> {
         hids_core::par_map(&self.weeks, |_, w| {
-            EmpiricalDist::from_counts(&w[week].feature(feature)).quantile(0.99)
+            EmpiricalDist::from_count_iter(w[week].column(feature)).quantile(0.99)
         })
     }
 }

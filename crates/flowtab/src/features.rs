@@ -161,7 +161,12 @@ impl FeatureSeries {
 
     /// One feature's counts as a dense vector.
     pub fn feature(&self, k: FeatureKind) -> Vec<u64> {
-        self.windows.iter().map(|w| w.get(k)).collect()
+        self.column(k).collect()
+    }
+
+    /// One feature's counts in window order, read in place.
+    pub fn column(&self, k: FeatureKind) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+        self.windows.iter().map(move |w| w.get(k))
     }
 }
 

@@ -90,7 +90,7 @@ impl FeatureDataset {
         }
         let train_d = train
             .iter()
-            .map(|s| EmpiricalDist::from_counts(&s.borrow().feature(feature)))
+            .map(|s| EmpiricalDist::from_count_iter(s.borrow().column(feature)))
             .collect();
         let test_counts: Vec<Vec<u64>> = test.iter().map(|s| s.borrow().feature(feature)).collect();
         let test_d = test_counts
@@ -217,19 +217,6 @@ impl PolicyEvaluation {
     /// All per-user utilities (for boxplots).
     pub fn utilities(&self) -> Vec<f64> {
         self.users.iter().map(|u| u.utility).collect()
-    }
-
-    /// Fraction of users whose per-window alarm probability under an
-    /// *additive attack of size `b`* is positive in at least `1` of the
-    /// attacked windows — see [`evaluate_policy`] for the detection model
-    /// used by Figure 4(a); this helper reports, for each user, the
-    /// probability that a single attacked window raises an alarm.
-    pub fn per_window_detection(&self, dataset: &FeatureDataset, b: f64) -> Vec<f64> {
-        self.users
-            .iter()
-            .zip(&dataset.test)
-            .map(|(perf, test)| 1.0 - test.below(perf.threshold - b))
-            .collect()
     }
 }
 
@@ -388,23 +375,6 @@ mod tests {
         assert!((exact.utility - sketched.utility).abs() <= eps);
         let alarm_slack = (eps * counts.len() as f64).ceil() as u64;
         assert!(exact.false_alarms.abs_diff(sketched.false_alarms) <= alarm_slack);
-    }
-
-    #[test]
-    fn per_window_detection_monotone_in_attack_size() {
-        let ds = dataset(8, 2);
-        let config = EvalConfig {
-            w: 0.4,
-            sweep: ds.default_sweep(),
-        };
-        let eval = evaluate_policy(&ds, &p99_policy(Grouping::FullDiversity), &config);
-        let small: f64 = eval.per_window_detection(&ds, 5.0).iter().sum();
-        let large: f64 = eval.per_window_detection(&ds, 5000.0).iter().sum();
-        assert!(large >= small);
-        assert!(eval
-            .per_window_detection(&ds, 1e9)
-            .iter()
-            .all(|&p| (p - 1.0).abs() < 1e-12));
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub fn evaluate_multi(
         features.push(*feature);
         let dists: Vec<EmpiricalDist> = train
             .iter()
-            .map(|s| EmpiricalDist::from_counts(&s.borrow().feature(*feature)))
+            .map(|s| EmpiricalDist::from_count_iter(s.borrow().column(*feature)))
             .collect();
         let outcome = feature_policy.configure(&dists);
         for (det, &t) in detectors.iter_mut().zip(&outcome.thresholds) {

@@ -11,9 +11,9 @@
 //! allocation per candidate. But both quantities are monotone counts over
 //! *sorted* data: for a fixed attack size `b`, as the candidate threshold
 //! `t` ascends, the count of samples below `t − b` only grows. The kernel
-//! exploits this with a merge-style two-pointer sweep per attack size —
-//! `O(S · (n + m))` total, zero allocations beyond the three output
-//! vectors.
+//! exploits this with a merge-style two-pointer sweep per attack size
+//! over the distribution's runs — `O(S · m)` total for `m` distinct
+//! values, however many samples they hold.
 //!
 //! The accumulation order matches the naive formulation exactly (outer
 //! loop over ascending attack sizes, each term `count/n` added in turn,
@@ -23,9 +23,11 @@
 //! distributions.
 //!
 //! [`SweepTable::compute`] is the one entry point for both quantile
-//! backends: the backend's [`RankedView`] selects the sample kernel
-//! (lattice or general merge) for stored samples, or the weighted kernel
-//! for a sketch's `(value, weight)` summary.
+//! backends, and both hand it runs: the exact backend's distinct values
+//! with cumulative counts, or a sketch's `(value, weight)` summary with
+//! cumulative weights. One kernel scores either; the exact backend's
+//! integral runs take its lattice lookup, everything else its general
+//! two-pointer merge.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
@@ -136,67 +138,98 @@ impl SweepTable {
     /// kernel fits the backend's [`RankedView`].
     pub fn compute<Q: QuantileBackend + ?Sized>(dist: &Q, sweep: &AttackSweep) -> Self {
         match dist.ranked() {
-            RankedView::Samples(samples) => Self::from_samples(samples, sweep),
+            RankedView::Runs { values, ends } => {
+                Self::from_runs(values, ends, *ends.last().unwrap_or(&0), true, sweep)
+            }
             RankedView::Weighted(items) => Self::from_weighted(&items, sweep),
         }
     }
 
-    /// The sample kernel over every stored sample, ascending (non-empty,
-    /// as an `EmpiricalDist` guarantees).
-    fn from_samples(samples: &[f64], sweep: &AttackSweep) -> Self {
-        let prepare_started = Instant::now();
-        let n = samples.len();
-
-        // Ascending distinct values + (max + 1); alongside each, the
-        // count of samples ≤ it (its CDF numerator, free during the scan).
-        let mut thresholds: Vec<f64> = Vec::with_capacity(n + 1);
-        let mut le_counts: Vec<usize> = Vec::with_capacity(n + 1);
-        for (i, &v) in samples.iter().enumerate() {
-            if i + 1 == n || samples[i + 1] != v {
-                thresholds.push(v);
-                le_counts.push(i + 1);
-            }
+    /// The sketch's `(value, weight)` summary (ascending in value, positive
+    /// weights — the shape [`RankedView::Weighted`] carries) as runs with
+    /// cumulative weights, scored by the general runs kernel: `O(S · k)`
+    /// for `k` summary items, independent of the stream length the sketch
+    /// summarises. An empty summary yields the one-candidate table
+    /// `{t: 1.0, fp: 0, fn: 0}` rather than panicking, honouring the
+    /// workspace no-panic bar.
+    fn from_weighted(items: &[(u64, u64)], sweep: &AttackSweep) -> Self {
+        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        if total == 0 {
+            return Self {
+                thresholds: vec![1.0],
+                fp: vec![0.0],
+                mean_fn: vec![0.0],
+            };
         }
-        thresholds.push(samples[n - 1] + 1.0);
-        le_counts.push(n);
-        let m = thresholds.len();
-
-        let fp: Vec<f64> = le_counts
+        let values: Vec<f64> = items.iter().map(|&(v, _)| v as f64).collect();
+        let mut running = 0u64;
+        let ends: Vec<usize> = items
             .iter()
-            .map(|&c| 1.0 - c as f64 / n as f64)
+            .map(|&(_, w)| {
+                running = running.saturating_add(w);
+                running as usize
+            })
+            .collect();
+        Self::from_runs(&values, &ends, total as usize, false, sweep)
+    }
+
+    /// The one runs kernel: `values` ascending (non-empty), `ends[i]` the
+    /// count (or weight) of samples `≤ values[i]`, `total` the count (or
+    /// weight) of all. `exact` marks the exact backend, whose distinct
+    /// values may take the lattice path.
+    fn from_runs(
+        values: &[f64],
+        ends: &[usize],
+        total: usize,
+        exact: bool,
+        sweep: &AttackSweep,
+    ) -> Self {
+        let prepare_started = Instant::now();
+        let n = total as f64;
+        let r = values.len();
+        let lo = values[0];
+        let hi = values[r - 1];
+
+        // The runs' values + (max + 1), each with its CDF numerator.
+        let mut thresholds: Vec<f64> = Vec::with_capacity(r + 1);
+        thresholds.extend_from_slice(values);
+        thresholds.push(hi + 1.0);
+        let m = thresholds.len();
+        let fp: Vec<f64> = ends
+            .iter()
+            .chain(std::iter::once(&total))
+            .map(|&c| 1.0 - c as f64 / n)
             .collect();
 
         // mean_fn[i] = mean over sizes b of P(g < t_i − b). Adding each
         // size's `count/n` term per candidate (not summing raw counts)
-        // reproduces the naive float accumulation bit for bit. Each
-        // `k/n` is the same IEEE division wherever it is computed: the
-        // lattice kernel divides at its `range + 2` cut points, and only
-        // the general kernel hoists all `n + 1` of them into `frac`.
+        // reproduces the naive float accumulation bit for bit; each
+        // `k/n` is the same IEEE division wherever it is computed, so it
+        // is divided once per run.
         //
         // Two exact shortcuts keep the passes cheap:
         // * candidates with t ≤ b + min(samples) have a below-count of 0,
         //   and `x + 0.0` is bitwise `x` for the non-negative accumulator,
         //   so each size's zero prefix is skipped outright;
         // * feature counts live on the integer lattice, so when every
-        //   sample is integral (and the value range is sane) the per-size
+        //   value is integral (and the value range is sane) the per-size
         //   merge collapses to a branchless cumulative-count lookup:
         //   #{g < t − b} = #{g ≤ ⌈t − b⌉ − 1}.
         let sizes = sweep.sizes();
         let mut acc = vec![0.0f64; m];
-        let lo = samples[0];
-        let hi = samples[n - 1];
-        let lattice = hi - lo <= (n as f64) * 64.0 + 4096.0
+        let lattice = exact
+            && hi - lo <= n * 64.0 + 4096.0
             && lo.abs() <= 1e15
             && hi.abs() <= 1e15
-            && samples.iter().all(|s| s.fract() == 0.0);
+            && values.iter().all(|v| v.fract() == 0.0);
         TABLES.fetch_add(1, Relaxed);
         CANDIDATES.fetch_add(m as u64, Relaxed);
         SIZE_PASSES.fetch_add(sizes.len() as u64, Relaxed);
-        if lattice {
-            PATH_LATTICE.fetch_add(1, Relaxed);
-        } else {
-            PATH_GENERAL.fetch_add(1, Relaxed);
-        }
+        match (exact, lattice) {
+            (true, true) => PATH_LATTICE.fetch_add(1, Relaxed),
+            (true, false) => PATH_GENERAL.fetch_add(1, Relaxed),
+            (false, _) => PATH_WEIGHTED.fetch_add(1, Relaxed),
+        };
         let accumulate_started = Instant::now();
         PREPARE_NANOS.fetch_add(
             (accumulate_started - prepare_started).as_nanos() as u64,
@@ -206,19 +239,17 @@ impl SweepTable {
             // cumf[0] = 0/n (= +0.0) is the explicit "cut at or below
             // lo: nothing strictly below" slot; cumf[j] for j ≥ 1 =
             // #{samples ≤ lo + j − 1}/n — count-below folded straight
-            // into its already-divided term.
+            // into its already-divided term. Each run fills the slots
+            // from its value up to the next run's with its own term.
             let range = (hi - lo) as usize;
-            let mut cum = vec![0usize; range + 1];
-            for &s in samples {
-                cum[(s - lo) as usize] += 1;
-            }
             let mut cumf: Vec<f64> = Vec::with_capacity(range + 2);
             cumf.push(0.0);
-            let mut running = 0usize;
-            for &c in &cum {
-                running += c;
-                cumf.push(running as f64 / n as f64);
+            let mut running = 0.0;
+            for (&v, &end) in values.iter().zip(ends) {
+                cumf.resize((v - lo) as usize + 1, running);
+                running = end as f64 / n;
             }
+            cumf.resize(range + 2, running);
             for &b in sizes {
                 // The skip predicate evaluates the same `t − b` the loop
                 // body does, so prefix membership is decided on the exact
@@ -242,92 +273,23 @@ impl SweepTable {
                 }
             }
         } else {
-            // General reals: merge-style two-pointer pass per size — t
-            // ascends, so t − b ascends, so the strictly-below pointer
-            // only moves forward.
-            let frac: Vec<f64> = (0..=n).map(|k| k as f64 / n as f64).collect();
+            // General reals and sketch summaries: a merge-style
+            // two-pointer pass per size over the runs — t ascends, so
+            // t − b ascends, so the strictly-below pointer only moves
+            // forward. below[p] is the term with the first p runs below.
+            let below: Vec<f64> = std::iter::once(0.0)
+                .chain(ends.iter().map(|&c| c as f64 / n))
+                .collect();
             for &b in sizes {
                 let start = thresholds.partition_point(|&t| t - b <= lo);
                 let mut ptr = 0usize;
                 for (slot, &t) in acc[start..].iter_mut().zip(&thresholds[start..]) {
                     let cut = t - b;
-                    while ptr < n && samples[ptr] < cut {
+                    while ptr < r && values[ptr] < cut {
                         ptr += 1;
                     }
-                    *slot += frac[ptr];
+                    *slot += below[ptr];
                 }
-            }
-        }
-        let n_sizes = sizes.len() as f64;
-        let mean_fn: Vec<f64> = acc.into_iter().map(|s| s / n_sizes).collect();
-        ACCUMULATE_NANOS.fetch_add(accumulate_started.elapsed().as_nanos() as u64, Relaxed);
-
-        Self {
-            thresholds,
-            fp,
-            mean_fn,
-        }
-    }
-
-    /// The weighted-sample kernel: candidates are the distinct summary
-    /// values (ascending) plus one step above the maximum, with FP and
-    /// mean-FN computed from cumulative *weights* instead of raw sample
-    /// counts — `O(S · (k + m))` for `k` summary items, independent of the
-    /// stream length the sketch summarises.
-    ///
-    /// `items` must be ascending in value with positive weights (the shape
-    /// [`RankedView::Weighted`] carries). An empty summary yields the
-    /// one-candidate table `{t: 1.0, fp: 0, fn: 0}` rather than panicking,
-    /// honouring the workspace no-panic bar.
-    fn from_weighted(items: &[(u64, u64)], sweep: &AttackSweep) -> Self {
-        let prepare_started = Instant::now();
-        let total: u64 = items.iter().map(|&(_, w)| w).sum();
-        if total == 0 {
-            return Self {
-                thresholds: vec![1.0],
-                fp: vec![0.0],
-                mean_fn: vec![0.0],
-            };
-        }
-        let n = total as f64;
-        let mut thresholds: Vec<f64> = Vec::with_capacity(items.len() + 1);
-        let mut le_weights: Vec<u64> = Vec::with_capacity(items.len() + 1);
-        let mut running = 0u64;
-        for &(v, w) in items {
-            running = running.saturating_add(w);
-            thresholds.push(v as f64);
-            le_weights.push(running);
-        }
-        let max = thresholds.last().copied().unwrap_or(0.0);
-        thresholds.push(max + 1.0);
-        le_weights.push(total);
-        let m = thresholds.len();
-        let fp: Vec<f64> = le_weights.iter().map(|&c| 1.0 - c as f64 / n).collect();
-
-        let sizes = sweep.sizes();
-        TABLES.fetch_add(1, Relaxed);
-        CANDIDATES.fetch_add(m as u64, Relaxed);
-        SIZE_PASSES.fetch_add(sizes.len() as u64, Relaxed);
-        PATH_WEIGHTED.fetch_add(1, Relaxed);
-        let accumulate_started = Instant::now();
-        PREPARE_NANOS.fetch_add(
-            (accumulate_started - prepare_started).as_nanos() as u64,
-            Relaxed,
-        );
-        // Same merge-style two-pointer structure as the general exact
-        // path: for each size, as the candidate ascends so does the cut
-        // t − b, so the strictly-below weight pointer only moves forward.
-        let mut acc = vec![0.0f64; m];
-        for &b in sizes {
-            let mut ptr = 0usize;
-            let mut below = 0u64;
-            for (slot, &t) in acc.iter_mut().zip(&thresholds) {
-                let cut = t - b;
-                while ptr < items.len() && (items[ptr].0 as f64) < cut {
-                    below = below.saturating_add(items[ptr].1);
-                    ptr += 1;
-                }
-                *slot += below as f64 / n;
             }
         }
         let n_sizes = sizes.len() as f64;
@@ -491,6 +453,77 @@ mod tests {
         assert_eq!(exact.thresholds(), weighted.thresholds());
         assert_eq!(exact.fp(), weighted.fp());
         assert_eq!(exact.mean_fn(), weighted.mean_fn());
+    }
+
+    /// The separate weighted kernel the runs kernel replaced: every
+    /// candidate scanned from the first, no zero-prefix skip, each term
+    /// `below/n` added as the pointer advances.
+    fn weighted_reference(items: &[(u64, u64)], sweep: &AttackSweep) -> SweepTable {
+        let total: u64 = items.iter().map(|&(_, w)| w).sum();
+        let n = total as f64;
+        let mut thresholds: Vec<f64> = items.iter().map(|&(v, _)| v as f64).collect();
+        let mut le_weights: Vec<u64> = items
+            .iter()
+            .scan(0u64, |run, &(_, w)| {
+                *run = run.saturating_add(w);
+                Some(*run)
+            })
+            .collect();
+        thresholds.push(thresholds.last().copied().unwrap_or(0.0) + 1.0);
+        le_weights.push(total);
+        let fp = le_weights.iter().map(|&c| 1.0 - c as f64 / n).collect();
+        let mut acc = vec![0.0f64; thresholds.len()];
+        for &b in sweep.sizes() {
+            let (mut ptr, mut below) = (0usize, 0u64);
+            for (slot, &t) in acc.iter_mut().zip(&thresholds) {
+                while ptr < items.len() && (items[ptr].0 as f64) < t - b {
+                    below = below.saturating_add(items[ptr].1);
+                    ptr += 1;
+                }
+                *slot += below as f64 / n;
+            }
+        }
+        let mean_fn = acc.iter().map(|s| s / sweep.sizes().len() as f64).collect();
+        SweepTable {
+            thresholds,
+            fp,
+            mean_fn,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A sketch's table — compacted or not, offset or not — is the one
+        /// the separate weighted kernel computed, bit for bit; and an
+        /// uncompacted sketch's is the exact backend's.
+        #[test]
+        fn runs_kernel_keeps_the_weighted_figures(
+            counts in proptest::collection::vec(0u64..3_000, 1..2_000),
+            base in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(0u64),
+                proptest::prelude::Just(1u64 << 53),
+            ],
+            eps in 0.002f64..0.2,
+            b_max in 1.0f64..5_000.0,
+            n_points in 2usize..300,
+        ) {
+            let counts: Vec<u64> = counts.iter().map(|&c| base + c).collect();
+            let sweep = AttackSweep::new(b_max, n_points);
+            let mut sk = KllSketch::new(eps);
+            sk.extend_from_counts(&counts);
+            let table = SweepTable::compute(&sk, &sweep);
+            let reference = weighted_reference(&sk.weighted_items(), &sweep);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(table.thresholds()), bits(reference.thresholds()));
+            proptest::prop_assert_eq!(bits(table.fp()), bits(reference.fp()));
+            proptest::prop_assert_eq!(bits(table.mean_fn()), bits(reference.mean_fn()));
+            if sk.compactions() == 0 && base == 0u64 {
+                let exact = SweepTable::compute(&EmpiricalDist::from_counts(&counts), &sweep);
+                proptest::prop_assert_eq!(bits(table.mean_fn()), bits(exact.mean_fn()));
+                proptest::prop_assert_eq!(bits(table.fp()), bits(exact.fp()));
+            }
+        }
     }
 
     #[test]

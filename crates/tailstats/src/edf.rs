@@ -1,20 +1,51 @@
-//! Empirical distribution over stored samples.
+//! Empirical distribution over run-length-encoded samples.
+
+pub mod oracle;
 
 /// An empirical distribution built from a batch of observations.
 ///
-/// This is the object every end host builds from its training week: the
-/// sorted per-window feature counts, from which percentile thresholds and
-/// exceedance probabilities are read off.
+/// This is the object every end host builds from its training week: its
+/// per-window feature counts, from which percentile thresholds and
+/// exceedance probabilities are read off. A week of 672 windows holds a
+/// few dozen distinct counts, so the samples are stored as runs: the
+/// distinct values, ascending in `total_cmp` order (no two share bits),
+/// each with the number of samples at or below it. Every query returns
+/// the bits the sorted-sample [`oracle::EmpiricalDist`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalDist {
-    sorted: Vec<f64>,
-    /// Cached at construction: heuristics read these once per threshold
-    /// candidate, so recomputing per call would be O(n) each time.
-    mean: f64,
-    stddev: f64,
+    values: Vec<f64>,
+    /// `ends[i]` = number of samples `≤ values[i]`: strictly ascending,
+    /// the last one is `len()`.
+    ends: Vec<usize>,
 }
 
+/// Counts below this are tallied by value when building from counts; the
+/// rest are sorted.
+const HEAD: usize = 256;
+
 impl EmpiricalDist {
+    fn with_capacity(runs: usize) -> Self {
+        Self {
+            values: Vec::with_capacity(runs),
+            ends: Vec::with_capacity(runs),
+        }
+    }
+
+    /// Append `count` samples of `v`, which must not sort below the last
+    /// run; a `v` with the last run's bits extends that run.
+    fn push_run(&mut self, v: f64, count: usize) {
+        let end = self.len() + count;
+        match self.values.last() {
+            Some(last) if last.to_bits() == v.to_bits() => {
+                *self.ends.last_mut().expect("one end per value") = end;
+            }
+            _ => {
+                self.values.push(v);
+                self.ends.push(end);
+            }
+        }
+    }
+
     /// Build from samples. Non-finite values are rejected.
     ///
     /// # Panics
@@ -27,88 +58,134 @@ impl EmpiricalDist {
             "samples must be finite"
         );
         samples.sort_by(|a, b| a.total_cmp(b));
-        Self::from_sorted(samples)
-    }
-
-    /// Build from samples already in `total_cmp` order, summing the mean
-    /// and the squared deviations in that order.
-    fn from_sorted(sorted: Vec<f64>) -> Self {
-        assert!(!sorted.is_empty(), "empirical distribution needs samples");
-        let n = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / n as f64;
-        let stddev = if n < 2 {
-            0.0
-        } else {
-            let ss: f64 = sorted.iter().map(|x| (x - mean).powi(2)).sum();
-            (ss / (n - 1) as f64).sqrt()
-        };
-        Self {
-            sorted,
-            mean,
-            stddev,
+        let mut d = Self::with_capacity(0);
+        for &x in &samples {
+            d.push_run(x, 1);
         }
+        d
     }
 
     /// Build from integer counts (the common case for feature bins).
-    /// Sorts once, in the integer domain: `u64 → f64` never decreases and
-    /// never yields a non-finite value, so the converted samples are
-    /// already in `total_cmp` order and need neither a second sort nor a
-    /// finiteness check.
     pub fn from_counts(counts: &[u64]) -> Self {
-        let mut counts = counts.to_vec();
-        counts.sort_unstable();
-        Self::from_sorted(counts.iter().map(|&c| c as f64).collect())
+        Self::from_count_iter(counts.iter().copied())
+    }
+
+    /// Build from integer counts without copying them, so a strided
+    /// column such as one feature of a week's windows is read in place.
+    ///
+    /// Feature counts are small and heavy-tailed: a user-week of 672
+    /// windows holds about 27 distinct counts, 79% of its windows are 0,
+    /// but its span averages ~1800. So counts below [`HEAD`] are tallied
+    /// by value into four tables, the i-th count into table `i mod 4`
+    /// (one table would chain every increment of the 0 slot through
+    /// memory), and the tail at or above it — 3.4% of the corpus's counts
+    /// — is read again, copied and sorted. `u64 → f64` never decreases
+    /// and is always finite, so the runs come out in `total_cmp` order;
+    /// counts above 2^53 that round to one `f64` share its run.
+    ///
+    /// # Panics
+    /// Panics if `counts` is empty or longer than `u32::MAX`.
+    pub fn from_count_iter<I: ExactSizeIterator<Item = u64> + Clone>(counts: I) -> Self {
+        assert!(
+            u32::try_from(counts.len()).is_ok(),
+            "count tables hold at most u32::MAX samples"
+        );
+        let mut tables = [[0u32; HEAD + 1]; 4];
+        let mut it = counts.clone();
+        'tally: loop {
+            for table in &mut tables {
+                let Some(c) = it.next() else { break 'tally };
+                table[c.min(HEAD as u64) as usize] += 1;
+            }
+        }
+        let head: [u32; HEAD] = std::array::from_fn(|k| tables.iter().map(|t| t[k]).sum());
+        let mut tail: Vec<u64> = Vec::new();
+        if tables.iter().any(|t| t[HEAD] > 0) {
+            tail = counts.filter(|&c| c >= HEAD as u64).collect();
+            tail.sort_unstable();
+        }
+        let runs = head.iter().filter(|&&c| c > 0).count() + tail.chunk_by(|a, b| a == b).count();
+        assert!(runs > 0, "empirical distribution needs samples");
+        let mut d = Self::with_capacity(runs);
+        for (k, &c) in head.iter().enumerate() {
+            if c > 0 {
+                d.push_run(k as f64, c as usize);
+            }
+        }
+        for run in tail.chunk_by(|a, b| a == b) {
+            d.push_run(run[0] as f64, run.len());
+        }
+        d
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.ends.last().copied().unwrap_or(0)
     }
 
     /// Whether the distribution holds no samples. Construction requires at
     /// least one sample, so this is false for any reachable value; it
     /// delegates rather than hard-coding that invariant.
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.ends.is_empty()
     }
 
     /// Smallest sample.
     pub fn min(&self) -> f64 {
-        self.sorted[0]
+        self.values[0]
     }
 
     /// Largest sample.
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
+        *self.values.last().expect("non-empty by construction")
     }
 
-    /// Sample mean (cached at construction).
+    /// Sample mean: the samples summed in ascending order, each run's
+    /// value added once per sample, so it is the sum a sorted sample
+    /// array gives. O(n); no threshold-fitting or scoring path reads it.
     pub fn mean(&self) -> f64 {
-        self.mean
+        self.samples().sum::<f64>() / self.len() as f64
     }
 
-    /// Unbiased sample standard deviation, 0 for a single sample (cached
-    /// at construction).
+    /// Unbiased sample standard deviation, 0 for a single sample: the
+    /// squared deviations from [`mean`](Self::mean) summed in the same
+    /// order. O(n), like the mean.
     pub fn stddev(&self) -> f64 {
-        self.stddev
+        let n = self.len();
+        if n < 2 {
+            return 0.0;
+        }
+        let mean = self.mean();
+        let ss: f64 = self.samples().map(|x| (x - mean).powi(2)).sum();
+        (ss / (n - 1) as f64).sqrt()
+    }
+
+    /// The sample at 0-based rank `i` (`i < len()`).
+    fn sample(&self, i: usize) -> f64 {
+        self.values[self.ends.partition_point(|&e| e <= i)]
+    }
+
+    /// Number of samples in the runs before run `j`.
+    fn count_before(&self, j: usize) -> usize {
+        j.checked_sub(1).map_or(0, |i| self.ends[i])
     }
 
     /// Quantile by linear interpolation (Hyndman–Fan type 7, the R/NumPy
     /// default). `q` is clamped to `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
+        let n = self.len();
         if n == 1 {
-            return self.sorted[0];
+            return self.values[0];
         }
         let pos = q * (n - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = pos.ceil() as usize;
         if lo == hi {
-            self.sorted[lo]
+            self.sample(lo)
         } else {
             let frac = pos - lo as f64;
-            self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
+            self.sample(lo) * (1.0 - frac) + self.sample(hi) * frac
         }
     }
 
@@ -117,15 +194,15 @@ impl EmpiricalDist {
     /// "the 99th percentile value" of integer counts).
     pub fn quantile_discrete(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
+        let n = self.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[rank - 1]
+        self.sample(rank - 1)
     }
 
     /// Empirical CDF: fraction of samples `≤ x`.
     pub fn cdf(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
+        let j = self.values.partition_point(|&v| v <= x);
+        self.count_before(j) as f64 / self.len() as f64
     }
 
     /// Exceedance probability: fraction of samples strictly greater than
@@ -139,8 +216,8 @@ impl EmpiricalDist {
     /// and threshold `T`, `P(g + b < T) = below(T - b)` is the paper's
     /// false-negative rate.
     pub fn below(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v < x);
-        idx as f64 / self.sorted.len() as f64
+        let j = self.values.partition_point(|&v| v < x);
+        self.count_before(j) as f64 / self.len() as f64
     }
 
     /// Largest shift `b ≥ 0` such that `P(X + b < t) ≥ prob`, i.e. the
@@ -149,7 +226,7 @@ impl EmpiricalDist {
     /// Returns 0 when even `b = 0` cannot achieve `prob` (the threshold
     /// already sits deep inside the distribution).
     pub fn max_shift_below(&self, t: f64, prob: f64) -> f64 {
-        let n = self.sorted.len();
+        let n = self.len();
         let need = (prob * n as f64).ceil() as usize;
         if need == 0 {
             // Any b works; cap at t - min so the flow stays non-negative.
@@ -159,152 +236,100 @@ impl EmpiricalDist {
             return 0.0;
         }
         // Need the `need` smallest samples to stay strictly below t after
-        // the shift: x_(need) + b < t  =>  b < t - x_(need).
-        let x = self.sorted[need - 1];
-        // Largest b satisfying the strict inequality on integer-valued
-        // features is t - x - 1, but features may be non-integral after
-        // interpolation; use the open-interval supremum minus an epsilon-
-        // free formulation: return the bound itself clamped at 0, and let
-        // callers on integer lattices floor it.
-        (t - x).max(0.0)
+        // the shift: x_(need) + b < t  =>  b < t - x_(need). The bound is
+        // a supremum; callers on integer lattices floor it.
+        (t - self.sample(need - 1)).max(0.0)
     }
 
-    /// Borrow the sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
+    /// The runs, ascending: each distinct value with its sample count.
+    pub fn runs(&self) -> impl DoubleEndedIterator<Item = (f64, usize)> + ExactSizeIterator + '_ {
+        (0..self.values.len()).map(move |i| (self.values[i], self.ends[i] - self.count_before(i)))
+    }
+
+    /// Every sample, ascending (each run's value repeated).
+    pub fn samples(&self) -> impl DoubleEndedIterator<Item = &f64> + '_ {
+        (0..self.values.len()).flat_map(move |i| {
+            std::iter::repeat_n(&self.values[i], self.ends[i] - self.count_before(i))
+        })
+    }
+
+    /// The distinct values, ascending, and the count of samples at or
+    /// below each: the view a whole-distribution kernel scans.
+    pub(crate) fn run_table(&self) -> (&[f64], &[usize]) {
+        (&self.values, &self.ends)
     }
 
     /// Merge several distributions into the pooled ("ensembled") global
     /// distribution the homogeneous policy computes at the IT console.
     ///
-    /// Every member is already sorted. Members on one non-negative
-    /// `lo + ℤ` lattice (feature counts) are pooled by counting in one
-    /// pass; anything else merges the sorted runs pairwise
-    /// ([`oracle::pool`]). Either way the result — samples, mean
-    /// and stddev — is exactly what [`EmpiricalDist::from_samples`] gives
-    /// on the concatenation.
+    /// Members on one non-negative `lo + ℤ` lattice (feature counts) whose
+    /// pooled span fits the counting bound are pooled by counting their
+    /// runs into one table; anything else concatenates the runs, sorts
+    /// them by value and joins equal ones. Either way the result is what
+    /// [`EmpiricalDist::from_samples`] gives on the concatenation.
     ///
     /// # Panics
     /// Panics if `dists` is empty.
     pub fn pool<'a>(dists: impl IntoIterator<Item = &'a EmpiricalDist>) -> EmpiricalDist {
-        let runs: Vec<&[f64]> = dists.into_iter().map(|d| d.samples()).collect();
-        match pool_by_counting(&runs) {
-            Some(sorted) => EmpiricalDist::from_sorted(sorted),
-            None => merge_pool(&runs),
-        }
+        let dists: Vec<&EmpiricalDist> = dists.into_iter().collect();
+        assert!(!dists.is_empty(), "empirical distribution needs samples");
+        pool_by_counting(&dists).unwrap_or_else(|| merge_runs(&dists))
     }
 }
 
-/// Pool `total_cmp`-sorted runs by counting, or `None` where that cannot
-/// reproduce the merge bit for bit.
+/// Pool runs by counting, or `None` where that cannot reproduce the merge
+/// bit for bit.
 ///
-/// Applies when every run starts at or above `+0.0` (so no run holds
+/// Applies when every member starts at or above `+0.0` (so none holds
 /// `-0.0` or a negative sample), the pooled span `hi − lo` is at most
-/// `4n + 4096`, and every distinct sample `v` is `lo + k` exactly for
-/// `k = (v − lo) as usize`, checked on its bits. Non-negative samples
-/// sort under `total_cmp` in numeric order, `lo + k` never decreases in
-/// `k`, and distinct slots hold distinct values, so emitting each slot's
-/// value as many times as it was counted is the merged sequence.
-fn pool_by_counting(runs: &[&[f64]]) -> Option<Vec<f64>> {
-    let n: usize = runs.iter().map(|r| r.len()).sum();
-    let mut bounds = runs.iter().filter_map(|r| Some((*r.first()?, *r.last()?)));
-    let (mut lo, mut hi) = bounds.next()?;
-    for (first, last) in bounds {
-        lo = lo.min(first);
-        hi = hi.max(last);
-    }
-    let starts_non_negative = runs
+/// `4n + 4096` (a table a few times the samples it replaces), and every
+/// run's value `v` is `lo + k` exactly for `k = (v − lo) as usize`,
+/// checked on its bits. Non-negative values sort under `total_cmp` in
+/// numeric order, `lo + k` never decreases in `k`, and distinct slots
+/// hold distinct values, so the non-empty slots in order are the merged
+/// runs.
+fn pool_by_counting(dists: &[&EmpiricalDist]) -> Option<EmpiricalDist> {
+    let n: usize = dists.iter().map(|d| d.len()).sum();
+    let lo = dists.iter().map(|d| d.min()).fold(f64::INFINITY, f64::min);
+    let hi = dists
         .iter()
-        .all(|r| r.first().is_none_or(|v| v.total_cmp(&0.0).is_ge()));
+        .map(|d| d.max())
+        .fold(f64::NEG_INFINITY, f64::max);
+    let starts_non_negative = dists.iter().all(|d| d.min().total_cmp(&0.0).is_ge());
     if !starts_non_negative || hi - lo > 4.0 * n as f64 + 4096.0 {
         return None;
     }
     let mut count = vec![0usize; (hi - lo) as usize + 1];
-    for run in runs {
-        let mut i = 0;
-        while i < run.len() {
-            let v = run[i];
-            let len = run[i..].partition_point(|x| x.to_bits() == v.to_bits());
+    for d in dists {
+        for (v, c) in d.runs() {
             let k = (v - lo) as usize;
             if (lo + k as f64).to_bits() != v.to_bits() {
                 return None;
             }
-            count[k] += len;
-            i += len;
+            count[k] += c;
         }
     }
-    let mut sorted = Vec::with_capacity(n);
+    let mut pooled = EmpiricalDist::with_capacity(0);
     for (k, &c) in count.iter().enumerate() {
         if c > 0 {
-            sorted.resize(sorted.len() + c, lo + k as f64);
+            pooled.push_run(lo + k as f64, c);
         }
     }
-    Some(sorted)
+    Some(pooled)
 }
 
-/// Pool sorted runs by merging them pairwise, round by round. `total_cmp`
-/// is a total order on finite values in which ties are bit-identical, so
-/// this equals sorting the concatenation.
-///
-/// # Panics
-/// Panics if `runs` holds no samples.
-fn merge_pool(runs: &[&[f64]]) -> EmpiricalDist {
-    let mut src: Vec<f64> = Vec::new();
-    let mut ends: Vec<usize> = Vec::new();
-    for run in runs {
-        src.extend_from_slice(run);
-        ends.push(src.len());
+/// Pool runs of any values: concatenate them, sort by value and join runs
+/// of equal bits. `total_cmp` is a total order on finite values in which
+/// ties are bit-identical, so this equals sorting the concatenated
+/// samples.
+fn merge_runs(dists: &[&EmpiricalDist]) -> EmpiricalDist {
+    let mut runs: Vec<(f64, usize)> = dists.iter().flat_map(|d| d.runs()).collect();
+    runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut pooled = EmpiricalDist::with_capacity(runs.len());
+    for (v, c) in runs {
+        pooled.push_run(v, c);
     }
-    let mut dst = vec![0.0; src.len()];
-    while ends.len() > 1 {
-        let mut start = 0;
-        for pair in ends.chunks(2) {
-            let end = pair[pair.len() - 1];
-            let out = &mut dst[start..end];
-            match *pair {
-                [mid, _] => merge_runs(&src[start..mid], &src[mid..end], out),
-                _ => out.copy_from_slice(&src[start..end]),
-            }
-            start = end;
-        }
-        ends = ends.chunks(2).map(|pair| pair[pair.len() - 1]).collect();
-        std::mem::swap(&mut src, &mut dst);
-    }
-    EmpiricalDist::from_sorted(src)
-}
-
-/// Merge two `total_cmp`-sorted runs into `out` (`a.len() + b.len()` long).
-fn merge_runs(a: &[f64], b: &[f64], out: &mut [f64]) {
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        if b[j].total_cmp(&a[i]).is_lt() {
-            out[k] = b[j];
-            j += 1;
-        } else {
-            out[k] = a[i];
-            i += 1;
-        }
-        k += 1;
-    }
-    let rest_a = a.len() - i;
-    out[k..k + rest_a].copy_from_slice(&a[i..]);
-    out[k + rest_a..].copy_from_slice(&b[j..]);
-}
-
-/// The pairwise merge [`EmpiricalDist::pool`] falls back to, callable on
-/// its own as the differential-test and benchmark oracle of the counting
-/// path.
-pub mod oracle {
-    use super::EmpiricalDist;
-
-    /// [`EmpiricalDist::pool`] by merging sorted runs, whatever their values.
-    ///
-    /// # Panics
-    /// Panics if `dists` is empty.
-    pub fn pool<'a>(dists: impl IntoIterator<Item = &'a EmpiricalDist>) -> EmpiricalDist {
-        let runs: Vec<&[f64]> = dists.into_iter().map(|d| d.samples()).collect();
-        super::merge_pool(&runs)
-    }
+    pooled
 }
 
 #[cfg(test)]
@@ -376,25 +401,39 @@ mod tests {
     }
 
     #[test]
+    fn runs_join_equal_bits_only() {
+        let d = dist(&[3.0, 0.0, -0.0, 3.0, 0.0, 1.5]);
+        let runs: Vec<(u64, usize)> = d.runs().map(|(v, c)| (v.to_bits(), c)).collect();
+        let want = [(-0.0f64, 1), (0.0, 2), (1.5, 1), (3.0, 2)];
+        assert_eq!(runs, want.map(|(v, c)| (v.to_bits(), c)));
+        // Counts past 2^53 that convert to one f64 share its run.
+        let big = 1u64 << 53;
+        let d = EmpiricalDist::from_counts(&[big, big + 1, big + 2]);
+        assert_eq!(
+            d.runs().collect::<Vec<_>>(),
+            [(big as f64, 2), ((big + 2) as f64, 1)]
+        );
+    }
+
+    #[test]
     fn pooling_matches_concatenation() {
         let a = dist(&[1.0, 5.0]);
         let b = dist(&[2.0, 10.0]);
         let pooled = EmpiricalDist::pool([&a, &b]);
         assert_eq!(pooled.len(), 4);
-        assert_eq!(pooled.samples(), &[1.0, 2.0, 5.0, 10.0]);
+        assert_eq!(
+            pooled.samples().copied().collect::<Vec<_>>(),
+            [1.0, 2.0, 5.0, 10.0]
+        );
     }
 
-    /// The pre-merge `pool` body: concatenate and sort again.
+    /// Concatenate the members' samples and sort again.
     fn pool_oracle(dists: &[EmpiricalDist]) -> EmpiricalDist {
-        let mut all = Vec::new();
-        for d in dists {
-            all.extend_from_slice(d.samples());
-        }
-        EmpiricalDist::from_samples(all)
+        EmpiricalDist::from_samples(dists.iter().flat_map(|d| d.samples().copied()).collect())
     }
 
     fn assert_bitwise_eq(a: &EmpiricalDist, b: &EmpiricalDist) {
-        let bits = |d: &EmpiricalDist| d.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits = |d: &EmpiricalDist| d.samples().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(a), bits(b));
         assert_eq!(a.mean().to_bits(), b.mean().to_bits());
         assert_eq!(a.stddev().to_bits(), b.stddev().to_bits());
@@ -413,14 +452,10 @@ mod tests {
             dist(&[0.0, 7.0]),
         ];
         for dists in [one, singles, skewed] {
-            assert_bitwise_eq(&EmpiricalDist::pool(&dists), &pool_oracle(&dists));
+            let sorted = pool_oracle(&dists);
+            assert_bitwise_eq(&EmpiricalDist::pool(&dists), &sorted);
+            assert_bitwise_eq(&merge_runs(&dists.iter().collect::<Vec<_>>()), &sorted);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "needs samples")]
-    fn pooling_nothing_rejected() {
-        let _ = EmpiricalDist::pool(std::iter::empty());
     }
 
     /// The sample value of count `c` under each pooling proptest shape.
@@ -452,12 +487,12 @@ mod tests {
 
     #[test]
     fn counting_pool_takes_lattices_and_leaves_the_rest() {
-        let pooled = |runs: &[&[f64]]| {
-            let dists: Vec<EmpiricalDist> = runs.iter().map(|r| dist(r)).collect();
-            let counted = pool_by_counting(&dists.iter().map(|d| d.samples()).collect::<Vec<_>>());
-            if let Some(sorted) = &counted {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(sorted), bits(oracle::pool(&dists).samples()));
+        let counted = |members: &[&[f64]]| {
+            let dists: Vec<EmpiricalDist> = members.iter().map(|m| dist(m)).collect();
+            let refs: Vec<&EmpiricalDist> = dists.iter().collect();
+            let counted = pool_by_counting(&refs);
+            if let Some(pooled) = &counted {
+                assert_bitwise_eq(pooled, &merge_runs(&refs));
             }
             counted.is_some()
         };
@@ -465,29 +500,29 @@ mod tests {
         // Counted: integers, a half-integer lattice, +0.0, offsets at and
         // above 2^53, a span right at the bound (n = 2, 4n + 4096), and one
         // repeated huge value.
-        assert!(pooled(&[&[0.0, 3.0, 3.0], &[1.0, 2.0]]));
-        assert!(pooled(&[&[0.5, 3.5], &[1.5, 1.5, 9.5]]));
-        assert!(pooled(&[&[big, big + 2.0], &[big + 6.0]]));
-        assert!(pooled(&[&[2f64.powi(60)], &[2f64.powi(60) + 256.0]]));
-        assert!(pooled(&[&[7.0], &[7.0 + 4104.0]]));
-        assert!(pooled(&[&[1e300, 1e300], &[1e300]]));
+        assert!(counted(&[&[0.0, 3.0, 3.0], &[1.0, 2.0]]));
+        assert!(counted(&[&[0.5, 3.5], &[1.5, 1.5, 9.5]]));
+        assert!(counted(&[&[big, big + 2.0], &[big + 6.0]]));
+        assert!(counted(&[&[2f64.powi(60)], &[2f64.powi(60) + 256.0]]));
+        assert!(counted(&[&[7.0], &[7.0 + 4104.0]]));
+        assert!(counted(&[&[1e300, 1e300], &[1e300]]));
         // Merged: `-0.0` (alone or beside `+0.0`), negatives, two lattices
         // at once, a span one past the bound, and fractions.
-        assert!(!pooled(&[&[-0.0, 0.0, 1.0], &[2.0]]));
-        assert!(!pooled(&[&[-0.0]]));
-        assert!(!pooled(&[&[-1.0, 2.0], &[0.0]]));
-        assert!(!pooled(&[&[0.5, 1.5], &[1.0]]));
-        assert!(!pooled(&[&[7.0], &[7.0 + 4105.0]]));
-        assert!(!pooled(&[&[0.0, 0.37, 0.74]]));
+        assert!(!counted(&[&[-0.0, 0.0, 1.0], &[2.0]]));
+        assert!(!counted(&[&[-0.0]]));
+        assert!(!counted(&[&[-1.0, 2.0], &[0.0]]));
+        assert!(!counted(&[&[0.5, 1.5], &[1.0]]));
+        assert!(!counted(&[&[7.0], &[7.0 + 4105.0]]));
+        assert!(!counted(&[&[0.0, 0.37, 0.74]]));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The pool equals concatenate-and-sort and the retained merge bit
-        /// for bit, over runs with duplicates, single-sample members and
-        /// skewed lengths, on lattices the counting path takes and shapes
-        /// it must leave to the merge.
+        /// The pool equals concatenate-and-sort and the run merge bit for
+        /// bit, over runs with duplicates, single-sample members and skewed
+        /// lengths, on lattices the counting path takes and shapes it must
+        /// leave to the merge.
         #[test]
         fn pool_merge_matches_concat_and_sort(
             runs in prop_oneof![
@@ -514,12 +549,12 @@ mod tests {
             let sorted = pool_oracle(&dists);
             prop_assert_eq!(pooled.len(), sorted.len());
             assert_bitwise_eq(&pooled, &sorted);
-            assert_bitwise_eq(&oracle::pool(&dists), &sorted);
+            assert_bitwise_eq(&merge_runs(&dists.iter().collect::<Vec<_>>()), &sorted);
         }
 
-        /// Sorting counts once, as integers, gives the distribution that
-        /// converting and sorting as floats gives, up to and including
-        /// `u64::MAX`, where the conversion rounds many counts together.
+        /// Building from counts gives the distribution that converting and
+        /// sorting as floats gives, up to and including `u64::MAX`, where
+        /// the conversion rounds many counts together.
         #[test]
         fn from_counts_matches_from_samples(
             counts in proptest::collection::vec(
@@ -549,8 +584,20 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "needs samples")]
+    fn pooling_nothing_rejected() {
+        let _ = EmpiricalDist::pool(std::iter::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs samples")]
     fn empty_rejected() {
         let _ = EmpiricalDist::from_samples(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs samples")]
+    fn empty_counts_rejected() {
+        let _ = EmpiricalDist::from_counts(&[]);
     }
 
     #[test]

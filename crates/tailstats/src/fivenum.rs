@@ -45,20 +45,17 @@ impl FiveNumber {
         let hi_fence = q3 + 1.5 * iqr;
         let whisker_lo = dist
             .samples()
-            .iter()
             .copied()
             .find(|&x| x >= lo_fence)
             .unwrap_or(q1);
         let whisker_hi = dist
             .samples()
-            .iter()
             .rev()
             .copied()
             .find(|&x| x <= hi_fence)
             .unwrap_or(q3);
         let outliers = dist
             .samples()
-            .iter()
             .copied()
             .filter(|&x| x < lo_fence || x > hi_fence)
             .collect();

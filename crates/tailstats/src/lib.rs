@@ -5,7 +5,8 @@
 //! across a population. This crate provides the statistical machinery:
 //!
 //! * [`EmpiricalDist`] — exact quantiles, CDF and exceedance probabilities
-//!   over stored samples (what each end host computes from a training week);
+//!   over run-length samples (what each end host computes from a training
+//!   week);
 //! * [`KllSketch`] — deterministic integer-only mergeable rank sketch with
 //!   a guaranteed rank-error ledger, for fleet-scale per-host state;
 //! * [`QuantileBackend`] — the one rank-query surface both of those

@@ -71,12 +71,6 @@ impl Moments {
         self.max
     }
 
-    /// The `mean + k·σ` outlier cut-off used by one of the paper's
-    /// threshold heuristics.
-    pub fn sigma_threshold(&self, k: f64) -> f64 {
-        self.mean() + k * self.stddev()
-    }
-
     /// Merge another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &Moments) {
         if other.n == 0 {
@@ -164,16 +158,6 @@ mod tests {
         empty.merge(&b);
         assert_eq!(empty.mean(), 5.0);
         assert_eq!(empty.count(), 1);
-    }
-
-    #[test]
-    fn sigma_threshold() {
-        let mut m = Moments::new();
-        for x in [0.0, 2.0, 4.0] {
-            m.observe(x);
-        }
-        // mean 2, sd 2
-        assert!((m.sigma_threshold(3.0) - 8.0).abs() < 1e-12);
     }
 
     #[test]

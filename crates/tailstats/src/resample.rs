@@ -78,21 +78,28 @@ pub fn bootstrap_ci(
 ///
 /// 0 for identical distributions, 1 for disjoint supports.
 pub fn ks_distance(a: &EmpiricalDist, b: &EmpiricalDist) -> f64 {
-    let (xa, xb) = (a.samples(), b.samples());
-    let (na, nb) = (xa.len() as f64, xb.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
+    let ((xa, ea), (xb, eb)) = (a.run_table(), b.run_table());
+    let (na, nb) = (a.len() as f64, b.len() as f64);
+    // Runs consumed from each side, and the samples they hold.
+    let (mut i, mut j, mut ca, mut cb) = (0usize, 0usize, 0usize, 0usize);
     let mut d: f64 = 0.0;
     while i < xa.len() && j < xb.len() {
         let x = xa[i].min(xb[j]);
         while i < xa.len() && xa[i] <= x {
+            ca = ea[i];
             i += 1;
         }
         while j < xb.len() && xb[j] <= x {
+            cb = eb[j];
             j += 1;
         }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
+        d = d.max((ca as f64 / na - cb as f64 / nb).abs());
     }
-    d.max((1.0 - i as f64 / na).abs().max((1.0 - j as f64 / nb).abs()))
+    d.max(
+        (1.0 - ca as f64 / na)
+            .abs()
+            .max((1.0 - cb as f64 / nb).abs()),
+    )
 }
 
 /// Gini coefficient of a non-negative sample (0 = perfectly equal,

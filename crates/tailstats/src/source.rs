@@ -5,15 +5,15 @@
 //! (`exceedance`, `below`), the first two moments, and — for the
 //! whole-distribution sweep kernel — the sorted data itself.
 //! [`QuantileBackend`] is exactly that surface. [`EmpiricalDist`] (exact,
-//! stored samples) and [`KllSketch`] (bounded memory for fleet scale)
+//! run-length samples) and [`KllSketch`] (bounded memory for fleet scale)
 //! both implement it, so a caller is written once, generic over the
 //! backend, and the choice of backend lives here rather than in early
 //! returns at every call site.
 //!
 //! [`QuantileBackend::ranked`] is the one place a backend's shape shows:
-//! it hands a kernel either every stored sample ([`RankedView::Samples`])
-//! or the sketch's aggregated `(value, weight)` summary
-//! ([`RankedView::Weighted`]).
+//! it hands a kernel either the exact backend's runs
+//! ([`RankedView::Runs`]) or the sketch's aggregated `(value, weight)`
+//! summary ([`RankedView::Weighted`]).
 //!
 //! # The boundary contract (pinned here, for both backends)
 //!
@@ -44,8 +44,14 @@ use crate::sketch::KllSketch;
 /// score every candidate threshold of a distribution in one pass.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RankedView<'a> {
-    /// Every stored sample, ascending (the exact backend).
-    Samples(&'a [f64]),
+    /// The exact backend's runs: its distinct values, ascending, and for
+    /// each the count of samples at or below it (the last is `len()`).
+    Runs {
+        /// Distinct sample values, ascending in `total_cmp` order.
+        values: &'a [f64],
+        /// Cumulative sample counts, one per value.
+        ends: &'a [usize],
+    },
     /// Stored values aggregated by value, ascending, with positive
     /// weights summing to `len()` (the sketch backend; see
     /// [`KllSketch::weighted_items`]).
@@ -74,9 +80,9 @@ pub trait QuantileBackend {
     /// moment sums).
     fn mean(&self) -> f64;
 
-    /// Unbiased sample standard deviation. Exact backend: cached
-    /// two-pass value; sketch: from exact integer moment sums (equal in
-    /// value up to float association, not guaranteed bitwise).
+    /// Unbiased sample standard deviation. Exact backend: two passes over
+    /// the samples in order; sketch: from exact integer moment sums
+    /// (equal in value up to float association, not guaranteed bitwise).
     fn stddev(&self) -> f64;
 
     /// Fraction of samples strictly greater than `x` (false-positive rate
@@ -117,7 +123,8 @@ impl QuantileBackend for EmpiricalDist {
         EmpiricalDist::below(self, x)
     }
     fn ranked(&self) -> RankedView<'_> {
-        RankedView::Samples(self.samples())
+        let (values, ends) = self.run_table();
+        RankedView::Runs { values, ends }
     }
 }
 
@@ -154,7 +161,7 @@ impl QuantileBackend for KllSketch {
 /// only for the benchmark harness's existing calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QuantileSource {
-    /// Exact stored-sample backend.
+    /// Exact run-length backend.
     Exact(EmpiricalDist),
     /// Bounded-memory deterministic sketch backend.
     Sketch(KllSketch),
@@ -263,7 +270,16 @@ mod tests {
     #[test]
     fn ranked_views_expose_each_backends_data() {
         let (e, s) = both();
-        assert_eq!(e.ranked(), RankedView::Samples(e.samples()));
+        let runs: Vec<(f64, usize)> = e.runs().collect();
+        match e.ranked() {
+            RankedView::Runs { values, ends } => {
+                let counts = ends
+                    .iter()
+                    .scan(0, |prev, &end| Some(end - std::mem::replace(prev, end)));
+                assert_eq!(values.iter().copied().zip(counts).collect::<Vec<_>>(), runs);
+            }
+            other => panic!("exact backend hands out {other:?}"),
+        }
         assert_eq!(s.ranked(), RankedView::Weighted(s.weighted_items()));
     }
 
