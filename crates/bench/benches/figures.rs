@@ -157,17 +157,15 @@ fn pooling(c: &mut Criterion) {
     });
     let dists = corpus.dists(FeatureKind::TcpConnections, 0);
     let oracle_dists: Vec<edf::oracle::EmpiricalDist> = corpus
-        .weeks
-        .iter()
-        .map(|w| {
-            edf::oracle::EmpiricalDist::from_counts(&w[0].feature(FeatureKind::TcpConnections))
-        })
+        .columns(FeatureKind::TcpConnections, 0)
+        .into_iter()
+        .map(edf::oracle::EmpiricalDist::from_counts)
         .collect();
-    let counts = corpus.series(0, 0).feature(FeatureKind::TcpConnections);
-    let columns: Vec<Vec<u64>> = corpus
+    let counts = corpus.series(0, 0).column(FeatureKind::TcpConnections);
+    let columns: Vec<&[u64]> = corpus
         .weeks
         .iter()
-        .flat_map(|w| FeatureKind::ALL.map(|f| w[0].feature(f)))
+        .flat_map(|w| FeatureKind::ALL.map(|f| w[0].column(f)))
         .collect();
     let ds = corpus.dataset(FeatureKind::TcpConnections, 0);
     let sweep = ds.default_sweep();
@@ -186,7 +184,7 @@ fn pooling(c: &mut Criterion) {
         b.iter(|| black_box(edf::oracle::EmpiricalDist::pool(black_box(&oracle_dists))))
     });
     group.bench_function("from_counts_672", |b| {
-        b.iter(|| black_box(EmpiricalDist::from_counts(black_box(&counts))))
+        b.iter(|| black_box(EmpiricalDist::from_counts(black_box(counts))))
     });
     group.bench_function("runs_from_counts_1200", |b| {
         b.iter(|| {
@@ -271,5 +269,56 @@ fn detector(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, figures, policies, pooling, detector);
+/// Reading the corpus feature by feature at the benchmark's scale (200
+/// users × one 672-window week): `Corpus::dists` over all six features,
+/// each user's column one contiguous slice, and multifeat's nine (policy ×
+/// feature set) cells scored from per-policy fire masks, with the
+/// thresholds configured beforehand.
+fn corpus_reads(c: &mut Criterion) {
+    use hids_core::{Policy, ThresholdHeuristic};
+    let corpus = Corpus::generate(CorpusConfig {
+        n_users: 200,
+        n_weeks: 2,
+        ..Default::default()
+    });
+    let test: Vec<_> = corpus.weeks.iter().map(|w| &w[1]).collect();
+    let zombie = flowtab::FeatureWeek::from(&synthgen::storm_week_series(
+        &StormConfig::default(),
+        corpus.config.windowing(),
+        0,
+    ));
+    let train: Vec<Vec<EmpiricalDist>> = FeatureKind::ALL
+        .iter()
+        .map(|&f| corpus.dists(f, 0))
+        .collect();
+    let thresholds: Vec<Vec<Vec<f64>>> = experiments::POLICIES
+        .iter()
+        .map(|&(_, grouping)| {
+            let policy = Policy {
+                grouping,
+                heuristic: ThresholdHeuristic::P99,
+            };
+            train
+                .iter()
+                .map(|d| policy.configure(d).thresholds)
+                .collect()
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("corpus");
+    group.sample_size(20);
+    group.bench_function("corpus_dists_6x200", |b| {
+        b.iter(|| {
+            for f in FeatureKind::ALL {
+                black_box(black_box(&corpus).dists(f, 0));
+            }
+        })
+    });
+    group.bench_function("multifeat_cells", |b| {
+        b.iter(|| black_box(multifeat::cells(black_box(&test), &zombie, &thresholds)))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, figures, policies, pooling, detector, corpus_reads);
 criterion_main!(benches);

@@ -240,12 +240,12 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, cfg: &ChaosConfig) -> ChaosRep
     let train: Vec<_> = corpus
         .weeks
         .iter()
-        .map(|w| w[train_week].clone())
+        .map(|w| w[train_week].to_series())
         .collect();
     let test: Vec<_> = corpus
         .weeks
         .iter()
-        .map(|w| w[train_week + 1].clone())
+        .map(|w| w[train_week + 1].to_series())
         .collect();
     let degraded_ds =
         DegradedDataset::from_masked_series(&train, &test, &train_masks, &test_masks, feature)

@@ -108,11 +108,10 @@ pub fn build_batches_for(
     batch_windows: usize,
     poison_hosts: &[u32],
 ) -> Vec<WindowBatch> {
-    let weeks: Vec<(Vec<u64>, Vec<u64>)> = (0..corpus.n_users())
-        .map(|host| {
-            let week = |w| corpus.series(host, w).feature(feature);
-            (week(0), week(1))
-        })
+    let weeks: Vec<(&[u64], &[u64])> = corpus
+        .weeks
+        .iter()
+        .map(|w| (w[0].column(feature), w[1].column(feature)))
         .collect();
     batch_stream(&weeks, batch_windows, poison_hosts)
 }

@@ -1,6 +1,6 @@
 //! Corpus: the generated population traces every experiment consumes.
 
-use flowtab::{FeatureKind, FeatureSeries, Windowing};
+use flowtab::{FeatureKind, FeatureWeek, Windowing};
 use hids_core::FeatureDataset;
 use serde::{Deserialize, Serialize};
 use synthgen::{Population, PopulationConfig, UserProfile, WeekPlan};
@@ -48,20 +48,24 @@ impl CorpusConfig {
     }
 }
 
-/// The generated corpus: profiles plus per-user, per-week feature series.
+/// The generated corpus: profiles plus per-user, per-week feature counts.
+///
+/// Each user-week is stored feature-major ([`FeatureWeek`]): every result
+/// reads one feature at a time, so each read is one contiguous column.
+/// No other layout of the counts is kept.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// Run configuration.
     pub config: CorpusConfig,
     /// Sampled population.
     pub population: Population,
-    /// `weeks[u][w]` is user `u`'s series for week `w`.
-    pub weeks: Vec<Vec<FeatureSeries>>,
+    /// `weeks[u][w]` is user `u`'s counts for week `w`.
+    pub weeks: Vec<Vec<FeatureWeek>>,
 }
 
 impl Corpus {
     /// Generate a corpus, parallelising across users via
-    /// [`hids_core::par_map`] (each user's weekly series derive from their
+    /// [`hids_core::par_map`] (each user's weekly counts derive from their
     /// own seeded stream, so output is identical at any thread count).
     pub fn generate(config: CorpusConfig) -> Self {
         let population = Population::sample(PopulationConfig {
@@ -77,7 +81,7 @@ impl Corpus {
         let weeks = hids_core::par_map(&population.users, |_, u: &UserProfile| {
             let plan = WeekPlan::new(u, windowing);
             (0..n_weeks)
-                .map(|w| plan.series(seed, w, trend))
+                .map(|w| plan.columns(seed, w, trend))
                 .collect::<Vec<_>>()
         });
 
@@ -93,9 +97,14 @@ impl Corpus {
         self.weeks.len()
     }
 
-    /// One user's series for one week.
-    pub fn series(&self, user: usize, week: usize) -> &FeatureSeries {
+    /// One user's counts for one week.
+    pub fn series(&self, user: usize, week: usize) -> &FeatureWeek {
         &self.weeks[user][week]
+    }
+
+    /// Every user's counts of one feature in one week.
+    pub fn columns(&self, feature: FeatureKind, week: usize) -> Vec<&[u64]> {
+        self.weeks.iter().map(|w| w[week].column(feature)).collect()
     }
 
     /// Every user's distribution of one feature in one week — the
@@ -104,12 +113,12 @@ impl Corpus {
     pub fn dists(&self, feature: FeatureKind, week: usize) -> Vec<EmpiricalDist> {
         self.weeks
             .iter()
-            .map(|w| EmpiricalDist::from_count_iter(w[week].column(feature)))
+            .map(|w| EmpiricalDist::from_counts(w[week].column(feature)))
             .collect()
     }
 
     /// Train-on-week / test-on-next dataset for one feature, built from
-    /// borrowed series. Nothing is cached: an experiment that reads one
+    /// borrowed columns. Nothing is cached: an experiment that reads one
     /// (feature, split) several times builds it once and passes it on.
     ///
     /// The paper trains on week 1 and tests on week 2, then trains on week
@@ -119,9 +128,9 @@ impl Corpus {
             train_week + 1 < self.config.n_weeks,
             "need a following test week"
         );
-        let train: Vec<&FeatureSeries> = self.weeks.iter().map(|w| &w[train_week]).collect();
-        let test: Vec<&FeatureSeries> = self.weeks.iter().map(|w| &w[train_week + 1]).collect();
-        FeatureDataset::from_series(&train, &test, feature)
+        let train = self.columns(feature, train_week);
+        let test = self.columns(feature, train_week + 1);
+        FeatureDataset::from_columns(&train, &test, feature).expect("need at least one user")
     }
 
     /// The train→test splits the paper evaluates (weeks 1→2 and 3→4 when
@@ -153,7 +162,7 @@ impl Corpus {
     /// grouping policies and Figures 1–2 are built from).
     pub fn q99(&self, feature: FeatureKind, week: usize) -> Vec<f64> {
         hids_core::par_map(&self.weeks, |_, w| {
-            EmpiricalDist::from_count_iter(w[week].column(feature)).quantile(0.99)
+            EmpiricalDist::from_counts(w[week].column(feature)).quantile(0.99)
         })
     }
 }
@@ -179,7 +188,8 @@ mod tests {
             ..CorpusConfig::small()
         });
         // Parallel generation through reused plans must equal the
-        // sequential per-user streams of the original generator.
+        // sequential per-user streams of the original generator, column
+        // for column.
         let u = &c.population.users[3];
         let expect = synthgen::counts::oracle::user_week_series_trended(
             u,
@@ -188,7 +198,10 @@ mod tests {
             c.config.windowing(),
             c.population.config.weekly_trend,
         );
-        assert_eq!(*c.series(3, 1), expect);
+        for f in FeatureKind::ALL {
+            assert_eq!(c.series(3, 1).column(f), expect.feature(f), "{f}");
+        }
+        assert_eq!(c.series(3, 1).windowing, expect.windowing);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn run(corpus: &Corpus, feature: FeatureKind) -> DriftResult {
     for user_weeks in &corpus.weeks {
         let dists: Vec<EmpiricalDist> = user_weeks
             .iter()
-            .map(|s| EmpiricalDist::from_counts(&s.feature(feature)))
+            .map(|s| EmpiricalDist::from_counts(s.column(feature)))
             .collect();
         let thresholds: Vec<f64> = dists.iter().map(|d| d.quantile_discrete(0.99)).collect();
         let mut ewma = Ewma::new(0.5);

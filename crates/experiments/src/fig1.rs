@@ -66,7 +66,7 @@ pub fn run(corpus: &Corpus, week: usize) -> Fig1Result {
                 .iter()
                 .enumerate()
                 .map(|(u, w)| {
-                    let d = EmpiricalDist::from_count_iter(w[week].column(feature));
+                    let d = EmpiricalDist::from_counts(w[week].column(feature));
                     (u as u32, d.quantile(0.99), d.quantile(0.999))
                 })
                 .collect();

@@ -8,8 +8,8 @@
 //! features at once — in more windows; requiring two features to
 //! corroborate claws most of the FP back.
 
-use flowtab::{FeatureKind, FeatureSeries};
-use hids_core::{multi_detection, Detector, MultiEvaluation, Policy, ThresholdHeuristic};
+use flowtab::{FeatureKind, FeatureWeek};
+use hids_core::{Detector, FireMasks, MultiUserPerf, Overlay, Policy, ThresholdHeuristic};
 use synthgen::{storm_week_series, StormConfig};
 use tailstats::EmpiricalDist;
 
@@ -52,50 +52,87 @@ const FEATURE_SETS: [&[FeatureKind]; 3] = [
 /// Run the multi-feature experiment on one train→test split.
 ///
 /// Each feature's training distributions are built once and each
-/// (feature, policy) pair is configured once; the nine (policy × feature
-/// set) cells then only assemble detectors from those threshold columns
-/// and score them on the borrowed test week.
+/// (feature, policy) pair is configured once; [`cells`] then scores the
+/// nine (policy × feature set) cells on the borrowed test week.
 pub fn run(corpus: &Corpus, train_week: usize, storm: &StormConfig) -> MultiFeatResult {
-    let test: Vec<&FeatureSeries> = corpus.weeks.iter().map(|w| &w[train_week + 1]).collect();
-    let zombie = storm_week_series(storm, corpus.config.windowing(), 0);
+    let test: Vec<&FeatureWeek> = corpus.weeks.iter().map(|w| &w[train_week + 1]).collect();
+    let zombie = FeatureWeek::from(&storm_week_series(storm, corpus.config.windowing(), 0));
     let train: Vec<Vec<EmpiricalDist>> = FeatureKind::ALL
         .iter()
         .map(|&f| corpus.dists(f, train_week))
         .collect();
+    let thresholds: Vec<Vec<Vec<f64>>> = POLICIES
+        .iter()
+        .map(|&(_, grouping)| {
+            let policy = Policy {
+                grouping,
+                heuristic: ThresholdHeuristic::P99,
+            };
+            train
+                .iter()
+                .map(|dists| policy.configure(dists).thresholds)
+                .collect()
+        })
+        .collect();
+    MultiFeatResult {
+        rows: cells(&test, &zombie, &thresholds),
+    }
+}
 
-    let mut rows = Vec::new();
-    for (label, grouping) in POLICIES {
-        let policy = Policy {
-            grouping,
-            heuristic: ThresholdHeuristic::P99,
-        };
-        // `thresholds[i][u]`: user `u`'s threshold on `FeatureKind::ALL[i]`.
-        let thresholds: Vec<Vec<f64>> = train
-            .iter()
-            .map(|dists| policy.configure(dists).thresholds)
-            .collect();
-        for features in FEATURE_SETS {
-            let detectors = (0..test.len())
-                .map(|u| {
-                    let mut det = Detector::new(u as u32);
-                    for &f in features {
-                        det.set_threshold(f, thresholds[f.index()][u]);
-                    }
-                    det
-                })
-                .collect();
-            let eval = MultiEvaluation::score(detectors, features.to_vec(), &test);
-            let detections = multi_detection(&eval.detectors, &test, &zombie);
-            rows.push(MultiRow {
-                policy: label,
-                n_features: features.len(),
-                fp_any: eval.mean_fp_any(),
-                fp_corroborated: eval.mean_fp_corroborated(),
-                storm_detection: detections.iter().sum::<f64>() / detections.len() as f64,
-            });
+/// Score every (policy × feature set) cell: `thresholds[p][i][u]` is user
+/// `u`'s threshold on `FeatureKind::ALL[i]` under `POLICIES[p]`.
+///
+/// Each user's `zombie`-attacked week is summed once. Per policy, the
+/// user's detector monitors all six features, and its benign and attacked
+/// [`FireMasks`] are built once; each feature set's cell then ORs and
+/// counts the masks of its features. Cell means sum users in order.
+///
+/// # Panics
+/// Panics when the test weeks differ in length.
+pub fn cells(
+    test: &[&FeatureWeek],
+    zombie: &FeatureWeek,
+    thresholds: &[Vec<Vec<f64>>],
+) -> Vec<MultiRow> {
+    let n = test.first().map_or(0, |w| w.len());
+    assert!(
+        test.iter().all(|w| w.len() == n),
+        "test weeks share one length"
+    );
+    let overlay = Overlay::new(zombie);
+    let attacked = overlay.attacked_windows(n);
+    // Per (policy, feature set), in row order: each user's union and
+    // corroborated rates and Storm detection.
+    let mut cells: Vec<(Vec<MultiUserPerf>, Vec<f64>)> =
+        vec![(Vec::new(), Vec::new()); thresholds.len() * FEATURE_SETS.len()];
+    for (u, week) in test.iter().enumerate() {
+        let attacked_week = overlay.apply(*week);
+        for (thresholds, cells) in thresholds.iter().zip(cells.chunks_mut(FEATURE_SETS.len())) {
+            let mut det = Detector::new(u as u32);
+            for f in FeatureKind::ALL {
+                det.set_threshold(f, thresholds[f.index()][u]);
+            }
+            let benign = FireMasks::new(&det, week);
+            let hit = FireMasks::new(&det, &attacked_week);
+            for ((users, detections), features) in cells.iter_mut().zip(FEATURE_SETS) {
+                users.push(benign.perf(features));
+                detections.push(hit.detection(features, &attacked));
+            }
         }
     }
-    MultiFeatResult { rows }
+    let labels = POLICIES
+        .iter()
+        .flat_map(|&(label, _)| FEATURE_SETS.map(|f| (label, f.len())));
+    labels
+        .zip(cells)
+        .map(|((policy, n_features), (users, detections))| MultiRow {
+            policy,
+            n_features,
+            fp_any: MultiUserPerf::mean(&users, |u| u.fp_any),
+            fp_corroborated: MultiUserPerf::mean(&users, |u| u.fp_corroborated),
+            storm_detection: detections.iter().sum::<f64>() / detections.len() as f64,
+        })
+        .collect()
 }
 
 /// Render the trade-off table.

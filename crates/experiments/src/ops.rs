@@ -90,7 +90,7 @@ pub fn maintenance_table(corpus: &Corpus, feature: FeatureKind) -> Table {
     for (label, strategy) in strategies {
         let mut all_fp = Vec::new();
         for user_weeks in &corpus.weeks {
-            let weeks: Vec<Vec<u64>> = user_weeks.iter().map(|s| s.feature(feature)).collect();
+            let weeks: Vec<&[u64]> = user_weeks.iter().map(|s| s.column(feature)).collect();
             all_fp.extend(realized_fp_series(&weeks, strategy, ThresholdHeuristic::P99));
         }
         let s = FiveNumber::from_samples(&all_fp);

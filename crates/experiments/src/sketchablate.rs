@@ -95,14 +95,14 @@ pub fn run(corpus: &Corpus, feature: FeatureKind, eps: f64) -> AblateResult {
     let w = 0.4;
 
     let devs: Vec<UserDev> = par_map_range(n_users, |u| {
-        let train_counts = corpus.series(u, 0).feature(feature);
-        let test_counts = corpus.series(u, 1).feature(feature);
+        let train_counts = corpus.series(u, 0).column(feature);
+        let test_counts = corpus.series(u, 1).column(feature);
         let exact_train = &ds.train[u];
         let exact_test = &ds.test[u];
         let mut sk_train = KllSketch::new(eps);
-        sk_train.extend_from_counts(&train_counts);
+        sk_train.extend_from_counts(train_counts);
         let mut sk_test = KllSketch::new(eps);
-        sk_test.extend_from_counts(&test_counts);
+        sk_test.extend_from_counts(test_counts);
 
         // Rank deviation: at each probe quantile, compare the exact CDF
         // of the sketch's answer with the sketch's own CDF of it.

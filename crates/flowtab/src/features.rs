@@ -17,6 +17,7 @@
 //! model (`g + b`) relies on.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
@@ -170,6 +171,183 @@ impl FeatureSeries {
     }
 }
 
+/// Per-window counts stored feature-major: every window of
+/// [`FeatureKind::ALL`]`[0]`, then every window of the next feature, and
+/// so on, in one buffer. One feature is one contiguous slice
+/// ([`FeatureColumns::column`]); one window gathers six counts
+/// ([`FeatureColumns::get`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FeatureColumns {
+    /// `counts[k * len + w]` is feature `k`'s count in window `w`.
+    counts: Vec<u64>,
+}
+
+impl FeatureColumns {
+    /// Counts laid out feature-major: `counts[k * n + w]` is feature
+    /// `k`'s count in window `w`, for `n = counts.len() / 6` windows.
+    ///
+    /// # Panics
+    /// Panics when `counts.len()` is not a multiple of six.
+    pub fn from_feature_major(counts: Vec<u64>) -> Self {
+        assert!(
+            counts.len() % FeatureKind::ALL.len() == 0,
+            "six columns of one length"
+        );
+        Self { counts }
+    }
+
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.counts.len() / FeatureKind::ALL.len()
+    }
+
+    /// True when there are no windows.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// One feature's counts in window order.
+    pub fn column(&self, k: FeatureKind) -> &[u64] {
+        let n = self.len();
+        &self.counts[k.index() * n..][..n]
+    }
+
+    /// Window `w`'s six counts.
+    ///
+    /// # Panics
+    /// Panics when `w` is not a window.
+    pub fn get(&self, w: usize) -> FeatureCounts {
+        let n = self.len();
+        assert!(w < n, "window {w} of {n}");
+        FeatureCounts(std::array::from_fn(|k| self.counts[k * n + w]))
+    }
+
+    /// Every window's counts, in window order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FeatureCounts> + '_ {
+        (0..self.len()).map(|w| self.get(w))
+    }
+}
+
+/// A host's binned counts stored feature-major: [`FeatureSeries`]' shape
+/// (`windowing`, then `windows`, read in window order by
+/// `windows.iter()`), with `windows` held as [`FeatureColumns`] so that
+/// every one-feature read is a contiguous slice.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureWeek {
+    /// The binning used.
+    pub windowing: Windowing,
+    /// Per-window counts, feature by feature.
+    pub windows: FeatureColumns,
+}
+
+impl FeatureWeek {
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// True when there are no windows.
+    pub fn is_empty(&self) -> bool {
+        self.windows.is_empty()
+    }
+
+    /// One feature's counts in window order.
+    pub fn column(&self, k: FeatureKind) -> &[u64] {
+        self.windows.column(k)
+    }
+
+    /// Window `w`'s six counts.
+    pub fn window(&self, w: usize) -> FeatureCounts {
+        self.windows.get(w)
+    }
+
+    /// The same counts window-major, for readers that take a
+    /// [`FeatureSeries`].
+    pub fn to_series(&self) -> FeatureSeries {
+        FeatureSeries {
+            windowing: self.windowing,
+            windows: self.windows.iter().collect(),
+        }
+    }
+}
+
+impl<T: CountColumns + ?Sized> From<&T> for FeatureColumns {
+    fn from(counts: &T) -> Self {
+        let mut all = Vec::with_capacity(FeatureKind::ALL.len() * counts.n_windows());
+        for k in FeatureKind::ALL {
+            all.extend_from_slice(&counts.counts(k));
+        }
+        FeatureColumns::from_feature_major(all)
+    }
+}
+
+impl From<&FeatureSeries> for FeatureWeek {
+    fn from(series: &FeatureSeries) -> Self {
+        FeatureWeek {
+            windowing: series.windowing,
+            windows: FeatureColumns::from(series),
+        }
+    }
+}
+
+/// Equal when the binning and every window's counts agree, whatever the
+/// layout.
+impl PartialEq<FeatureSeries> for FeatureWeek {
+    fn eq(&self, series: &FeatureSeries) -> bool {
+        self.windowing == series.windowing && self.windows.iter().eq(series.windows.iter().copied())
+    }
+}
+
+/// Per-window counts read one feature at a time, from either layout.
+pub trait CountColumns {
+    /// Number of windows.
+    fn n_windows(&self) -> usize;
+
+    /// One feature's counts in window order: borrowed from a
+    /// [`FeatureWeek`], gathered from a [`FeatureSeries`].
+    fn counts(&self, k: FeatureKind) -> Cow<'_, [u64]>;
+}
+
+impl CountColumns for FeatureSeries {
+    fn n_windows(&self) -> usize {
+        self.len()
+    }
+
+    fn counts(&self, k: FeatureKind) -> Cow<'_, [u64]> {
+        Cow::Owned(self.feature(k))
+    }
+}
+
+impl CountColumns for FeatureColumns {
+    fn n_windows(&self) -> usize {
+        self.len()
+    }
+
+    fn counts(&self, k: FeatureKind) -> Cow<'_, [u64]> {
+        Cow::Borrowed(self.column(k))
+    }
+}
+
+impl CountColumns for FeatureWeek {
+    fn n_windows(&self) -> usize {
+        self.len()
+    }
+
+    fn counts(&self, k: FeatureKind) -> Cow<'_, [u64]> {
+        Cow::Borrowed(self.column(k))
+    }
+}
+
+impl<T: CountColumns + ?Sized> CountColumns for &T {
+    fn n_windows(&self) -> usize {
+        (**self).n_windows()
+    }
+
+    fn counts(&self, k: FeatureKind) -> Cow<'_, [u64]> {
+        (**self).counts(k)
+    }
+}
+
 /// Extract a host's [`FeatureSeries`] from its flow records.
 ///
 /// Only flows *initiated by* `host` count (the paper's per-source features):
@@ -272,6 +450,32 @@ mod tests {
         f.initiator.addr = Ipv4Addr::new(10, 0, 0, 99);
         let s = extract_features(&[f], host(), Windowing::FIFTEEN_MIN, 1);
         assert_eq!(s.windows[0], FeatureCounts::default());
+    }
+
+    #[test]
+    fn feature_week_holds_a_series_feature_major() {
+        let mut series = FeatureSeries::zeros(Windowing::FIVE_MIN, 3);
+        for (w, counts) in series.windows.iter_mut().enumerate() {
+            for (k, c) in counts.0.iter_mut().enumerate() {
+                *c = (10 * w + k) as u64;
+            }
+        }
+        let week = FeatureWeek::from(&series);
+        assert_eq!(week.len(), 3);
+        assert!(week == series);
+        assert_eq!(week.to_series(), series);
+        for k in FeatureKind::ALL {
+            assert_eq!(week.column(k), series.feature(k));
+            assert_eq!(*week.counts(k), series.feature(k)[..]);
+        }
+        for w in 0..3 {
+            assert_eq!(week.window(w), series.windows[w]);
+        }
+        let mut other = series.clone();
+        other.windows[2].0[5] += 1;
+        assert!(week != other);
+        let empty = FeatureWeek::from(&FeatureSeries::zeros(Windowing::FIVE_MIN, 0));
+        assert!(empty.is_empty() && empty.column(FeatureKind::TcpSyn).is_empty());
     }
 
     #[test]

@@ -42,7 +42,10 @@ pub mod tuple;
 pub use conn::{TcpConnState, TcpTracker};
 pub use dnstrack::{DnsStats, DnsTracker, DnsTransaction};
 pub use extract::{ExtractError, ExtractStats, FlowExtractor};
-pub use features::{extract_features, FeatureCounts, FeatureKind, FeatureSeries, Windowing};
+pub use features::{
+    extract_features, CountColumns, FeatureColumns, FeatureCounts, FeatureKind, FeatureSeries,
+    FeatureWeek, Windowing,
+};
 pub use record::{total_order_key, AppProtocol, FlowRecord};
 pub use table::{FlowTable, FlowTableConfig};
 pub use tuple::{Endpoint, FiveTuple, FlowDirection, Transport};

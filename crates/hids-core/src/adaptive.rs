@@ -84,15 +84,15 @@ impl AdaptiveThreshold {
 /// threshold (trained on weeks `..=n`) is scored on week `n+1`. Returns
 /// the per-week realized FP rates.
 pub fn realized_fp_series(
-    weeks: &[Vec<u64>],
+    weeks: &[impl AsRef<[u64]>],
     strategy: UpdateStrategy,
     heuristic: ThresholdHeuristic,
 ) -> Vec<f64> {
     let mut updater = AdaptiveThreshold::new(strategy, heuristic);
     let mut out = Vec::new();
     for pair in weeks.windows(2) {
-        let t = updater.observe_week(&pair[0]);
-        let test = EmpiricalDist::from_counts(&pair[1]);
+        let t = updater.observe_week(pair[0].as_ref());
+        let test = EmpiricalDist::from_counts(pair[1].as_ref());
         out.push(test.exceedance(t));
     }
     out

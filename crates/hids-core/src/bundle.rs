@@ -161,7 +161,10 @@ mod tests {
         assert_eq!(b.entries.len(), 6);
         let detectors = b.deploy();
         assert_eq!(detectors.len(), 3);
-        assert_eq!(detectors[0].monitored_features(), 2);
+        let monitored = FeatureKind::ALL
+            .iter()
+            .filter(|&&f| detectors[0].threshold(f).is_some());
+        assert_eq!(monitored.count(), 2);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The per-host detector: configured thresholds plus alert generation.
 
+use std::borrow::Borrow;
+
 use flowtab::{FeatureCounts, FeatureKind};
 use serde::{Deserialize, Serialize};
 
@@ -103,9 +105,11 @@ impl Detector {
         self.thresholds[feature.index()]
     }
 
-    /// Number of features being monitored.
-    pub fn monitored_features(&self) -> usize {
-        self.thresholds.iter().filter(|t| t.is_some()).count()
+    /// The feature's integer cut, the least count that fires, or `None`
+    /// when no count fires (unmonitored, NaN, or at least `2^64`).
+    pub(crate) fn cut(&self, feature: FeatureKind) -> Option<u64> {
+        let i = feature.index();
+        self.armed[i].then_some(self.cuts[i])
     }
 
     /// Whether `count` strictly exceeds the feature's threshold (false
@@ -127,8 +131,11 @@ impl Detector {
             .sum()
     }
 
-    /// Evaluate one window, returning any alerts raised.
-    pub fn evaluate(&self, window: usize, counts: &FeatureCounts) -> Vec<Alert> {
+    /// Evaluate one window, returning any alerts raised. The counts may
+    /// be borrowed from a window-major series or gathered by value from a
+    /// feature-major week.
+    pub fn evaluate(&self, window: usize, counts: impl Borrow<FeatureCounts>) -> Vec<Alert> {
+        let counts = counts.borrow();
         FeatureKind::ALL
             .into_iter()
             .filter(|&f| self.fires(f, counts.get(f)))
@@ -225,8 +232,8 @@ mod tests {
     fn fires_only_above_threshold() {
         let mut d = Detector::new(7);
         d.set_threshold(FeatureKind::TcpConnections, 100.0);
-        assert!(d.evaluate(0, &counts(100, 0)).is_empty(), "equality passes");
-        let alerts = d.evaluate(1, &counts(101, 0));
+        assert!(d.evaluate(0, counts(100, 0)).is_empty(), "equality passes");
+        let alerts = d.evaluate(1, counts(101, 0));
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].user, 7);
         assert_eq!(alerts[0].window, 1);
@@ -238,9 +245,12 @@ mod tests {
     fn unmonitored_features_never_fire() {
         let mut d = Detector::new(1);
         d.set_threshold(FeatureKind::TcpConnections, 10.0);
-        let alerts = d.evaluate(0, &counts(0, 1_000_000));
+        let alerts = d.evaluate(0, counts(0, 1_000_000));
         assert!(alerts.is_empty());
-        assert_eq!(d.monitored_features(), 1);
+        let monitored = FeatureKind::ALL
+            .iter()
+            .filter(|&&f| d.threshold(f).is_some());
+        assert_eq!(monitored.count(), 1);
     }
 
     #[test]
@@ -248,11 +258,11 @@ mod tests {
         let mut d = Detector::new(1);
         d.set_threshold(FeatureKind::TcpConnections, 10.0)
             .set_threshold(FeatureKind::UdpConnections, 5.0);
-        let alerts = d.evaluate(3, &counts(11, 6));
+        let alerts = d.evaluate(3, counts(11, 6));
         assert_eq!(alerts.len(), 2);
         for (tcp, udp) in [(11, 6), (11, 5), (10, 6), (10, 5)] {
             let c = counts(tcp, udp);
-            assert_eq!(d.alarm_count(&c), d.evaluate(0, &c).len());
+            assert_eq!(d.alarm_count(&c), d.evaluate(0, c).len());
         }
     }
 }

@@ -73,10 +73,27 @@ impl FeatureDataset {
         }
     }
 
-    /// Fallible variant of [`FeatureDataset::from_series`].
+    /// Fallible variant of [`FeatureDataset::from_series`]: gathers each
+    /// user's feature column and builds through
+    /// [`FeatureDataset::from_columns`].
     pub fn try_from_series(
         train: &[impl Borrow<FeatureSeries>],
         test: &[impl Borrow<FeatureSeries>],
+        feature: FeatureKind,
+    ) -> Result<Self, DatasetError> {
+        let train: Vec<Vec<u64>> = train.iter().map(|s| s.borrow().feature(feature)).collect();
+        let test: Vec<Vec<u64>> = test.iter().map(|s| s.borrow().feature(feature)).collect();
+        let train: Vec<&[u64]> = train.iter().map(Vec::as_slice).collect();
+        let test: Vec<&[u64]> = test.iter().map(Vec::as_slice).collect();
+        Self::from_columns(&train, &test, feature)
+    }
+
+    /// Build from per-user train/test count columns of `feature`, in
+    /// window order. Fails when the two slices differ in length or are
+    /// empty.
+    pub fn from_columns(
+        train: &[&[u64]],
+        test: &[&[u64]],
         feature: FeatureKind,
     ) -> Result<Self, DatasetError> {
         if train.len() != test.len() {
@@ -88,20 +105,14 @@ impl FeatureDataset {
         if train.is_empty() {
             return Err(DatasetError::EmptyPopulation);
         }
-        let train_d = train
-            .iter()
-            .map(|s| EmpiricalDist::from_count_iter(s.borrow().column(feature)))
-            .collect();
-        let test_counts: Vec<Vec<u64>> = test.iter().map(|s| s.borrow().feature(feature)).collect();
-        let test_d = test_counts
-            .iter()
-            .map(|c| EmpiricalDist::from_counts(c))
-            .collect();
         Ok(Self {
             feature,
-            train: train_d,
-            test: test_d,
-            test_counts,
+            train: train
+                .iter()
+                .map(|c| EmpiricalDist::from_counts(c))
+                .collect(),
+            test: test.iter().map(|c| EmpiricalDist::from_counts(c)).collect(),
+            test_counts: test.iter().map(|c| c.to_vec()).collect(),
         })
     }
 

@@ -67,7 +67,10 @@ pub use eval::{
     PolicyEvaluation, UserPerf,
 };
 pub use incremental::{degraded_dataset, SketchAccumulator, WindowAccumulator};
-pub use multi::{evaluate_multi, multi_detection, MultiEvaluation, MultiPolicy, MultiUserPerf};
+pub use multi::{
+    evaluate_multi, multi_detection, FireMasks, MultiEvaluation, MultiPolicy, MultiUserPerf,
+    Overlay,
+};
 pub use par::{current_threads, par_map, par_map_range, set_threads};
 pub use policy::{ConfigureError, Grouping, PartialMethod, Policy, PolicyOutcome};
 pub use roc::{RocCurve, RocPoint};

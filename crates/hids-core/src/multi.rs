@@ -10,9 +10,7 @@
 //! features is the union rate — the operational trade-off an IT department
 //! actually faces when turning features on.
 
-use std::borrow::Borrow;
-
-use flowtab::{FeatureCounts, FeatureKind, FeatureSeries};
+use flowtab::{CountColumns, FeatureColumns, FeatureCounts, FeatureKind};
 use serde::{Deserialize, Serialize};
 use tailstats::EmpiricalDist;
 
@@ -64,6 +62,13 @@ pub struct MultiUserPerf {
     pub alarm_windows: u64,
 }
 
+impl MultiUserPerf {
+    /// Mean of `stat` over `users`, summed in user order.
+    pub fn mean(users: &[MultiUserPerf], stat: impl Fn(&MultiUserPerf) -> f64) -> f64 {
+        users.iter().map(stat).sum::<f64>() / users.len().max(1) as f64
+    }
+}
+
 /// Result of configuring and evaluating a multi-feature policy.
 #[derive(Debug, Clone)]
 pub struct MultiEvaluation {
@@ -78,35 +83,20 @@ pub struct MultiEvaluation {
 impl MultiEvaluation {
     /// Score configured detectors — one per user, each monitoring
     /// `features` — on their test week: the union and corroborated
-    /// false-positive rates.
+    /// false-positive rates, from each user's [`FireMasks`].
     ///
     /// # Panics
     /// Panics when `detectors` and `test` differ in length.
     pub fn score(
         detectors: Vec<Detector>,
         features: Vec<FeatureKind>,
-        test: &[impl Borrow<FeatureSeries>],
+        test: &[impl CountColumns],
     ) -> Self {
         assert_eq!(detectors.len(), test.len(), "one test series per detector");
         let users = detectors
             .iter()
             .zip(test)
-            .map(|(det, series)| {
-                let series = series.borrow();
-                let mut any = 0u64;
-                let mut corroborated = 0u64;
-                for counts in &series.windows {
-                    let alarms = det.alarm_count(counts);
-                    any += u64::from(alarms >= 1);
-                    corroborated += u64::from(alarms >= 2);
-                }
-                let n = series.len().max(1) as f64;
-                MultiUserPerf {
-                    fp_any: any as f64 / n,
-                    fp_corroborated: corroborated as f64 / n,
-                    alarm_windows: any,
-                }
-            })
+            .map(|(det, week)| FireMasks::new(det, week).perf(&FeatureKind::ALL))
             .collect();
         Self {
             detectors,
@@ -117,28 +107,28 @@ impl MultiEvaluation {
 
     /// Population-mean union FP rate.
     pub fn mean_fp_any(&self) -> f64 {
-        self.users.iter().map(|u| u.fp_any).sum::<f64>() / self.users.len().max(1) as f64
+        MultiUserPerf::mean(&self.users, |u| u.fp_any)
     }
 
     /// Population-mean corroborated (≥2 features) FP rate.
     pub fn mean_fp_corroborated(&self) -> f64 {
-        self.users.iter().map(|u| u.fp_corroborated).sum::<f64>()
-            / self.users.len().max(1) as f64
+        MultiUserPerf::mean(&self.users, |u| u.fp_corroborated)
     }
 }
 
 /// Configure per-user detectors for every monitored feature and evaluate
 /// the union false-positive rate on the test week.
 ///
-/// `train`/`test` are the per-user full feature series (all six features),
-/// owned or borrowed; each feature's thresholds are computed by its own
-/// policy over the per-user training distributions of that feature.
+/// `train`/`test` are the per-user counts of all six features, in either
+/// layout, owned or borrowed; each feature's thresholds are computed by
+/// its own policy over the per-user training distributions of that
+/// feature.
 ///
 /// # Panics
 /// Panics when `train` and `test` differ in length or are empty.
 pub fn evaluate_multi(
-    train: &[impl Borrow<FeatureSeries>],
-    test: &[impl Borrow<FeatureSeries>],
+    train: &[impl CountColumns],
+    test: &[impl CountColumns],
     policy: &MultiPolicy,
 ) -> MultiEvaluation {
     assert_eq!(train.len(), test.len(), "one train and one test per user");
@@ -150,7 +140,7 @@ pub fn evaluate_multi(
         features.push(*feature);
         let dists: Vec<EmpiricalDist> = train
             .iter()
-            .map(|s| EmpiricalDist::from_count_iter(s.borrow().column(*feature)))
+            .map(|s| EmpiricalDist::from_counts(&s.counts(*feature)))
             .collect();
         let outcome = feature_policy.configure(&dists);
         for (det, &t) in detectors.iter_mut().zip(&outcome.thresholds) {
@@ -175,50 +165,251 @@ pub fn evaluate_multi(
 /// user scores 0.
 pub fn multi_detection(
     detectors: &[Detector],
-    test: &[impl Borrow<FeatureSeries>],
-    overlay: &FeatureSeries,
+    test: &[impl CountColumns],
+    overlay: &impl CountColumns,
 ) -> Vec<f64> {
-    // 1 where the overlay window carries attack traffic, else 0.
-    let attacked: Vec<u64> = overlay
-        .windows
-        .iter()
-        .map(|z| u64::from(*z != FeatureCounts::default()))
-        .collect();
-    // An empty overlay zips with nothing; `max(1)` only keeps `chunks` legal.
-    let period = overlay.len().max(1);
+    let overlay = Overlay::new(overlay);
+    // `(n, mask)`: the attacked windows of the last week length seen.
+    let mut attacked = (0, Vec::new());
     detectors
         .iter()
         .zip(test)
-        .map(|(det, series)| {
-            let mut windows = 0u64;
-            let mut detected = 0u64;
-            // Each chunk lines up with the overlay from its window 0.
-            for chunk in series.borrow().windows.chunks(period) {
-                for ((counts, zombie), &hit) in chunk.iter().zip(&overlay.windows).zip(&attacked) {
-                    let alarmed = det.alarm_count(&counts.saturating_add(zombie)) > 0;
-                    windows += hit;
-                    detected += hit & u64::from(alarmed);
-                }
+        .map(|(det, week)| {
+            let n = week.n_windows();
+            if attacked.0 != n {
+                attacked = (n, overlay.attacked_windows(n));
             }
-            if windows == 0 {
-                0.0
-            } else {
-                detected as f64 / windows as f64
-            }
+            FireMasks::new(det, &overlay.apply(week)).detection(&FeatureKind::ALL, &attacked.1)
         })
         .collect()
 }
 
-/// [`multi_detection`] as first written: the overlay cycled alongside each
-/// series, the attacked test made per window, and each window scored by
-/// [`detector::oracle`](crate::detector::oracle). The chunked walk must agree
-/// with it bit for bit (`crates/hids-core/tests/detector_oracle.rs`).
+/// An attack overlay read once: its counts feature-major, and which of
+/// its windows carry attack traffic.
+#[derive(Debug, Clone)]
+pub struct Overlay {
+    counts: FeatureColumns,
+    /// Per overlay window, whether any feature's count is nonzero.
+    active: Vec<bool>,
+}
+
+impl Overlay {
+    /// Read `overlay`'s counts.
+    pub fn new(overlay: &impl CountColumns) -> Self {
+        let counts = FeatureColumns::from(overlay);
+        let active = counts
+            .iter()
+            .map(|c| c != FeatureCounts::default())
+            .collect();
+        Self { counts, active }
+    }
+
+    /// The mask of the windows `0..n` that receive attack traffic: bit `w`
+    /// when overlay window `w mod len` is nonzero. Empty overlays attack
+    /// nothing.
+    pub fn attacked_windows(&self, n: usize) -> Vec<u64> {
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        for (w, &on) in (0..n).zip(self.active.iter().cycle()) {
+            mask[w / 64] |= u64::from(on) << (w % 64);
+        }
+        mask
+    }
+
+    /// `week`'s counts with the overlay added: window `w` adds overlay
+    /// window `w mod len`, saturating. An empty overlay adds nothing.
+    pub fn apply(&self, week: &impl CountColumns) -> FeatureColumns {
+        let period = self.counts.len();
+        let mut sums = Vec::with_capacity(FeatureKind::ALL.len() * week.n_windows());
+        for f in FeatureKind::ALL {
+            let counts = week.counts(f);
+            if period == 0 {
+                sums.extend_from_slice(&counts);
+                continue;
+            }
+            let zombie = self.counts.column(f);
+            // Each chunk lines up with the overlay from its window 0.
+            for chunk in counts.chunks(period) {
+                sums.extend(chunk.iter().zip(zombie).map(|(&g, &z)| g.saturating_add(z)));
+            }
+        }
+        FeatureColumns::from_feature_major(sums)
+    }
+}
+
+/// One user's fire masks over a test week: for each feature, bit `w % 64`
+/// of word `w / 64` is set when the detector fires on window `w`
+/// ([`Detector::fires`]). An unmonitored feature's mask is zero.
+///
+/// The masks are built once per configured detector; any feature subset
+/// is then scored by OR-ing and counting words: the union is the OR of
+/// its masks, corroboration (two or more) is carried as
+/// `two |= one & m; one |= m`, and detection counts `attacked & hit`.
+#[derive(Debug, Clone)]
+pub struct FireMasks {
+    n_windows: usize,
+    /// Feature `f`'s mask is `bits[f.index() * words..][..words]`.
+    bits: Vec<u64>,
+}
+
+impl FireMasks {
+    /// The masks of `det` on `week`'s counts (on attacked traffic when
+    /// `week` is an [`Overlay::apply`] sum).
+    pub fn new(det: &Detector, week: &impl CountColumns) -> Self {
+        let mut masks = Self::zeros(week.n_windows());
+        for f in FeatureKind::ALL {
+            if let Some(cut) = det.cut(f) {
+                fire_mask(&week.counts(f), cut, masks.mask_mut(f));
+            }
+        }
+        masks
+    }
+
+    fn zeros(n_windows: usize) -> Self {
+        Self {
+            n_windows,
+            bits: vec![0; FeatureKind::ALL.len() * n_windows.div_ceil(64)],
+        }
+    }
+
+    fn words(&self) -> usize {
+        self.n_windows.div_ceil(64)
+    }
+
+    fn mask_mut(&mut self, f: FeatureKind) -> &mut [u64] {
+        let words = self.words();
+        &mut self.bits[f.index() * words..][..words]
+    }
+
+    /// Word `k` of each of `features`' masks.
+    fn word<'a>(&'a self, features: &'a [FeatureKind], k: usize) -> impl Iterator<Item = u64> + 'a {
+        let words = self.words();
+        features
+            .iter()
+            .map(move |f| self.bits[f.index() * words + k])
+    }
+
+    /// The union and corroborated false-positive rates when only
+    /// `features` are monitored.
+    pub fn perf(&self, features: &[FeatureKind]) -> MultiUserPerf {
+        let (mut any, mut corroborated) = (0u64, 0u64);
+        for k in 0..self.words() {
+            let (mut one, mut two) = (0u64, 0u64);
+            for m in self.word(features, k) {
+                two |= one & m;
+                one |= m;
+            }
+            any += u64::from(one.count_ones());
+            corroborated += u64::from(two.count_ones());
+        }
+        let n = self.n_windows.max(1) as f64;
+        MultiUserPerf {
+            fp_any: any as f64 / n,
+            fp_corroborated: corroborated as f64 / n,
+            alarm_windows: any,
+        }
+    }
+
+    /// The fraction of `attacked` windows (from
+    /// [`Overlay::attacked_windows`] for this week's length) in which any
+    /// of `features` fires; 0 when none is attacked.
+    ///
+    /// # Panics
+    /// Panics when `attacked` covers another number of windows.
+    pub fn detection(&self, features: &[FeatureKind], attacked: &[u64]) -> f64 {
+        assert_eq!(
+            attacked.len(),
+            self.words(),
+            "one attacked mask word per mask word"
+        );
+        let mut windows = 0u64;
+        let mut detected = 0u64;
+        for (k, &a) in attacked.iter().enumerate() {
+            let hit = self.word(features, k).fold(0, |hit, m| hit | m);
+            windows += u64::from(a.count_ones());
+            detected += u64::from((a & hit).count_ones());
+        }
+        if windows == 0 {
+            0.0
+        } else {
+            detected as f64 / windows as f64
+        }
+    }
+}
+
+/// Set bit `w` of `out` when `counts[w] >= cut`. Each word compares a full
+/// 64 lanes, eight to a byte, the last chunk zero-padded, so that the
+/// compare loops have fixed lengths and unroll; the padding would fire at
+/// `cut == 0`, so the last word keeps only its live windows.
+fn fire_mask(counts: &[u64], cut: u64, out: &mut [u64]) {
+    let at_least = |lanes: &[u64; 64]| {
+        let mut word = 0u64;
+        for (k, eight) in lanes.chunks_exact(8).enumerate() {
+            let byte = eight
+                .iter()
+                .enumerate()
+                .fold(0u64, |byte, (j, &c)| byte | (u64::from(c >= cut) << j));
+            word |= byte << (8 * k);
+        }
+        word
+    };
+    for (word, chunk) in out.iter_mut().zip(counts.chunks(64)) {
+        *word = match <&[u64; 64]>::try_from(chunk) {
+            Ok(lanes) => at_least(lanes),
+            Err(_) => {
+                let mut lanes = [0u64; 64];
+                lanes[..chunk.len()].copy_from_slice(chunk);
+                at_least(&lanes) & (u64::MAX >> (64 - chunk.len()))
+            }
+        };
+    }
+}
+
+/// [`MultiEvaluation::score`] and [`multi_detection`] as first written:
+/// every window of every series visited, the overlay cycled alongside
+/// each series, and each window scored by
+/// [`detector::oracle`](crate::detector::oracle). The mask kernel must
+/// agree with them bit for bit
+/// (`crates/hids-core/tests/detector_oracle.rs`).
 pub mod oracle {
     use std::borrow::Borrow;
 
-    use flowtab::{FeatureCounts, FeatureSeries};
+    use flowtab::{FeatureCounts, FeatureKind, FeatureSeries};
 
+    use super::{MultiEvaluation, MultiUserPerf};
     use crate::{detector, Detector};
+
+    /// The union and corroborated false-positive rates, window by window.
+    pub fn score(
+        detectors: Vec<Detector>,
+        features: Vec<FeatureKind>,
+        test: &[impl Borrow<FeatureSeries>],
+    ) -> MultiEvaluation {
+        let users = detectors
+            .iter()
+            .zip(test)
+            .map(|(det, series)| {
+                let series = series.borrow();
+                let mut any = 0u64;
+                let mut corroborated = 0u64;
+                for counts in &series.windows {
+                    let alarms = detector::oracle::alarm_count(det, counts);
+                    any += u64::from(alarms >= 1);
+                    corroborated += u64::from(alarms >= 2);
+                }
+                let n = series.len().max(1) as f64;
+                MultiUserPerf {
+                    fp_any: any as f64 / n,
+                    fp_corroborated: corroborated as f64 / n,
+                    alarm_windows: any,
+                }
+            })
+            .collect();
+        MultiEvaluation {
+            detectors,
+            users,
+            features,
+        }
+    }
 
     /// Per-user detection rate of `overlay`, by cycling it, with `f64`
     /// compares.
@@ -261,7 +452,7 @@ pub mod oracle {
 mod tests {
     use super::*;
     use crate::{Grouping, ThresholdHeuristic};
-    use flowtab::Windowing;
+    use flowtab::{FeatureSeries, Windowing};
 
     fn series(tcp: &[u64], udp: &[u64]) -> FeatureSeries {
         let mut s = FeatureSeries::zeros(Windowing::FIFTEEN_MIN, tcp.len());
@@ -343,7 +534,10 @@ mod tests {
         let test = train.clone();
         let eval = evaluate_multi(&train, &test, &MultiPolicy::uniform(p99_full()));
         assert_eq!(eval.features.len(), 6);
-        assert_eq!(eval.detectors[0].monitored_features(), 6);
+        let monitored = FeatureKind::ALL
+            .iter()
+            .filter(|&&f| eval.detectors[0].threshold(f).is_some());
+        assert_eq!(monitored.count(), 6);
     }
 
     #[test]
@@ -414,7 +608,7 @@ mod tests {
                 .windows
                 .iter()
                 .enumerate()
-                .filter(|(w, c)| eval.detectors[0].evaluate(*w, c).len() >= min)
+                .filter(|(w, c)| eval.detectors[0].evaluate(*w, *c).len() >= min)
                 .count() as u64
         };
         assert_eq!(eval.users[0].alarm_windows, by_alerts(1));

@@ -3,11 +3,16 @@
 //! (`hids_core::detector::oracle`) on every threshold and count, including
 //! NaN, infinities, signed zeros, subnormals, the integers and
 //! half-integers around 2^53, and the thresholds at and just below 2^64,
-//! where `u64 → f64` rounds. The chunked `multi_detection` must equal the
-//! cycled walk it replaced (`hids_core::multi::oracle`) bit for bit.
+//! where `u64 → f64` rounds. Multi-feature scoring from fire masks
+//! (`MultiEvaluation::score`, `multi_detection`, `FireMasks` on a feature
+//! subset) must equal the per-window walks it replaced
+//! (`hids_core::multi::oracle`) bit for bit.
 
-use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, Windowing};
-use hids_core::{detector::oracle, multi, multi_detection, Detector};
+use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, FeatureWeek, Windowing};
+use hids_core::{
+    detector::oracle, multi, multi_detection, Detector, FireMasks, MultiEvaluation, MultiUserPerf,
+    Overlay,
+};
 use proptest::prelude::*;
 
 const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
@@ -306,5 +311,110 @@ proptest! {
             bits(multi::oracle::multi_detection(&detectors, &test, &overlay)),
             "{} users, {} windows, overlay {}", n_users, len, overlay_len
         );
+    }
+}
+
+/// A perf's three figures, the rates by their bits.
+fn perf_bits(p: &MultiUserPerf) -> (u64, u64, u64) {
+    (
+        p.fp_any.to_bits(),
+        p.fp_corroborated.to_bits(),
+        p.alarm_windows,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fire_masks_match_both_oracles(
+        seed in any::<u64>(),
+        n_users in 1usize..5,
+        words in 0usize..4,
+        whole_words in any::<bool>(),
+        shape in 0usize..6,
+        zero_share in 0u64..100,
+    ) {
+        let mut rng = TestRng::for_case("fire_masks", seed);
+        // Often a length whose last mask word is partial.
+        let len = 64 * words + if whole_words { 0 } else { rng.below(64) as usize };
+        let test: Vec<FeatureSeries> = (0..n_users).map(|_| series(&mut rng, len, 10)).collect();
+        let weeks: Vec<FeatureWeek> = test.iter().map(FeatureWeek::from).collect();
+        // Each feature is unmonitored, unarmed (NaN, at or above 2^64),
+        // fired by every count (negative), or cut among the counts.
+        let detectors: Vec<Detector> = (0..n_users)
+            .map(|u| {
+                let mut det = Detector::new(u as u32);
+                for f in FeatureKind::ALL {
+                    let t = match rng.below(8) {
+                        0 | 1 => continue,
+                        2 => f64::NAN,
+                        3 => TWO_POW_64 * (1 + rng.below(2)) as f64,
+                        4 => -1.0 - rng.below(3) as f64,
+                        _ => rng.below(40) as f64 + 0.5 * rng.below(2) as f64,
+                    };
+                    det.set_threshold(f, t);
+                }
+                det
+            })
+            .collect();
+        let overlay_len = match shape {
+            0 => 0,
+            1 => len,
+            2 => (len / 3).max(1),
+            3 => len,
+            4 => len + 1 + rng.below(70) as usize,
+            _ => (2..=len.max(2)).find(|k| len % k != 0).unwrap_or(3),
+        };
+        let overlay = if shape == 1 {
+            FeatureSeries::zeros(Windowing::FIFTEEN_MIN, overlay_len)
+        } else {
+            series(&mut rng, overlay_len, zero_share)
+        };
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let all_bits = |e: MultiEvaluation| e.users.iter().map(perf_bits).collect::<Vec<_>>();
+
+        // Every monitored feature, from either layout.
+        let want = all_bits(multi::oracle::score(detectors.clone(), FeatureKind::ALL.to_vec(), &test));
+        let by_series = MultiEvaluation::score(detectors.clone(), FeatureKind::ALL.to_vec(), &test);
+        let by_week = MultiEvaluation::score(detectors.clone(), FeatureKind::ALL.to_vec(), &weeks);
+        prop_assert_eq!(all_bits(by_series), want.clone(), "{} windows", len);
+        prop_assert_eq!(all_bits(by_week), want, "{} windows", len);
+        let want = bits(multi::oracle::multi_detection(&detectors, &test, &overlay));
+        let overlay_week = FeatureWeek::from(&overlay);
+        prop_assert_eq!(
+            bits(multi_detection(&detectors, &weeks, &overlay_week)),
+            want,
+            "{} windows, overlay {}", len, overlay_len
+        );
+
+        // A random feature subset read from the all-feature masks equals
+        // detectors that monitor only that subset.
+        let subset: Vec<FeatureKind> = FeatureKind::ALL
+            .into_iter()
+            .filter(|_| rng.below(2) == 0)
+            .collect();
+        let only: Vec<Detector> = detectors
+            .iter()
+            .map(|d| {
+                let mut o = Detector::new(d.user);
+                for &f in &subset {
+                    if let Some(t) = d.threshold(f) {
+                        o.set_threshold(f, t);
+                    }
+                }
+                o
+            })
+            .collect();
+        let want_fp = multi::oracle::score(only.clone(), subset.clone(), &test);
+        let want_hit = multi::oracle::multi_detection(&only, &test, &overlay);
+        let prepared = Overlay::new(&overlay_week);
+        let attacked = prepared.attacked_windows(len);
+        for (u, (det, week)) in detectors.iter().zip(&weeks).enumerate() {
+            let benign = FireMasks::new(det, week);
+            prop_assert_eq!(perf_bits(&benign.perf(&subset)), perf_bits(&want_fp.users[u]));
+            let hit = FireMasks::new(det, &prepared.apply(week)).detection(&subset, &attacked);
+            prop_assert_eq!(hit.to_bits(), want_hit[u].to_bits(), "user {} subset {:?}", u, subset);
+        }
     }
 }

@@ -33,7 +33,7 @@
 //! that value. [`oracle`] keeps the per-window generator the plan
 //! replaced, and `tests/oracle.rs` holds the two byte-equal.
 
-use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, Windowing};
+use flowtab::{FeatureColumns, FeatureCounts, FeatureKind, FeatureSeries, FeatureWeek, Windowing};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -249,6 +249,25 @@ impl WeekPlan {
         FeatureSeries {
             windowing: self.windowing,
             windows,
+        }
+    }
+
+    /// All six features of one week, written feature-major as the stream
+    /// runs: equal to `FeatureWeek::from(&self.series(seed, week,
+    /// weekly_trend))`.
+    pub fn columns(&self, seed: u64, week: usize, weekly_trend: f64) -> FeatureWeek {
+        let n = self.slots.len();
+        let mut counts = vec![0; FeatureKind::ALL.len() * n];
+        let mut w = 0;
+        self.walk::<NEED_ALL>(seed, week, weekly_trend, |c| {
+            for (k, &count) in c.0.iter().enumerate() {
+                counts[k * n + w] = count;
+            }
+            w += 1;
+        });
+        FeatureWeek {
+            windowing: self.windowing,
+            windows: FeatureColumns::from_feature_major(counts),
         }
     }
 

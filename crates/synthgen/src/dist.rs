@@ -20,11 +20,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Sample `exp(N(mu, sigma))` — log-normal in natural-log parameters.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    (mu + sigma * standard_normal(rng)).exp()
-}
-
 /// Sample a Pareto(xm, alpha) — continuous, support `[xm, ∞)`.
 pub fn pareto<R: Rng + ?Sized>(rng: &mut R, xm: f64, alpha: f64) -> f64 {
     debug_assert!(xm > 0.0 && alpha > 0.0);
@@ -220,16 +215,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn log_normal_median() {
-        let mut r = rng();
-        let mut samples: Vec<f64> = (0..50_000).map(|_| log_normal(&mut r, 2.0, 1.0)).collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[25_000];
-        // Median of lognormal is e^mu.
-        assert!((median - 2.0f64.exp()).abs() / 2.0f64.exp() < 0.05);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The fast paths against the code they replaced. The week plan: for any
 //! profile, seed, week and windowing, `WeekPlan::series` equals
-//! `counts::oracle::user_week_series_trended`, and every
-//! `WeekPlan::column` equals the oracle's feature column. The renderer:
+//! `counts::oracle::user_week_series_trended`, every `WeekPlan::column`
+//! equals the oracle's feature column, and `WeekPlan::columns` equals both
+//! column for column. The renderer:
 //! `render_flows_to_frames` equals `render::oracle::render_flows_to_frames`
 //! frame for frame, in timestamp bits and bytes.
 
@@ -123,6 +124,29 @@ proptest! {
     ) {
         let windowing = if five_min { Windowing::FIVE_MIN } else { Windowing::FIFTEEN_MIN };
         assert_plan_matches_oracle(&p, seed, week, windowing, trend);
+    }
+
+    /// The feature-major week: column for column, `WeekPlan::columns`
+    /// equals `WeekPlan::series` and the oracle.
+    #[test]
+    fn columns_equal_series_and_oracle(
+        p in profile(),
+        seed in any::<u64>(),
+        week in 0usize..7,
+        five_min in any::<bool>(),
+        trend in prop_oneof![Just(0.97), 0.5..1.5f64],
+    ) {
+        let windowing = if five_min { Windowing::FIVE_MIN } else { Windowing::FIFTEEN_MIN };
+        let plan = WeekPlan::new(&p, windowing);
+        let got = plan.columns(seed, week, trend);
+        let series = plan.series(seed, week, trend);
+        let want = oracle::user_week_series_trended(&p, seed, week, windowing, trend);
+        prop_assert_eq!(got.windowing, want.windowing);
+        prop_assert_eq!(got.len(), want.len());
+        for k in FeatureKind::ALL {
+            prop_assert_eq!(got.column(k), &series.feature(k)[..], "series, {:?}", k);
+            prop_assert_eq!(got.column(k), &want.feature(k)[..], "oracle, {:?}", k);
+        }
     }
 
     /// Sampled populations, every week of a five-week run, through one

@@ -65,13 +65,8 @@ impl EmpiricalDist {
         d
     }
 
-    /// Build from integer counts (the common case for feature bins).
-    pub fn from_counts(counts: &[u64]) -> Self {
-        Self::from_count_iter(counts.iter().copied())
-    }
-
-    /// Build from integer counts without copying them, so a strided
-    /// column such as one feature of a week's windows is read in place.
+    /// Build from integer counts (the common case for feature bins), such
+    /// as one feature column of a week's windows.
     ///
     /// Feature counts are small and heavy-tailed: a user-week of 672
     /// windows holds about 27 distinct counts, 79% of its windows are 0,
@@ -85,23 +80,29 @@ impl EmpiricalDist {
     ///
     /// # Panics
     /// Panics if `counts` is empty or longer than `u32::MAX`.
-    pub fn from_count_iter<I: ExactSizeIterator<Item = u64> + Clone>(counts: I) -> Self {
+    pub fn from_counts(counts: &[u64]) -> Self {
         assert!(
             u32::try_from(counts.len()).is_ok(),
             "count tables hold at most u32::MAX samples"
         );
         let mut tables = [[0u32; HEAD + 1]; 4];
-        let mut it = counts.clone();
-        'tally: loop {
-            for table in &mut tables {
-                let Some(c) = it.next() else { break 'tally };
+        let mut quads = counts.chunks_exact(4);
+        for quad in &mut quads {
+            for (table, &c) in tables.iter_mut().zip(quad) {
                 table[c.min(HEAD as u64) as usize] += 1;
             }
+        }
+        for (table, &c) in tables.iter_mut().zip(quads.remainder()) {
+            table[c.min(HEAD as u64) as usize] += 1;
         }
         let head: [u32; HEAD] = std::array::from_fn(|k| tables.iter().map(|t| t[k]).sum());
         let mut tail: Vec<u64> = Vec::new();
         if tables.iter().any(|t| t[HEAD] > 0) {
-            tail = counts.filter(|&c| c >= HEAD as u64).collect();
+            tail = counts
+                .iter()
+                .copied()
+                .filter(|&c| c >= HEAD as u64)
+                .collect();
             tail.sort_unstable();
         }
         let runs = head.iter().filter(|&&c| c > 0).count() + tail.chunk_by(|a, b| a == b).count();

@@ -105,7 +105,7 @@ fn main() {
         .map(|(user, weeks)| {
             let t = outcome.thresholds[user];
             weeks[1]
-                .feature(feature)
+                .column(feature)
                 .iter()
                 .enumerate()
                 .map(|(w, &g)| (g + zombie_counts[w % zombie_counts.len()]) as f64 > t)
