@@ -3,7 +3,8 @@
 //! One module per artifact of the evaluation section, each exposing a
 //! `run(&Corpus) -> *Result` function returning typed data plus an ASCII /
 //! CSV renderer, so the `repro` binary (and the Criterion benches in
-//! `crates/bench`) can regenerate any row of EXPERIMENTS.md:
+//! `crates/bench`) can regenerate any row of EXPERIMENTS.md. [`suite`]
+//! lists them all, in the order `repro` runs them:
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -56,6 +57,7 @@ pub mod rollout;
 pub mod seeds;
 pub mod sketchablate;
 mod stopwait;
+pub mod suite;
 pub mod tab2;
 pub mod tab3;
 

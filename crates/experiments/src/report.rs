@@ -99,10 +99,10 @@ impl Table {
     }
 }
 
-/// Write a table's CSV to `dir/name.csv`, creating the directory.
-pub fn write_csv(table: &Table, dir: &Path, name: &str) -> io::Result<()> {
+/// Write CSV text to `dir/name.csv`, creating the directory.
+pub fn write_csv(dir: &Path, name: &str, csv: &str) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(format!("{name}.csv")), table.to_csv())
+    std::fs::write(dir.join(format!("{name}.csv")), csv)
 }
 
 /// Format a float compactly (3 significant decimals, trailing zeros kept
@@ -164,7 +164,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mh-report-test");
         let mut t = Table::new("f", &["x"]);
         t.row(vec!["1".into()]);
-        write_csv(&t, &dir, "demo").unwrap();
+        write_csv(&dir, "demo", &t.to_csv()).unwrap();
         let content = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert!(content.starts_with("x\n"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -82,14 +82,6 @@ impl TcpTracker {
         self.syn_count
     }
 
-    /// True once the three-way handshake completed.
-    pub fn handshake_complete(&self) -> bool {
-        matches!(
-            self.state,
-            TcpConnState::Established | TcpConnState::FinWait | TcpConnState::Closed
-        )
-    }
-
     /// Feed one packet's flags and direction through the state machine.
     pub fn observe(&mut self, flags: TcpFlags, dir: FlowDirection) {
         if flags.syn() && !flags.ack() && dir == FlowDirection::FromInitiator {
@@ -158,7 +150,6 @@ mod tests {
         assert_eq!(t.state(), TcpConnState::SynReceived);
         t.observe(flags(TcpFlags::ACK), I);
         assert_eq!(t.state(), TcpConnState::Established);
-        assert!(t.handshake_complete());
         t.observe(flags(TcpFlags::ACK | TcpFlags::PSH), I);
         assert_eq!(t.state(), TcpConnState::Established);
         t.observe(flags(TcpFlags::FIN | TcpFlags::ACK), I);
@@ -192,7 +183,6 @@ mod tests {
         let mut t = TcpTracker::new(flags(TcpFlags::ACK | TcpFlags::PSH), I);
         assert_eq!(t.state(), TcpConnState::Midstream);
         assert!(!t.initiator_syn());
-        assert!(!t.handshake_complete());
         // Midstream FIN exchange still closes.
         t.observe(flags(TcpFlags::FIN | TcpFlags::ACK), I);
         t.observe(flags(TcpFlags::FIN | TcpFlags::ACK), R);

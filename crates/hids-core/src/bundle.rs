@@ -4,7 +4,8 @@
 //! host to its per-feature thresholds, with a content checksum so a
 //! compliance audit can verify "is every host running bundle v7?" without
 //! comparing thresholds field by field. Serialises to a plain
-//! tab-separated text format (greppable, diffable, VCS-friendly) and back.
+//! tab-separated text format (greppable, diffable, VCS-friendly), which
+//! the checksum covers.
 
 use flowtab::FeatureKind;
 use serde::{Deserialize, Serialize};
@@ -90,35 +91,6 @@ impl PolicyBundle {
         }
         out
     }
-
-    /// Parse the text format. Returns `None` on any malformed content
-    /// (a corrupted bundle must not half-deploy).
-    pub fn from_text(text: &str) -> Option<Self> {
-        let mut lines = text.lines();
-        let header = lines.next()?;
-        let version: u32 = header.strip_prefix("#policy-bundle v")?.parse().ok()?;
-        let mut entries = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut f = line.split('\t');
-            let user: u32 = f.next()?.parse().ok()?;
-            let name = f.next()?;
-            let feature = FeatureKind::ALL.iter().find(|k| k.name() == name).copied()?;
-            let threshold: f64 = f.next()?.parse().ok()?;
-            if f.next().is_some() || !threshold.is_finite() || threshold < 0.0 {
-                return None;
-            }
-            entries.push((user, feature, threshold));
-        }
-        let mut sorted = entries.clone();
-        sorted.sort_by_key(|e| (e.0, e.1.index()));
-        if sorted != entries {
-            return None; // canonical order is part of the format
-        }
-        Some(Self { version, entries })
-    }
 }
 
 #[cfg(test)]
@@ -143,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
-        let b = PolicyBundle::from_outcome(7, FeatureKind::TcpConnections, &outcome(5));
-        let text = b.to_text();
-        let parsed = PolicyBundle::from_text(&text).expect("parses");
-        assert_eq!(parsed, b);
-        assert_eq!(parsed.checksum(), b.checksum());
-        assert_eq!(parsed.n_hosts(), 5);
-    }
-
-    #[test]
     fn merge_combines_features() {
         let mut b = PolicyBundle::from_outcome(1, FeatureKind::TcpConnections, &outcome(3));
         let u = PolicyBundle::from_outcome(2, FeatureKind::UdpConnections, &outcome(3));
@@ -173,20 +135,6 @@ mod tests {
         let mut tampered = b.clone();
         tampered.entries[2].2 += 1.0;
         assert_ne!(b.checksum(), tampered.checksum());
-    }
-
-    #[test]
-    fn corrupted_text_rejected_whole() {
-        let b = PolicyBundle::from_outcome(1, FeatureKind::TcpConnections, &outcome(3));
-        let text = b.to_text();
-        assert!(PolicyBundle::from_text(&text.replace("num-TCP", "num-XXX")).is_none());
-        assert!(PolicyBundle::from_text(&text.replace('v', "w")).is_none());
-        assert!(PolicyBundle::from_text("").is_none());
-        // NaN threshold rejected.
-        assert!(PolicyBundle::from_text("#policy-bundle v1\n0\tnum-TCP-connections\tNaN\n").is_none());
-        // Out-of-order rows rejected (not canonical).
-        let swapped = "#policy-bundle v1\n1\tnum-TCP-connections\t5\n0\tnum-TCP-connections\t3\n";
-        assert!(PolicyBundle::from_text(swapped).is_none());
     }
 
     #[test]

@@ -298,7 +298,7 @@ proptest! {
             2 => (len / 3).max(1),
             3 => len,
             4 => len + 1 + rng.below(20) as usize,
-            _ => (2..).find(|k| len % k != 0).unwrap_or(3),
+            _ => (2..=len.max(2)).find(|k| len % k != 0).unwrap_or(3),
         };
         let overlay = if shape == 1 {
             FeatureSeries::zeros(Windowing::FIFTEEN_MIN, overlay_len)

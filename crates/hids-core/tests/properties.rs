@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use flowtab::{FeatureCounts, FeatureKind, FeatureSeries, Windowing};
 use hids_core::{
     eval::evaluate_policy, EvalConfig, FeatureDataset, Grouping, PartialMethod, Policy,
-    PolicyBundle, ThresholdHeuristic,
+    ThresholdHeuristic,
 };
 
 /// Arbitrary small population of count series (train ≈ test with noise).
@@ -79,22 +79,6 @@ proptest! {
             prop_assert_eq!(t, ThresholdHeuristic::P99.threshold(d));
             prop_assert!(d.exceedance(t) <= 0.0101, "train FP {}", d.exceedance(t));
         }
-    }
-
-    /// Bundles round-trip through text for any configured population.
-    #[test]
-    fn bundle_text_roundtrip((train, test) in arb_population(), version in any::<u32>()) {
-        let ds = FeatureDataset::from_series(&train, &test, FeatureKind::TcpConnections);
-        let out = Policy {
-            grouping: Grouping::Partial(PartialMethod::EIGHT_PARTIAL),
-            heuristic: ThresholdHeuristic::P99,
-        }
-        .configure(&ds.train);
-        let bundle = PolicyBundle::from_outcome(version, FeatureKind::TcpConnections, &out);
-        let parsed = PolicyBundle::from_text(&bundle.to_text()).expect("round trip");
-        prop_assert_eq!(&parsed, &bundle);
-        prop_assert_eq!(parsed.checksum(), bundle.checksum());
-        prop_assert_eq!(bundle.deploy().len(), train.len());
     }
 
     /// Grouping assignments are a partition: every user gets exactly one

@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Sender};
-use flowtab::FeatureKind;
 use hids_core::Alert;
 use parking_lot::Mutex;
 
@@ -24,15 +23,6 @@ pub struct ConsoleStats {
 }
 
 impl ConsoleStats {
-    /// Mean alerts per user over `n_users` (users with zero alerts count).
-    pub fn mean_alerts_per_user(&self, n_users: usize) -> f64 {
-        if n_users == 0 {
-            0.0
-        } else {
-            self.total_alerts as f64 / n_users as f64
-        }
-    }
-
     /// The noisiest users, descending, up to `k`.
     pub fn top_talkers(&self, k: usize) -> Vec<(u32, u64)> {
         let mut v: Vec<(u32, u64)> = self.per_user.iter().map(|(&u, &c)| (u, c)).collect();
@@ -105,16 +95,12 @@ impl CentralConsole {
     pub fn stats(&self) -> ConsoleStats {
         self.stats.lock().clone()
     }
-
-    /// Alerts attributed to one feature.
-    pub fn alerts_for(&self, feature: FeatureKind) -> u64 {
-        self.stats.lock().per_feature[feature.index()]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowtab::FeatureKind;
 
     fn alert(user: u32, window: usize, feature: FeatureKind) -> Alert {
         Alert {
@@ -139,10 +125,9 @@ mod tests {
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.per_user[&1], 2);
         assert_eq!(stats.per_user[&2], 1);
-        assert_eq!(console.alerts_for(FeatureKind::TcpConnections), 2);
+        assert_eq!(stats.per_feature[FeatureKind::TcpConnections.index()], 2);
         assert_eq!(stats.per_week[&0], 2);
         assert_eq!(stats.per_week[&1], 1);
-        assert!((stats.mean_alerts_per_user(3) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -188,7 +173,6 @@ mod tests {
         let console = CentralConsole::new(672);
         let stats = console.stats();
         assert_eq!(stats.total_alerts, 0);
-        assert_eq!(stats.mean_alerts_per_user(350), 0.0);
         assert!(stats.top_talkers(5).is_empty());
     }
 }

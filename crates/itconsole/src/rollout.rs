@@ -74,15 +74,6 @@ impl FleetDriftMonitor {
             .collect()
     }
 
-    /// Hosts latched as suspect by the poisoning guard, ascending by id.
-    pub fn suspects(&self) -> Vec<u32> {
-        self.trackers
-            .iter()
-            .filter(|(_, t)| t.suspect())
-            .map(|(&h, _)| h)
-            .collect()
-    }
-
     /// Whether every registered host has latched drift (and at least one
     /// host is registered).
     pub fn all_drifted(&self) -> bool {
@@ -418,7 +409,8 @@ mod tests {
         feed_drift_down(&mut m, 1, 60);
         feed_poison_ramp(&mut m, 2, 120);
         assert_eq!(m.drifted(), vec![1, 2]);
-        assert_eq!(m.suspects(), vec![2]);
+        let suspect = |h| m.tracker(h).is_some_and(|t| t.suspect());
+        assert_eq!((suspect(0), suspect(1), suspect(2)), (false, false, true));
         assert!(!m.all_drifted(), "host 0 is still stable");
         assert!(m.observe(99, 5).is_none(), "unregistered host");
     }

@@ -21,16 +21,6 @@ impl MacAddr {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
-
-    /// True for group (multicast/broadcast) addresses.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for the all-ones broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
 }
 
 impl core::fmt::Display for MacAddr {
@@ -206,10 +196,7 @@ mod tests {
 
     #[test]
     fn mac_properties() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
         let m = MacAddr::from_host_id(0xdeadbeef);
-        assert!(!m.is_multicast());
         assert_eq!(m.to_string(), "02:00:de:ad:be:ef");
     }
 

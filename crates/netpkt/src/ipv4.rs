@@ -78,11 +78,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         usize::from(get_u16(self.buffer.as_ref(), 2))
     }
 
-    /// Differentiated-services / TOS byte.
-    pub fn dscp_ecn(&self) -> u8 {
-        self.buffer.as_ref()[1]
-    }
-
     /// IP identification field.
     pub fn identification(&self) -> u16 {
         get_u16(self.buffer.as_ref(), 4)

@@ -27,22 +27,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arp;
 pub mod checksum;
 pub mod dns;
 pub mod error;
 pub mod ethernet;
 pub mod icmp;
 pub mod ipv4;
-pub mod ipv6;
 pub mod pcap;
 pub mod swar;
 pub mod tcp;
-pub mod tcpopt;
 pub mod testutil;
 pub mod udp;
 
-pub use arp::{ArpOp, ArpPacket, ARP_LEN};
 pub use dns::{
     fold_name, fold_name_oracle, DnsHeader, DnsOpcode, DnsQuestion, DnsRcode, DnsRecord,
     DnsRecordType, RData,
@@ -51,13 +47,11 @@ pub use error::{DecodeError, Layer, LayerResultExt};
 pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 pub use icmp::{IcmpMessage, IcmpType, ICMP_HEADER_LEN};
 pub use ipv4::{IpProtocol, Ipv4Packet, IPV4_MIN_HEADER_LEN};
-pub use ipv6::{Ipv6Packet, IPV6_HEADER_LEN};
 pub use pcap::{
     LinkType, LossStats, LossyPcapReader, PcapError, PcapPacket, PcapReader, PcapRecord,
     PcapWriter,
 };
 pub use tcp::{TcpFlags, TcpSegment, TCP_MIN_HEADER_LEN};
-pub use tcpopt::{find_mss, TcpOption, TcpOptionIter};
 pub use udp::{UdpDatagram, UDP_HEADER_LEN};
 
 /// Errors produced when parsing or emitting wire formats.

@@ -1,6 +1,6 @@
 //! Reproducibility guarantees: everything is a pure function of the seed.
 
-use experiments::{fig1, fig3, fig4, multifeat, tab2, tab3, Corpus, CorpusConfig};
+use experiments::{fig1, fig4, suite, tab3, Corpus, CorpusConfig};
 use flowtab::FeatureKind;
 
 fn cfg(seed: u64) -> CorpusConfig {
@@ -53,38 +53,23 @@ fn experiments_are_reproducible() {
 }
 
 /// The parallel evaluation engine must be invisible in the output: every
-/// experiment's rendered CSV is byte-identical at 1 worker thread and at
-/// 8. (Runs the thread-count comparison in one process via
-/// `hids_core::set_threads`; the engine chunks work contiguously and
-/// joins in order, so scheduling can never reorder results.)
+/// paper-suite table's CSV (and the ROC ablation's) is byte-identical at 1
+/// worker thread and at 8. (Runs the thread-count comparison in one
+/// process via `hids_core::set_threads`; the engine chunks work
+/// contiguously and joins in order, so scheduling can never reorder
+/// results.)
 #[test]
 fn experiment_csvs_identical_across_thread_counts() {
     let run_all = |threads: usize| -> Vec<String> {
         hids_core::set_threads(threads);
         let corpus = Corpus::generate(cfg(99));
+        let mut out: Vec<String> = suite::paper(&corpus)
+            .unwrap()
+            .iter()
+            .map(|(_, table)| table.to_csv())
+            .collect();
         let tcp = FeatureKind::TcpConnections;
-        let out = vec![
-            fig1::summary_table(&fig1::run(&corpus, 0)).to_csv(),
-            tab3::table(&tab3::run(&corpus, tcp)).to_csv(),
-            fig4::table_b(&fig4::run_b(&corpus, tcp, 0, 0.9)).to_csv(),
-            experiments::fig5::summary_table(
-                &experiments::fig5::run(&corpus, 0, &synthgen::StormConfig::default()),
-                corpus.config.windowing().windows_per_week() as f64,
-            )
-            .to_csv(),
-            experiments::ablation::roc_headroom(&corpus, tcp).to_csv(),
-            multifeat::table(&multifeat::run(
-                &corpus,
-                0,
-                &synthgen::StormConfig::default(),
-            ))
-            .to_csv(),
-            fig3::table_a(&fig3::run_a(&corpus, tcp, 0.4)).to_csv(),
-            fig3::table_b(&fig3::run_b(&corpus, tcp, &fig3::paper_weights())).to_csv(),
-            tab2::table(&tab2::run(&corpus, 0, 10)).to_csv(),
-            fig4::table_a(&fig4::run_a(&corpus, tcp, 0, 64)).to_csv(),
-            fig4::run_c(&corpus, tcp, 0).to_csv(),
-        ];
+        out.push(experiments::ablation::roc_headroom(&corpus, tcp).to_csv());
         out
     };
     let single = run_all(1);
