@@ -56,10 +56,12 @@ pub fn user_detects(test_counts: &[u64], threshold: f64, b: f64, attack: &NaiveA
 /// Fraction of the population raising at least one alarm for attack size
 /// `b` (one y-value of Figure 4(a)).
 ///
+/// `test_counts` holds one column per user, owned or borrowed.
+///
 /// # Panics
 /// Panics when `test_counts` and `thresholds` differ in length.
 pub fn detection_fraction(
-    test_counts: &[Vec<u64>],
+    test_counts: &[impl AsRef<[u64]>],
     thresholds: &[f64],
     b: f64,
     attack: &NaiveAttack,
@@ -68,7 +70,7 @@ pub fn detection_fraction(
     let detected = test_counts
         .iter()
         .zip(thresholds)
-        .filter(|(counts, &t)| user_detects(counts, t, b, attack))
+        .filter(|(counts, &t)| user_detects(counts.as_ref(), t, b, attack))
         .count();
     detected as f64 / test_counts.len().max(1) as f64
 }
@@ -78,7 +80,7 @@ pub fn detection_fraction(
 /// Each size is an independent population pass, so the sweep parallelises
 /// across sizes via [`hids_core::par_map`] (output order is preserved).
 pub fn detection_curve(
-    test_counts: &[Vec<u64>],
+    test_counts: &[impl AsRef<[u64]> + Sync],
     thresholds: &[f64],
     sizes: &[f64],
     attack: &NaiveAttack,

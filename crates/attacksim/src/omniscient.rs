@@ -44,13 +44,17 @@ pub fn omniscient_budget(test_counts: &[u64], threshold: f64) -> OmniscientBudge
     }
 }
 
-/// Population bound: one budget per user.
-pub fn omniscient_population(test_counts: &[Vec<u64>], thresholds: &[f64]) -> Vec<OmniscientBudget> {
+/// Population bound: one budget per user, from one test column per user,
+/// owned or borrowed.
+pub fn omniscient_population(
+    test_counts: &[impl AsRef<[u64]>],
+    thresholds: &[f64],
+) -> Vec<OmniscientBudget> {
     assert_eq!(test_counts.len(), thresholds.len());
     test_counts
         .iter()
         .zip(thresholds)
-        .map(|(counts, &t)| omniscient_budget(counts, t))
+        .map(|(counts, &t)| omniscient_budget(counts.as_ref(), t))
         .collect()
 }
 

@@ -53,15 +53,16 @@ pub fn replay_attack(benign: &[u64], zombie: &[u64], threshold: f64) -> ReplayPe
     }
 }
 
-/// Replay the zombie over a whole population.
+/// Replay the zombie over a whole population: one benign column per user,
+/// owned or borrowed.
 pub fn replay_population(
-    benign: &[Vec<u64>],
+    benign: &[impl AsRef<[u64]> + Sync],
     zombie: &[u64],
     thresholds: &[f64],
 ) -> Vec<ReplayPerf> {
     assert_eq!(benign.len(), thresholds.len());
     hids_core::par_map_range(benign.len(), |i| {
-        replay_attack(&benign[i], zombie, thresholds[i])
+        replay_attack(benign[i].as_ref(), zombie, thresholds[i])
     })
 }
 

@@ -144,10 +144,13 @@ fn policies(c: &mut Criterion) {
 /// 672-window week). The homogeneous policy's pooled distribution:
 /// `EmpiricalDist::pool`, which counts runs, against the sorted-sample
 /// `edf::oracle` pool it replaced and against concatenating and sorting
-/// again. Building runs from raw counts: one user's week, and all six
-/// feature columns of every user (against the oracle's sort). Scoring every user's test week at its training
-/// p99 (`UserPerf::score`), and one `SweepTable` per user under the
-/// dataset's attack sweep.
+/// again; and the homogeneous policy's whole utility fit, the pool plus
+/// one `SweepTable` over it. Building runs from raw counts: one user's
+/// week, an all-zero, the median and the 95th-percentile TCP column, and
+/// all six feature columns of every user (against the oracle's sort).
+/// Scoring every user's test week at its training p99
+/// (`UserPerf::score`), and one `SweepTable` per user under the dataset's
+/// attack sweep.
 fn pooling(c: &mut Criterion) {
     use hids_core::{SweepTable, ThresholdHeuristic, UserPerf};
     let corpus = Corpus::generate(CorpusConfig {
@@ -167,8 +170,28 @@ fn pooling(c: &mut Criterion) {
         .iter()
         .flat_map(|w| FeatureKind::ALL.map(|f| w[0].column(f)))
         .collect();
+    // Three TCP column shapes, ranked by how many counts reach 256: an
+    // all-zero week, the median user (no tail) and the 95th-percentile
+    // user (a long tail).
+    let zero_column = vec![0u64; 672];
+    let mut by_tail: Vec<&[u64]> = corpus.columns(FeatureKind::TcpConnections, 0);
+    by_tail.sort_by_key(|c| {
+        (
+            c.iter().filter(|&&x| x >= 256).count(),
+            c.iter().max().copied(),
+        )
+    });
+    let median_column = by_tail[by_tail.len() / 2];
+    let p95_column = by_tail[by_tail.len() * 95 / 100];
     let ds = corpus.dataset(FeatureKind::TcpConnections, 0);
     let sweep = ds.default_sweep();
+    let homogeneous = hids_core::Policy {
+        grouping: hids_core::Grouping::Homogeneous,
+        heuristic: ThresholdHeuristic::UtilityMax {
+            w: 0.4,
+            sweep: sweep.clone(),
+        },
+    };
     let p99: Vec<f64> = ds
         .train
         .iter()
@@ -185,6 +208,18 @@ fn pooling(c: &mut Criterion) {
     });
     group.bench_function("from_counts_672", |b| {
         b.iter(|| black_box(EmpiricalDist::from_counts(black_box(counts))))
+    });
+    for (name, column) in [
+        ("from_counts/zero_672", &zero_column[..]),
+        ("from_counts/median_tcp_672", median_column),
+        ("from_counts/p95_tcp_672", p95_column),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(EmpiricalDist::from_counts(black_box(column))))
+        });
+    }
+    group.bench_function("pool_homogeneous_200x672", |b| {
+        b.iter(|| black_box(homogeneous.configure(black_box(&dists))))
     });
     group.bench_function("runs_from_counts_1200", |b| {
         b.iter(|| {

@@ -144,6 +144,12 @@ where
     if let Some((_, broken)) = rules.iter().find(|(bad, _)| *bad) {
         return Err(broken.to_string());
     }
+    if let Some(e) = args.selected.iter().find(|e| o.users < e.min_users) {
+        return Err(format!(
+            "--users {} is below the {} users {} needs for its self-checks",
+            o.users, e.min_users, e.name
+        ));
+    }
     // The control-plane knobs route through the daemon's own FleetConfig
     // machinery, so repro accepts exactly the values a live reload would.
     let mut fc = fleetd::FleetConfig::default();

@@ -117,6 +117,28 @@ impl Corpus {
             .collect()
     }
 
+    /// The training distributions of week `train_week` and the borrowed
+    /// test columns of the week after: the two halves of
+    /// [`Corpus::dataset`] that a figure scoring raw test windows reads,
+    /// without building the test week's distributions.
+    ///
+    /// # Panics
+    /// Panics when no week follows `train_week`.
+    pub fn train_and_test_columns(
+        &self,
+        feature: FeatureKind,
+        train_week: usize,
+    ) -> (Vec<EmpiricalDist>, Vec<&[u64]>) {
+        assert!(
+            train_week + 1 < self.config.n_weeks,
+            "need a following test week"
+        );
+        (
+            self.dists(feature, train_week),
+            self.columns(feature, train_week + 1),
+        )
+    }
+
     /// Train-on-week / test-on-next dataset for one feature, built from
     /// borrowed columns. Nothing is cached: an experiment that reads one
     /// (feature, split) several times builds it once and passes it on.

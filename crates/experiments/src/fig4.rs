@@ -6,8 +6,8 @@
 
 use attacksim::{detection_curve, hidden_traffic, omniscient_population, total_capacity, NaiveAttack};
 use flowtab::FeatureKind;
-use hids_core::{FeatureDataset, Grouping, Policy, ThresholdHeuristic};
-use tailstats::FiveNumber;
+use hids_core::{max_observed, Grouping, Policy, ThresholdHeuristic};
+use tailstats::{EmpiricalDist, FiveNumber};
 
 use crate::data::Corpus;
 use crate::report::{fnum, Table};
@@ -34,19 +34,19 @@ pub struct Fig4bResult {
     pub evade_prob: f64,
 }
 
-fn thresholds_for(ds: &FeatureDataset, grouping: Grouping) -> Vec<f64> {
+fn thresholds_for(train: &[EmpiricalDist], grouping: Grouping) -> Vec<f64> {
     Policy {
         grouping,
         heuristic: ThresholdHeuristic::P99,
     }
-    .configure(&ds.train)
+    .configure(train)
     .thresholds
 }
 
 /// Run Figure 4(a): sweep attack sizes for the naive attacker.
 pub fn run_a(corpus: &Corpus, feature: FeatureKind, week: usize, n_sizes: usize) -> Fig4aResult {
-    let ds = corpus.dataset(feature, week);
-    let b_max = ds.max_observed();
+    let (train, test) = corpus.train_and_test_columns(feature, week);
+    let b_max = max_observed(&train);
     let sizes: Vec<f64> = (0..n_sizes)
         .map(|i| 1.0 + (b_max - 1.0) * i as f64 / (n_sizes - 1).max(1) as f64)
         .collect();
@@ -54,8 +54,8 @@ pub fn run_a(corpus: &Corpus, feature: FeatureKind, week: usize, n_sizes: usize)
     let curves = POLICIES
         .iter()
         .map(|&(_, grouping)| {
-            let thresholds = thresholds_for(&ds, grouping);
-            detection_curve(&ds.test_counts, &thresholds, &sizes, &attack)
+            let thresholds = thresholds_for(&train, grouping);
+            detection_curve(&test, &thresholds, &sizes, &attack)
                 .into_iter()
                 .map(|(_, f)| f)
                 .collect()
@@ -66,12 +66,12 @@ pub fn run_a(corpus: &Corpus, feature: FeatureKind, week: usize, n_sizes: usize)
 
 /// Run Figure 4(b): mimicry budgets at `evade_prob`.
 pub fn run_b(corpus: &Corpus, feature: FeatureKind, week: usize, evade_prob: f64) -> Fig4bResult {
-    let ds = corpus.dataset(feature, week);
+    let train = corpus.dists(feature, week);
     let budgets: Vec<Vec<u64>> = POLICIES
         .iter()
         .map(|&(_, grouping)| {
-            let thresholds = thresholds_for(&ds, grouping);
-            hidden_traffic(&ds.train, &thresholds, evade_prob)
+            let thresholds = thresholds_for(&train, grouping);
+            hidden_traffic(&train, &thresholds, evade_prob)
                 .into_iter()
                 .map(|e| e.budget)
                 .collect()
@@ -93,7 +93,7 @@ pub fn run_b(corpus: &Corpus, feature: FeatureKind, week: usize, evade_prob: f64
 /// threshold. Reported as total undetectable weekly DDoS capacity of the
 /// whole botnet under each policy.
 pub fn run_c(corpus: &Corpus, feature: FeatureKind, week: usize) -> Table {
-    let ds = corpus.dataset(feature, week);
+    let (train, test) = corpus.train_and_test_columns(feature, week);
     let mut t = Table::new(
         "Extension — omniscient attacker: total undetectable weekly capacity",
         &[
@@ -104,8 +104,8 @@ pub fn run_c(corpus: &Corpus, feature: FeatureKind, week: usize) -> Table {
         ],
     );
     for (label, grouping) in POLICIES {
-        let thresholds = thresholds_for(&ds, grouping);
-        let budgets = omniscient_population(&ds.test_counts, &thresholds);
+        let thresholds = thresholds_for(&train, grouping);
+        let budgets = omniscient_population(&test, &thresholds);
         let mut per_user: Vec<f64> = budgets.iter().map(|b| b.weekly_total as f64).collect();
         per_user.sort_by(|a, b| a.total_cmp(b));
         let sat = budgets.iter().map(|b| b.saturated_windows).sum::<u64>() as f64

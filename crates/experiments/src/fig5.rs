@@ -67,7 +67,7 @@ pub struct Fig5Result {
 /// Run the Storm replay.
 pub fn run(corpus: &Corpus, week: usize, storm: &StormConfig) -> Fig5Result {
     let feature = FeatureKind::DistinctConnections;
-    let ds = corpus.dataset(feature, week);
+    let (train, test) = corpus.train_and_test_columns(feature, week);
     let zombie = storm_week_series(storm, corpus.config.windowing(), 0);
     let zombie_distinct = zombie.feature(feature);
 
@@ -78,11 +78,11 @@ pub fn run(corpus: &Corpus, week: usize, storm: &StormConfig) -> Fig5Result {
                 grouping,
                 heuristic: ThresholdHeuristic::P99,
             }
-            .configure(&ds.train)
+            .configure(&train)
             .thresholds;
             ReplayScatter {
                 policy: label,
-                points: replay_population(&ds.test_counts, &zombie_distinct, &thresholds),
+                points: replay_population(&test, &zombie_distinct, &thresholds),
             }
         })
         .collect();

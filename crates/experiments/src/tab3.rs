@@ -7,8 +7,11 @@
 //! 99th-percentile heuristic 1594/892/482, utility(w=0.4) 3536/1194/2328.
 
 use flowtab::{FeatureKind, Windowing};
-use hids_core::{Detector, FeatureDataset, Grouping, PartialMethod, Policy, ThresholdHeuristic};
+use hids_core::{
+    max_observed, AttackSweep, Detector, Grouping, PartialMethod, Policy, ThresholdHeuristic,
+};
 use itconsole::{AlertBatcher, CentralConsole};
+use tailstats::EmpiricalDist;
 
 use crate::data::Corpus;
 use crate::report::Table;
@@ -35,11 +38,11 @@ pub struct Tab3Result {
     pub n_users: usize,
 }
 
-fn heuristic_for(utility: bool, ds: &FeatureDataset) -> ThresholdHeuristic {
+fn heuristic_for(utility: bool, train: &[EmpiricalDist]) -> ThresholdHeuristic {
     if utility {
         ThresholdHeuristic::UtilityMax {
             w: 0.4,
-            sweep: ds.default_sweep(),
+            sweep: AttackSweep::up_to(max_observed(train)),
         }
     } else {
         ThresholdHeuristic::P99
@@ -47,10 +50,16 @@ fn heuristic_for(utility: bool, ds: &FeatureDataset) -> ThresholdHeuristic {
 }
 
 /// Count the alarms reaching the console for one policy, by actually
-/// running detectors over the test week and shipping batched alerts. Only
-/// the configured thresholds are read; no per-user FN/FP score is needed.
-fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) -> u64 {
-    let thresholds = policy.configure(&ds.train).thresholds;
+/// running detectors over the test week's columns and shipping batched
+/// alerts. Only the configured thresholds are read; no per-user FN/FP
+/// score is needed.
+fn console_alarms(
+    train: &[EmpiricalDist],
+    test: &[&[u64]],
+    policy: &Policy,
+    feature: FeatureKind,
+) -> u64 {
+    let thresholds = policy.configure(train).thresholds;
     let windowing = Windowing::FIFTEEN_MIN;
     let console = CentralConsole::new(windowing.windows_per_week());
 
@@ -58,7 +67,7 @@ fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) ->
     // batches in parallel, then ingest them in user order so the console
     // sees a deterministic stream regardless of thread count.
     let per_user_batches = hids_core::par_map(&thresholds, |user, &threshold| {
-        let counts = &ds.test_counts[user];
+        let counts = test[user];
         let mut detector = Detector::new(user as u32);
         detector.set_threshold(feature, threshold);
         let mut batcher = AlertBatcher::new(96); // ship once per day
@@ -78,13 +87,18 @@ fn console_alarms(ds: &FeatureDataset, policy: &Policy, feature: FeatureKind) ->
 /// Run the Table-3 analysis (averaged over the corpus's train→test splits,
 /// rounded to whole alarms).
 pub fn run(corpus: &Corpus, feature: FeatureKind) -> Tab3Result {
-    let datasets = corpus.split_datasets(feature);
+    let splits = corpus.splits();
+    assert!(!splits.is_empty(), "corpus too short for train/test");
+    let datasets: Vec<_> = splits
+        .iter()
+        .map(|&week| corpus.train_and_test_columns(feature, week))
+        .collect();
     let labels = [("99th-percentile", false), ("utility, w = 0.4", true)];
     let mut rows = Vec::new();
     for (label, utility) in labels {
         let mut totals = [0u64; 3];
-        for ds in &datasets {
-            let heuristic = heuristic_for(utility, ds);
+        for (train, test) in &datasets {
+            let heuristic = heuristic_for(utility, train);
             for (slot, grouping) in [
                 Grouping::Homogeneous,
                 Grouping::FullDiversity,
@@ -97,7 +111,7 @@ pub fn run(corpus: &Corpus, feature: FeatureKind) -> Tab3Result {
                     grouping,
                     heuristic: heuristic.clone(),
                 };
-                totals[slot] += console_alarms(ds, &policy, feature);
+                totals[slot] += console_alarms(train, test, &policy, feature);
             }
         }
         let div = datasets.len() as u64;

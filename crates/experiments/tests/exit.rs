@@ -56,3 +56,19 @@ fn an_unknown_experiment_exits_2_naming_the_valid_ones() {
     assert!(err.contains("fig5") && err.contains("tab3"), "{err}");
     assert!(out.stdout.is_empty(), "nothing ran");
 }
+
+#[test]
+fn users_below_an_experiments_floor_exit_2_naming_it() {
+    let out = repro(&["--users", "16", "all"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("--users 16 is below the 20 users validate needs"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let out = repro(&["--users", "29", "--weeks", "2", "seeds"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("below the 30 users seeds needs"), "{err}");
+}

@@ -124,17 +124,24 @@ impl FeatureDataset {
     /// The largest per-window value any user produced in training — the
     /// paper's cap on meaningful attack sizes.
     pub fn max_observed(&self) -> f64 {
-        self.train
-            .iter()
-            .map(|d| d.max())
-            .fold(0.0f64, f64::max)
-            .max(1.0)
+        max_observed(&self.train)
     }
 
     /// Default attack sweep for this dataset.
     pub fn default_sweep(&self) -> AttackSweep {
         AttackSweep::up_to(self.max_observed())
     }
+}
+
+/// The largest value in any of `train`, at least 1: what
+/// [`FeatureDataset::max_observed`] reads, for callers that hold only the
+/// training distributions.
+pub fn max_observed(train: &[EmpiricalDist]) -> f64 {
+    train
+        .iter()
+        .map(|d| d.max())
+        .fold(0.0f64, f64::max)
+        .max(1.0)
 }
 
 /// Evaluation parameters.

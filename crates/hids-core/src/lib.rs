@@ -63,8 +63,8 @@ pub use degraded::{
 pub use detector::{Alert, Detector};
 pub use drift::{DriftConfig, DriftState, DriftTracker};
 pub use eval::{
-    score_source, utility_of, AttackSweep, DatasetError, EvalConfig, FeatureDataset,
-    PolicyEvaluation, UserPerf,
+    max_observed, score_source, utility_of, AttackSweep, DatasetError, EvalConfig,
+    FeatureDataset, PolicyEvaluation, UserPerf,
 };
 pub use incremental::{degraded_dataset, SketchAccumulator, WindowAccumulator};
 pub use multi::{

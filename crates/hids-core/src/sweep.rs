@@ -132,6 +132,35 @@ pub struct SweepTable {
     mean_fn: Vec<f64>,
 }
 
+/// The lattice kernel's slot for cut `c`: `⌈c⌉ − lo` clamped to
+/// `[0, top]`, for an integral `lo` with `|lo| ≤ 1e15` and `top < 2^52`.
+///
+/// #{g < c} on an integer lattice is #{g ≤ ⌈c⌉ − 1}, exact for fractional
+/// cuts (⌊c⌋ = ⌈c⌉ − 1, the fractional-attack-size case) and integral cuts
+/// alike. The index is shifted by one so a cut at or below lo lands on the
+/// explicit zero slot: ⌈c⌉ − lo ≤ 0 would otherwise claim the samples
+/// *equal to* lo as "below". The top clamp takes oversized cuts to "all
+/// below".
+///
+/// `ceil` is a libm call on a target without SSE4.1, so cuts below 2^53 in
+/// magnitude take it in integers: there `c as i64` truncates exactly and
+/// converts back exactly, so adding one where the truncation fell below
+/// `c` gives ⌈c⌉, and ⌈c⌉ − lo cannot overflow. The `f64` form it replaces
+/// rounds ⌈c⌉ − lo only where the exact difference exceeds 2^53, beyond
+/// `top`, and rounding is monotone, so both clamp to the same slot. Every
+/// other cut (huge, infinite or NaN) takes the `f64` form.
+#[inline]
+fn lattice_index(c: f64, lo: f64, top: usize) -> usize {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if c.abs() < EXACT {
+        let trunc = c as i64;
+        let ceil = trunc + i64::from((trunc as f64) < c);
+        (ceil - lo as i64).clamp(0, top as i64) as usize
+    } else {
+        ((c.ceil() - lo).max(0.0) as usize).min(top)
+    }
+}
+
 impl SweepTable {
     /// Score every candidate threshold — each distinct value of `dist`
     /// plus one step above its maximum — against `sweep`, with whichever
@@ -258,18 +287,7 @@ impl SweepTable {
                 // accumulator absorbs bitwise.
                 let start = thresholds.partition_point(|&t| t - b <= lo);
                 for (slot, &t) in acc[start..].iter_mut().zip(&thresholds[start..]) {
-                    // #{g < c} on an integer lattice is #{g ≤ ⌈c⌉ − 1},
-                    // exact for fractional cuts (⌊c⌋ = ⌈c⌉ − 1, the
-                    // fractional-attack-size case) and integral cuts
-                    // alike. The index is shifted by one so a cut at or
-                    // below lo lands on the explicit zero slot rather
-                    // than depending on the skip predicate: ⌈c⌉ − lo ≤ 0
-                    // would otherwise cast-saturate to slot 0 and claim
-                    // the samples *equal to* lo as "below". `max` keeps
-                    // the cast in range, and `min` clamps oversized cuts
-                    // to "all below".
-                    let j = ((t - b).ceil() - lo).max(0.0) as usize;
-                    *slot += cumf[j.min(range + 1)];
+                    *slot += cumf[lattice_index(t - b, lo, range + 1)];
                 }
             }
         } else {
@@ -554,5 +572,63 @@ mod tests {
         let d = uniform_counts(50);
         let table = SweepTable::compute(&d, &AttackSweep::up_to(100.0));
         assert_eq!(table.best_by(|_, _| 1.0), table.thresholds()[0]);
+    }
+
+    /// The `f64` slot [`lattice_index`] replaced.
+    fn lattice_index_by_ceil(c: f64, lo: f64, top: usize) -> usize {
+        ((c.ceil() - lo).max(0.0) as usize).min(top)
+    }
+
+    #[test]
+    fn lattice_index_matches_ceil_on_edge_cuts() {
+        let big = 2f64.powi(53);
+        let mut cuts = vec![big - 1.0, big, big + 2.0, 1e15, 1e300, f64::INFINITY];
+        cuts.extend([0.0, 0.5, 1.0, 2.999, f64::MIN_POSITIVE]);
+        cuts.extend(cuts.clone().into_iter().map(|c| -c));
+        cuts.push(f64::NAN);
+        for lo in [0.0, 1.0, -7.0, 1e15, -1e15] {
+            for top in [0, 1, 5, 4097, 1 << 40] {
+                for &c in &cuts {
+                    for c in [c, c + lo, c + lo + 0.25, c + lo - 1.0] {
+                        assert_eq!(
+                            lattice_index(c, lo, top),
+                            lattice_index_by_ceil(c, lo, top),
+                            "cut {c}, lo {lo}, top {top}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The integer slot equals the `.ceil()` one for integral,
+        /// fractional and negative cuts near the lattice, and for any
+        /// finite `f64` at all.
+        #[test]
+        fn lattice_index_matches_ceil(
+            lo in -1_000_000_000_000_000i64..=1_000_000_000_000_000,
+            offset in -100_000i64..100_000,
+            frac in proptest::prop_oneof![
+                proptest::prelude::Just(0.0f64),
+                proptest::prelude::Just(-0.0f64),
+                -1.0f64..1.0,
+            ],
+            top in 0usize..200_000,
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            let any = f64::from_bits(bits);
+            let lo_f = lo as f64;
+            let near = lo_f + offset as f64 + frac;
+            for c in [near, offset as f64 + frac, any, any + lo_f] {
+                proptest::prop_assert_eq!(
+                    lattice_index(c, lo_f, top),
+                    lattice_index_by_ceil(c, lo_f, top),
+                    "cut {}, lo {}, top {}", c, lo_f, top
+                );
+            }
+        }
     }
 }

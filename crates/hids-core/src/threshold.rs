@@ -63,12 +63,12 @@ impl AttackSweep {
     /// Mean false-negative rate of threshold `t` against this sweep, under
     /// traffic distribution `dist`: `mean_b P(g + b < t)`.
     ///
-    /// Point query for a single already-chosen threshold. To evaluate
-    /// *every candidate* threshold of a distribution, use [`SweepTable`],
-    /// which computes all of them in one pass.
+    /// Point query for a single already-chosen threshold, summed by
+    /// [`QuantileBackend::below_sum`] (one walk over the exact backend's
+    /// runs). To evaluate *every candidate* threshold of a distribution,
+    /// use [`SweepTable`], which computes all of them in one pass.
     pub fn mean_fn<Q: QuantileBackend + ?Sized>(&self, dist: &Q, t: f64) -> f64 {
-        let sum: f64 = self.sizes.iter().map(|&b| dist.below(t - b)).sum();
-        sum / self.sizes.len() as f64
+        dist.below_sum(t, &self.sizes) / self.sizes.len() as f64
     }
 }
 

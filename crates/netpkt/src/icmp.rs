@@ -1,7 +1,7 @@
 //! ICMPv4 echo messages (the subset used for liveness probes in traces).
 
 use crate::checksum::internet_checksum;
-use crate::{check_len, get_u16, set_u16, Error, Result};
+use crate::{check_len, get_u16, Result};
 
 /// ICMP header length (type, code, checksum, rest-of-header), in bytes.
 pub const ICMP_HEADER_LEN: usize = 8;
@@ -89,43 +89,27 @@ impl<T: AsRef<[u8]>> IcmpMessage<T> {
     }
 }
 
-/// Build an echo request/reply message into `buf`.
-///
-/// Returns the number of bytes written (`ICMP_HEADER_LEN + payload.len()`).
-pub fn emit_echo(
-    buf: &mut [u8],
-    msg_type: IcmpType,
-    identifier: u16,
-    sequence: u16,
-    payload: &[u8],
-) -> Result<usize> {
-    let needed = ICMP_HEADER_LEN + payload.len();
-    if buf.len() < needed {
-        return Err(Error::Truncated {
-            needed,
-            got: buf.len(),
-        });
-    }
-    buf[0] = msg_type.into();
-    buf[1] = 0;
-    set_u16(buf, 2, 0);
-    set_u16(buf, 4, identifier);
-    set_u16(buf, 6, sequence);
-    buf[ICMP_HEADER_LEN..needed].copy_from_slice(payload);
-    let ck = internet_checksum(&buf[..needed]);
-    set_u16(buf, 2, ck);
-    Ok(needed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set_u16;
+
+    /// An echo message of `msg_type` with a valid checksum.
+    fn echo(msg_type: IcmpType, identifier: u16, sequence: u16, payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0u8; ICMP_HEADER_LEN + payload.len()];
+        buf[0] = msg_type.into();
+        set_u16(&mut buf, 4, identifier);
+        set_u16(&mut buf, 6, sequence);
+        buf[ICMP_HEADER_LEN..].copy_from_slice(payload);
+        let ck = internet_checksum(&buf);
+        set_u16(&mut buf, 2, ck);
+        buf
+    }
 
     #[test]
     fn echo_roundtrip() {
-        let mut buf = [0u8; 64];
-        let n = emit_echo(&mut buf, IcmpType::EchoRequest, 0x1234, 7, b"ping-payload").unwrap();
-        let msg = IcmpMessage::parse(&buf[..n]).unwrap();
+        let buf = echo(IcmpType::EchoRequest, 0x1234, 7, b"ping-payload");
+        let msg = IcmpMessage::parse(&buf[..]).unwrap();
         assert_eq!(msg.msg_type(), IcmpType::EchoRequest);
         assert_eq!(msg.code(), 0);
         assert_eq!(msg.identifier(), 0x1234);
@@ -136,10 +120,9 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut buf = [0u8; 16];
-        let n = emit_echo(&mut buf, IcmpType::EchoReply, 1, 1, b"abcd1234").unwrap();
-        buf[n - 1] ^= 0x80;
-        let msg = IcmpMessage::parse(&buf[..n]).unwrap();
+        let mut buf = echo(IcmpType::EchoReply, 1, 1, b"abcd1234");
+        *buf.last_mut().unwrap() ^= 0x80;
+        let msg = IcmpMessage::parse(&buf[..]).unwrap();
         assert!(!msg.verify_checksum());
     }
 
@@ -153,7 +136,5 @@ mod tests {
     #[test]
     fn short_buffer_rejected() {
         assert!(IcmpMessage::parse(&[0u8; 7][..]).is_err());
-        let mut buf = [0u8; 7];
-        assert!(emit_echo(&mut buf, IcmpType::EchoRequest, 0, 0, b"").is_err());
     }
 }

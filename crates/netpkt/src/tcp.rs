@@ -8,7 +8,8 @@ use crate::{check_len, get_u16, get_u32, set_u16, set_u32, Error, Result};
 /// Minimum TCP header length (no options), in bytes.
 pub const TCP_MIN_HEADER_LEN: usize = 20;
 
-/// The TCP flag byte, with typed accessors for the six classic flags.
+/// The TCP flag byte: constants for the six classic flags, accessors for
+/// the four the flow table reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
@@ -48,17 +49,9 @@ impl TcpFlags {
     pub fn rst(&self) -> bool {
         self.0 & Self::RST != 0
     }
-    /// True when PSH is set.
-    pub fn psh(&self) -> bool {
-        self.0 & Self::PSH != 0
-    }
     /// True when ACK is set.
     pub fn ack(&self) -> bool {
         self.0 & Self::ACK != 0
-    }
-    /// True when URG is set.
-    pub fn urg(&self) -> bool {
-        self.0 & Self::URG != 0
     }
 }
 
@@ -119,11 +112,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
     /// Sequence number.
     pub fn seq(&self) -> u32 {
         get_u32(self.buffer.as_ref(), 4)
-    }
-
-    /// Acknowledgement number.
-    pub fn ack_number(&self) -> u32 {
-        get_u32(self.buffer.as_ref(), 8)
     }
 
     /// Header length in bytes (data offset × 4).
@@ -243,8 +231,9 @@ mod tests {
         assert_eq!(seg.src_port(), 49152);
         assert_eq!(seg.dst_port(), 80);
         assert_eq!(seg.seq(), 0x01020304);
-        assert_eq!(seg.ack_number(), 0x0a0b0c0d);
-        assert!(seg.flags().psh() && seg.flags().ack());
+        assert_eq!(get_u32(&buf, 8), 0x0a0b0c0d, "acknowledgement number");
+        assert_eq!(seg.flags(), TcpFlags(TcpFlags::PSH | TcpFlags::ACK));
+        assert!(seg.flags().ack());
         assert!(!seg.flags().syn());
         assert_eq!(seg.window(), 8192);
         assert_eq!(seg.payload(), b"GET / HTTP/1.1\r\n");

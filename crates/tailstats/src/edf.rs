@@ -21,7 +21,97 @@ pub struct EmpiricalDist {
 
 /// Counts below this are tallied by value when building from counts; the
 /// rest are sorted.
-const HEAD: usize = 256;
+const HEAD: usize = 4096;
+
+/// Slots the per-thread scratch [`Tally`] grows to at most; a pool whose
+/// span is wider tallies into a table of its own.
+const SCRATCH_SLOTS: usize = 1 << 17;
+
+/// A by-value tally: a count per slot and a presence bitmap marking the
+/// slots with a non-zero count. Between uses every count and every bit is
+/// zero, so a tally costs its adds plus a walk over the bitmap words of
+/// its span and over the occupied slots, never a pass over all slots.
+#[derive(Debug, Default)]
+struct Tally {
+    count: Vec<u32>,
+    present: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Tally> = const {
+        std::cell::RefCell::new(Tally { count: Vec::new(), present: Vec::new() })
+    };
+}
+
+impl Tally {
+    /// Run `f` on an all-zero tally of at least `slots` slots: this
+    /// thread's scratch up to [`SCRATCH_SLOTS`], else a table of its own.
+    /// `f` must leave the tally all zero ([`Tally::drain`] or
+    /// [`Tally::clear`] over every slot it added to).
+    fn with<R>(slots: usize, f: impl FnOnce(&mut Tally) -> R) -> R {
+        if slots > SCRATCH_SLOTS {
+            return f(&mut Tally::zeroed(slots));
+        }
+        // Taken out for the call: a panic in `f` drops a half-used tally
+        // rather than leaving it for this thread's next call.
+        let mut t = SCRATCH.take();
+        if t.count.len() < slots {
+            t = Tally::zeroed(slots.max(HEAD + 1));
+        }
+        let r = f(&mut t);
+        SCRATCH.set(t);
+        r
+    }
+
+    fn zeroed(slots: usize) -> Self {
+        Self {
+            count: vec![0; slots],
+            present: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    /// Add `c > 0` samples to slot `k`; the slot's bit is set on its
+    /// first add.
+    #[inline]
+    fn add(&mut self, k: usize, c: u32) {
+        let slot = &mut self.count[k];
+        if *slot == 0 {
+            self.present[k / 64] |= 1 << (k % 64);
+        }
+        *slot += c;
+    }
+
+    /// Slot `k`'s count, leaving it empty.
+    fn take(&mut self, k: usize) -> u32 {
+        self.present[k / 64] &= !(1 << (k % 64));
+        std::mem::take(&mut self.count[k])
+    }
+
+    /// Occupied slots below `slots`.
+    fn occupied(&self, slots: usize) -> usize {
+        let words = &self.present[..slots.div_ceil(64)];
+        words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Hand each occupied slot below `slots` to `f` as `(slot, count)`,
+    /// ascending, leaving every one of them empty.
+    fn drain(&mut self, slots: usize, mut f: impl FnMut(usize, usize)) {
+        let words = slots.div_ceil(64);
+        for (w, word) in self.present[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(k, std::mem::take(&mut self.count[k]) as usize);
+            }
+        }
+    }
+
+    /// Empty every slot below `slots`.
+    fn clear(&mut self, slots: usize) {
+        self.drain(slots, |_, _| {});
+    }
+}
 
 impl EmpiricalDist {
     fn with_capacity(runs: usize) -> Self {
@@ -69,54 +159,58 @@ impl EmpiricalDist {
     /// as one feature column of a week's windows.
     ///
     /// Feature counts are small and heavy-tailed: a user-week of 672
-    /// windows holds about 27 distinct counts, 79% of its windows are 0,
-    /// but its span averages ~1800. So counts below [`HEAD`] are tallied
-    /// by value into four tables, the i-th count into table `i mod 4`
-    /// (one table would chain every increment of the 0 slot through
-    /// memory), and the tail at or above it — 3.4% of the corpus's counts
-    /// — is read again, copied and sorted. `u64 → f64` never decreases
-    /// and is always finite, so the runs come out in `total_cmp` order;
-    /// counts above 2^53 that round to one `f64` share its run.
+    /// windows holds about 27 distinct counts and 79% of its windows are
+    /// 0, but its span averages ~1800. So counts below [`HEAD`] are
+    /// tallied by value (into the tally [`pool`](Self::pool) shares), and
+    /// the rare ones at or above it are copied and sorted. Eight counts at
+    /// a time are checked for all zeros first and, if so, counted in a
+    /// register: the 0 slot would otherwise chain every increment through
+    /// memory. `u64 → f64` never decreases and is always finite, so the
+    /// runs come out in `total_cmp` order; counts above 2^53 that round to
+    /// one `f64` share its run.
     ///
     /// # Panics
     /// Panics if `counts` is empty or longer than `u32::MAX`.
     pub fn from_counts(counts: &[u64]) -> Self {
+        assert!(!counts.is_empty(), "empirical distribution needs samples");
         assert!(
             u32::try_from(counts.len()).is_ok(),
             "count tables hold at most u32::MAX samples"
         );
-        let mut tables = [[0u32; HEAD + 1]; 4];
-        let mut quads = counts.chunks_exact(4);
-        for quad in &mut quads {
-            for (table, &c) in tables.iter_mut().zip(quad) {
-                table[c.min(HEAD as u64) as usize] += 1;
+        // Slot HEAD collects the tail's size.
+        let slot = |c: u64| c.min(HEAD as u64) as usize;
+        Tally::with(HEAD + 1, |tally| {
+            let mut zeros = 0u32;
+            let mut octets = counts.chunks_exact(8);
+            for octet in &mut octets {
+                if octet.iter().fold(0, |acc, &c| acc | c) == 0 {
+                    zeros += 8;
+                } else {
+                    for &c in octet {
+                        tally.add(slot(c), 1);
+                    }
+                }
             }
-        }
-        for (table, &c) in tables.iter_mut().zip(quads.remainder()) {
-            table[c.min(HEAD as u64) as usize] += 1;
-        }
-        let head: [u32; HEAD] = std::array::from_fn(|k| tables.iter().map(|t| t[k]).sum());
-        let mut tail: Vec<u64> = Vec::new();
-        if tables.iter().any(|t| t[HEAD] > 0) {
-            tail = counts
-                .iter()
-                .copied()
-                .filter(|&c| c >= HEAD as u64)
-                .collect();
-            tail.sort_unstable();
-        }
-        let runs = head.iter().filter(|&&c| c > 0).count() + tail.chunk_by(|a, b| a == b).count();
-        assert!(runs > 0, "empirical distribution needs samples");
-        let mut d = Self::with_capacity(runs);
-        for (k, &c) in head.iter().enumerate() {
-            if c > 0 {
-                d.push_run(k as f64, c as usize);
+            for &c in octets.remainder() {
+                tally.add(slot(c), 1);
             }
-        }
-        for run in tail.chunk_by(|a, b| a == b) {
-            d.push_run(run[0] as f64, run.len());
-        }
-        d
+            if zeros > 0 {
+                tally.add(0, zeros);
+            }
+            let tail_len = tally.take(HEAD) as usize;
+            let mut tail = Vec::with_capacity(tail_len);
+            if tail_len > 0 {
+                tail.extend(counts.iter().copied().filter(|&c| c >= HEAD as u64));
+                tail.sort_unstable();
+            }
+            let runs = tally.occupied(HEAD) + tail.chunk_by(|a, b| a == b).count();
+            let mut d = Self::with_capacity(runs);
+            tally.drain(HEAD, |k, c| d.push_run(k as f64, c));
+            for run in tail.chunk_by(|a, b| a == b) {
+                d.push_run(run[0] as f64, run.len());
+            }
+            d
+        })
     }
 
     /// Number of samples.
@@ -221,6 +315,35 @@ impl EmpiricalDist {
         self.count_before(j) as f64 / self.len() as f64
     }
 
+    /// `Σ below(t − b)` over `sizes`, in order, each term the `count/n`
+    /// division [`below`](Self::below) makes: the numerator of the
+    /// paper's sweep-averaged false-negative rate. Ascending sizes give
+    /// non-increasing cuts `t − b` (rounding is monotone), so one walk
+    /// down the runs, from the top, finds every cut's count in
+    /// `O(runs + sizes)`; sizes in any other order take one binary search
+    /// each.
+    pub fn below_sum(&self, t: f64, sizes: &[f64]) -> f64 {
+        if !sizes.is_sorted() {
+            return sizes.iter().map(|&b| self.below(t - b)).sum();
+        }
+        let n = self.len() as f64;
+        // The first `j` runs lie strictly below the current cut.
+        let mut j = self.values.len();
+        sizes
+            .iter()
+            .map(|&b| {
+                let cut = t - b;
+                // Negated so that a NaN cut, like `below(NaN)`, has
+                // nothing below it.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                while j > 0 && !(self.values[j - 1] < cut) {
+                    j -= 1;
+                }
+                self.count_before(j) as f64 / n
+            })
+            .sum()
+    }
+
     /// Largest shift `b ≥ 0` such that `P(X + b < t) ≥ prob`, i.e. the
     /// mimicry attacker's evasion budget against threshold `t`.
     ///
@@ -283,12 +406,12 @@ impl EmpiricalDist {
 ///
 /// Applies when every member starts at or above `+0.0` (so none holds
 /// `-0.0` or a negative sample), the pooled span `hi − lo` is at most
-/// `4n + 4096` (a table a few times the samples it replaces), and every
-/// run's value `v` is `lo + k` exactly for `k = (v − lo) as usize`,
-/// checked on its bits. Non-negative values sort under `total_cmp` in
-/// numeric order, `lo + k` never decreases in `k`, and distinct slots
-/// hold distinct values, so the non-empty slots in order are the merged
-/// runs.
+/// `4n + 4096` (a table a few times the samples it replaces), the `n`
+/// samples fit a `u32` count, and every run's value `v` is `lo + k`
+/// exactly for `k = (v − lo) as usize`, checked on its bits. Non-negative
+/// values sort under `total_cmp` in numeric order, `lo + k` never
+/// decreases in `k`, and distinct slots hold distinct values, so the
+/// occupied slots of the [`Tally`] in order are the merged runs.
 fn pool_by_counting(dists: &[&EmpiricalDist]) -> Option<EmpiricalDist> {
     let n: usize = dists.iter().map(|d| d.len()).sum();
     let lo = dists.iter().map(|d| d.min()).fold(f64::INFINITY, f64::min);
@@ -297,26 +420,26 @@ fn pool_by_counting(dists: &[&EmpiricalDist]) -> Option<EmpiricalDist> {
         .map(|d| d.max())
         .fold(f64::NEG_INFINITY, f64::max);
     let starts_non_negative = dists.iter().all(|d| d.min().total_cmp(&0.0).is_ge());
-    if !starts_non_negative || hi - lo > 4.0 * n as f64 + 4096.0 {
+    if !starts_non_negative || hi - lo > 4.0 * n as f64 + 4096.0 || u32::try_from(n).is_err() {
         return None;
     }
-    let mut count = vec![0usize; (hi - lo) as usize + 1];
-    for d in dists {
-        for (v, c) in d.runs() {
-            let k = (v - lo) as usize;
-            if (lo + k as f64).to_bits() != v.to_bits() {
-                return None;
+    // `v ≤ hi` rounds `v − lo` to at most `hi − lo`: every slot is in range.
+    let slots = (hi - lo) as usize + 1;
+    Tally::with(slots, |tally| {
+        for d in dists {
+            for (v, c) in d.runs() {
+                let k = (v - lo) as usize;
+                if (lo + k as f64).to_bits() != v.to_bits() {
+                    tally.clear(slots);
+                    return None;
+                }
+                tally.add(k, c as u32);
             }
-            count[k] += c;
         }
-    }
-    let mut pooled = EmpiricalDist::with_capacity(0);
-    for (k, &c) in count.iter().enumerate() {
-        if c > 0 {
-            pooled.push_run(lo + k as f64, c);
-        }
-    }
-    Some(pooled)
+        let mut pooled = EmpiricalDist::with_capacity(tally.occupied(slots));
+        tally.drain(slots, |k, c| pooled.push_run(lo + k as f64, c));
+        Some(pooled)
+    })
 }
 
 /// Pool runs of any values: concatenate them, sort by value and join runs

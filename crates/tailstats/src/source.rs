@@ -93,6 +93,16 @@ pub trait QuantileBackend {
     /// false-negative rate via `below(T - b)`).
     fn below(&self, x: f64) -> f64;
 
+    /// `Σ below(t − b)` over `sizes`, summed in order: the numerator of
+    /// the sweep-averaged false-negative rate. The default asks
+    /// [`below`](Self::below) once per size, which is what the sketch
+    /// backend keeps (its [`ranked`](Self::ranked) view allocates); the
+    /// exact backend answers from one walk over its runs, term for term
+    /// the same bits.
+    fn below_sum(&self, t: f64, sizes: &[f64]) -> f64 {
+        sizes.iter().map(|&b| self.below(t - b)).sum()
+    }
+
     /// The sorted data a whole-distribution kernel scans.
     fn ranked(&self) -> RankedView<'_>;
 }
@@ -121,6 +131,9 @@ impl QuantileBackend for EmpiricalDist {
     }
     fn below(&self, x: f64) -> f64 {
         EmpiricalDist::below(self, x)
+    }
+    fn below_sum(&self, t: f64, sizes: &[f64]) -> f64 {
+        EmpiricalDist::below_sum(self, t, sizes)
     }
     fn ranked(&self) -> RankedView<'_> {
         let (values, ends) = self.run_table();

@@ -4,7 +4,9 @@
 //! representations could part — counts on both sides of the by-value
 //! tally's head, pooled spans inside and one past the counting bound,
 //! offsets where the `f64` lattice thins out (2^53, 2^60), `-0.0` beside
-//! `+0.0`, single samples, all-equal columns and all-distinct reals.
+//! `+0.0`, single samples, all-equal columns and all-distinct reals —
+//! and the one-walk `below_sum` against the per-size `below` loop it
+//! stands in for in the sweep-averaged false-negative rate.
 
 use proptest::prelude::*;
 use tailstats::edf::oracle;
@@ -28,6 +30,17 @@ fn assert_matches(d: &EmpiricalDist, o: &oracle::EmpiricalDist) {
     let samples: Vec<u64> = d.samples().map(|&x| bits(x)).collect();
     let want: Vec<u64> = o.samples().iter().map(|&x| bits(x)).collect();
     assert_eq!(samples, want, "samples");
+    // The runs themselves, so that an empty run the queries cannot see
+    // still shows.
+    let mut want_runs: Vec<(u64, usize)> = Vec::new();
+    for &x in &want {
+        match want_runs.last_mut() {
+            Some((v, c)) if *v == x => *c += 1,
+            _ => want_runs.push((x, 1)),
+        }
+    }
+    let runs: Vec<(u64, usize)> = d.runs().map(|(v, c)| (bits(v), c)).collect();
+    assert_eq!(runs, want_runs, "runs");
     assert_eq!(d.len(), o.len());
     assert_eq!(bits(d.min()), bits(o.min()), "min");
     assert_eq!(bits(d.max()), bits(o.max()), "max");
@@ -202,6 +215,194 @@ fn single_samples_and_equal_columns_match_oracle() {
     }
     for samples in [&[-0.0][..], &[0.0, -0.0], &[-2.5], &[1e300, 1e300]] {
         let (d, o) = both_from_samples(samples);
+        assert_matches(&d, &o);
+    }
+}
+
+/// Columns shaped like the by-value tally's edge cases: all zeros, sparse
+/// non-zero counts among zeros (so whole octets are skipped and the last
+/// partial octet is not), counts straddling 256 and the tally's head at
+/// 4096, and counts at and past 2^53 up to `u64::MAX`.
+fn arb_tally_column() -> impl Strategy<Value = Vec<u64>> {
+    let len = 1usize..700;
+    let edge = prop_oneof![
+        250u64..262,
+        4090u64..4102,
+        (1u64 << 53) - 4..(1u64 << 53) + 4,
+        Just(u64::MAX),
+        Just(u64::MAX - 1),
+    ];
+    prop_oneof![
+        len.clone().prop_map(|n| vec![0u64; n]),
+        (proptest::collection::vec((0u64..40, 0u8..10), len.clone())).prop_map(|v| v
+            .into_iter()
+            .map(|(c, z)| if z < 8 { 0 } else { c })
+            .collect()),
+        (len.clone(), 0u64..5000).prop_map(|(n, c)| {
+            let mut v = vec![0u64; n];
+            v[n - 1] = c;
+            v
+        }),
+        proptest::collection::vec(prop_oneof![Just(0u64), 0u64..300, edge], len),
+    ]
+}
+
+/// Ascending attack sizes as `AttackSweep::new` spaces them.
+fn sweep_sizes(b_max: f64, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| 1.0 + (b_max - 1.0) * i as f64 / (n - 1) as f64)
+        .collect()
+}
+
+/// `Σ below(t − b)` one size at a time, in order: the loop the walk
+/// replaces.
+fn below_sum_by_size(below: impl Fn(f64) -> f64, t: f64, sizes: &[f64]) -> f64 {
+    sizes.iter().map(|&b| below(t - b)).sum()
+}
+
+/// The walk's sum equals the per-size loop's, and the oracle's, bit for
+/// bit at `t`.
+fn assert_below_sum_matches(d: &EmpiricalDist, o: &oracle::EmpiricalDist, t: f64, sizes: &[f64]) {
+    let walked = d.below_sum(t, sizes);
+    let looped = below_sum_by_size(|x| d.below(x), t, sizes);
+    let oracle = below_sum_by_size(|x| o.below(x), t, sizes);
+    assert_eq!(
+        bits(walked),
+        bits(looped),
+        "below_sum({t}) vs the per-size loop"
+    );
+    assert_eq!(bits(walked), bits(oracle), "below_sum({t}) vs the oracle");
+}
+
+/// Thresholds below the minimum, on and between runs, above the maximum,
+/// fractional, and the non-finite ones.
+fn thresholds_around(d: &EmpiricalDist) -> Vec<f64> {
+    let mut ts = vec![
+        d.min() - 1.0,
+        d.max() + 1.0,
+        d.max() + 1e13,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    for (v, _) in d.runs().take(40) {
+        ts.extend([v, v + 0.5, v - 0.25, v + 1.0]);
+    }
+    ts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn from_counts_tally_edges_match_oracle(counts in arb_tally_column()) {
+        let (d, o) = both_from_counts(&counts);
+        assert_matches(&d, &o);
+    }
+
+    /// Pools of tally-edge columns: the shared tally, and the scratch left
+    /// clean for the next build.
+    #[test]
+    fn pool_of_tally_edges_matches_oracle(
+        members in proptest::collection::vec(arb_tally_column(), 1..12),
+    ) {
+        let (new, old): (Vec<_>, Vec<_>) = members.iter().map(|m| both_from_counts(m)).unzip();
+        assert_matches(&EmpiricalDist::pool(&new), &oracle::EmpiricalDist::pool(&old));
+    }
+
+    #[test]
+    fn below_sum_walk_matches_the_per_size_loop(
+        counts in arb_counts(),
+        b_max in prop_oneof![1.0f64..50.0, 1.0f64..5000.0, 1.0f64..1e12],
+        n_points in 2usize..=300,
+    ) {
+        let (d, o) = both_from_counts(&counts);
+        let sizes = sweep_sizes(b_max, n_points);
+        for t in thresholds_around(&d) {
+            assert_below_sum_matches(&d, &o, t, &sizes);
+        }
+    }
+
+    /// Real samples with `-0.0` and `+0.0` runs, and size lists the walk
+    /// must leave to the per-size loop (descending, or holding a NaN).
+    #[test]
+    fn below_sum_on_reals_and_unsorted_sizes(
+        samples in arb_samples(),
+        b_max in -10.0f64..1e6,
+        n_points in 2usize..=300,
+        nan_at in 0usize..600,
+    ) {
+        let (d, o) = both_from_samples(&samples);
+        let mut sizes = sweep_sizes(b_max, n_points);
+        if nan_at < 300 {
+            sizes[nan_at % n_points] = f64::NAN;
+        }
+        for t in thresholds_around(&d).into_iter().chain([0.0, -0.0, 1.0]) {
+            assert_below_sum_matches(&d, &o, t, &sizes);
+        }
+    }
+}
+
+#[test]
+fn below_sum_at_the_extremes() {
+    let (d, o) = both_from_counts(&[0, 0, 3, 3, 3, 9, 40]);
+    let sizes = sweep_sizes(12.0, 12);
+    // Every cut above the maximum: the walk must start past the last run.
+    for t in [1e6, 41.0 + 12.0, 40.5 + 12.0] {
+        assert_below_sum_matches(&d, &o, t, &sizes);
+        assert_eq!(d.below_sum(t, &sizes), sizes.len() as f64);
+    }
+    // Every cut at or below the minimum.
+    assert_eq!(d.below_sum(1.0, &sizes), 0.0);
+    let (d, o) = both_from_samples(&[-0.0, -0.0, 0.0, 0.0, 0.0, 1.0]);
+    for t in [-0.0, 0.0, 1.0, 2.0, 1.5, f64::MIN_POSITIVE] {
+        assert_below_sum_matches(&d, &o, t, &[0.0, 1.0]);
+        assert_below_sum_matches(&d, &o, t, &[-0.0, 0.0, 0.5]);
+    }
+}
+
+/// Building one column after another reuses the per-thread tally: a slot
+/// or bit the first left behind would show up in the second.
+#[test]
+fn back_to_back_builds_share_a_clean_tally() {
+    let columns: [&[u64]; 5] = [
+        &[5, 9, 300, 4095, 4096, 70000, 0, 0, 1],
+        &[0; 17],
+        &[2, 2, 2, 7],
+        &[u64::MAX, 0, 4097, 255, 256],
+        &[1],
+    ];
+    for _ in 0..2 {
+        for counts in columns {
+            let (d, o) = both_from_counts(counts);
+            assert_matches(&d, &o);
+        }
+    }
+}
+
+/// Pools wider than the per-thread scratch tally (2^17 slots) count into
+/// a table of their own; at and one past the counting bound `4n + 4096`,
+/// they count or merge as the narrow ones do, and leave the scratch clean.
+#[test]
+fn wide_pools_match_oracle_around_the_scratch_cap() {
+    for (n_members, past) in [(48usize, 0u64), (48, 1), (40, 0)] {
+        let n = (n_members * 700) as u64;
+        let top = 4 * n + 4096 + past;
+        let columns: Vec<Vec<u64>> = (0..n_members as u64)
+            .map(|m| {
+                (0..700u64)
+                    .map(|i| (i * 7919 + m * 104_729) % top)
+                    .collect()
+            })
+            .collect();
+        let mut columns = columns;
+        columns[0][0] = 0;
+        columns[1][0] = top;
+        let (new, old): (Vec<_>, Vec<_>) = columns.iter().map(|c| both_from_counts(c)).unzip();
+        assert_matches(
+            &EmpiricalDist::pool(&new),
+            &oracle::EmpiricalDist::pool(&old),
+        );
+        let (d, o) = both_from_counts(&[3, 1, 4, 1, 5, 9, 2, 6]);
         assert_matches(&d, &o);
     }
 }
